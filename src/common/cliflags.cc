@@ -1,5 +1,8 @@
 #include "common/cliflags.hh"
 
+#include <cstdarg>
+#include <cstdio>
+
 #include "common/logging.hh"
 #include "common/strutil.hh"
 
@@ -75,6 +78,57 @@ FlagParser::unsignedValue()
         fatal("invalid value '", v, "' for ", arg_, ": ",
               r.status().message());
     return *r;
+}
+
+int
+FlagParser::positiveValue()
+{
+    auto n = unsignedValue();
+    if (n < 1)
+        fatal("invalid value '", n, "' for ", arg_,
+              ": must be at least 1");
+    return static_cast<int>(n);
+}
+
+double
+optionNumber(const std::string &key, const std::string &value)
+{
+    auto r = parseDouble(value);
+    if (!r.ok())
+        fatal("bad option '", key, "=", value,
+              "': ", r.status().message());
+    return *r;
+}
+
+std::int64_t
+optionInt(const std::string &key, const std::string &value)
+{
+    auto r = parseInt64(value);
+    if (!r.ok())
+        fatal("bad option '", key, "=", value,
+              "': ", r.status().message());
+    return *r;
+}
+
+void
+say(const char *fmt, ...)
+{
+    if (logLevel() > LogLevel::kInfo)
+        return;
+    va_list ap;
+    va_start(ap, fmt);
+    std::vprintf(fmt, ap);
+    va_end(ap);
+}
+
+int
+runCli(int (*run)(int, char **), int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const FatalError &) {
+        return 1;
+    }
 }
 
 } // namespace edgert

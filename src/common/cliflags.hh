@@ -3,11 +3,10 @@
 
 /**
  * @file
- * The one `--opt value` / `--opt=value` argument scanner shared by
- * the EdgeRT command-line drivers (edgertexec, edgertserve,
- * edgertdeploy). Each driver used to carry its own copy of the
- * inline-value splitting and the strict numeric parsing; this class
- * is that logic, extracted verbatim:
+ * The generic pieces of the EdgeRT command-line drivers: the one
+ * `--opt value` / `--opt=value` argument scanner, strict `key=value`
+ * option numbers, progress chatter and the FatalError main wrapper.
+ * The scanner reads:
  *
  *     FlagParser flags(argc, argv);
  *     while (flags.next()) {
@@ -70,6 +69,10 @@ class FlagParser
     /** value() parsed as a strict unsigned integer. */
     std::uint64_t unsignedValue();
 
+    /** unsignedValue() that must be at least 1 (thread counts,
+     *  sample rates, ring depths); fatal()s naming the flag. */
+    int positiveValue();
+
   private:
     int argc_;
     char **argv_;
@@ -77,6 +80,26 @@ class FlagParser
     std::string arg_;
     std::optional<std::string> inline_value_;
 };
+
+/** Value of one `key=value` option in a spec string, parsed as a
+ *  strict double; fatal()s naming the pair on a malformed number. */
+double optionNumber(const std::string &key, const std::string &value);
+
+/** optionNumber() for strict signed integers. */
+std::int64_t optionInt(const std::string &key,
+                       const std::string &value);
+
+/** printf-style progress chatter on stdout; silent once the log
+ *  level is above info (the drivers' --quiet). */
+void say(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
+
+/**
+ * A driver's main(): run `run(argc, argv)` and map FatalError to exit
+ * code 1. fatal() has already printed the diagnostic through the log
+ * sink; a bad flag or config must exit non-zero, not abort.
+ */
+int runCli(int (*run)(int, char **), int argc, char **argv);
 
 } // namespace edgert
 

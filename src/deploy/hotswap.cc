@@ -53,7 +53,6 @@ HotSwapper::planSwaps(
         job.device = cfg.devices.front();
         job.precision = candidate_precision.value_or(mc.precision);
         job.build_id = rebuild_build_id;
-        job.build_jobs = cfg.build_jobs;
         job.gate_against = mc.precision;
         job.calibration_seed = candidate_precision
                                    ? candidate_calibration_seed
@@ -84,7 +83,6 @@ HotSwapper::planSwaps(
             bc.precision = mc.precision;
             bc.calibration_seed = mc.calibration_seed;
             bc.build_id = cfg.build_id;
-            bc.jobs = cfg.build_jobs;
             core::Builder builder(cfg.devices.front(), bc);
             core::BuildReport report;
             core::Engine incumbent = builder.build(net, &report);

@@ -30,7 +30,6 @@ buildOne(const RebuildJob &job)
     core::BuilderConfig cfg;
     cfg.precision = job.precision;
     cfg.build_id = job.build_id;
-    cfg.jobs = job.build_jobs;
     cfg.calibration_seed = job.calibration_seed;
     core::Builder builder(job.device, cfg);
     BuiltCandidate out;

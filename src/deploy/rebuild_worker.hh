@@ -37,7 +37,6 @@ struct RebuildJob
     gpusim::DeviceSpec device;  //!< build target
     nn::Precision precision = nn::Precision::kFp16;
     std::uint64_t build_id = 0; //!< builder seed of this rebuild
-    int build_jobs = 1;         //!< autotuner sweep workers
 
     /**
      * Precision lineage the candidate is gated against. Unset

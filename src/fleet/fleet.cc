@@ -3,74 +3,29 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <map>
 #include <memory>
-#include <queue>
 #include <sstream>
 
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
-#include "common/threadpool.hh"
-#include "core/builder.hh"
 #include "core/timing_cache.hh"
 #include "deploy/cohort.hh"
-#include "gpusim/sim.hh"
-#include "nn/model_zoo.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "runtime/context.hh"
 #include "serve/batcher.hh"
-#include "serve/predictor.hh"
+#include "serve/cli.hh"
+#include "serve/core.hh"
 #include "serve/request.hh"
 #include "serve/scheduler.hh"
-#include "serve/server.hh"
 #include "watch/rollup.hh"
 
 namespace edgert::fleet {
 
 namespace {
 
-/** Fleet control-plane discrete event. */
-struct Event
-{
-    enum Kind { kArrival, kTimeout, kPredFree, kFail, kRejoin, kStage };
-
-    double t = 0.0;
-    std::int64_t seq = 0; //!< push order: total, deterministic tie-break
-    Kind kind = kArrival;
-    int target = 0; //!< model, (node, model) slot, instance, node, rollout
-    std::int64_t req = -1; //!< request id or rollout stage index
-};
-
-struct EventAfter
-{
-    bool operator()(const Event &a, const Event &b) const
-    {
-        if (a.t != b.t)
-            return a.t > b.t;
-        return a.seq > b.seq;
-    }
-};
-
-/** One engine instance: a stream-bound context slot on one node. */
-struct FleetInstance
-{
-    int node = -1;
-    int model = -1;
-    int stream = 0;
-    double predicted_free_s = 0.0;
-    std::vector<serve::PlannedDispatch> plan;
-};
-
-/** One engine build generation: per-class sets and calibrations. */
-struct FleetVersion
-{
-    std::uint64_t build_id = 0;
-    std::vector<serve::EngineSet> sets;       //!< per class
-    std::vector<std::vector<double>> svc;     //!< per class, per engine
-};
+using serve::Event;
 
 /** Mutable per-rollout progress. */
 struct RolloutState
@@ -92,11 +47,7 @@ runFleet(const FleetConfig &cfg)
     // ------------------------------------------------------------
     // Validation and fleet resolution.
     // ------------------------------------------------------------
-    if (cfg.models.empty())
-        fatal("fleet config has no models");
-    if (cfg.duration_s <= 0.0)
-        fatal("fleet duration must be positive (got ",
-              cfg.duration_s, ")");
+    serve::validateModels("EdgeFleet", cfg.models, cfg.duration_s);
     if (cfg.vnodes < 1)
         fatal("fleet vnodes must be >= 1 (got ", cfg.vnodes, ")");
     if (cfg.sojourn_choices < 1)
@@ -105,11 +56,6 @@ runFleet(const FleetConfig &cfg)
     if (cfg.remap_probes < 1)
         fatal("fleet remap_probes must be >= 1 (got ",
               cfg.remap_probes, ")");
-    for (std::size_t i = 0; i < cfg.models.size(); i++)
-        for (std::size_t j = i + 1; j < cfg.models.size(); j++)
-            if (cfg.models[i].model == cfg.models[j].model)
-                fatal("duplicate fleet model '", cfg.models[i].model,
-                      "'");
 
     ResolvedFleet fleet = resolveFleet(cfg.groups);
     const int n_nodes = static_cast<int>(fleet.nodes.size());
@@ -157,74 +103,43 @@ runFleet(const FleetConfig &cfg)
                  {"classes", std::to_string(n_classes)}});
 
     // ------------------------------------------------------------
-    // Builds: engines + calibration once per (class, model), shared
-    // read-only by every node of the class. One timing cache per
-    // class so rebuilds within a class stay warm.
+    // Builds: calibrated engine ladders once per (class, model),
+    // shared read-only by every node of the class. One timing cache
+    // per class so rebuilds within a class stay warm.
     // ------------------------------------------------------------
-    std::vector<serve::BatchPolicy> policies;
     std::vector<std::vector<int>> ladders;
-    for (int m = 0; m < n_models; m++) {
-        policies.push_back(
-            cfg.models[static_cast<std::size_t>(m)].batching);
-        ladders.push_back(serve::engineBatchLadder(
-            policies.back().max_batch));
-    }
-
+    for (const auto &mc : cfg.models)
+        ladders.push_back(serve::engineBatchLadder(mc.batching.max_batch));
     std::vector<core::TimingCache> caches(
         static_cast<std::size_t>(n_classes));
 
-    // Build one generation of model m: engines + calibrated service
-    // predictions for every class in `class_mask` (null = all).
+    // Build one generation of model m for every class in
+    // `class_mask` (null = all).
     auto buildVersion = [&](int m, std::uint64_t build_id,
                             bool use_cache,
-                            const std::vector<bool> *class_mask)
-        -> FleetVersion {
+                            const std::vector<bool> *class_mask) {
         const auto &mc = cfg.models[static_cast<std::size_t>(m)];
         EDGERT_SPAN("fleet_build",
                     {{"model", mc.model},
                      {"build", std::to_string(build_id)}});
-        FleetVersion ver;
+        serve::ModelVersion ver;
         ver.build_id = build_id;
         for (int c = 0; c < n_classes; c++) {
-            serve::EngineSet set;
-            std::vector<double> svc_c;
-            bool wanted =
-                !class_mask ||
-                (*class_mask)[static_cast<std::size_t>(c)];
-            if (wanted) {
-                const auto &spec =
-                    fleet.classes[static_cast<std::size_t>(c)].spec;
-                core::BuilderConfig bcfg;
-                bcfg.precision = mc.precision;
-                bcfg.calibration_seed = mc.calibration_seed;
-                bcfg.build_id = build_id;
-                bcfg.jobs = 1;
-                bcfg.timing_cache =
-                    use_cache
-                        ? &caches[static_cast<std::size_t>(c)]
-                        : nullptr;
-                core::Builder builder(spec, bcfg);
-                for (int b : ladders[static_cast<std::size_t>(m)]) {
-                    set.engines.push_back(builder.build(
-                        nn::buildZooModel(mc.model, b)));
-                    set.batches.push_back(b);
-                }
-                serve::LatencyPredictor pred(spec);
-                for (const auto &eng : set.engines) {
-                    pred.calibrate(eng);
-                    svc_c.push_back(
-                        pred.predictServiceSeconds(eng));
-                }
-            }
-            ver.sets.push_back(std::move(set));
-            ver.svc.push_back(std::move(svc_c));
+            const auto ci = static_cast<std::size_t>(c);
+            ver.sets.push_back(
+                !class_mask || (*class_mask)[ci]
+                    ? serve::buildLadder(
+                          fleet.classes[ci].spec,
+                          {mc.model, mc.precision, mc.calibration_seed,
+                           build_id, mc.batching.max_batch},
+                          use_cache ? &caches[ci] : nullptr)
+                    : serve::EngineSet{});
         }
         return ver;
     };
 
     // versions[m]: generation list; index 0 is the incumbent.
-    std::vector<std::vector<FleetVersion>> versions(
-        static_cast<std::size_t>(n_models));
+    serve::ModelVersions versions(static_cast<std::size_t>(n_models));
     for (int m = 0; m < n_models; m++)
         versions[static_cast<std::size_t>(m)].push_back(
             buildVersion(m, cfg.build_id, true, nullptr));
@@ -241,10 +156,9 @@ runFleet(const FleetConfig &cfg)
     for (int m = 0; m < n_models; m++) {
         std::vector<double> svc1;
         for (int c = 0; c < n_classes; c++)
-            svc1.push_back(
-                versions[static_cast<std::size_t>(m)][0]
-                    .svc[static_cast<std::size_t>(c)]
-                    .front());
+            svc1.push_back(versions[static_cast<std::size_t>(m)][0]
+                               .sets[static_cast<std::size_t>(c)]
+                               .service_s.front());
         auto rank = rankClasses(
             cfg.placement, fleet.classes, svc1,
             cfg.models[static_cast<std::size_t>(m)].precision);
@@ -258,9 +172,14 @@ runFleet(const FleetConfig &cfg)
             cfg.models[static_cast<std::size_t>(m)].nodes_pct);
     }
 
-    // Instances, node-major then model order; per-node RAM budget
-    // bounds how many contexts a node can actually host.
-    std::vector<FleetInstance> instances;
+    // Instances, node-major then model order, placed through the
+    // serve InstancePool with each node as a device: the per-node
+    // RAM budget bounds how many contexts a node can actually host.
+    std::vector<gpusim::DeviceSpec> node_specs;
+    for (int node = 0; node < n_nodes; node++)
+        node_specs.push_back(fleet.specOf(node));
+    serve::InstancePool pool(node_specs, cfg.ram_fraction);
+    std::vector<serve::Instance> &instances = pool.instances();
     std::vector<std::vector<int>> insts_by_nm(
         static_cast<std::size_t>(n_nodes) *
         static_cast<std::size_t>(n_models));
@@ -270,34 +189,23 @@ runFleet(const FleetConfig &cfg)
                static_cast<std::size_t>(m);
     };
     for (int node = 0; node < n_nodes; node++) {
-        const FleetNode &fn =
-            fleet.nodes[static_cast<std::size_t>(node)];
-        const auto &spec = fleet.specOf(node);
-        auto budget = static_cast<std::int64_t>(
-            cfg.ram_fraction * spec.ram_gb * 1e9);
-        int streams_made = 0;
+        const int c = fleet.nodes[static_cast<std::size_t>(node)]
+                          .dev_class;
         for (int m = 0; m < n_models; m++) {
             if (!serves[static_cast<std::size_t>(m)]
                        [static_cast<std::size_t>(node)])
                 continue;
-            std::int64_t fp =
-                versions[static_cast<std::size_t>(m)][0]
-                    .sets[static_cast<std::size_t>(fn.dev_class)]
-                    .maxFootprintBytes();
-            int want = cfg.models[static_cast<std::size_t>(m)]
-                           .instances_per_node;
-            for (int i = 0; i < want; i++) {
-                if (fp > budget)
-                    break;
-                budget -= fp;
-                FleetInstance inst;
-                inst.node = node;
-                inst.model = m;
-                inst.stream = streams_made++;
+            const std::size_t first = instances.size();
+            pool.place(m, node,
+                       versions[static_cast<std::size_t>(m)][0]
+                           .sets[static_cast<std::size_t>(c)]
+                           .maxFootprintBytes(),
+                       cfg.models[static_cast<std::size_t>(m)]
+                           .instances_per_node,
+                       c);
+            for (std::size_t i = first; i < instances.size(); i++)
                 insts_by_nm[nmSlot(node, m)].push_back(
-                    static_cast<int>(instances.size()));
-                instances.push_back(std::move(inst));
-            }
+                    static_cast<int>(i));
         }
     }
 
@@ -323,36 +231,12 @@ runFleet(const FleetConfig &cfg)
                  "' placed on no node; its traffic will be shed");
     }
 
-    // ------------------------------------------------------------
-    // Workload: per-model fleet-wide arrival streams from forked
-    // Rng streams, merged into one id-ordered request table.
-    // ------------------------------------------------------------
-    std::vector<serve::Request> requests;
-    {
-        Rng root(cfg.seed);
-        Rng workload_rng = root.fork("workload");
-        std::vector<std::pair<double, int>> merged;
-        for (int m = 0; m < n_models; m++) {
-            Rng rng = workload_rng.fork(
-                static_cast<std::uint64_t>(m));
-            for (double t : serve::generateArrivals(
-                     cfg.models[static_cast<std::size_t>(m)]
-                         .arrivals,
-                     cfg.duration_s, rng))
-                merged.emplace_back(t, m);
-        }
-        std::sort(merged.begin(), merged.end());
-        requests.reserve(merged.size());
-        for (const auto &[t, m] : merged) {
-            serve::Request r;
-            r.id = static_cast<std::int64_t>(requests.size());
-            r.model = m;
-            r.arrival_s = t;
-            r.slo_ms =
-                cfg.models[static_cast<std::size_t>(m)].slo_ms;
-            requests.push_back(r);
-        }
-    }
+    // Workload: one id-ordered table of fleet-wide requests.
+    std::vector<serve::TrafficSpec> traffic;
+    for (const auto &mc : cfg.models)
+        traffic.push_back({mc.arrivals, mc.slo_ms});
+    std::vector<serve::Request> requests =
+        serve::generateRequests(traffic, cfg.duration_s, cfg.seed);
 
     // ------------------------------------------------------------
     // Phase 1 — fleet control loop. Per-(node, model) queues and
@@ -364,15 +248,11 @@ runFleet(const FleetConfig &cfg)
         static_cast<std::size_t>(n_nodes) *
         static_cast<std::size_t>(n_models));
     std::vector<serve::DynamicBatcher> batchers;
-    for (int m = 0; m < n_models; m++)
-        batchers.emplace_back(
-            policies[static_cast<std::size_t>(m)]);
-    std::vector<std::int64_t> timeout_armed(queues.size(), -1);
-
-    // Active build generation per (node, model); rollouts splice
-    // cohorts forward while in-flight incumbent batches drain on
-    // their own contexts.
-    std::vector<int> active_ver(queues.size(), 0);
+    for (const auto &mc : cfg.models)
+        batchers.emplace_back(mc.batching);
+    std::vector<serve::BatchTimeout> timeouts(queues.size());
+    for (std::size_t slot = 0; slot < timeouts.size(); slot++)
+        timeouts[slot].target = static_cast<int>(slot);
 
     std::vector<bool> failed(static_cast<std::size_t>(n_nodes),
                              false);
@@ -386,33 +266,13 @@ runFleet(const FleetConfig &cfg)
             cfg.slo);
     watch::AlertRollup rollup;
 
-    std::priority_queue<Event, std::vector<Event>, EventAfter> evq;
-    std::int64_t seq = 0;
-    for (const auto &r : requests) {
-        Event e;
-        e.t = r.arrival_s;
-        e.seq = seq++;
-        e.kind = Event::kArrival;
-        e.target = r.model;
-        e.req = r.id;
-        evq.push(e);
-    }
-    for (std::size_t f = 0; f < cfg.failures.size(); f++) {
-        const FailureSpec &fs = cfg.failures[f];
-        Event e;
-        e.t = fs.fail_s;
-        e.seq = seq++;
-        e.kind = Event::kFail;
-        e.target = fs.node;
-        evq.push(e);
-        if (fs.rejoin_s >= 0.0) {
-            Event r;
-            r.t = fs.rejoin_s;
-            r.seq = seq++;
-            r.kind = Event::kRejoin;
-            r.target = fs.node;
-            evq.push(r);
-        }
+    serve::EventQueue evq;
+    for (const auto &r : requests)
+        evq.push(r.arrival_s, Event::kArrival, r.model, r.id);
+    for (const FailureSpec &fs : cfg.failures) {
+        evq.push(fs.fail_s, Event::kFail, fs.node);
+        if (fs.rejoin_s >= 0.0)
+            evq.push(fs.rejoin_s, Event::kRejoin, fs.node);
     }
     std::vector<RolloutState> ro_states(cfg.rollouts.size());
     std::vector<RolloutStats> ro_stats(cfg.rollouts.size());
@@ -421,15 +281,9 @@ runFleet(const FleetConfig &cfg)
         ro_states[ro].model = modelIndex(spec.model);
         ro_stats[ro].model = spec.model;
         ro_stats[ro].candidate_build_id = spec.candidate_build_id;
-        for (std::size_t s = 0; s < spec.stages.size(); s++) {
-            Event e;
-            e.t = spec.stages[s].t_s;
-            e.seq = seq++;
-            e.kind = Event::kStage;
-            e.target = static_cast<int>(ro);
-            e.req = static_cast<std::int64_t>(s);
-            evq.push(e);
-        }
+        for (std::size_t s = 0; s < spec.stages.size(); s++)
+            evq.push(spec.stages[s].t_s, Event::kStage,
+                     static_cast<int>(ro), static_cast<std::int64_t>(s));
     }
 
     std::vector<FleetEvent> events;
@@ -442,109 +296,43 @@ runFleet(const FleetConfig &cfg)
     // Next plan entry whose predicted completion is unobserved.
     std::vector<std::size_t> next_obs;
 
-    auto ladderOf = [&](int m) -> const std::vector<int> & {
-        return ladders[static_cast<std::size_t>(m)];
-    };
-    auto svcOf = [&](int node, int m) -> const std::vector<double> & {
-        int c = fleet.nodes[static_cast<std::size_t>(node)]
-                    .dev_class;
-        int v = active_ver[nmSlot(node, m)];
-        return versions[static_cast<std::size_t>(m)]
-                       [static_cast<std::size_t>(v)]
-                           .svc[static_cast<std::size_t>(c)];
-    };
-
     auto viewOf = [&](int node, int m) {
-        serve::BackendView view;
-        view.ladder = ladderOf(m);
-        const auto &svc = svcOf(node, m);
-        for (int idx : insts_by_nm[nmSlot(node, m)]) {
-            const FleetInstance &inst =
-                instances[static_cast<std::size_t>(idx)];
-            serve::BackendView::InstanceView iv;
-            iv.free_s = inst.predicted_free_s;
-            iv.service_s = svc;
-            view.instances.push_back(std::move(iv));
-        }
-        return view;
+        return serve::backendView(ladders[static_cast<std::size_t>(m)],
+                                  insts_by_nm[nmSlot(node, m)],
+                                  instances, versions);
     };
 
     auto tryDispatch = [&](int node, int m, double t) {
         if (failed[static_cast<std::size_t>(node)] ||
             quarantined[static_cast<std::size_t>(node)])
             return;
-        auto slot = nmSlot(node, m);
-        auto &q = queues[slot];
-        const auto &batcher =
-            batchers[static_cast<std::size_t>(m)];
-        const auto &svc = svcOf(node, m);
-        int c = fleet.nodes[static_cast<std::size_t>(node)]
-                    .dev_class;
-        int v = active_ver[slot];
-        const serve::EngineSet &set =
-            versions[static_cast<std::size_t>(m)]
-                    [static_cast<std::size_t>(v)]
-                        .sets[static_cast<std::size_t>(c)];
-        while (!q.empty()) {
-            // Earliest predicted-free instance (ties: lowest idx).
+        const auto slot = nmSlot(node, m);
+        // Strictly predicted-free instances of this (node, model),
+        // earliest first (ties: lowest index).
+        auto pick = [&](double now) {
             int best = -1;
             for (int idx : insts_by_nm[slot]) {
-                const FleetInstance &inst =
-                    instances[static_cast<std::size_t>(idx)];
-                if (inst.predicted_free_s > t)
-                    continue;
-                if (best < 0 ||
-                    inst.predicted_free_s <
-                        instances[static_cast<std::size_t>(best)]
-                            .predicted_free_s)
+                const double free_s =
+                    instances[static_cast<std::size_t>(idx)]
+                        .predicted_free_s;
+                if (free_s <= now &&
+                    (best < 0 ||
+                     free_s < instances[static_cast<std::size_t>(best)]
+                                  .predicted_free_s))
                     best = idx;
             }
-            if (best < 0)
-                break;
-            int cut = batcher.decide(
-                q.size(), q.oldestArrivalSeconds(), t);
-            if (cut == 0)
-                break;
-            FleetInstance &inst =
-                instances[static_cast<std::size_t>(best)];
-            int eidx = set.indexFor(cut);
-            double svc_s = svc[static_cast<std::size_t>(eidx)];
-            serve::PlannedDispatch pd;
-            pd.t_s = t;
-            pd.engine_idx = eidx;
-            pd.version = v;
-            pd.batch = cut;
-            pd.request_ids = q.cut(cut);
-            pd.predicted_service_s = svc_s;
-            for (std::int64_t id : pd.request_ids) {
-                serve::Request &r =
-                    requests[static_cast<std::size_t>(id)];
-                r.dispatch_s = t;
-                r.batch = cut;
-                r.device = node;
-                r.instance = best;
-                r.version = v;
-            }
-            inst.plan.push_back(std::move(pd));
-            inst.predicted_free_s = t + svc_s;
-            Event e;
-            e.t = inst.predicted_free_s;
-            e.seq = seq++;
-            e.kind = Event::kPredFree;
-            e.target = best;
-            evq.push(e);
-            model_batches[static_cast<std::size_t>(m)]++;
-            model_dispatched[static_cast<std::size_t>(m)] += cut;
-        }
-        if (!q.empty() && q.frontId() != timeout_armed[slot]) {
-            timeout_armed[slot] = q.frontId();
-            Event e;
-            e.t = batcher.deadlineFor(q.oldestArrivalSeconds());
-            e.seq = seq++;
-            e.kind = Event::kTimeout;
-            e.target = static_cast<int>(slot);
-            evq.push(e);
-        }
+            return best;
+        };
+        serve::cutBatches(
+            queues[slot], &serve::RequestQueue::oldestArrivalSeconds,
+            batchers[static_cast<std::size_t>(m)], t, versions,
+            instances, evq, timeouts[slot], pick,
+            [&](const serve::PlannedDispatch &pd, int idx) {
+                serve::stampRequests(requests, pd, node, idx);
+                model_batches[static_cast<std::size_t>(m)]++;
+                model_dispatched[static_cast<std::size_t>(m)] +=
+                    pd.batch;
+            });
     };
 
     // Quarantine can fire mid-observation, so declare first.
@@ -594,7 +382,7 @@ runFleet(const FleetConfig &cfg)
                     auto &cq = queues[nmSlot(cand, m)];
                     double est = serve::predictSojournSeconds(
                         viewOf(cand, m),
-                        policies[static_cast<std::size_t>(m)],
+                        batchers[static_cast<std::size_t>(m)].policy(),
                         static_cast<int>(cq.size()), t,
                         cq.rateHz());
                     if (node < 0 || est < best ||
@@ -610,7 +398,7 @@ runFleet(const FleetConfig &cfg)
             if (admit && cfg.admission_control) {
                 double est_s = serve::predictSojournSeconds(
                     viewOf(node, m),
-                    policies[static_cast<std::size_t>(m)],
+                    batchers[static_cast<std::size_t>(m)].policy(),
                     static_cast<int>(q.size()), t, q.rateHz());
                 if (est_s * 1e3 > r.slo_ms) {
                     r.outcome = serve::Outcome::kShed;
@@ -640,7 +428,7 @@ runFleet(const FleetConfig &cfg)
             remap_sum += remapPct(before, ring, cfg.remap_probes);
             remap_n++;
             auto &q = queues[nmSlot(node, m)];
-            timeout_armed[nmSlot(node, m)] = -1;
+            timeouts[nmSlot(node, m)].armed_for = -1;
             if (q.empty())
                 continue;
             auto ids = q.cut(static_cast<int>(q.size()));
@@ -655,19 +443,19 @@ runFleet(const FleetConfig &cfg)
                             : 0.0};
     };
 
+    // Append one membership event to the report's log.
+    auto logEvent = [&](double t, int node, const char *kind,
+                        const char *reason, std::int64_t moved,
+                        double remap) {
+        events.push_back(FleetEvent{
+            t, node, fleet.nodes[static_cast<std::size_t>(node)].name,
+            kind, reason, moved, remap});
+    };
+
     quarantineNode = [&](int node, const char *reason, double t) {
         quarantined[static_cast<std::size_t>(node)] = true;
         auto [moved, remap] = removeAndReroute(node, t);
-        FleetEvent ev;
-        ev.t_s = t;
-        ev.node = node;
-        ev.node_name =
-            fleet.nodes[static_cast<std::size_t>(node)].name;
-        ev.kind = "quarantine";
-        ev.reason = reason;
-        ev.rerouted = moved;
-        ev.remap_pct = remap;
-        events.push_back(std::move(ev));
+        logEvent(t, node, "quarantine", reason, moved, remap);
         warn("EdgeFleet: quarantined node ",
              fleet.nodes[static_cast<std::size_t>(node)].name,
              " at t=", t, "s (", reason, "), rerouted ", moved,
@@ -694,7 +482,7 @@ runFleet(const FleetConfig &cfg)
                 class_mask[static_cast<std::size_t>(
                     fleet.nodes[static_cast<std::size_t>(node)]
                         .dev_class)] = true;
-        FleetVersion cand = buildVersion(
+        serve::ModelVersion cand = buildVersion(
             m, spec.candidate_build_id, false, &class_mask);
         deploy::DriftGate gate(spec.gate);
         st.class_ok.assign(static_cast<std::size_t>(n_classes),
@@ -750,8 +538,7 @@ runFleet(const FleetConfig &cfg)
                     {{"requests",
                       std::to_string(requests.size())}});
         while (!evq.empty()) {
-            Event e = evq.top();
-            evq.pop();
+            Event e = evq.pop();
             switch (e.kind) {
               case Event::kArrival:
                   routeRequest(e.target, e.req, e.t, true);
@@ -772,7 +559,7 @@ runFleet(const FleetConfig &cfg)
                   auto ii = static_cast<std::size_t>(e.target);
                   if (next_obs.size() <= ii)
                       next_obs.resize(instances.size(), 0);
-                  FleetInstance &inst = instances[ii];
+                  serve::Instance &inst = instances[ii];
                   // Predicted completion of the next unobserved
                   // dispatch: feed each request's predicted SLO
                   // verdict to the node's burn-rate tracker (the
@@ -786,9 +573,9 @@ runFleet(const FleetConfig &cfg)
                           requests[static_cast<std::size_t>(id)];
                       bool bad =
                           (e.t - r.arrival_s) * 1e3 > r.slo_ms;
-                      trackerObserve(inst.node, e.t, bad);
+                      trackerObserve(inst.device, e.t, bad);
                   }
-                  tryDispatch(inst.node, inst.model, e.t);
+                  tryDispatch(inst.device, inst.model, e.t);
                   break;
               }
               case Event::kFail: {
@@ -798,16 +585,7 @@ runFleet(const FleetConfig &cfg)
                   failed[static_cast<std::size_t>(node)] = true;
                   auto [moved, remap] =
                       removeAndReroute(node, e.t);
-                  FleetEvent ev;
-                  ev.t_s = e.t;
-                  ev.node = node;
-                  ev.node_name =
-                      fleet.nodes[static_cast<std::size_t>(node)]
-                          .name;
-                  ev.kind = "fail";
-                  ev.rerouted = moved;
-                  ev.remap_pct = remap;
-                  events.push_back(std::move(ev));
+                  logEvent(e.t, node, "fail", "", moved, remap);
                   break;
               }
               case Event::kRejoin: {
@@ -831,19 +609,10 @@ runFleet(const FleetConfig &cfg)
                           remap_n++;
                       }
                   }
-                  FleetEvent ev;
-                  ev.t_s = e.t;
-                  ev.node = node;
-                  ev.node_name =
-                      fleet.nodes[static_cast<std::size_t>(node)]
-                          .name;
-                  ev.kind = "rejoin";
-                  ev.remap_pct =
-                      remap_n > 0
-                          ? remap_sum /
-                                static_cast<double>(remap_n)
-                          : 0.0;
-                  events.push_back(std::move(ev));
+                  logEvent(e.t, node, "rejoin", "", 0,
+                           remap_n > 0 ? remap_sum /
+                                             static_cast<double>(remap_n)
+                                       : 0.0);
                   break;
               }
               case Event::kStage: {
@@ -880,8 +649,10 @@ runFleet(const FleetConfig &cfg)
                                   .dev_class;
                       if (st.class_ok[static_cast<std::size_t>(
                               c)]) {
-                          active_ver[nmSlot(node, st.model)] =
-                              st.cand_version;
+                          for (int idx :
+                               insts_by_nm[nmSlot(node, st.model)])
+                              instances[static_cast<std::size_t>(idx)]
+                                  .version = st.cand_version;
                           st.switched[static_cast<std::size_t>(
                               node)] = true;
                           ss.switched++;
@@ -899,131 +670,41 @@ runFleet(const FleetConfig &cfg)
                   ro_stats[ro].stages.push_back(ss);
                   break;
               }
+              default: // serve hot-swap kinds: never pushed here
+                  break;
             }
         }
     }
 
     // ------------------------------------------------------------
-    // Phase 2 — execution replay: one GpuSim per node, each with a
-    // private MetricRegistry, so node replays parallelize with no
-    // shared metric state; registries merge into the global one in
-    // node id order afterwards (byte-identical at any thread
-    // count). Kernel traces stay off: a 500-node replay would
-    // otherwise retain every simulated launch record.
+    // Phase 2 — execution replay: one GpuSim per node. Per-node
+    // registries fold into the global one under a per-group prefix:
+    // nodes of a pool merge additively into one
+    // "fleet.<group>.gpusim.*" rollup, in node id order. Kernel
+    // traces stay off: a 500-node replay would otherwise retain
+    // every simulated launch record.
     // ------------------------------------------------------------
-    std::vector<std::unique_ptr<obs::MetricRegistry>> node_regs;
-    std::vector<std::unique_ptr<gpusim::GpuSim>> sims;
-    {
-        std::vector<int> streams_needed(
-            static_cast<std::size_t>(n_nodes), 1);
-        for (const FleetInstance &inst : instances)
-            streams_needed[static_cast<std::size_t>(inst.node)] =
-                std::max(
-                    streams_needed[static_cast<std::size_t>(
-                        inst.node)],
-                    inst.stream + 1);
-        for (int node = 0; node < n_nodes; node++) {
-            node_regs.push_back(
-                std::make_unique<obs::MetricRegistry>());
-            sims.push_back(std::make_unique<gpusim::GpuSim>(
-                fleet.specOf(node), node_regs.back().get()));
-            for (int s = 1;
-                 s < streams_needed[static_cast<std::size_t>(node)];
-                 s++)
-                sims.back()->createStream();
-            sims.back()->setTraceMode(gpusim::TraceMode::kOff);
-        }
-
-        std::vector<std::map<
-            std::pair<int, int>,
-            std::unique_ptr<runtime::ExecutionContext>>>
-            ctxs(instances.size());
-        for (std::size_t i = 0; i < instances.size(); i++) {
-            FleetInstance &inst = instances[i];
-            auto &sim =
-                *sims[static_cast<std::size_t>(inst.node)];
-            int c = fleet.nodes[static_cast<std::size_t>(inst.node)]
-                        .dev_class;
-            for (auto &pd : inst.plan) {
-                sim.delayUntil(inst.stream, pd.t_s);
-                auto &ctx = ctxs[i][{pd.version, pd.engine_idx}];
-                if (!ctx)
-                    ctx = std::make_unique<
-                        runtime::ExecutionContext>(
-                        versions[static_cast<std::size_t>(
-                                     inst.model)]
-                                [static_cast<std::size_t>(
-                                    pd.version)]
-                                    .sets[static_cast<std::size_t>(
-                                        c)]
-                                    .engines
-                                        [static_cast<std::size_t>(
-                                            pd.engine_idx)],
-                        sim, inst.stream);
-                auto h = ctx->enqueueInference(true, true,
-                                               /*staged=*/true);
-                pd.begin = h.begin;
-                pd.upload_done = h.upload_done;
-                pd.compute_done = h.compute_done;
-                pd.end = h.end;
-            }
-        }
-
-        auto runNode = [&](std::size_t node) {
-            sims[node]->run();
-        };
-        const int threads =
-            std::min(std::max(1, cfg.sim_threads), n_nodes);
-        if (threads <= 1) {
-            EDGERT_SPAN("fleet_replay",
-                        {{"nodes", std::to_string(n_nodes)},
-                         {"threads", "1"}});
-            for (int node = 0; node < n_nodes; node++)
-                runNode(static_cast<std::size_t>(node));
-        } else {
-            EDGERT_SPAN("fleet_replay",
-                        {{"nodes", std::to_string(n_nodes)},
-                         {"threads", std::to_string(threads)}});
-            ThreadPool tp(threads);
-            tp.parallelFor(static_cast<std::size_t>(n_nodes),
-                           runNode);
-        }
-    }
+    serve::ReplayOptions ro;
+    ro.span = "fleet_replay";
+    ro.threads = cfg.sim_threads;
+    ro.trace_mode = gpusim::TraceMode::kOff;
+    for (const FleetNode &fn : fleet.nodes)
+        ro.metric_prefixes.push_back(
+            "fleet." +
+            fleet.groups[static_cast<std::size_t>(fn.group)].name +
+            ".");
+    serve::replayPlans(node_specs, instances, versions, ro);
 
     // Fold measured completions back (node-major instance order,
     // then plan order — deterministic).
-    for (const FleetInstance &inst : instances) {
-        const auto &sim =
-            *sims[static_cast<std::size_t>(inst.node)];
-        for (const auto &pd : inst.plan) {
-            double end = sim.eventSeconds(pd.end);
+    for (const serve::Instance &inst : instances)
+        for (const auto &pd : inst.plan)
             for (std::int64_t id : pd.request_ids) {
                 serve::Request &r =
                     requests[static_cast<std::size_t>(id)];
                 r.outcome = serve::Outcome::kCompleted;
-                r.done_s = end;
+                r.done_s = pd.end_s;
             }
-        }
-    }
-
-    // Per-node registries fold into the global one under a
-    // per-group prefix: nodes of a pool merge additively into one
-    // "fleet.<group>.gpusim.*" rollup, in node id order.
-    {
-        obs::MetricRegistry &global =
-            obs::MetricRegistry::global();
-        for (int node = 0; node < n_nodes; node++) {
-            const FleetNode &fn =
-                fleet.nodes[static_cast<std::size_t>(node)];
-            global.mergeFrom(
-                *node_regs[static_cast<std::size_t>(node)],
-                "fleet." +
-                    fleet.groups[static_cast<std::size_t>(
-                                     fn.group)]
-                        .name +
-                    ".");
-        }
-    }
 
     // ------------------------------------------------------------
     // Report assembly (request-id order).
@@ -1064,14 +745,7 @@ runFleet(const FleetConfig &cfg)
     }
     report.aggregate_offered_qps =
         static_cast<double>(report.offered) / cfg.duration_s;
-    if (!all_lat.empty()) {
-        report.mean_ms = mean(all_lat);
-        report.p50_ms = percentile(all_lat, 50.0);
-        report.p95_ms = percentile(all_lat, 95.0);
-        report.p99_ms = percentile(all_lat, 99.0);
-        report.max_ms =
-            *std::max_element(all_lat.begin(), all_lat.end());
-    }
+    report.summarize(all_lat);
 
     for (int c = 0; c < n_classes; c++) {
         FleetClassStats cs;
@@ -1083,8 +757,8 @@ runFleet(const FleetConfig &cfg)
         for (int m = 0; m < n_models; m++)
             cs.svc1_ms.push_back(
                 versions[static_cast<std::size_t>(m)][0]
-                    .svc[static_cast<std::size_t>(c)]
-                    .front() *
+                    .sets[static_cast<std::size_t>(c)]
+                    .service_s.front() *
                 1e3);
         report.classes.push_back(std::move(cs));
     }
@@ -1119,14 +793,7 @@ runFleet(const FleetConfig &cfg)
                 ? static_cast<double>(model_dispatched[mi]) /
                       static_cast<double>(s.batches)
                 : 0.0;
-        if (!model_lat[mi].empty()) {
-            s.mean_ms = mean(model_lat[mi]);
-            s.p50_ms = percentile(model_lat[mi], 50.0);
-            s.p95_ms = percentile(model_lat[mi], 95.0);
-            s.p99_ms = percentile(model_lat[mi], 99.0);
-            s.max_ms = *std::max_element(model_lat[mi].begin(),
-                                         model_lat[mi].end());
-        }
+        s.summarize(model_lat[mi]);
         report.models.push_back(std::move(s));
     }
 
@@ -1214,13 +881,8 @@ FleetReport::toJson() const
     os << "  \"unaccounted\": " << unaccounted << ",\n";
     os << "  \"aggregate_offered_qps\": "
        << jsonNumber(aggregate_offered_qps) << ",\n";
-    os << "  \"latency_ms\": {\n";
-    os << "    \"mean\": " << jsonNumber(mean_ms) << ",\n";
-    os << "    \"p50\": " << jsonNumber(p50_ms) << ",\n";
-    os << "    \"p95\": " << jsonNumber(p95_ms) << ",\n";
-    os << "    \"p99\": " << jsonNumber(p99_ms) << ",\n";
-    os << "    \"max\": " << jsonNumber(max_ms) << "\n";
-    os << "  },\n";
+    writeJson(os, "latency_ms", 2);
+    os << ",\n";
     os << "  \"classes\": [\n";
     for (std::size_t i = 0; i < classes.size(); i++) {
         const FleetClassStats &c = classes[i];
@@ -1260,14 +922,8 @@ FleetReport::toJson() const
            << ",\n";
         os << "      \"goodput_qps\": "
            << jsonNumber(s.goodput_qps) << ",\n";
-        os << "      \"latency_ms\": {\n";
-        os << "        \"mean\": " << jsonNumber(s.mean_ms)
-           << ",\n";
-        os << "        \"p50\": " << jsonNumber(s.p50_ms) << ",\n";
-        os << "        \"p95\": " << jsonNumber(s.p95_ms) << ",\n";
-        os << "        \"p99\": " << jsonNumber(s.p99_ms) << ",\n";
-        os << "        \"max\": " << jsonNumber(s.max_ms) << "\n";
-        os << "      }\n";
+        s.writeJson(os, "latency_ms", 6);
+        os << "\n";
         os << "    }" << (i + 1 < models.size() ? "," : "")
            << "\n";
     }
@@ -1359,6 +1015,26 @@ FleetReport::toJson() const
     os << "  }\n";
     os << "}\n";
     return os.str();
+}
+
+FleetModelConfig
+parseModelSpec(const std::string &spec)
+{
+    FleetModelConfig mc;
+    mc.model = serve::splitModelSpec(
+        spec, mc.precision,
+        [&](const std::string &k, const std::string &v) {
+            if (k == "nodes_pct") {
+                mc.nodes_pct = optionNumber(k, v);
+                return true;
+            }
+            return serve::applyEngineKey(k, v, mc.batching,
+                                         mc.instances_per_node,
+                                         mc.calibration_seed) ||
+                   serve::applyTrafficKey(k, v, mc.arrivals,
+                                          mc.slo_ms);
+        });
+    return mc;
 }
 
 } // namespace edgert::fleet

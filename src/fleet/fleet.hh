@@ -36,6 +36,7 @@
 #include "fleet/placement.hh"
 #include "fleet/router.hh"
 #include "fleet/spec.hh"
+#include "serve/core.hh"
 #include "serve/queue.hh"
 #include "serve/workload.hh"
 #include "watch/slo.hh"
@@ -119,16 +120,18 @@ struct FleetConfig
     PlacementPolicy placement = PlacementPolicy::kCalibrated;
     bool admission_control = true;
 
-    /** Share of each node's RAM available for execution contexts. */
+    /** Share of each node's RAM (GiB, as serve::InstancePool
+     *  budgets it) available for execution contexts. */
     double ram_fraction = 0.5;
 
     std::uint64_t build_id = 1;
 
     /**
      * Worker threads for the phase-2 replay (1 = serial node order;
-     * >1 runs node simulators on a thread pool). Reports are
-     * byte-identical across thread counts: each node's simulator
-     * owns a private MetricRegistry, merged in node id order.
+     * >1 replays nodes on a thread pool). Reports and metric
+     * snapshots are byte-identical across thread counts: each node's
+     * simulator records into a private MetricRegistry, merged into
+     * the global one in node id order (see serve::replayPlans).
      */
     int sim_threads = 1;
 
@@ -144,8 +147,9 @@ struct FleetConfig
     int remap_probes = 4096;
 };
 
-/** Per-model fleet-wide serving outcome. */
-struct FleetModelStats
+/** Per-model fleet-wide serving outcome; the LatencySummary is over
+ *  the model's completed requests. */
+struct FleetModelStats : serve::LatencySummary
 {
     std::string model;
     double slo_ms = 0.0;
@@ -162,11 +166,6 @@ struct FleetModelStats
     double goodput_qps = 0.0;     //!< within-SLO completions / s
     double attainment_pct = 0.0;  //!< within-SLO / offered x 100
     double mean_batch = 0.0;
-    double mean_ms = 0.0;
-    double p50_ms = 0.0;
-    double p95_ms = 0.0;
-    double p99_ms = 0.0;
-    double max_ms = 0.0;
 };
 
 /** Per-group (node pool) outcome. */
@@ -252,8 +251,9 @@ struct FleetClassStats
     std::vector<double> svc1_ms;
 };
 
-/** Full report of one fleet run. */
-struct FleetReport
+/** Full report of one fleet run; the LatencySummary is over every
+ *  completed request. */
+struct FleetReport : serve::LatencySummary
 {
     std::uint64_t seed = 0;
     double duration_s = 0.0;
@@ -270,11 +270,6 @@ struct FleetReport
     std::int64_t unaccounted = 0;
 
     double aggregate_offered_qps = 0.0;
-    double mean_ms = 0.0;
-    double p50_ms = 0.0;
-    double p95_ms = 0.0;
-    double p99_ms = 0.0;
-    double max_ms = 0.0;
 
     std::vector<FleetClassStats> classes;
     std::vector<FleetModelStats> models;
@@ -289,6 +284,13 @@ struct FleetReport
 
 /** Run the fleet; deterministic for a fixed config. */
 FleetReport runFleet(const FleetConfig &cfg);
+
+/**
+ * edgertfleet's --model spec: the shared engine and traffic keys
+ * (see serve/cli.hh; `instances` is per node and qps the aggregate
+ * fleet-wide rate) plus nodes_pct.
+ */
+FleetModelConfig parseModelSpec(const std::string &spec);
 
 } // namespace edgert::fleet
 

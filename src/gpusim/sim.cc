@@ -282,17 +282,6 @@ GpuSim::reserveTrace(std::size_t records)
 }
 
 void
-GpuSim::commitMetrics()
-{
-    for (double v : deferred_stall_us_)
-        m_kernel_stall_us_.record(v);
-    for (double v : deferred_waste_pct_)
-        m_wave_waste_pct_.record(v);
-    deferred_stall_us_.clear();
-    deferred_waste_pct_.clear();
-}
-
-void
 GpuSim::setTimingJitter(double rel_std, std::uint64_t seed)
 {
     jitter_std_ = rel_std;
@@ -709,13 +698,8 @@ GpuSim::completeFinished()
             double stall_us =
                 (1.0 - ak.issue_act) * ak.exec_duration_s * 1e6;
             double waste_pct = (1.0 - ak.wave_util) * 100.0;
-            if (defer_metrics_) {
-                deferred_stall_us_.push_back(stall_us);
-                deferred_waste_pct_.push_back(waste_pct);
-            } else {
-                m_kernel_stall_us_.record(stall_us);
-                m_wave_waste_pct_.record(waste_pct);
-            }
+            m_kernel_stall_us_.record(stall_us);
+            m_wave_waste_pct_.record(waste_pct);
             finishOp(ak.op_idx, ak.stream, ak.start_s);
             active_.erase(active_.begin() +
                           static_cast<std::ptrdiff_t>(i));

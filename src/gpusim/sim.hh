@@ -112,11 +112,11 @@ class GpuSim
      * @param spec     Device to simulate.
      * @param registry Registry the per-device instrumentation
      *        (gpusim.* counters/histograms) records into; defaults
-     *        to the process-wide registry. A fleet simulating many
-     *        same-named devices gives each node a private registry
-     *        so their series do not pile up under one label set,
-     *        then folds them into one snapshot with
-     *        obs::MetricRegistry::mergeFrom.
+     *        to the process-wide registry. A replay gives every
+     *        simulator a private registry, so devices can simulate on
+     *        worker threads without interleaving their records, and
+     *        folds them into the global one in device order with
+     *        obs::MetricRegistry::mergeFrom (serve::replayPlans).
      */
     explicit GpuSim(const DeviceSpec &spec,
                     obs::MetricRegistry *registry = nullptr);
@@ -233,21 +233,6 @@ class GpuSim
     /** Completed non-marker ops, including ones the trace mode
      *  dropped (the profiler footer's "of T ops" denominator). */
     std::uint64_t opsCompleted() const { return ops_completed_; }
-
-    /**
-     * Defer histogram metric records (kernel stall / wave-waste)
-     * into an internal buffer instead of the global registry; a
-     * later commitMetrics() replays them in completion order.
-     * Counters stay immediate — they are atomic and their final
-     * value is order-independent. This is what lets independent
-     * devices simulate on worker threads while the registry
-     * snapshot stays bit-identical to a serial run: each device
-     * buffers during run() and the caller commits in device order.
-     */
-    void setDeferMetrics(bool on) { defer_metrics_ = on; }
-
-    /** Replay deferred histogram records into the registry. */
-    void commitMetrics();
 
     /** Reset the utilization window to start at the current time. */
     void resetStats();
@@ -401,10 +386,6 @@ class GpuSim
 
     TraceMode trace_mode_ = TraceMode::kFull;
     int trace_sample_ = 16;
-
-    bool defer_metrics_ = false;
-    std::vector<double> deferred_stall_us_;
-    std::vector<double> deferred_waste_pct_;
 
     // Self-measurement.
     std::uint64_t events_ = 0;

@@ -1,0 +1,392 @@
+#include "serve/core.hh"
+
+#include <algorithm>
+#include <map>
+#include <utility>
+
+#include "common/json.hh"
+#include "common/rng.hh"
+#include "common/stats.hh"
+#include "core/builder.hh"
+#include "nn/model_zoo.hh"
+#include "obs/clock.hh"
+#include "obs/trace.hh"
+#include "runtime/context.hh"
+#include "runtime/measure.hh"
+#include "serve/predictor.hh"
+
+namespace edgert::serve {
+
+EngineSet
+buildLadder(const gpusim::DeviceSpec &device, const LadderSpec &spec,
+            core::TimingCache *timing_cache)
+{
+    core::BuilderConfig bcfg;
+    bcfg.precision = spec.precision;
+    bcfg.calibration_seed = spec.calibration_seed;
+    bcfg.build_id = spec.build_id;
+    bcfg.timing_cache = timing_cache;
+    core::Builder builder(device, bcfg);
+    EngineSet set;
+    for (int b : engineBatchLadder(spec.max_batch)) {
+        set.engines.push_back(
+            builder.build(nn::buildZooModel(spec.model, b)));
+        set.batches.push_back(b);
+    }
+    for (const auto &eng : set.engines) {
+        LatencyPredictor pred(device);
+        pred.calibrate(eng);
+        set.service_s.push_back(pred.predictServiceSeconds(eng));
+    }
+    return set;
+}
+
+std::vector<int>
+placeOnDevices(InstancePool &pool, int m, const ModelVersion &ver,
+               const std::vector<gpusim::DeviceSpec> &devices,
+               int want)
+{
+    std::vector<int> eq1(devices.size(), -1);
+    for (std::size_t d = 0; d < devices.size(); d++) {
+        if (!ver.availableOn(static_cast<int>(d)))
+            continue;
+        const EngineSet &set = ver.sets[d];
+        eq1[d] = runtime::estimateMaxThreads(
+            set.engines.front(), devices[d],
+            runtime::ThroughputOptions::probe());
+        pool.place(m, static_cast<int>(d), set.maxFootprintBytes(),
+                   std::min(want, std::max(1, eq1[d])));
+    }
+    return eq1;
+}
+
+BackendView
+backendView(const std::vector<int> &ladder,
+            const std::vector<int> &members,
+            const std::vector<Instance> &instances,
+            const ModelVersions &versions)
+{
+    BackendView view;
+    view.ladder = ladder;
+    for (int idx : members) {
+        const Instance &inst = instances[static_cast<std::size_t>(idx)];
+        BackendView::InstanceView iv;
+        iv.free_s = inst.predicted_free_s;
+        iv.service_s = versions[static_cast<std::size_t>(inst.model)]
+                               [static_cast<std::size_t>(inst.version)]
+                                   .sets[static_cast<std::size_t>(
+                                       inst.slot)]
+                                   .service_s;
+        view.instances.push_back(std::move(iv));
+    }
+    return view;
+}
+
+void
+EventQueue::push(double t, Event::Kind kind, int target,
+                 std::int64_t req)
+{
+    Event e;
+    e.t = t;
+    e.seq = seq_++;
+    e.kind = kind;
+    e.target = target;
+    e.req = req;
+    q_.push(e);
+}
+
+Event
+EventQueue::pop()
+{
+    Event e = q_.top();
+    q_.pop();
+    return e;
+}
+
+void
+stampRequests(std::vector<Request> &requests, const PlannedDispatch &pd,
+              int device, int instance)
+{
+    for (std::int64_t id : pd.request_ids) {
+        Request &r = requests[static_cast<std::size_t>(id)];
+        r.dispatch_s = pd.t_s;
+        r.batch = pd.batch;
+        r.device = device;
+        r.instance = instance;
+        r.version = pd.version;
+    }
+}
+
+namespace {
+
+/** One enqueued dispatch, waiting for its device's run(). */
+struct Pending
+{
+    PlannedDispatch *pd;
+    runtime::InferenceHandle h;
+};
+
+/** Enqueue the plans of one device's instances (`members`). */
+std::vector<Pending>
+enqueueDevice(gpusim::GpuSim &sim, const std::vector<int> &members,
+              std::vector<Instance> &instances,
+              const ModelVersions &versions, bool pipelined)
+{
+    std::vector<Pending> pending;
+    bool first = true;
+    for (int idx : members) {
+        Instance &inst = instances[static_cast<std::size_t>(idx)];
+        // The device's first instance releases on the default
+        // stream; the rest get fresh ones, in instance order.
+        const int release = first ? 0 : sim.createStream();
+        first = false;
+        const int compute = pipelined ? sim.createStream() : release;
+        const int download = pipelined ? sim.createStream() : release;
+        // An instance keeps an old version's contexts alive through a
+        // swap: batches planned on the incumbent drain on its
+        // contexts while new batches run on the candidate's.
+        std::map<std::pair<int, int>,
+                 std::unique_ptr<runtime::ExecutionContext>>
+            ctxs;
+        for (auto &pd : inst.plan) {
+            sim.delayUntil(release, pd.t_s);
+            auto &ctx = ctxs[{pd.version, pd.engine_idx}];
+            if (!ctx)
+                ctx = std::make_unique<runtime::ExecutionContext>(
+                    versions[static_cast<std::size_t>(inst.model)]
+                            [static_cast<std::size_t>(pd.version)]
+                                .sets[static_cast<std::size_t>(
+                                    inst.slot)]
+                                .engines[static_cast<std::size_t>(
+                                    pd.engine_idx)],
+                    sim, compute);
+            // Serving always stages: the boundary markers are
+            // timing-neutral, so the replay's event stream never
+            // depends on whether anything reads them.
+            pending.push_back(
+                {&pd, pipelined
+                          ? ctx->enqueueStagedPipelined(release,
+                                                        download)
+                          : ctx->enqueueInference(true, true,
+                                                  /*staged=*/true)});
+        }
+    }
+    return pending;
+}
+
+/** Run one device and fold its stage events back as seconds. */
+void
+runDevice(gpusim::GpuSim &sim, const std::vector<Pending> &pending,
+          double &wall_s)
+{
+    const std::uint64_t t0 = obs::clock().nowNanos();
+    sim.run();
+    wall_s = static_cast<double>(obs::clock().nowNanos() - t0) * 1e-9;
+    for (const Pending &p : pending) {
+        p.pd->begin_s = sim.eventSeconds(p.h.begin);
+        p.pd->upload_done_s = sim.eventSeconds(p.h.upload_done);
+        p.pd->compute_done_s = sim.eventSeconds(p.h.compute_done);
+        p.pd->end_s = sim.eventSeconds(p.h.end);
+    }
+}
+
+} // namespace
+
+Replay
+replayPlans(const std::vector<gpusim::DeviceSpec> &devices,
+            std::vector<Instance> &instances,
+            const ModelVersions &versions,
+            const ReplayOptions &options)
+{
+    const int n = static_cast<int>(devices.size());
+    const auto nd = static_cast<std::size_t>(n);
+    Replay out;
+    out.threads = std::min(std::max(1, options.threads), n);
+    out.wall_s.assign(nd, 0.0);
+    std::vector<std::vector<int>> members(nd);
+    for (std::size_t i = 0; i < instances.size(); i++)
+        members[static_cast<std::size_t>(instances[i].device)]
+            .push_back(static_cast<int>(i));
+    for (std::size_t d = 0; d < nd; d++) {
+        out.registries.push_back(
+            std::make_unique<obs::MetricRegistry>());
+        out.sims.push_back(std::make_unique<gpusim::GpuSim>(
+            devices[d], out.registries.back().get()));
+        out.sims.back()->setTraceMode(options.trace_mode,
+                                      options.trace_sample_every);
+    }
+
+    {
+        EDGERT_SPAN(options.span,
+                    {{"devices", std::to_string(n)},
+                     {"threads", std::to_string(out.threads)}});
+        // Enqueue stays on the calling thread: the plans' op storage
+        // then comes from one heap that stays warm across runs. Worker
+        // heaps are trimmed when the pool exits, so enqueueing on the
+        // workers faults that storage in afresh on every run.
+        std::vector<std::vector<Pending>> pending;
+        for (std::size_t d = 0; d < nd; d++)
+            pending.push_back(enqueueDevice(*out.sims[d], members[d],
+                                            instances, versions,
+                                            options.pipelined));
+        auto task = [&](std::size_t d) {
+            runDevice(*out.sims[d], pending[d], out.wall_s[d]);
+        };
+        if (out.threads <= 1) {
+            for (std::size_t d = 0; d < nd; d++)
+                task(d);
+        } else {
+            ThreadPool tp(out.threads);
+            tp.parallelFor(nd, task);
+            out.pool = tp.stats();
+        }
+    }
+
+    obs::MetricRegistry &global = obs::MetricRegistry::global();
+    for (std::size_t d = 0; d < nd; d++)
+        global.mergeFrom(*out.registries[d],
+                         options.metric_prefixes.empty()
+                             ? std::string()
+                             : options.metric_prefixes[d]);
+    return out;
+}
+
+std::vector<Request>
+generateRequests(const std::vector<TrafficSpec> &models,
+                 double duration_s, std::uint64_t seed)
+{
+    Rng root(seed);
+    Rng workload_rng = root.fork("workload");
+    std::vector<std::pair<double, int>> merged;
+    for (std::size_t m = 0; m < models.size(); m++) {
+        Rng rng = workload_rng.fork(static_cast<std::uint64_t>(m));
+        for (double t :
+             generateArrivals(models[m].arrivals, duration_s, rng))
+            merged.emplace_back(t, static_cast<int>(m));
+    }
+    std::sort(merged.begin(), merged.end());
+    std::vector<Request> requests;
+    requests.reserve(merged.size());
+    for (const auto &[t, m] : merged) {
+        Request r;
+        r.id = static_cast<std::int64_t>(requests.size());
+        r.model = m;
+        r.arrival_s = t;
+        r.slo_ms = models[static_cast<std::size_t>(m)].slo_ms;
+        requests.push_back(r);
+    }
+    return requests;
+}
+
+void
+LatencySummary::summarize(const std::vector<double> &ms)
+{
+    if (ms.empty())
+        return;
+    mean_ms = mean(ms);
+    p50_ms = percentile(ms, 50.0);
+    p95_ms = percentile(ms, 95.0);
+    p99_ms = percentile(ms, 99.0);
+    max_ms = *std::max_element(ms.begin(), ms.end());
+}
+
+void
+LatencySummary::writeJson(std::ostream &os, const char *key,
+                          int indent) const
+{
+    const std::string pad(static_cast<std::size_t>(indent), ' ');
+    os << pad << "\"" << key << "\": {\n";
+    os << pad << "  \"mean\": " << jsonNumber(mean_ms) << ",\n";
+    os << pad << "  \"p50\": " << jsonNumber(p50_ms) << ",\n";
+    os << pad << "  \"p95\": " << jsonNumber(p95_ms) << ",\n";
+    os << pad << "  \"p99\": " << jsonNumber(p99_ms) << ",\n";
+    os << pad << "  \"max\": " << jsonNumber(max_ms) << "\n";
+    os << pad << "}";
+}
+
+std::vector<DeviceStats>
+deviceStats(const std::vector<gpusim::DeviceSpec> &devices,
+            const InstancePool &pool, const Replay &replay,
+            const std::string &prefix)
+{
+    obs::MetricRegistry &reg = obs::MetricRegistry::global();
+    std::vector<DeviceStats> out;
+    for (std::size_t d = 0; d < devices.size(); d++) {
+        const auto &spec = devices[d];
+        const gpusim::GpuSim &sim = *replay.sims[d];
+        DeviceStats s;
+        s.device = spec.name;
+        for (const auto &inst : pool.instances())
+            if (inst.device == static_cast<int>(d))
+                s.instances++;
+        auto st = sim.stats();
+        s.sm_util_pct = st.smUtilizationPct(spec.sm_count);
+        s.copy_busy_pct =
+            st.window_s > 0.0 ? 100.0 * st.copy_busy_s / st.window_s
+                              : 0.0;
+        s.makespan_s = sim.nowSeconds();
+        s.ram_used_bytes = pool.ramUsedBytes(static_cast<int>(d));
+        s.ram_budget_bytes = pool.ramBudgetBytes(static_cast<int>(d));
+
+        const obs::Labels labels = {{"device", spec.name},
+                                    {"index", std::to_string(d)}};
+        reg.gauge(prefix + ".device.sm_util_pct", labels)
+            .set(s.sm_util_pct);
+        reg.gauge(prefix + ".device.copy_busy_pct", labels)
+            .set(s.copy_busy_pct);
+        reg.gauge(prefix + ".device.instances", labels)
+            .set(static_cast<double>(s.instances));
+        out.push_back(std::move(s));
+    }
+    return out;
+}
+
+void
+writeDevicesJson(std::ostream &os,
+                 const std::vector<DeviceStats> &devices)
+{
+    os << "  \"devices\": [\n";
+    for (std::size_t i = 0; i < devices.size(); i++) {
+        const DeviceStats &s = devices[i];
+        os << "    {\n";
+        os << "      \"device\": \"" << jsonEscape(s.device)
+           << "\",\n";
+        os << "      \"instances\": " << s.instances << ",\n";
+        os << "      \"sm_util_pct\": " << jsonNumber(s.sm_util_pct)
+           << ",\n";
+        os << "      \"copy_busy_pct\": "
+           << jsonNumber(s.copy_busy_pct) << ",\n";
+        os << "      \"makespan_s\": " << jsonNumber(s.makespan_s)
+           << ",\n";
+        os << "      \"ram_used_bytes\": " << s.ram_used_bytes
+           << ",\n";
+        os << "      \"ram_budget_bytes\": " << s.ram_budget_bytes
+           << "\n";
+        os << "    }" << (i + 1 < devices.size() ? "," : "") << "\n";
+    }
+    os << "  ]";
+}
+
+void
+saveReplayTrace(const std::string &path,
+                const std::vector<gpusim::DeviceSpec> &devices,
+                const Replay &replay,
+                const std::vector<profile::SimSpan> &overlay,
+                const std::string &overlay_name)
+{
+    std::vector<profile::NamedTrace> device_traces;
+    for (std::size_t d = 0; d < devices.size(); d++) {
+        const gpusim::GpuSim &sim = *replay.sims[d];
+        profile::NamedTrace nt;
+        nt.name = devices[d].name + "[" + std::to_string(d) + "]";
+        nt.trace = &sim.trace();
+        if (sim.traceMode() == gpusim::TraceMode::kSampled)
+            nt.sample_every = sim.traceSampleEvery();
+        device_traces.push_back(std::move(nt));
+    }
+    profile::saveMergedChromeTrace(path, obs::Tracer::global().spans(),
+                                   device_traces, overlay,
+                                   overlay_name);
+}
+
+} // namespace edgert::serve

@@ -1,0 +1,376 @@
+#ifndef EDGERT_SERVE_CORE_HH
+#define EDGERT_SERVE_CORE_HH
+
+/**
+ * @file
+ * The serving core: the two-phase machinery EdgeServe, EdgeFleet and
+ * EdgeStream share. Each front-end owns its workload, its queues and
+ * its report; everything below is the one copy they run:
+ *
+ *  - ladder build: a model's power-of-two engine ladder on one
+ *    device, each engine calibrated by its own LatencyPredictor;
+ *  - control plane: a seq-stamped event calendar and the batch-cut
+ *    loop that turns queued work into per-instance dispatch plans;
+ *  - replay: per device, enqueue every instance's plan, run the
+ *    GpuSim, fold the stage events back into the plans as seconds;
+ *  - report pieces: request tables, latency summaries, device stats
+ *    and the merged chrome-trace export.
+ *
+ * Versions index the same way in every front-end:
+ * `versions[model][version].sets[slot]`, where a slot is a device
+ * (serve, stream) or a device class shared by many nodes (fleet).
+ */
+
+#include <cstdint>
+#include <memory>
+#include <ostream>
+#include <queue>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/logging.hh"
+#include "common/threadpool.hh"
+#include "gpusim/device.hh"
+#include "gpusim/sim.hh"
+#include "nn/executor.hh"
+#include "obs/metrics.hh"
+#include "profile/trace_export.hh"
+#include "serve/batcher.hh"
+#include "serve/request.hh"
+#include "serve/scheduler.hh"
+#include "serve/workload.hh"
+
+namespace edgert::core {
+class TimingCache;
+}
+
+namespace edgert::serve {
+
+/**
+ * fatal() unless a run of `who` (e.g. "EdgeServe") has a model, a
+ * positive duration and unique model names (per-model metric labels
+ * would collide). `models` holds any config type with a `model` name.
+ */
+template <class ModelConfigs>
+void
+validateModels(const char *who, const ModelConfigs &models,
+               double duration_s)
+{
+    if (models.empty())
+        fatal(who, " needs at least one --model");
+    if (duration_s <= 0.0)
+        fatal(who, " duration must be positive (got ", duration_s, ")");
+    std::set<std::string> names;
+    for (const auto &m : models)
+        if (!names.insert(m.model).second)
+            fatal("duplicate model '", m.model,
+                  "' (metric labels would collide)");
+}
+
+// ----------------------------------------------------------------
+// Ladder build
+// ----------------------------------------------------------------
+
+/** What one engine ladder is built from. */
+struct LadderSpec
+{
+    std::string model; //!< nn::buildZooModel name
+    nn::Precision precision = nn::Precision::kFp16;
+    std::uint64_t calibration_seed = 0;
+    std::uint64_t build_id = 1;
+    int max_batch = 8; //!< ladder covers [1, max_batch]
+};
+
+/**
+ * Build `spec`'s engine ladder for `device` (one engine per
+ * engineBatchLadder rung, jobs = 1 so builds are byte-reproducible)
+ * and calibrate every engine's service time with its own fresh
+ * LatencyPredictor. The calibration tables are deliberately not
+ * shared across the ladder: a shared table leaves each engine with a
+ * small systematic bias, and at saturation that bias accumulates in
+ * the instances' predicted-free times until admission control reasons
+ * about a timeline minutes adrift of the replay.
+ */
+EngineSet buildLadder(const gpusim::DeviceSpec &device,
+                      const LadderSpec &spec,
+                      core::TimingCache *timing_cache);
+
+/** One engine build generation of a model: a ladder per slot. */
+struct ModelVersion
+{
+    std::uint64_t build_id = 0;
+    std::vector<EngineSet> sets; //!< per slot; empty = unavailable
+
+    bool availableOn(int slot) const
+    {
+        return !sets[static_cast<std::size_t>(slot)].engines.empty();
+    }
+};
+
+/** versions[model][version]; version 0 is the one a run starts on. */
+using ModelVersions = std::vector<std::vector<ModelVersion>>;
+
+/**
+ * Place model `m` on every device where `ver` holds its ladder: up
+ * to `want` RAM-bounded instances per device, capped by the paper's
+ * Eq. 1 concurrency bound (estimated with the shared
+ * ThroughputOptions::probe() knob set). Returns that bound per
+ * device, -1 where the model has no ladder.
+ */
+std::vector<int>
+placeOnDevices(InstancePool &pool, int m, const ModelVersion &ver,
+               const std::vector<gpusim::DeviceSpec> &devices,
+               int want);
+
+/** Admission control's view of `members`, the instances of one
+ *  model, whose engines batch by `ladder`. */
+BackendView backendView(const std::vector<int> &ladder,
+                        const std::vector<int> &members,
+                        const std::vector<Instance> &instances,
+                        const ModelVersions &versions);
+
+// ----------------------------------------------------------------
+// Control plane
+// ----------------------------------------------------------------
+
+/** Control-plane discrete event. */
+struct Event
+{
+    enum Kind {
+        kArrival,   //!< request arrival / frame ready
+        kTimeout,   //!< batch timeout of one queue
+        kPredFree,  //!< predicted completion of an instance
+        kSwapBegin, //!< serve: hot-swap trigger
+        kSwapReady, //!< serve: hot-swap warmup done
+        kFail,      //!< fleet: node failure
+        kRejoin,    //!< fleet: node rejoin
+        kStage,     //!< fleet: rollout stage
+    };
+
+    double t = 0.0;
+    std::int64_t seq = 0; //!< push order: total, deterministic tie-break
+    Kind kind = kArrival;
+    int target = 0;        //!< queue, instance, swap, node or rollout
+    std::int64_t req = -1; //!< request id or rollout stage index
+};
+
+/** Time-ordered event calendar; equal times pop in push order. */
+class EventQueue
+{
+  public:
+    void push(double t, Event::Kind kind, int target,
+              std::int64_t req = -1);
+
+    bool empty() const { return q_.empty(); }
+
+    Event pop();
+
+  private:
+    struct After
+    {
+        bool operator()(const Event &a, const Event &b) const
+        {
+            if (a.t != b.t)
+                return a.t > b.t;
+            return a.seq > b.seq;
+        }
+    };
+
+    std::priority_queue<Event, std::vector<Event>, After> q_;
+    std::int64_t seq_ = 0;
+};
+
+/** The batch timeout of one queue: its event target and the front
+ *  request it is armed for. */
+struct BatchTimeout
+{
+    int target = 0;
+    std::int64_t armed_for = -1;
+};
+
+/**
+ * The batch-cut loop of one queue at time `t`. While work is queued
+ * and `pick(t)` names a predicted-free instance, the batcher decides
+ * a cut; the cut is planned on that instance at the smallest fitting
+ * engine of the instance's version and slot, `stamp(pd, instance)`
+ * records it in the caller's tables, and the instance's predicted-
+ * free event is scheduled. Then the batch timeout is (re)armed when
+ * the queue's front changed. `Queue` is a RequestQueue or a
+ * stream::StreamQueue; `oldest` is its oldest-entry accessor.
+ */
+template <class Queue, class Pick, class Stamp>
+void
+cutBatches(Queue &q, double (Queue::*oldest)() const,
+           const DynamicBatcher &batcher, double t,
+           const ModelVersions &versions,
+           std::vector<Instance> &instances, EventQueue &events,
+           BatchTimeout &timeout, Pick pick, Stamp stamp)
+{
+    while (!q.empty()) {
+        const int idx = pick(t);
+        if (idx < 0)
+            break;
+        const int cut = batcher.decide(q.size(), (q.*oldest)(), t);
+        if (cut == 0)
+            break;
+        Instance &inst = instances[static_cast<std::size_t>(idx)];
+        const EngineSet &set =
+            versions[static_cast<std::size_t>(inst.model)]
+                    [static_cast<std::size_t>(inst.version)]
+                        .sets[static_cast<std::size_t>(inst.slot)];
+        PlannedDispatch pd;
+        pd.t_s = t;
+        pd.engine_idx = set.indexFor(cut);
+        pd.version = inst.version;
+        pd.batch = cut;
+        pd.request_ids = q.cut(cut);
+        pd.predicted_service_s =
+            set.service_s[static_cast<std::size_t>(pd.engine_idx)];
+        stamp(pd, idx);
+        inst.predicted_free_s = t + pd.predicted_service_s;
+        inst.plan.push_back(std::move(pd));
+        events.push(inst.predicted_free_s, Event::kPredFree, idx);
+    }
+    if (!q.empty() && q.frontId() != timeout.armed_for) {
+        timeout.armed_for = q.frontId();
+        events.push(batcher.deadlineFor((q.*oldest)()),
+                    Event::kTimeout, timeout.target);
+    }
+}
+
+/** Record a planned dispatch on each of its requests: cut time,
+ *  batch, device, instance and engine version. */
+void stampRequests(std::vector<Request> &requests,
+                   const PlannedDispatch &pd, int device, int instance);
+
+// ----------------------------------------------------------------
+// Replay
+// ----------------------------------------------------------------
+
+/** How replayPlans runs. */
+struct ReplayOptions
+{
+    const char *span = "replay"; //!< host span around the replay
+    int threads = 1;             //!< clamped to [1, devices]
+    gpusim::TraceMode trace_mode = gpusim::TraceMode::kFull;
+    int trace_sample_every = 16;
+
+    /**
+     * false: each instance replays on one stream with the staged
+     * enqueue (upload / compute boundary events). true: each
+     * instance owns an upload, a compute and a download stream and
+     * replays through enqueueStagedPipelined, so consecutive
+     * dispatches overlap stage-wise.
+     */
+    bool pipelined = false;
+
+    /** Metric-name prefix of device d's registry when merged into
+     *  the global one; empty = "" for every device. */
+    std::vector<std::string> metric_prefixes;
+};
+
+/** The simulators of one replay, kept for the report. */
+struct Replay
+{
+    /** Declared first so it outlives the simulators' handles. */
+    std::vector<std::unique_ptr<obs::MetricRegistry>> registries;
+    std::vector<std::unique_ptr<gpusim::GpuSim>> sims; //!< per device
+    std::vector<double> wall_s; //!< host seconds of each run()
+    int threads = 1;            //!< workers actually used
+    PoolStats pool;             //!< worker stats when threads > 1
+};
+
+/**
+ * Phase 2 — replay every instance's plan on its device. Each device
+ * gets its own GpuSim recording into a private MetricRegistry; per
+ * device the task enqueues its instances' plans (delayUntil pins each
+ * release; contexts are cached per (version, engine)), runs the
+ * simulator and folds the stage events back into every
+ * PlannedDispatch as seconds. Devices share nothing, so with
+ * threads > 1 the tasks run on a ThreadPool; the private registries
+ * merge into the global one in device index order afterwards, so
+ * every observable is byte-identical at any thread count.
+ */
+Replay replayPlans(const std::vector<gpusim::DeviceSpec> &devices,
+                   std::vector<Instance> &instances,
+                   const ModelVersions &versions,
+                   const ReplayOptions &options);
+
+// ----------------------------------------------------------------
+// Report pieces
+// ----------------------------------------------------------------
+
+/** One model's traffic contract, for generateRequests. */
+struct TrafficSpec
+{
+    ArrivalConfig arrivals;
+    double slo_ms = 0.0;
+};
+
+/**
+ * Per-model arrival streams from forked Rng streams (root seed →
+ * "workload" → model index), merged into one id-ordered table.
+ */
+std::vector<Request>
+generateRequests(const std::vector<TrafficSpec> &models,
+                 double duration_s, std::uint64_t seed);
+
+/** mean / p50 / p95 / p99 / max of a latency sample, ms. */
+struct LatencySummary
+{
+    double mean_ms = 0.0;
+    double p50_ms = 0.0;
+    double p95_ms = 0.0;
+    double p99_ms = 0.0;
+    double max_ms = 0.0;
+
+    /** Summarize `ms`; an empty sample leaves every field 0. */
+    void summarize(const std::vector<double> &ms);
+
+    /** `"<key>": {"mean": .., "p50": .., ...}` over indented lines
+     *  at `indent` spaces, without a trailing comma or newline. */
+    void writeJson(std::ostream &os, const char *key,
+                   int indent) const;
+};
+
+/** Per-device replay outcome (serve and stream). */
+struct DeviceStats
+{
+    std::string device;
+    int instances = 0;
+    double sm_util_pct = 0.0;   //!< tegrastats GR3D analogue
+    double copy_busy_pct = 0.0;
+    double makespan_s = 0.0;    //!< drain time of the replay
+    std::int64_t ram_used_bytes = 0;
+    std::int64_t ram_budget_bytes = 0;
+};
+
+/**
+ * Stats of every device after a replay, with
+ * `<prefix>.device.{sm_util_pct,copy_busy_pct,instances}` gauges
+ * labeled {device, index}.
+ */
+std::vector<DeviceStats>
+deviceStats(const std::vector<gpusim::DeviceSpec> &devices,
+            const InstancePool &pool, const Replay &replay,
+            const std::string &prefix);
+
+/** `"devices": [...]` at two spaces, no trailing comma or newline. */
+void writeDevicesJson(std::ostream &os,
+                      const std::vector<DeviceStats> &devices);
+
+/**
+ * Merged chrome://tracing timeline: host spans, one process per
+ * device named `<device>[<index>]`, and optional simulated-clock
+ * overlay spans under `overlay_name`.
+ */
+void saveReplayTrace(const std::string &path,
+                     const std::vector<gpusim::DeviceSpec> &devices,
+                     const Replay &replay,
+                     const std::vector<profile::SimSpan> &overlay,
+                     const std::string &overlay_name);
+
+} // namespace edgert::serve
+
+#endif // EDGERT_SERVE_CORE_HH

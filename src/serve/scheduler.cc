@@ -51,7 +51,7 @@ InstancePool::InstancePool(
 
 int
 InstancePool::place(int model, int device,
-                    std::int64_t footprint_bytes, int want)
+                    std::int64_t footprint_bytes, int want, int slot)
 {
     if (static_cast<std::size_t>(model) >= by_model_.size())
         by_model_.resize(static_cast<std::size_t>(model) + 1);
@@ -69,6 +69,7 @@ InstancePool::place(int model, int device,
         Instance inst;
         inst.model = model;
         inst.device = device;
+        inst.slot = slot < 0 ? device : slot;
         by_model_[static_cast<std::size_t>(model)].push_back(
             static_cast<int>(instances_.size()));
         instances_.push_back(std::move(inst));

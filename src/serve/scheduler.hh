@@ -20,7 +20,6 @@
 
 #include "core/engine.hh"
 #include "gpusim/device.hh"
-#include "gpusim/sim.hh"
 
 namespace edgert::serve {
 
@@ -35,7 +34,8 @@ std::vector<int> engineBatchLadder(int max_batch);
 struct EngineSet
 {
     std::vector<core::Engine> engines;
-    std::vector<int> batches; //!< batch size of engines[i]
+    std::vector<int> batches;     //!< batch size of engines[i]
+    std::vector<double> service_s; //!< calibrated service of engines[i]
 
     /** Index of the smallest engine fitting `batch` requests. */
     int indexFor(int batch) const;
@@ -54,21 +54,22 @@ struct PlannedDispatch
     std::vector<std::int64_t> request_ids;
     double predicted_service_s = 0.0;
 
-    // Filled during the execution replay. The stage events
-    // (upload_done, compute_done) come from the staged enqueue and
-    // feed EdgeWatch's per-request attribution.
-    gpusim::EventId begin = -1;
-    gpusim::EventId upload_done = -1;
-    gpusim::EventId compute_done = -1;
-    gpusim::EventId end = -1;
+    // Measured by the execution replay (simulated seconds). The
+    // stage boundaries (upload done, compute done) come from the
+    // staged enqueue and feed per-request stage attribution.
+    double begin_s = 0.0;
+    double upload_done_s = 0.0;
+    double compute_done_s = 0.0;
+    double end_s = 0.0;
 };
 
 /** One engine instance: a stream-bound context slot on a device. */
 struct Instance
 {
     int model = 0;
-    int device = 0;
-    int stream = 0;               //!< on the device's simulator
+    int device = 0;  //!< simulator it replays on (a fleet node)
+    int slot = 0;    //!< ModelVersion::sets index (device or class)
+    int version = 0; //!< engine version new dispatches use
     double predicted_free_s = 0.0; //!< control-plane estimate
     std::vector<PlannedDispatch> plan;
 };
@@ -88,11 +89,12 @@ class InstancePool
 
     /**
      * Place up to `want` instances of `model` on `device`, each
-     * costing `footprint_bytes`; stops at the RAM budget. Returns
-     * the number actually placed.
+     * costing `footprint_bytes`; stops at the RAM budget. `slot`
+     * selects the instances' engine ladders (-1 = the device index).
+     * Returns the number actually placed.
      */
     int place(int model, int device, std::int64_t footprint_bytes,
-              int want);
+              int want, int slot = -1);
 
     std::vector<Instance> &instances() { return instances_; }
     const std::vector<Instance> &instances() const

@@ -2,29 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <queue>
-#include <set>
 #include <sstream>
 
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "common/status.hh"
-#include "common/threadpool.hh"
-#include "core/builder.hh"
+#include "core/precision.hh"
 #include "core/timing_cache.hh"
-#include "gpusim/sim.hh"
-#include "nn/model_zoo.hh"
-#include "obs/clock.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "profile/trace_export.hh"
-#include "runtime/context.hh"
 #include "runtime/measure.hh"
-#include "serve/batcher.hh"
-#include "serve/predictor.hh"
-#include "serve/scheduler.hh"
 
 namespace edgert::serve {
 
@@ -39,28 +26,6 @@ parseDevice(const std::string &name)
 }
 
 namespace {
-
-/** Control-plane discrete event. */
-struct Event
-{
-    enum Kind { kArrival, kTimeout, kPredFree, kSwapBegin, kSwapReady };
-
-    double t = 0.0;
-    std::int64_t seq = 0; //!< push order: total, deterministic tie-break
-    Kind kind = kArrival;
-    int target = 0;       //!< model (arrival/timeout), instance, or swap
-    std::int64_t req = -1;
-};
-
-struct EventAfter
-{
-    bool operator()(const Event &a, const Event &b) const
-    {
-        if (a.t != b.t)
-            return a.t > b.t;
-        return a.seq > b.seq;
-    }
-};
 
 /** Per-model obs:: handles (created once, recorded in sim order). */
 struct ModelMetrics
@@ -108,19 +73,9 @@ struct ModelMetrics
 ServeReport
 runServer(const ServeConfig &cfg)
 {
-    if (cfg.models.empty())
-        fatal("EdgeServe needs at least one --model");
+    validateModels("EdgeServe", cfg.models, cfg.duration_s);
     if (cfg.devices.empty())
         fatal("EdgeServe needs at least one device");
-    if (cfg.duration_s <= 0.0)
-        fatal("EdgeServe duration must be positive");
-    {
-        std::set<std::string> names;
-        for (const auto &m : cfg.models)
-            if (!names.insert(m.model).second)
-                fatal("duplicate model '", m.model,
-                      "' (metric labels would collide)");
-    }
 
     const int n_models = static_cast<int>(cfg.models.size());
     const int n_devices = static_cast<int>(cfg.devices.size());
@@ -149,41 +104,19 @@ runServer(const ServeConfig &cfg)
     // starts with (index 0, built from cfg.build_id with one shared
     // timing cache so same-signature nodes measure once) plus any
     // candidate versions hot-swapped in mid-run. A version holds
-    // one EngineSet per device (the power-of-two batch ladder) and
-    // the calibrated per-engine service predictions the control
-    // plane dispatches with. Engine loads are fallible — injected
-    // faults stand in for corrupt or missing plan files — and each
-    // failure is retried (a rebuild) up to faults.max_load_attempts.
-    // A (model, device) pair whose loads keep failing is left
-    // without engines; the placement below routes around it.
+    // one calibrated engine ladder per device. Engine loads are
+    // fallible — injected faults stand in for corrupt or missing
+    // plan files — and each failure is retried (a rebuild) up to
+    // faults.max_load_attempts. A (model, device) pair whose loads
+    // keep failing is left without engines; the placement below
+    // routes around it.
     // ------------------------------------------------------------
-    struct ModelVersion
-    {
-        std::uint64_t build_id = 0;
-        std::vector<EngineSet> sets;          //!< per device
-        std::vector<std::vector<double>> svc; //!< [device][engine]
-
-        bool availableOn(int d) const
-        {
-            return !sets[static_cast<std::size_t>(d)]
-                        .engines.empty();
-        }
-        bool available() const
-        {
-            for (const auto &s : sets)
-                if (!s.engines.empty())
-                    return true;
-            return false;
-        }
-    };
     core::TimingCache timing_cache;
-    std::vector<std::vector<ModelVersion>> versions(
-        static_cast<std::size_t>(n_models));
+    ModelVersions versions(static_cast<std::size_t>(n_models));
     std::vector<int> active(static_cast<std::size_t>(n_models), 0);
-    std::vector<std::int64_t> load_failures(
-        static_cast<std::size_t>(n_models), 0);
-    std::vector<std::int64_t> rebuilds(
-        static_cast<std::size_t>(n_models), 0);
+    // Per-model outcomes; load and swap tallies accrue as they
+    // happen, the rest is filled in at report time.
+    std::vector<ModelStats> stats(static_cast<std::size_t>(n_models));
 
     std::map<std::string, int> fault_budget =
         cfg.faults.engine_load_failures;
@@ -197,12 +130,7 @@ runServer(const ServeConfig &cfg)
     // kernels is exactly what the deploy layer's drift gate
     // screens, and a tactic-frozen rebuild would make hot-swapping
     // moot. device_mask (nullptr = every device) restricts which
-    // devices load; the calibration lambdas are deliberately not
-    // shared across the batch ladder (a shared table leaves each
-    // engine with a small systematic bias, and at saturation that
-    // bias accumulates in the instances' predicted-free times until
-    // admission control is reasoning about a timeline minutes
-    // adrift of the replay).
+    // devices load.
     auto buildVersion = [&](int m, std::uint64_t build_id,
                             nn::Precision precision,
                             std::uint64_t calibration_seed,
@@ -210,84 +138,43 @@ runServer(const ServeConfig &cfg)
                             bool use_cache,
                             const std::vector<bool> *device_mask)
         -> ModelVersion {
-        const auto &mc = cfg.models[static_cast<std::size_t>(m)];
+        const auto mi = static_cast<std::size_t>(m);
+        const auto &mc = cfg.models[mi];
         EDGERT_SPAN("serve_load_version",
                     {{"model", mc.model},
                      {"build", std::to_string(build_id)}});
+        const LadderSpec ladder{mc.model, precision, calibration_seed,
+                                build_id, policies[mi].max_batch};
         ModelVersion ver;
         ver.build_id = build_id;
-        auto ladder = engineBatchLadder(
-            policies[static_cast<std::size_t>(m)].max_batch);
         for (int d = 0; d < n_devices; d++) {
-            EngineSet set;
-            std::vector<double> svc_d;
-            bool wanted =
+            const auto &spec = cfg.devices[static_cast<std::size_t>(d)];
+            EngineSet set; // stays empty: (model, device) unavailable
+            const bool wanted =
                 !device_mask ||
                 (*device_mask)[static_cast<std::size_t>(d)];
-            if (wanted) {
-                const auto &spec =
-                    cfg.devices[static_cast<std::size_t>(d)];
-                core::BuilderConfig bcfg;
-                bcfg.precision = precision;
-                bcfg.calibration_seed = calibration_seed;
-                bcfg.build_id = build_id;
-                bcfg.jobs = cfg.build_jobs;
-                bcfg.timing_cache =
-                    use_cache ? &timing_cache : nullptr;
-                core::Builder builder(spec, bcfg);
-
-                auto loadSet = [&]() -> Result<EngineSet> {
-                    auto it = budget.find(mc.model);
-                    if (it != budget.end() && it->second > 0) {
-                        it->second--;
-                        return errorStatus(
-                            ErrorCode::kUnavailable,
-                            "injected engine-load fault for '",
-                            mc.model, "'");
+            for (int a = 0; wanted && a < attempts; a++) {
+                auto it = budget.find(mc.model);
+                if (it == budget.end() || it->second <= 0) {
+                    set = buildLadder(spec, ladder,
+                                      use_cache ? &timing_cache
+                                                : nullptr);
+                    if (a > 0) {
+                        stats[mi].rebuilds++;
+                        mm[mi].rebuilds.add();
                     }
-                    EngineSet out;
-                    for (int b : ladder) {
-                        out.engines.push_back(builder.build(
-                            nn::buildZooModel(mc.model, b)));
-                        out.batches.push_back(b);
-                    }
-                    return out;
-                };
-
-                bool loaded = false;
-                for (int a = 0; a < attempts && !loaded; a++) {
-                    auto r = loadSet();
-                    if (r.ok()) {
-                        set = std::move(r).value();
-                        loaded = true;
-                        if (a > 0) {
-                            rebuilds[static_cast<std::size_t>(m)]++;
-                            mm[static_cast<std::size_t>(m)]
-                                .rebuilds.add();
-                        }
-                    } else {
-                        load_failures[static_cast<std::size_t>(
-                            m)]++;
-                        mm[static_cast<std::size_t>(m)]
-                            .load_failures.add();
-                        warn("EdgeServe: engine load for '",
-                             mc.model, "' on ", spec.name,
-                             "[", d, "] failed (attempt ", a + 1,
-                             "/", attempts,
-                             "): ", r.status().message());
-                    }
+                    break;
                 }
-                for (const auto &eng : set.engines) {
-                    LatencyPredictor pred(
-                        cfg.devices[static_cast<std::size_t>(d)]);
-                    pred.calibrate(eng);
-                    svc_d.push_back(
-                        pred.predictServiceSeconds(eng));
-                }
+                it->second--;
+                stats[mi].load_failures++;
+                mm[mi].load_failures.add();
+                warn("EdgeServe: engine load for '", mc.model, "' on ",
+                     spec.name, "[", d, "] failed (attempt ", a + 1,
+                     "/", attempts,
+                     "): injected engine-load fault for '", mc.model,
+                     "'");
             }
-            // An empty set marks (model, device) unavailable.
             ver.sets.push_back(std::move(set));
-            ver.svc.push_back(std::move(svc_d));
         }
         return ver;
     };
@@ -305,50 +192,32 @@ runServer(const ServeConfig &cfg)
         }
     }
 
-    // A model with engines on no device is degraded: all of its
-    // traffic is shed while the other models keep serving.
-    auto setAvailable = [&](int m, int d) {
-        const auto &mv = versions[static_cast<std::size_t>(m)];
-        return mv[static_cast<std::size_t>(
-                      active[static_cast<std::size_t>(m)])]
-            .availableOn(d);
-    };
-    std::vector<bool> degraded(static_cast<std::size_t>(n_models),
-                               false);
-
     // ------------------------------------------------------------
     // Placement: RAM-bounded instances per device, additionally
-    // capped by the paper's Eq. 1 concurrency bound (estimated with
-    // the shared ThroughputOptions::probe() knob set).
+    // capped by the paper's Eq. 1 concurrency bound. A model with
+    // instances on no device is degraded: all of its traffic is shed
+    // while the other models keep serving.
     // ------------------------------------------------------------
     obs::MetricRegistry &reg = obs::MetricRegistry::global();
     InstancePool pool(cfg.devices, cfg.ram_fraction);
+    std::vector<bool> degraded(static_cast<std::size_t>(n_models),
+                               false);
     for (int m = 0; m < n_models; m++) {
         const auto &mc = cfg.models[static_cast<std::size_t>(m)];
-        int placed_total = 0;
-        for (int d = 0; d < n_devices; d++) {
-            if (!setAvailable(m, d))
-                continue;
-            const auto &spec =
-                cfg.devices[static_cast<std::size_t>(d)];
-            const auto &set =
-                versions[static_cast<std::size_t>(m)]
-                    .front()
-                    .sets[static_cast<std::size_t>(d)];
-            int eq1 = runtime::estimateMaxThreads(
-                set.engines.front(), spec,
-                runtime::ThroughputOptions::probe());
-            reg.gauge("serve.device.eq1_threads",
-                      {{"device", spec.name},
-                       {"index", std::to_string(d)},
-                       {"model", mc.model}})
-                .set(static_cast<double>(eq1));
-            int want = std::min(mc.instances_per_device,
-                                std::max(1, eq1));
-            placed_total += pool.place(
-                m, d, set.maxFootprintBytes(), want);
-        }
-        if (placed_total == 0) {
+        std::vector<int> eq1 = placeOnDevices(
+            pool, m, versions[static_cast<std::size_t>(m)].front(),
+            cfg.devices, mc.instances_per_device);
+        for (int d = 0; d < n_devices; d++)
+            if (eq1[static_cast<std::size_t>(d)] >= 0)
+                reg.gauge("serve.device.eq1_threads",
+                          {{"device",
+                            cfg.devices[static_cast<std::size_t>(d)]
+                                .name},
+                           {"index", std::to_string(d)},
+                           {"model", mc.model}})
+                    .set(static_cast<double>(
+                        eq1[static_cast<std::size_t>(d)]));
+        if (pool.instancesOf(m).empty()) {
             // No engines anywhere (persistent load faults) or no
             // RAM budget fits the context: degrade this model —
             // shed its traffic — instead of failing the fleet.
@@ -362,56 +231,12 @@ runServer(const ServeConfig &cfg)
         }
     }
 
-    // Per-device simulators and per-instance streams.
-    std::vector<std::unique_ptr<gpusim::GpuSim>> sims;
-    for (int d = 0; d < n_devices; d++)
-        sims.push_back(std::make_unique<gpusim::GpuSim>(
-            cfg.devices[static_cast<std::size_t>(d)]));
-    {
-        std::vector<int> streams_made(
-            static_cast<std::size_t>(n_devices), 0);
-        for (auto &inst : pool.instances()) {
-            auto &made =
-                streams_made[static_cast<std::size_t>(inst.device)];
-            inst.stream =
-                made == 0
-                    ? 0
-                    : sims[static_cast<std::size_t>(inst.device)]
-                          ->createStream();
-            made++;
-        }
-    }
-
-    // ------------------------------------------------------------
-    // Workload: per-model arrival streams from forked Rng streams,
-    // merged into one id-ordered request table.
-    // ------------------------------------------------------------
-    std::vector<Request> requests;
-    {
-        Rng root(cfg.seed);
-        Rng workload_rng = root.fork("workload");
-        std::vector<std::pair<double, int>> merged;
-        for (int m = 0; m < n_models; m++) {
-            Rng rng = workload_rng.fork(
-                static_cast<std::uint64_t>(m));
-            for (double t : generateArrivals(
-                     cfg.models[static_cast<std::size_t>(m)]
-                         .arrivals,
-                     cfg.duration_s, rng))
-                merged.emplace_back(t, m);
-        }
-        std::sort(merged.begin(), merged.end());
-        requests.reserve(merged.size());
-        for (const auto &[t, m] : merged) {
-            Request r;
-            r.id = static_cast<std::int64_t>(requests.size());
-            r.model = m;
-            r.arrival_s = t;
-            r.slo_ms =
-                cfg.models[static_cast<std::size_t>(m)].slo_ms;
-            requests.push_back(r);
-        }
-    }
+    // Workload: one id-ordered request table over every model.
+    std::vector<TrafficSpec> traffic;
+    for (const auto &mc : cfg.models)
+        traffic.push_back({mc.arrivals, mc.slo_ms});
+    std::vector<Request> requests =
+        generateRequests(traffic, cfg.duration_s, cfg.seed);
 
     // ------------------------------------------------------------
     // Phase 1 — control loop over (arrival, timeout, predicted-
@@ -421,23 +246,16 @@ runServer(const ServeConfig &cfg)
     std::vector<RequestQueue> queues(
         static_cast<std::size_t>(n_models));
     std::vector<DynamicBatcher> batchers;
-    for (int m = 0; m < n_models; m++)
-        batchers.emplace_back(
-            policies[static_cast<std::size_t>(m)]);
-    std::vector<std::int64_t> timeout_armed(
-        static_cast<std::size_t>(n_models), -1);
-
-    std::priority_queue<Event, std::vector<Event>, EventAfter> evq;
-    std::int64_t seq = 0;
-    for (const auto &r : requests) {
-        Event e;
-        e.t = r.arrival_s;
-        e.seq = seq++;
-        e.kind = Event::kArrival;
-        e.target = r.model;
-        e.req = r.id;
-        evq.push(e);
+    std::vector<BatchTimeout> timeouts(
+        static_cast<std::size_t>(n_models));
+    for (int m = 0; m < n_models; m++) {
+        batchers.emplace_back(policies[static_cast<std::size_t>(m)]);
+        timeouts[static_cast<std::size_t>(m)].target = m;
     }
+
+    EventQueue evq;
+    for (const auto &r : requests)
+        evq.push(r.arrival_s, Event::kArrival, r.model, r.id);
 
     // ------------------------------------------------------------
     // Hot-swap bookkeeping: one state per SwapSpec, spec order.
@@ -459,14 +277,6 @@ runServer(const ServeConfig &cfg)
         double candidate_canary_ms = 0.0;
     };
     std::vector<SwapState> swap_states;
-    std::vector<std::int64_t> model_swaps(
-        static_cast<std::size_t>(n_models), 0);
-    std::vector<std::int64_t> model_rollbacks(
-        static_cast<std::size_t>(n_models), 0);
-    std::vector<double> model_downtime_ms(
-        static_cast<std::size_t>(n_models), 0.0);
-    std::vector<std::string> rollback_reason(
-        static_cast<std::size_t>(n_models));
     // Swap windows per model, for the p99-during-swap split.
     std::vector<std::vector<std::pair<double, double>>> swap_windows(
         static_cast<std::size_t>(n_models));
@@ -485,12 +295,7 @@ runServer(const ServeConfig &cfg)
         SwapState st;
         st.model = m;
         swap_states.push_back(st);
-        Event e;
-        e.t = sp.t_s;
-        e.seq = seq++;
-        e.kind = Event::kSwapBegin;
-        e.target = static_cast<int>(s);
-        evq.push(e);
+        evq.push(sp.t_s, Event::kSwapBegin, static_cast<int>(s));
     }
 
     // Dispatch pauses per model while a hot-swap candidate warms
@@ -504,93 +309,43 @@ runServer(const ServeConfig &cfg)
                            active[static_cast<std::size_t>(m)])];
     };
 
-    auto backendView = [&](int m) {
-        BackendView view;
-        const ModelVersion &ver = activeVersion(m);
-        // The ladder is identical across devices; take the first
-        // available device's (a degraded model never gets here).
-        for (int d = 0; d < n_devices; d++)
-            if (ver.availableOn(d)) {
-                view.ladder =
-                    ver.sets[static_cast<std::size_t>(d)].batches;
-                break;
-            }
-        for (int idx : pool.instancesOf(m)) {
-            const Instance &inst =
-                pool.instances()[static_cast<std::size_t>(idx)];
-            BackendView::InstanceView iv;
-            iv.free_s = inst.predicted_free_s;
-            iv.service_s =
-                ver.svc[static_cast<std::size_t>(inst.device)];
-            view.instances.push_back(std::move(iv));
-        }
-        return view;
+    // Roll swap s back to the incumbent: `why` is the machine-
+    // readable reason, `detail` the human one.
+    auto rollBack = [&](std::size_t s, const char *why,
+                        const std::string &detail) {
+        SwapState &st = swap_states[s];
+        const auto mi = static_cast<std::size_t>(st.model);
+        const std::string &name = cfg.models[mi].model;
+        st.rolled_back = true;
+        st.reason = why;
+        stats[mi].swaps_rolled_back++;
+        stats[mi].swap_rollback_reason = why;
+        reg.counter("deploy.swap.rolled_back",
+                    {{"model", name}, {"reason", why}})
+            .add();
+        warn("EdgeServe: hot-swap of '", name, "' to build ",
+             cfg.swaps[s].candidate_build_id, " rolled back (", detail,
+             ")");
     };
 
     auto tryDispatch = [&](int m, double t) {
-        if (swap_paused[static_cast<std::size_t>(m)])
+        const auto mi = static_cast<std::size_t>(m);
+        if (swap_paused[mi])
             return;
-        auto &q = queues[static_cast<std::size_t>(m)];
-        const auto &batcher =
-            batchers[static_cast<std::size_t>(m)];
-        while (!q.empty()) {
-            int inst_idx = pool.freeInstance(m, t);
-            if (inst_idx < 0)
-                break;
-            int cut = batcher.decide(
-                q.size(), q.oldestArrivalSeconds(), t);
-            if (cut == 0)
-                break;
-            Instance &inst =
-                pool.instances()[static_cast<std::size_t>(
-                    inst_idx)];
-            const ModelVersion &ver = activeVersion(m);
-            int eidx =
-                ver.sets[static_cast<std::size_t>(inst.device)]
-                    .indexFor(cut);
-            double svc_s =
-                ver.svc[static_cast<std::size_t>(inst.device)]
-                       [static_cast<std::size_t>(eidx)];
-            PlannedDispatch pd;
-            pd.t_s = t;
-            pd.engine_idx = eidx;
-            pd.version = active[static_cast<std::size_t>(m)];
-            pd.batch = cut;
-            pd.request_ids = q.cut(cut);
-            pd.predicted_service_s = svc_s;
-            for (std::int64_t id : pd.request_ids) {
-                Request &r =
-                    requests[static_cast<std::size_t>(id)];
-                r.dispatch_s = t;
-                r.batch = cut;
-                r.device = inst.device;
-                r.instance = inst_idx;
-                r.version = pd.version;
-            }
-            inst.plan.push_back(std::move(pd));
-            inst.predicted_free_s = t + svc_s;
-            Event e;
-            e.t = inst.predicted_free_s;
-            e.seq = seq++;
-            e.kind = Event::kPredFree;
-            e.target = inst_idx;
-            evq.push(e);
-            mm[static_cast<std::size_t>(m)].batches.add();
-            mm[static_cast<std::size_t>(m)].batch_size.record(cut);
-        }
-        // Arm (or re-arm after a front change) the batch timeout.
-        if (!q.empty() &&
-            q.frontId() !=
-                timeout_armed[static_cast<std::size_t>(m)]) {
-            timeout_armed[static_cast<std::size_t>(m)] =
-                q.frontId();
-            Event e;
-            e.t = batcher.deadlineFor(q.oldestArrivalSeconds());
-            e.seq = seq++;
-            e.kind = Event::kTimeout;
-            e.target = m;
-            evq.push(e);
-        }
+        cutBatches(
+            queues[mi], &RequestQueue::oldestArrivalSeconds,
+            batchers[mi], t, versions, pool.instances(), evq,
+            timeouts[mi],
+            [&](double now) { return pool.freeInstance(m, now); },
+            [&](const PlannedDispatch &pd, int idx) {
+                stampRequests(
+                    requests, pd,
+                    pool.instances()[static_cast<std::size_t>(idx)]
+                        .device,
+                    idx);
+                mm[mi].batches.add();
+                mm[mi].batch_size.record(pd.batch);
+            });
     };
 
     {
@@ -598,8 +353,7 @@ runServer(const ServeConfig &cfg)
                     {{"requests",
                       std::to_string(requests.size())}});
         while (!evq.empty()) {
-            Event e = evq.top();
-            evq.pop();
+            Event e = evq.pop();
             switch (e.kind) {
               case Event::kArrival: {
                   Request &r =
@@ -617,7 +371,12 @@ runServer(const ServeConfig &cfg)
                   }
                   if (cfg.admission_control) {
                       double est_s = predictSojournSeconds(
-                          backendView(m),
+                          backendView(
+                              engineBatchLadder(
+                                  policies[static_cast<std::size_t>(m)]
+                                      .max_batch),
+                              pool.instancesOf(m), pool.instances(),
+                              versions),
                           policies[static_cast<std::size_t>(m)],
                           static_cast<int>(q.size()), e.t,
                           q.rateHz());
@@ -662,26 +421,14 @@ runServer(const ServeConfig &cfg)
                   reg.counter("deploy.swap.attempted",
                               {{"model", name}})
                       .add();
-                  model_swaps[mi]++;
-                  auto rollBack = [&](const char *why) {
-                      st.rolled_back = true;
-                      st.reason = why;
-                      model_rollbacks[mi]++;
-                      rollback_reason[mi] = why;
-                      reg.counter("deploy.swap.rolled_back",
-                                  {{"model", name},
-                                   {"reason", why}})
-                          .add();
-                      warn("EdgeServe: hot-swap of '", name,
-                           "' to build ", sp.candidate_build_id,
-                           " rolled back (", why, ")");
-                  };
+                  stats[mi].swaps++;
+                  const auto s = static_cast<std::size_t>(e.target);
                   if (degraded[mi]) {
-                      rollBack("model_degraded");
+                      rollBack(s, "model_degraded", "model_degraded");
                       break;
                   }
                   if (swap_paused[mi]) {
-                      rollBack("overlapping_swap");
+                      rollBack(s, "overlapping_swap", "overlapping_swap");
                       break;
                   }
 
@@ -706,13 +453,15 @@ runServer(const ServeConfig &cfg)
                           cfg.models[mi].precision),
                       sp.calibration_seed, swap_fault_budget, false,
                       &mask);
-                  bool usable = cand.available();
+                  // The mask is never empty: a model that is not
+                  // degraded serves on at least one device.
+                  bool usable = true;
                   for (int d = 0; d < n_devices; d++)
                       if (mask[static_cast<std::size_t>(d)] &&
                           !cand.availableOn(d))
                           usable = false;
                   if (!usable) {
-                      rollBack("load_failure");
+                      rollBack(s, "load_failure", "load_failure");
                       break;
                   }
 
@@ -759,18 +508,13 @@ runServer(const ServeConfig &cfg)
                   st.begin_s = e.t;
                   st.ready_s = e.t + warmup_s;
                   swap_paused[mi] = true;
-                  model_downtime_ms[mi] += warmup_s * 1e3;
+                  stats[mi].swap_downtime_ms += warmup_s * 1e3;
                   reg.histogram("deploy.swap.downtime_ms",
                                 {{"model", name}})
                       .record(warmup_s * 1e3);
                   swap_windows[mi].emplace_back(e.t,
                                                 st.ready_s + 0.25);
-                  Event r;
-                  r.t = st.ready_s;
-                  r.seq = seq++;
-                  r.kind = Event::kSwapReady;
-                  r.target = e.target;
-                  evq.push(r);
+                  evq.push(st.ready_s, Event::kSwapReady, e.target);
                   break;
               }
               case Event::kSwapReady: {
@@ -786,21 +530,18 @@ runServer(const ServeConfig &cfg)
                       st.incumbent_canary_ms *
                       (1.0 + sp.rollback_regression_pct / 100.0);
                   if (st.candidate_canary_ms > limit) {
-                      st.rolled_back = true;
-                      st.reason = "latency_regression";
-                      model_rollbacks[mi]++;
-                      rollback_reason[mi] = st.reason;
-                      reg.counter("deploy.swap.rolled_back",
-                                  {{"model", name},
-                                   {"reason", st.reason}})
-                          .add();
-                      warn("EdgeServe: hot-swap of '", name,
-                           "' to build ", sp.candidate_build_id,
-                           " rolled back (canary ",
-                           st.candidate_canary_ms, " ms vs incumbent ",
-                           st.incumbent_canary_ms, " ms)");
+                      std::ostringstream detail;
+                      detail << "canary " << st.candidate_canary_ms
+                             << " ms vs incumbent "
+                             << st.incumbent_canary_ms << " ms";
+                      rollBack(static_cast<std::size_t>(e.target),
+                               "latency_regression", detail.str());
                   } else {
                       active[mi] = st.to_version;
+                      for (int idx : pool.instancesOf(m))
+                          pool.instances()[static_cast<std::size_t>(
+                                               idx)]
+                              .version = st.to_version;
                       reg.counter("deploy.swap.committed",
                                   {{"model", name}})
                           .add();
@@ -813,121 +554,47 @@ runServer(const ServeConfig &cfg)
                   tryDispatch(m, e.t);
                   break;
               }
+              default: // fleet membership kinds: never pushed here
+                  break;
             }
         }
     }
 
     // ------------------------------------------------------------
     // Phase 2 — execution replay: every dispatch released at its
-    // planned time via delayUntil(), one run() per device. Measured
-    // completions, not predictions, feed all reported statistics.
-    // Devices share nothing once their plans are enqueued, so with
-    // sim_threads > 1 the runs execute on a worker pool; histogram
-    // records defer into each simulator and commit in device index
-    // order, keeping every observable byte-identical to serial.
+    // planned time, one run() per device. Measured completions, not
+    // predictions, feed all reported statistics.
     // ------------------------------------------------------------
-    std::vector<double> replay_wall_s(
-        static_cast<std::size_t>(n_devices), 0.0);
-    {
-        // Context cache: [instance][(version, engine_idx)]. An
-        // instance keeps its old version's contexts alive through
-        // a swap — batches planned on the incumbent drain on its
-        // contexts while new batches run on the candidate's.
-        std::vector<std::map<std::pair<int, int>,
-                             std::unique_ptr<
-                                 runtime::ExecutionContext>>>
-            ctxs(pool.instances().size());
-        for (std::size_t i = 0; i < pool.instances().size(); i++) {
-            Instance &inst = pool.instances()[i];
-            auto &sim =
-                *sims[static_cast<std::size_t>(inst.device)];
-            for (auto &pd : inst.plan) {
-                sim.delayUntil(inst.stream, pd.t_s);
-                auto &ctx =
-                    ctxs[i][{pd.version, pd.engine_idx}];
-                if (!ctx)
-                    ctx = std::make_unique<
-                        runtime::ExecutionContext>(
-                        versions
-                            [static_cast<std::size_t>(inst.model)]
-                            [static_cast<std::size_t>(pd.version)]
-                                .sets[static_cast<std::size_t>(
-                                    inst.device)]
-                                .engines[static_cast<std::size_t>(
-                                    pd.engine_idx)],
-                        sim, inst.stream);
-                // Staged: record upload/compute boundary events so
-                // EdgeWatch can attribute per-request latency. The
-                // markers are timing-neutral, and serving always
-                // stages so the replay's event stream (and report
-                // bytes) never depend on whether watch is enabled.
-                auto h = ctx->enqueueInference(true, true,
-                                               /*staged=*/true);
-                pd.begin = h.begin;
-                pd.upload_done = h.upload_done;
-                pd.compute_done = h.compute_done;
-                pd.end = h.end;
-            }
+    ReplayOptions ro;
+    ro.span = "serve_replay";
+    ro.threads = cfg.sim_threads;
+    ro.trace_mode = cfg.trace_mode;
+    ro.trace_sample_every = cfg.trace_sample_every;
+    Replay replay =
+        replayPlans(cfg.devices, pool.instances(), versions, ro);
+    if (cfg.sim_metrics) {
+        if (replay.threads > 1) {
+            const PoolStats &ps = replay.pool;
+            const obs::Labels pl = {{"scope", "serve_replay"}};
+            reg.gauge("serve.pool.workers", pl)
+                .set(static_cast<double>(replay.threads));
+            reg.gauge("serve.pool.tasks_run", pl)
+                .set(static_cast<double>(ps.tasks_run));
+            reg.gauge("serve.pool.max_queue_depth", pl)
+                .set(static_cast<double>(ps.max_queue_depth));
+            reg.gauge("serve.pool.wait_seconds", pl)
+                .set(static_cast<double>(ps.wait_ns) * 1e-9);
+            reg.gauge("serve.pool.utilization_pct", pl)
+                .set(ps.utilizationPct());
         }
-        for (auto &sim : sims)
-            sim->setTraceMode(cfg.trace_mode,
-                              cfg.trace_sample_every);
-        auto runDevice = [&](std::size_t d) {
-            std::uint64_t t0 = obs::clock().nowNanos();
-            sims[d]->run();
-            replay_wall_s[d] =
-                static_cast<double>(obs::clock().nowNanos() - t0) *
-                1e-9;
-        };
-        const int threads =
-            std::min(std::max(1, cfg.sim_threads), n_devices);
-        if (threads <= 1) {
-            for (int d = 0; d < n_devices; d++) {
-                EDGERT_SPAN(
-                    "serve_replay",
-                    {{"device",
-                      cfg.devices[static_cast<std::size_t>(d)]
-                          .name},
-                     {"index", std::to_string(d)}});
-                runDevice(static_cast<std::size_t>(d));
-            }
-        } else {
-            EDGERT_SPAN("serve_replay",
-                        {{"devices", std::to_string(n_devices)},
-                         {"threads", std::to_string(threads)}});
-            for (auto &sim : sims)
-                sim->setDeferMetrics(true);
-            ThreadPool tp(threads);
-            tp.parallelFor(static_cast<std::size_t>(n_devices),
-                           runDevice);
-            for (auto &sim : sims) {
-                sim->commitMetrics();
-                sim->setDeferMetrics(false);
-            }
-            if (cfg.sim_metrics) {
-                PoolStats ps = tp.stats();
-                const obs::Labels pl = {{"scope", "serve_replay"}};
-                reg.gauge("serve.pool.workers", pl)
-                    .set(static_cast<double>(tp.size()));
-                reg.gauge("serve.pool.tasks_run", pl)
-                    .set(static_cast<double>(ps.tasks_run));
-                reg.gauge("serve.pool.max_queue_depth", pl)
-                    .set(static_cast<double>(ps.max_queue_depth));
-                reg.gauge("serve.pool.wait_seconds", pl)
-                    .set(static_cast<double>(ps.wait_ns) * 1e-9);
-                reg.gauge("serve.pool.utilization_pct", pl)
-                    .set(ps.utilizationPct());
-            }
+        for (int d = 0; d < n_devices; d++) {
+            auto di = static_cast<std::size_t>(d);
+            gpusim::publishSimMetrics(
+                *replay.sims[di],
+                {{"device", cfg.devices[di].name},
+                 {"index", std::to_string(d)}},
+                replay.wall_s[di]);
         }
-        if (cfg.sim_metrics)
-            for (int d = 0; d < n_devices; d++) {
-                auto di = static_cast<std::size_t>(d);
-                gpusim::publishSimMetrics(
-                    *sims[di],
-                    {{"device", cfg.devices[di].name},
-                     {"index", std::to_string(d)}},
-                    replay_wall_s[di]);
-            }
     }
 
     // Fold measured completions back into the request table and the
@@ -937,30 +604,28 @@ runServer(const ServeConfig &cfg)
     std::vector<double> stage_begin(requests.size(), 0.0);
     std::vector<double> stage_upload(requests.size(), 0.0);
     std::vector<double> stage_compute(requests.size(), 0.0);
+    std::vector<double> mae_sum(static_cast<std::size_t>(n_models), 0.0);
+    std::vector<std::int64_t> batches(static_cast<std::size_t>(n_models), 0);
+    std::vector<std::int64_t> dispatched(
+        static_cast<std::size_t>(n_models), 0);
     for (const Instance &inst : pool.instances()) {
-        const auto &sim =
-            *sims[static_cast<std::size_t>(inst.device)];
+        const auto m = static_cast<std::size_t>(inst.model);
         for (const auto &pd : inst.plan) {
-            double start = sim.eventSeconds(pd.begin);
-            double upload = sim.eventSeconds(pd.upload_done);
-            double compute = sim.eventSeconds(pd.compute_done);
-            double end = sim.eventSeconds(pd.end);
-            double actual_s = std::max(end - start, 1e-12);
+            batches[m]++;
+            dispatched[m] += pd.batch;
+            double actual_s = std::max(pd.end_s - pd.begin_s, 1e-12);
             double err_pct =
                 std::fabs(pd.predicted_service_s - actual_s) /
                 actual_s * 100.0;
-            mm[static_cast<std::size_t>(inst.model)]
-                .predictor_err.record(err_pct);
+            mm[m].predictor_err.record(err_pct);
+            mae_sum[m] += err_pct;
             for (std::int64_t id : pd.request_ids) {
-                Request &r =
-                    requests[static_cast<std::size_t>(id)];
-                r.outcome = Outcome::kCompleted;
-                r.done_s = end;
-                stage_begin[static_cast<std::size_t>(id)] = start;
-                stage_upload[static_cast<std::size_t>(id)] =
-                    upload;
-                stage_compute[static_cast<std::size_t>(id)] =
-                    compute;
+                auto ri = static_cast<std::size_t>(id);
+                requests[ri].outcome = Outcome::kCompleted;
+                requests[ri].done_s = pd.end_s;
+                stage_begin[ri] = pd.begin_s;
+                stage_upload[ri] = pd.upload_done_s;
+                stage_compute[ri] = pd.compute_done_s;
             }
         }
     }
@@ -975,193 +640,104 @@ runServer(const ServeConfig &cfg)
     report.admission_control = cfg.admission_control;
     report.dynamic_batching = cfg.dynamic_batching;
 
-    std::vector<std::vector<double>> lat(
-        static_cast<std::size_t>(n_models));
-    std::vector<std::int64_t> within_slo(
-        static_cast<std::size_t>(n_models), 0);
-    for (const Request &r : requests) {
-        if (r.outcome != Outcome::kCompleted)
-            continue;
-        auto m = static_cast<std::size_t>(r.model);
-        lat[m].push_back(r.latencyMs());
-        mm[m].latency_ms.record(r.latencyMs());
-        mm[m].completed.add();
-        if (r.sloMet())
-            within_slo[m]++;
-        else
-            mm[m].violations.add();
-    }
-
     for (int m = 0; m < n_models; m++) {
         auto mi = static_cast<std::size_t>(m);
         const auto &mc = cfg.models[mi];
-        ModelStats s;
+        const auto &mv = versions[mi];
+        ModelStats &s = stats[mi];
         s.model = mc.model;
         s.slo_ms = mc.slo_ms;
         s.instances = static_cast<int>(pool.instancesOf(m).size());
-        s.load_failures = load_failures[mi];
-        s.rebuilds = rebuilds[mi];
         s.degraded = degraded[mi];
-        std::int64_t dispatched = 0;
-        std::int64_t batches = 0;
-        for (int idx : pool.instancesOf(m)) {
-            for (const auto &pd :
-                 pool.instances()[static_cast<std::size_t>(idx)]
-                     .plan) {
-                dispatched += pd.batch;
-                batches++;
-            }
-        }
+        s.batches = batches[mi];
+        s.active_build_id =
+            mv[static_cast<std::size_t>(active[mi])].build_id;
+
+        // One pass over the model's requests, in id order; latencies
+        // split by engine version and by arrival inside vs outside a
+        // swap window.
+        std::vector<double> lat, in_win, out_win;
+        std::vector<std::vector<double>> vlat(mv.size());
+        std::int64_t within_slo = 0;
         for (const Request &r : requests) {
             if (r.model != m)
                 continue;
             s.offered++;
             if (r.outcome == Outcome::kShed)
                 s.shed++;
-        }
-        s.completed = static_cast<std::int64_t>(lat[mi].size());
-        s.slo_violations = s.completed - within_slo[mi];
-        s.batches = batches;
-        s.active_build_id =
-            versions[mi][static_cast<std::size_t>(active[mi])]
-                .build_id;
-        s.swaps = model_swaps[mi];
-        s.swaps_rolled_back = model_rollbacks[mi];
-        s.swap_downtime_ms = model_downtime_ms[mi];
-        s.swap_rollback_reason = rollback_reason[mi];
-        s.offered_qps =
-            static_cast<double>(s.offered) / cfg.duration_s;
-        s.goodput_qps = static_cast<double>(within_slo[mi]) /
-                        cfg.duration_s;
-        s.mean_batch =
-            batches > 0 ? static_cast<double>(dispatched) /
-                              static_cast<double>(batches)
-                        : 0.0;
-        if (!lat[mi].empty()) {
-            s.mean_ms = mean(lat[mi]);
-            s.p50_ms = percentile(lat[mi], 50.0);
-            s.p95_ms = percentile(lat[mi], 95.0);
-            s.p99_ms = percentile(lat[mi], 99.0);
-            s.max_ms =
-                *std::max_element(lat[mi].begin(), lat[mi].end());
-        }
-        // Mean absolute predictor error over this model's batches.
-        {
-            double sum = 0.0;
-            std::int64_t n = 0;
-            for (int idx : pool.instancesOf(m)) {
-                const Instance &inst =
-                    pool.instances()[static_cast<std::size_t>(
-                        idx)];
-                const auto &sim = *sims[static_cast<std::size_t>(
-                    inst.device)];
-                for (const auto &pd : inst.plan) {
-                    double actual =
-                        std::max(sim.eventSeconds(pd.end) -
-                                     sim.eventSeconds(pd.begin),
-                                 1e-12);
-                    sum += std::fabs(pd.predicted_service_s -
-                                     actual) /
-                           actual * 100.0;
-                    n++;
+            if (r.outcome != Outcome::kCompleted)
+                continue;
+            const double ms = r.latencyMs();
+            lat.push_back(ms);
+            vlat[static_cast<std::size_t>(r.version)].push_back(ms);
+            mm[mi].latency_ms.record(ms);
+            mm[mi].completed.add();
+            if (r.sloMet())
+                within_slo++;
+            else
+                mm[mi].violations.add();
+            bool in = false;
+            for (const auto &[a, b] : swap_windows[mi])
+                if (r.arrival_s >= a && r.arrival_s <= b) {
+                    in = true;
+                    break;
                 }
-            }
+            (in ? in_win : out_win).push_back(ms);
+        }
+        s.completed = static_cast<std::int64_t>(lat.size());
+        s.slo_violations = s.completed - within_slo;
+        s.offered_qps = static_cast<double>(s.offered) / cfg.duration_s;
+        s.goodput_qps =
+            static_cast<double>(within_slo) / cfg.duration_s;
+        if (s.batches > 0) {
+            s.mean_batch = static_cast<double>(dispatched[mi]) /
+                           static_cast<double>(s.batches);
+            // Mean absolute predictor error over the model's batches.
             s.predictor_mae_pct =
-                n > 0 ? sum / static_cast<double>(n) : 0.0;
+                mae_sum[mi] / static_cast<double>(s.batches);
         }
+        s.summarize(lat);
+        if (!in_win.empty())
+            s.p99_swap_ms = percentile(in_win, 99.0);
+        if (!out_win.empty())
+            s.p99_steady_ms = percentile(out_win, 99.0);
+
         // Per engine-version breakdown (hot-swap lineage).
-        {
-            const auto &mv = versions[mi];
-            std::vector<VersionStats> vs(mv.size());
-            std::vector<std::vector<double>> vlat(mv.size());
-            for (std::size_t v = 0; v < mv.size(); v++) {
-                vs[v].build_id = mv[v].build_id;
-                for (int d = 0; d < n_devices; d++)
-                    if (mv[v].availableOn(d)) {
-                        vs[v].fingerprint =
-                            mv[v].sets[static_cast<std::size_t>(d)]
-                                .engines.front()
-                                .fingerprint();
-                        break;
-                    }
-            }
-            for (int idx : pool.instancesOf(m))
-                for (const auto &pd :
-                     pool.instances()[static_cast<std::size_t>(
-                                          idx)]
-                         .plan)
-                    vs[static_cast<std::size_t>(pd.version)]
-                        .batches++;
-            for (const Request &r : requests) {
-                if (r.model != m ||
-                    r.outcome != Outcome::kCompleted)
-                    continue;
-                auto v = static_cast<std::size_t>(r.version);
-                vs[v].completed++;
-                vlat[v].push_back(r.latencyMs());
-            }
-            for (std::size_t v = 0; v < mv.size(); v++)
-                if (!vlat[v].empty()) {
-                    vs[v].mean_ms = mean(vlat[v]);
-                    vs[v].p99_ms = percentile(vlat[v], 99.0);
+        s.versions.resize(mv.size());
+        for (std::size_t v = 0; v < mv.size(); v++) {
+            VersionStats &vs = s.versions[v];
+            vs.build_id = mv[v].build_id;
+            for (int d = 0; d < n_devices; d++)
+                if (mv[v].availableOn(d)) {
+                    vs.fingerprint =
+                        mv[v].sets[static_cast<std::size_t>(d)]
+                            .engines.front()
+                            .fingerprint();
+                    break;
                 }
-            s.versions = std::move(vs);
-        }
-        // p99 of requests arriving inside vs outside swap windows.
-        if (!swap_windows[mi].empty()) {
-            std::vector<double> in_win, out_win;
-            for (const Request &r : requests) {
-                if (r.model != m ||
-                    r.outcome != Outcome::kCompleted)
-                    continue;
-                bool in = false;
-                for (const auto &[a, b] : swap_windows[mi])
-                    if (r.arrival_s >= a && r.arrival_s <= b) {
-                        in = true;
-                        break;
-                    }
-                (in ? in_win : out_win).push_back(r.latencyMs());
+            vs.completed = static_cast<std::int64_t>(vlat[v].size());
+            if (!vlat[v].empty()) {
+                vs.mean_ms = mean(vlat[v]);
+                vs.p99_ms = percentile(vlat[v], 99.0);
             }
-            if (!in_win.empty())
-                s.p99_swap_ms = percentile(in_win, 99.0);
-            if (!out_win.empty())
-                s.p99_steady_ms = percentile(out_win, 99.0);
-        } else {
-            s.p99_steady_ms = s.p99_ms;
         }
-        report.models.push_back(std::move(s));
+        for (int idx : pool.instancesOf(m))
+            for (const auto &pd :
+                 pool.instances()[static_cast<std::size_t>(idx)].plan)
+                s.versions[static_cast<std::size_t>(pd.version)]
+                    .batches++;
     }
+    report.models = std::move(stats);
 
-    for (int d = 0; d < n_devices; d++) {
-        auto di = static_cast<std::size_t>(d);
-        const auto &spec = cfg.devices[di];
-        DeviceStats s;
-        s.device = spec.name;
-        for (const auto &inst : pool.instances())
-            if (inst.device == d)
-                s.instances++;
-        auto st = sims[di]->stats();
-        s.sm_util_pct = st.smUtilizationPct(spec.sm_count);
-        s.copy_busy_pct =
-            st.window_s > 0.0
-                ? 100.0 * st.copy_busy_s / st.window_s
-                : 0.0;
-        s.makespan_s = sims[di]->nowSeconds();
-        s.ram_used_bytes = pool.ramUsedBytes(d);
-        s.ram_budget_bytes = pool.ramBudgetBytes(d);
-
-        const obs::Labels labels = {{"device", spec.name},
-                                    {"index", std::to_string(d)}};
-        reg.gauge("serve.device.sm_util_pct", labels)
-            .set(s.sm_util_pct);
-        reg.gauge("serve.device.copy_busy_pct", labels)
-            .set(s.copy_busy_pct);
-        reg.gauge("serve.device.instances", labels)
-            .set(static_cast<double>(s.instances));
-        reg.gauge("serve.device.ram_used_bytes", labels)
-            .set(static_cast<double>(s.ram_used_bytes));
-        report.devices.push_back(std::move(s));
-    }
+    report.devices = deviceStats(cfg.devices, pool, replay, "serve");
+    for (int d = 0; d < n_devices; d++)
+        reg.gauge("serve.device.ram_used_bytes",
+                  {{"device", cfg.devices[static_cast<std::size_t>(d)]
+                                  .name},
+                   {"index", std::to_string(d)}})
+            .set(static_cast<double>(
+                report.devices[static_cast<std::size_t>(d)]
+                    .ram_used_bytes));
 
     // ------------------------------------------------------------
     // EdgeWatch: replay the run's admissions, sheds, dispatches,
@@ -1203,148 +779,94 @@ runServer(const ServeConfig &cfg)
         watch::EdgeWatch ew(cfg.watch, model_names, slo_ms,
                             dev_names, dev_scores);
 
+        // One entry per event; equal times feed in Rank order, then
+        // in the order the entries are listed below. `ref` indexes
+        // the table the event comes from.
+        enum Rank { kArrive, kSwapBegin, kDispatch, kSwapEnd, kDone };
         struct FeedItem
         {
-            enum What {
-                kAdmit,
-                kShed,
-                kSwapBegin,
-                kDispatch,
-                kSwapCommit,
-                kSwapRollback,
-                kComplete,
-            };
-            double t = 0.0;
-            int rank = 0; //!< tie-break at equal t (What order)
-            What what = kAdmit;
-            int model = -1;
-            std::int64_t id = -1;
-            int batch = 0;
-            int device = -1;
-            std::uint64_t build_id = 0;
-            std::string reason;
-            watch::RequestTrace rt;
+            double t;
+            Rank rank;
+            std::size_t ref;
         };
-        std::size_t feed_cap = requests.size() * 2;
-        for (const Instance &inst : pool.instances())
-            feed_cap += inst.plan.size();
-        feed_cap += swap_states.size() * 2;
         std::vector<FeedItem> feed;
-        feed.reserve(feed_cap);
+        std::vector<std::pair<const Instance *, const PlannedDispatch *>>
+            dispatches;
         for (const Request &r : requests) {
-            FeedItem it;
-            it.t = r.arrival_s;
-            it.what = r.outcome == Outcome::kShed
-                          ? FeedItem::kShed
-                          : FeedItem::kAdmit;
-            it.rank = 0;
-            it.model = r.model;
-            it.id = r.id;
-            feed.push_back(std::move(it));
-            if (r.outcome != Outcome::kCompleted)
-                continue;
-            FeedItem c;
-            c.t = r.done_s;
-            c.rank = 4;
-            c.what = FeedItem::kComplete;
-            c.model = r.model;
-            c.id = r.id;
-            c.rt.id = r.id;
-            c.rt.model = r.model;
-            c.rt.device = r.device;
-            c.rt.instance = r.instance;
-            c.rt.batch = r.batch;
-            c.rt.version = r.version;
-            c.rt.arrival_s = r.arrival_s;
-            c.rt.dispatch_s = r.dispatch_s;
-            c.rt.begin_s =
-                stage_begin[static_cast<std::size_t>(r.id)];
-            c.rt.upload_done_s =
-                stage_upload[static_cast<std::size_t>(r.id)];
-            c.rt.compute_done_s =
-                stage_compute[static_cast<std::size_t>(r.id)];
-            c.rt.done_s = r.done_s;
-            feed.push_back(std::move(c));
+            const auto ri = static_cast<std::size_t>(r.id);
+            feed.push_back({r.arrival_s, kArrive, ri});
+            if (r.outcome == Outcome::kCompleted)
+                feed.push_back({r.done_s, kDone, ri});
         }
-        for (const Instance &inst : pool.instances()) {
+        for (const Instance &inst : pool.instances())
             for (const auto &pd : inst.plan) {
-                FeedItem it;
-                it.t = pd.t_s;
-                it.rank = 2;
-                it.what = FeedItem::kDispatch;
-                it.model = inst.model;
-                it.batch = pd.batch;
-                it.device = inst.device;
-                it.id = pd.request_ids.empty()
-                            ? -1
-                            : pd.request_ids.front();
-                feed.push_back(std::move(it));
+                feed.push_back({pd.t_s, kDispatch, dispatches.size()});
+                dispatches.emplace_back(&inst, &pd);
             }
-        }
         for (std::size_t s = 0; s < swap_states.size(); s++) {
             const SwapState &st = swap_states[s];
-            const SwapSpec &sp = cfg.swaps[s];
             const bool warmed = st.to_version >= 0;
-            FeedItem b;
-            b.t = warmed ? st.begin_s : sp.t_s;
-            b.rank = 1;
-            b.what = FeedItem::kSwapBegin;
-            b.model = st.model;
-            b.build_id = sp.candidate_build_id;
-            feed.push_back(std::move(b));
-            FeedItem e;
-            e.t = warmed ? st.ready_s : sp.t_s;
-            e.rank = 3;
-            e.model = st.model;
-            if (st.rolled_back) {
-                e.what = FeedItem::kSwapRollback;
-                e.reason = st.reason;
-            } else {
-                e.what = FeedItem::kSwapCommit;
-                e.build_id = sp.candidate_build_id;
-            }
-            feed.push_back(std::move(e));
+            const double t_s = cfg.swaps[s].t_s;
+            feed.push_back({warmed ? st.begin_s : t_s, kSwapBegin, s});
+            feed.push_back({warmed ? st.ready_s : t_s, kSwapEnd, s});
         }
-        // Sort indices, not the (large) items: stable_sort moves
-        // its elements O(n log n) times and the feed dominates the
-        // watch path's wall time for busy scenarios.
-        std::vector<std::uint32_t> order(feed.size());
-        for (std::uint32_t i = 0; i < order.size(); i++)
-            order[i] = i;
-        std::stable_sort(
-            order.begin(), order.end(),
-            [&feed](std::uint32_t ia, std::uint32_t ib) {
-                const FeedItem &a = feed[ia];
-                const FeedItem &b = feed[ib];
-                if (a.t != b.t)
-                    return a.t < b.t;
-                return a.rank < b.rank;
-            });
-        for (std::uint32_t idx : order) {
-            const FeedItem &it = feed[idx];
-            switch (it.what) {
-              case FeedItem::kAdmit:
-                  ew.onAdmit(it.t, it.model, it.id);
+        std::stable_sort(feed.begin(), feed.end(),
+                         [](const FeedItem &a, const FeedItem &b) {
+                             if (a.t != b.t)
+                                 return a.t < b.t;
+                             return a.rank < b.rank;
+                         });
+        for (const FeedItem &it : feed) {
+            switch (it.rank) {
+              case kArrive: {
+                  const Request &r = requests[it.ref];
+                  if (r.outcome == Outcome::kShed)
+                      ew.onShed(it.t, r.model, r.id);
+                  else
+                      ew.onAdmit(it.t, r.model, r.id);
                   break;
-              case FeedItem::kShed:
-                  ew.onShed(it.t, it.model, it.id);
+              }
+              case kSwapBegin:
+                  ew.onSwapBegin(it.t, swap_states[it.ref].model,
+                                 cfg.swaps[it.ref].candidate_build_id);
                   break;
-              case FeedItem::kDispatch:
-                  ew.onDispatch(it.t, it.model, it.batch,
-                                it.device, it.id);
+              case kDispatch: {
+                  const auto &[inst, pd] = dispatches[it.ref];
+                  ew.onDispatch(it.t, inst->model, pd->batch,
+                                inst->device,
+                                pd->request_ids.empty()
+                                    ? -1
+                                    : pd->request_ids.front());
                   break;
-              case FeedItem::kSwapBegin:
-                  ew.onSwapBegin(it.t, it.model, it.build_id);
+              }
+              case kSwapEnd: {
+                  const SwapState &st = swap_states[it.ref];
+                  if (st.rolled_back)
+                      ew.onSwapRollback(it.t, st.model, st.reason);
+                  else
+                      ew.onSwapCommit(
+                          it.t, st.model,
+                          cfg.swaps[it.ref].candidate_build_id);
                   break;
-              case FeedItem::kSwapCommit:
-                  ew.onSwapCommit(it.t, it.model, it.build_id);
+              }
+              case kDone: {
+                  const Request &r = requests[it.ref];
+                  watch::RequestTrace rt;
+                  rt.id = r.id;
+                  rt.model = r.model;
+                  rt.device = r.device;
+                  rt.instance = r.instance;
+                  rt.batch = r.batch;
+                  rt.version = r.version;
+                  rt.arrival_s = r.arrival_s;
+                  rt.dispatch_s = r.dispatch_s;
+                  rt.begin_s = stage_begin[it.ref];
+                  rt.upload_done_s = stage_upload[it.ref];
+                  rt.compute_done_s = stage_compute[it.ref];
+                  rt.done_s = r.done_s;
+                  ew.onComplete(rt);
                   break;
-              case FeedItem::kSwapRollback:
-                  ew.onSwapRollback(it.t, it.model, it.reason);
-                  break;
-              case FeedItem::kComplete:
-                  ew.onComplete(it.rt);
-                  break;
+              }
             }
         }
         ew.finish(cfg.duration_s);
@@ -1380,23 +902,9 @@ runServer(const ServeConfig &cfg)
         }
     }
 
-    if (!cfg.trace_out.empty()) {
-        std::vector<profile::NamedTrace> device_traces;
-        for (int d = 0; d < n_devices; d++) {
-            const auto &sim = *sims[static_cast<std::size_t>(d)];
-            profile::NamedTrace nt;
-            nt.name =
-                cfg.devices[static_cast<std::size_t>(d)].name +
-                "[" + std::to_string(d) + "]";
-            nt.trace = &sim.trace();
-            if (sim.traceMode() == gpusim::TraceMode::kSampled)
-                nt.sample_every = sim.traceSampleEvery();
-            device_traces.push_back(std::move(nt));
-        }
-        profile::saveMergedChromeTrace(
-            cfg.trace_out, obs::Tracer::global().spans(),
-            device_traces, watch_spans, "watch: slow requests");
-    }
+    if (!cfg.trace_out.empty())
+        saveReplayTrace(cfg.trace_out, cfg.devices, replay, watch_spans,
+                        "watch: slow requests");
 
     return report;
 }
@@ -1438,14 +946,8 @@ ServeReport::toJson() const
            << ",\n";
         os << "      \"goodput_qps\": "
            << jsonNumber(s.goodput_qps) << ",\n";
-        os << "      \"latency_ms\": {\n";
-        os << "        \"mean\": " << jsonNumber(s.mean_ms)
-           << ",\n";
-        os << "        \"p50\": " << jsonNumber(s.p50_ms) << ",\n";
-        os << "        \"p95\": " << jsonNumber(s.p95_ms) << ",\n";
-        os << "        \"p99\": " << jsonNumber(s.p99_ms) << ",\n";
-        os << "        \"max\": " << jsonNumber(s.max_ms) << "\n";
-        os << "      },\n";
+        s.writeJson(os, "latency_ms", 6);
+        os << ",\n";
         os << "      \"predictor_mae_pct\": "
            << jsonNumber(s.predictor_mae_pct) << ",\n";
         os << "      \"active_build_id\": " << s.active_build_id
@@ -1477,27 +979,7 @@ ServeReport::toJson() const
            << "\n";
     }
     os << "  ],\n";
-    os << "  \"devices\": [\n";
-    for (std::size_t i = 0; i < devices.size(); i++) {
-        const DeviceStats &s = devices[i];
-        os << "    {\n";
-        os << "      \"device\": \"" << jsonEscape(s.device)
-           << "\",\n";
-        os << "      \"instances\": " << s.instances << ",\n";
-        os << "      \"sm_util_pct\": "
-           << jsonNumber(s.sm_util_pct) << ",\n";
-        os << "      \"copy_busy_pct\": "
-           << jsonNumber(s.copy_busy_pct) << ",\n";
-        os << "      \"makespan_s\": " << jsonNumber(s.makespan_s)
-           << ",\n";
-        os << "      \"ram_used_bytes\": " << s.ram_used_bytes
-           << ",\n";
-        os << "      \"ram_budget_bytes\": " << s.ram_budget_bytes
-           << "\n";
-        os << "    }" << (i + 1 < devices.size() ? "," : "")
-           << "\n";
-    }
-    os << "  ]";
+    writeDevicesJson(os, devices);
     // Trailing key so watch-off reports keep their pre-watch bytes.
     if (watch.enabled) {
         os << ",\n  \"watch\": {\n";

@@ -35,8 +35,8 @@
 #include "gpusim/device.hh"
 #include "gpusim/sim.hh"
 #include "nn/executor.hh"
+#include "serve/core.hh"
 #include "serve/queue.hh"
-#include "serve/request.hh"
 #include "serve/workload.hh"
 #include "watch/watch.hh"
 
@@ -139,9 +139,8 @@ struct ServeConfig
     /** Share of device RAM available for execution contexts. */
     double ram_fraction = 0.5;
 
-    /** Engine-build knobs (jobs = 1 keeps runs byte-reproducible). */
+    /** Builder seed of the engines the run starts with. */
     std::uint64_t build_id = 1;
-    int build_jobs = 1;
 
     /**
      * When non-empty, write a merged chrome://tracing timeline
@@ -152,12 +151,12 @@ struct ServeConfig
 
     /**
      * Worker threads for the phase-2 replay. 1 (the default)
-     * replays devices serially in index order; >1 simulates
+     * replays devices serially in index order; >1 replays
      * independent devices concurrently on a common::ThreadPool.
      * Reports, metric snapshots and device traces are byte-identical
-     * across thread counts: each simulator buffers its histogram
-     * records during run() and the server commits them in device
-     * index order afterwards.
+     * across thread counts: each device's simulator records into a
+     * private MetricRegistry, merged into the global one in device
+     * index order afterwards (see serve::replayPlans).
      */
     int sim_threads = 1;
 
@@ -202,8 +201,9 @@ struct VersionStats
     double p99_ms = 0.0;
 };
 
-/** Per-model serving outcome. */
-struct ModelStats
+/** Per-model serving outcome; the LatencySummary is over the
+ *  model's completed requests. */
+struct ModelStats : LatencySummary
 {
     std::string model;
     double slo_ms = 0.0;
@@ -217,11 +217,6 @@ struct ModelStats
 
     double goodput_qps = 0.0; //!< completions within SLO per second
     double mean_batch = 0.0;
-    double mean_ms = 0.0;
-    double p50_ms = 0.0;
-    double p95_ms = 0.0;
-    double p99_ms = 0.0;
-    double max_ms = 0.0;
     double predictor_mae_pct = 0.0; //!< mean |pred-meas|/meas x 100
     int instances = 0;
 
@@ -256,18 +251,6 @@ struct ModelStats
     /** Per engine-version breakdown, load order (index 0 is the
      *  engine the run started with). */
     std::vector<VersionStats> versions;
-};
-
-/** Per-device serving outcome. */
-struct DeviceStats
-{
-    std::string device;
-    int instances = 0;
-    double sm_util_pct = 0.0;   //!< tegrastats GR3D analogue
-    double copy_busy_pct = 0.0;
-    double makespan_s = 0.0;    //!< drain time of the replay
-    std::int64_t ram_used_bytes = 0;
-    std::int64_t ram_budget_bytes = 0;
 };
 
 /** Full report of one EdgeServe run. */

@@ -2,53 +2,22 @@
 
 #include <algorithm>
 #include <fstream>
-#include <map>
-#include <memory>
-#include <queue>
-#include <set>
 #include <sstream>
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "common/stats.hh"
-#include "common/threadpool.hh"
-#include "core/builder.hh"
 #include "core/timing_cache.hh"
-#include "nn/model_zoo.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "profile/trace_export.hh"
-#include "runtime/context.hh"
-#include "runtime/measure.hh"
 #include "serve/batcher.hh"
+#include "serve/cli.hh"
 #include "serve/scheduler.hh"
-#include "serve/predictor.hh"
 
 namespace edgert::stream {
 
 namespace {
 
-/** Control-plane discrete event. */
-struct Event
-{
-    enum Kind { kFrameReady, kTimeout, kPredFree };
-
-    double t = 0.0;
-    std::int64_t seq = 0; //!< push order: deterministic tie-break
-    Kind kind = kFrameReady;
-    int target = 0;       //!< model (ready/timeout) or instance
-    std::int64_t req = -1;
-};
-
-struct EventAfter
-{
-    bool operator()(const Event &a, const Event &b) const
-    {
-        if (a.t != b.t)
-            return a.t > b.t;
-        return a.seq > b.seq;
-    }
-};
+using serve::Event;
 
 /** One frame's whole lifecycle (the stream analogue of Request). */
 struct FrameRec
@@ -73,9 +42,6 @@ struct FrameRec
     Outcome outcome = kInFlight;
     double drop_s = 0.0;
 
-    int device = -1;
-    int instance = -1;
-    int batch = 0;
     double dispatch_s = 0.0;
     double begin_s = 0.0;
     double upload_done_s = 0.0;
@@ -168,23 +134,12 @@ writeFreshnessFile(const std::string &path,
 StreamReport
 runStreams(const StreamConfig &cfg)
 {
-    if (cfg.models.empty())
-        fatal("EdgeStream needs at least one --model");
+    serve::validateModels("EdgeStream", cfg.models, cfg.duration_s);
     if (cfg.devices.empty())
         fatal("EdgeStream needs at least one device");
-    if (cfg.duration_s <= 0.0)
-        fatal("EdgeStream duration must be positive");
-    {
-        std::set<std::string> names;
-        for (const auto &m : cfg.models) {
-            if (m.streams < 1)
-                fatal("model '", m.model,
-                      "' needs at least one stream");
-            if (!names.insert(m.model).second)
-                fatal("duplicate model '", m.model,
-                      "' (metric labels would collide)");
-        }
-    }
+    for (const auto &m : cfg.models)
+        if (m.streams < 1)
+            fatal("model '", m.model, "' needs at least one stream");
 
     const int n_models = static_cast<int>(cfg.models.size());
     const int n_devices = static_cast<int>(cfg.devices.size());
@@ -194,53 +149,29 @@ runStreams(const StreamConfig &cfg)
         mm.emplace_back(mc.model);
 
     // ------------------------------------------------------------
-    // Build: one power-of-two engine ladder per (model, device)
-    // with a shared timing cache, plus the calibrated per-engine
-    // service predictions the control plane dispatches with. No
-    // fault injection here — stream serving reuses serve's engine
-    // machinery, not its resilience experiments.
+    // Build: one calibrated engine ladder per (model, device) with a
+    // shared timing cache. No fault injection here — stream serving
+    // reuses serve's engine machinery, not its resilience
+    // experiments.
     // ------------------------------------------------------------
     core::TimingCache timing_cache;
-    std::vector<std::vector<serve::EngineSet>> sets(
-        static_cast<std::size_t>(n_models)); //!< [model][device]
-    std::vector<std::vector<std::vector<double>>> svc(
-        static_cast<std::size_t>(n_models)); //!< [m][d][engine]
+    serve::ModelVersions versions(static_cast<std::size_t>(n_models));
     {
         EDGERT_SPAN("stream_build",
                     {{"models", std::to_string(n_models)},
                      {"devices", std::to_string(n_devices)}});
         for (int m = 0; m < n_models; m++) {
             const auto &mc = cfg.models[static_cast<std::size_t>(m)];
-            auto ladder =
-                serve::engineBatchLadder(mc.batching.max_batch);
-            for (int d = 0; d < n_devices; d++) {
-                const auto &spec =
-                    cfg.devices[static_cast<std::size_t>(d)];
-                core::BuilderConfig bcfg;
-                bcfg.precision = mc.precision;
-                bcfg.calibration_seed = mc.calibration_seed;
-                bcfg.build_id = cfg.build_id;
-                bcfg.jobs = cfg.build_jobs;
-                bcfg.timing_cache = &timing_cache;
-                core::Builder builder(spec, bcfg);
-                serve::EngineSet set;
-                std::vector<double> svc_d;
-                for (int b : ladder) {
-                    set.engines.push_back(builder.build(
-                        nn::buildZooModel(mc.model, b)));
-                    set.batches.push_back(b);
-                }
-                for (const auto &eng : set.engines) {
-                    serve::LatencyPredictor pred(spec);
-                    pred.calibrate(eng);
-                    svc_d.push_back(
-                        pred.predictServiceSeconds(eng));
-                }
-                sets[static_cast<std::size_t>(m)].push_back(
-                    std::move(set));
-                svc[static_cast<std::size_t>(m)].push_back(
-                    std::move(svc_d));
-            }
+            serve::ModelVersion ver;
+            ver.build_id = cfg.build_id;
+            for (const auto &spec : cfg.devices)
+                ver.sets.push_back(serve::buildLadder(
+                    spec,
+                    {mc.model, mc.precision, mc.calibration_seed,
+                     cfg.build_id, mc.batching.max_batch},
+                    &timing_cache));
+            versions[static_cast<std::size_t>(m)].push_back(
+                std::move(ver));
         }
     }
 
@@ -248,55 +179,16 @@ runStreams(const StreamConfig &cfg)
     // Placement: RAM-bounded instances per device, capped by the
     // paper's Eq. 1 concurrency bound.
     // ------------------------------------------------------------
-    obs::MetricRegistry &reg = obs::MetricRegistry::global();
     serve::InstancePool pool(cfg.devices, cfg.ram_fraction);
     for (int m = 0; m < n_models; m++) {
         const auto &mc = cfg.models[static_cast<std::size_t>(m)];
-        int placed_total = 0;
-        for (int d = 0; d < n_devices; d++) {
-            const auto &spec =
-                cfg.devices[static_cast<std::size_t>(d)];
-            const auto &set = sets[static_cast<std::size_t>(m)]
-                                  [static_cast<std::size_t>(d)];
-            int eq1 = runtime::estimateMaxThreads(
-                set.engines.front(), spec,
-                runtime::ThroughputOptions::probe());
-            int want = std::min(mc.instances_per_device,
-                                std::max(1, eq1));
-            placed_total += pool.place(
-                m, d, set.maxFootprintBytes(), want);
-        }
-        if (placed_total == 0)
+        serve::placeOnDevices(pool, m,
+                              versions[static_cast<std::size_t>(m)][0],
+                              cfg.devices, mc.instances_per_device);
+        if (pool.instancesOf(m).empty())
             warn("EdgeStream: model '", mc.model,
                  "' has no usable instances (no RAM budget fits); "
                  "its frames will only age out");
-    }
-
-    // Per-device simulators; every instance owns an upload, a
-    // compute and a download stream so enqueueStagedPipelined can
-    // overlap stage k of frame i with stage k-1 of frame i+1.
-    std::vector<std::unique_ptr<gpusim::GpuSim>> sims;
-    for (int d = 0; d < n_devices; d++)
-        sims.push_back(std::make_unique<gpusim::GpuSim>(
-            cfg.devices[static_cast<std::size_t>(d)]));
-    std::vector<int> up_stream(pool.instances().size(), 0);
-    std::vector<int> comp_stream(pool.instances().size(), 0);
-    std::vector<int> down_stream(pool.instances().size(), 0);
-    {
-        std::vector<int> streams_made(
-            static_cast<std::size_t>(n_devices), 0);
-        for (std::size_t i = 0; i < pool.instances().size(); i++) {
-            serve::Instance &inst = pool.instances()[i];
-            auto &sim =
-                *sims[static_cast<std::size_t>(inst.device)];
-            auto &made =
-                streams_made[static_cast<std::size_t>(inst.device)];
-            up_stream[i] = made == 0 ? 0 : sim.createStream();
-            made++;
-            comp_stream[i] = sim.createStream();
-            down_stream[i] = sim.createStream();
-            inst.stream = up_stream[i]; //!< release-pinning stream
-        }
     }
 
     // ------------------------------------------------------------
@@ -399,101 +291,51 @@ runStreams(const StreamConfig &cfg)
     // ------------------------------------------------------------
     std::vector<StreamQueue> queues;
     std::vector<serve::DynamicBatcher> batchers;
+    std::vector<serve::BatchTimeout> timeouts(
+        static_cast<std::size_t>(n_models));
     for (int m = 0; m < n_models; m++) {
         const auto &mc = cfg.models[static_cast<std::size_t>(m)];
         queues.emplace_back(mc.streams);
         batchers.emplace_back(mc.batching);
+        timeouts[static_cast<std::size_t>(m)].target = m;
     }
-    std::vector<std::int64_t> timeout_armed(
-        static_cast<std::size_t>(n_models), -1);
 
-    std::priority_queue<Event, std::vector<Event>, EventAfter> evq;
-    std::int64_t seq = 0;
-    for (const FrameRec &fr : frames) {
-        if (fr.ready_s > cfg.duration_s)
-            continue; // still decoding when the run ends
-        Event e;
-        e.t = fr.ready_s;
-        e.seq = seq++;
-        e.kind = Event::kFrameReady;
-        e.target = fr.model;
-        e.req = fr.id;
-        evq.push(e);
-    }
+    // Planned batches per model and the frames they carry.
+    std::vector<std::int64_t> batches(static_cast<std::size_t>(n_models), 0);
+    std::vector<std::int64_t> dispatched(
+        static_cast<std::size_t>(n_models), 0);
+
+    serve::EventQueue evq;
+    for (const FrameRec &fr : frames)
+        if (fr.ready_s <= cfg.duration_s) // else: still decoding
+            evq.push(fr.ready_s, Event::kArrival, fr.model, fr.id);
 
     auto tryDispatch = [&](int m, double t) {
-        auto &q = queues[static_cast<std::size_t>(m)];
-        const auto &batcher =
-            batchers[static_cast<std::size_t>(m)];
-        while (!q.empty()) {
-            int inst_idx = pool.freeInstance(m, t);
-            if (inst_idx < 0)
-                break;
-            int cut = batcher.decide(
-                q.size(), q.oldestReadySeconds(), t);
-            if (cut == 0)
-                break;
-            serve::Instance &inst =
-                pool.instances()[static_cast<std::size_t>(
-                    inst_idx)];
-            const auto &set =
-                sets[static_cast<std::size_t>(m)]
-                    [static_cast<std::size_t>(inst.device)];
-            int eidx = set.indexFor(cut);
-            double svc_s =
-                svc[static_cast<std::size_t>(m)]
-                   [static_cast<std::size_t>(inst.device)]
-                   [static_cast<std::size_t>(eidx)];
-            serve::PlannedDispatch pd;
-            pd.t_s = t;
-            pd.engine_idx = eidx;
-            pd.batch = cut;
-            pd.request_ids = q.cut(cut);
-            pd.predicted_service_s = svc_s;
-            for (std::int64_t id : pd.request_ids) {
-                FrameRec &fr =
-                    frames[static_cast<std::size_t>(id)];
-                fr.dispatch_s = t;
-                fr.batch = cut;
-                fr.device = inst.device;
-                fr.instance = inst_idx;
-            }
-            inst.plan.push_back(std::move(pd));
-            inst.predicted_free_s = t + svc_s;
-            Event e;
-            e.t = inst.predicted_free_s;
-            e.seq = seq++;
-            e.kind = Event::kPredFree;
-            e.target = inst_idx;
-            evq.push(e);
-            mm[static_cast<std::size_t>(m)].batches.add();
-            mm[static_cast<std::size_t>(m)].batch_size.record(cut);
-        }
-        // Arm (or re-arm after a front change) the batch timeout.
-        if (!q.empty() &&
-            q.frontId() !=
-                timeout_armed[static_cast<std::size_t>(m)]) {
-            timeout_armed[static_cast<std::size_t>(m)] =
-                q.frontId();
-            Event e;
-            e.t = batcher.deadlineFor(q.oldestReadySeconds());
-            e.seq = seq++;
-            e.kind = Event::kTimeout;
-            e.target = m;
-            evq.push(e);
-        }
+        const auto mi = static_cast<std::size_t>(m);
+        serve::cutBatches(
+            queues[mi], &StreamQueue::oldestReadySeconds, batchers[mi],
+            t, versions, pool.instances(), evq, timeouts[mi],
+            [&](double now) { return pool.freeInstance(m, now); },
+            [&](const serve::PlannedDispatch &pd, int) {
+                for (std::int64_t id : pd.request_ids)
+                    frames[static_cast<std::size_t>(id)].dispatch_s =
+                        pd.t_s;
+                batches[mi]++;
+                dispatched[mi] += pd.batch;
+                mm[mi].batches.add();
+                mm[mi].batch_size.record(pd.batch);
+            });
     };
 
     {
         EDGERT_SPAN("stream_control",
                     {{"frames", std::to_string(frames.size())}});
         while (!evq.empty()) {
-            Event e = evq.top();
-            evq.pop();
+            Event e = evq.pop();
             if (e.t > cfg.duration_s)
                 continue; // the camera window is over
             switch (e.kind) {
-              case Event::kFrameReady: {
+              case Event::kArrival: {
                   FrameRec &fr =
                       frames[static_cast<std::size_t>(e.req)];
                   const int m = fr.model;
@@ -522,6 +364,8 @@ runStreams(const StreamConfig &cfg)
                           .model,
                       e.t);
                   break;
+              default: // serve / fleet kinds: never pushed here
+                  break;
             }
         }
     }
@@ -530,93 +374,31 @@ runStreams(const StreamConfig &cfg)
     // Phase 2 — execution replay: each dispatch releases on its
     // instance's *upload* stream at the planned time; waitEvent
     // chains upload → compute → download so consecutive frames
-    // overlap stage-wise. One run() per device; histogram records
-    // defer and commit in device index order under sim_threads > 1
-    // so every observable stays byte-identical to serial.
+    // overlap stage-wise. One run() per device.
     // ------------------------------------------------------------
-    {
-        std::vector<
-            std::map<int, std::unique_ptr<
-                              runtime::ExecutionContext>>>
-            ctxs(pool.instances().size());
-        for (std::size_t i = 0; i < pool.instances().size(); i++) {
-            serve::Instance &inst = pool.instances()[i];
-            auto &sim =
-                *sims[static_cast<std::size_t>(inst.device)];
-            for (auto &pd : inst.plan) {
-                sim.delayUntil(up_stream[i], pd.t_s);
-                auto &ctx = ctxs[i][pd.engine_idx];
-                if (!ctx)
-                    ctx = std::make_unique<
-                        runtime::ExecutionContext>(
-                        sets[static_cast<std::size_t>(inst.model)]
-                            [static_cast<std::size_t>(inst.device)]
-                                .engines[static_cast<std::size_t>(
-                                    pd.engine_idx)],
-                        sim, comp_stream[i]);
-                auto h = ctx->enqueueStagedPipelined(
-                    up_stream[i], down_stream[i]);
-                pd.begin = h.begin;
-                pd.upload_done = h.upload_done;
-                pd.compute_done = h.compute_done;
-                pd.end = h.end;
-            }
-        }
-        for (auto &sim : sims)
-            sim->setTraceMode(cfg.trace_mode,
-                              cfg.trace_sample_every);
-        auto runDevice = [&](std::size_t d) { sims[d]->run(); };
-        const int threads =
-            std::min(std::max(1, cfg.sim_threads), n_devices);
-        if (threads <= 1) {
-            for (int d = 0; d < n_devices; d++) {
-                EDGERT_SPAN(
-                    "stream_replay",
-                    {{"device",
-                      cfg.devices[static_cast<std::size_t>(d)]
-                          .name},
-                     {"index", std::to_string(d)}});
-                runDevice(static_cast<std::size_t>(d));
-            }
-        } else {
-            EDGERT_SPAN("stream_replay",
-                        {{"devices", std::to_string(n_devices)},
-                         {"threads", std::to_string(threads)}});
-            for (auto &sim : sims)
-                sim->setDeferMetrics(true);
-            ThreadPool tp(threads);
-            tp.parallelFor(static_cast<std::size_t>(n_devices),
-                           runDevice);
-            for (auto &sim : sims) {
-                sim->commitMetrics();
-                sim->setDeferMetrics(false);
-            }
-        }
-    }
+    serve::ReplayOptions ro;
+    ro.span = "stream_replay";
+    ro.threads = cfg.sim_threads;
+    ro.trace_mode = cfg.trace_mode;
+    ro.trace_sample_every = cfg.trace_sample_every;
+    ro.pipelined = true;
+    serve::Replay replay =
+        serve::replayPlans(cfg.devices, pool.instances(), versions, ro);
 
     // Fold measured completions back into the frame table
     // (instance order, then plan order — deterministic), then run
     // the host postprocess chains per camera stream over the
     // completions in (done, seq) order.
-    for (const serve::Instance &inst : pool.instances()) {
-        const auto &sim =
-            *sims[static_cast<std::size_t>(inst.device)];
-        for (const auto &pd : inst.plan) {
-            double begin = sim.eventSeconds(pd.begin);
-            double upload = sim.eventSeconds(pd.upload_done);
-            double compute = sim.eventSeconds(pd.compute_done);
-            double end = sim.eventSeconds(pd.end);
+    for (const serve::Instance &inst : pool.instances())
+        for (const auto &pd : inst.plan)
             for (std::int64_t id : pd.request_ids) {
-                FrameRec &fr =
-                    frames[static_cast<std::size_t>(id)];
+                FrameRec &fr = frames[static_cast<std::size_t>(id)];
                 fr.outcome = FrameRec::kCompleted;
-                fr.begin_s = begin;
-                fr.upload_done_s = upload;
-                fr.compute_done_s = compute;
-                fr.done_s = end;
+                fr.begin_s = pd.begin_s;
+                fr.upload_done_s = pd.upload_done_s;
+                fr.compute_done_s = pd.compute_done_s;
+                fr.done_s = pd.end_s;
             }
-        }
-    }
     {
         // Index completed frames per (model, stream).
         std::vector<std::vector<std::vector<std::int64_t>>> done(
@@ -767,17 +549,10 @@ runStreams(const StreamConfig &cfg)
         s.instances = static_cast<int>(pool.instancesOf(m).size());
         s.freshness = fresh[mi].totalStats();
         s.conserved = fresh[mi].conserved();
-        std::int64_t dispatched = 0;
-        for (int idx : pool.instancesOf(m))
-            for (const auto &pd :
-                 pool.instances()[static_cast<std::size_t>(idx)]
-                     .plan) {
-                dispatched += pd.batch;
-                s.batches++;
-            }
+        s.batches = batches[mi];
         s.mean_batch =
             s.batches > 0
-                ? static_cast<double>(dispatched) /
+                ? static_cast<double>(dispatched[mi]) /
                       static_cast<double>(s.batches)
                 : 0.0;
         // Stage attribution over completed frames, reusing the
@@ -829,52 +604,11 @@ runStreams(const StreamConfig &cfg)
         report.models.push_back(std::move(s));
     }
 
-    for (int d = 0; d < n_devices; d++) {
-        auto di = static_cast<std::size_t>(d);
-        const auto &spec = cfg.devices[di];
-        StreamDeviceStats s;
-        s.device = spec.name;
-        for (const auto &inst : pool.instances())
-            if (inst.device == d)
-                s.instances++;
-        auto st = sims[di]->stats();
-        s.sm_util_pct = st.smUtilizationPct(spec.sm_count);
-        s.copy_busy_pct =
-            st.window_s > 0.0
-                ? 100.0 * st.copy_busy_s / st.window_s
-                : 0.0;
-        s.makespan_s = sims[di]->nowSeconds();
-        s.ram_used_bytes = pool.ramUsedBytes(d);
-        s.ram_budget_bytes = pool.ramBudgetBytes(d);
-
-        const obs::Labels labels = {{"device", spec.name},
-                                    {"index", std::to_string(d)}};
-        reg.gauge("stream.device.sm_util_pct", labels)
-            .set(s.sm_util_pct);
-        reg.gauge("stream.device.copy_busy_pct", labels)
-            .set(s.copy_busy_pct);
-        reg.gauge("stream.device.instances", labels)
-            .set(static_cast<double>(s.instances));
-        report.devices.push_back(std::move(s));
-    }
-
-    if (!cfg.trace_out.empty()) {
-        std::vector<profile::NamedTrace> device_traces;
-        for (int d = 0; d < n_devices; d++) {
-            const auto &sim = *sims[static_cast<std::size_t>(d)];
-            profile::NamedTrace nt;
-            nt.name =
-                cfg.devices[static_cast<std::size_t>(d)].name +
-                "[" + std::to_string(d) + "]";
-            nt.trace = &sim.trace();
-            if (sim.traceMode() == gpusim::TraceMode::kSampled)
-                nt.sample_every = sim.traceSampleEvery();
-            device_traces.push_back(std::move(nt));
-        }
-        profile::saveMergedChromeTrace(
-            cfg.trace_out, obs::Tracer::global().spans(),
-            device_traces, {}, "stream");
-    }
+    report.devices =
+        serve::deviceStats(cfg.devices, pool, replay, "stream");
+    if (!cfg.trace_out.empty())
+        serve::saveReplayTrace(cfg.trace_out, cfg.devices, replay, {},
+                               "stream");
 
     return report;
 }
@@ -920,18 +654,13 @@ StreamReport::toJson() const
         os << "      \"batches\": " << s.batches << ",\n";
         os << "      \"mean_batch\": " << jsonNumber(s.mean_batch)
            << ",\n";
-        os << "      \"age_ms\": {\n";
-        os << "        \"mean\": "
-           << jsonNumber(s.freshness.age_mean_ms) << ",\n";
-        os << "        \"p50\": "
-           << jsonNumber(s.freshness.age_p50_ms) << ",\n";
-        os << "        \"p95\": "
-           << jsonNumber(s.freshness.age_p95_ms) << ",\n";
-        os << "        \"p99\": "
-           << jsonNumber(s.freshness.age_p99_ms) << ",\n";
-        os << "        \"max\": "
-           << jsonNumber(s.freshness.age_max_ms) << "\n";
-        os << "      },\n";
+        serve::LatencySummary{s.freshness.age_mean_ms,
+                              s.freshness.age_p50_ms,
+                              s.freshness.age_p95_ms,
+                              s.freshness.age_p99_ms,
+                              s.freshness.age_max_ms}
+            .writeJson(os, "age_ms", 6);
+        os << ",\n";
         os << "      \"stage_mean_ms\": {\"decode\": "
            << jsonNumber(s.decode_mean_ms) << ", \"preprocess\": "
            << jsonNumber(s.preprocess_mean_ms) << ", \"queue\": "
@@ -964,27 +693,8 @@ StreamReport::toJson() const
            << "\n";
     }
     os << "  ],\n";
-    os << "  \"devices\": [\n";
-    for (std::size_t i = 0; i < devices.size(); i++) {
-        const StreamDeviceStats &s = devices[i];
-        os << "    {\n";
-        os << "      \"device\": \"" << jsonEscape(s.device)
-           << "\",\n";
-        os << "      \"instances\": " << s.instances << ",\n";
-        os << "      \"sm_util_pct\": "
-           << jsonNumber(s.sm_util_pct) << ",\n";
-        os << "      \"copy_busy_pct\": "
-           << jsonNumber(s.copy_busy_pct) << ",\n";
-        os << "      \"makespan_s\": " << jsonNumber(s.makespan_s)
-           << ",\n";
-        os << "      \"ram_used_bytes\": " << s.ram_used_bytes
-           << ",\n";
-        os << "      \"ram_budget_bytes\": " << s.ram_budget_bytes
-           << "\n";
-        os << "    }" << (i + 1 < devices.size() ? "," : "")
-           << "\n";
-    }
-    os << "  ],\n";
+    serve::writeDevicesJson(os, devices);
+    os << ",\n";
     os << "  \"freshness\": {\"pages\": " << freshness_pages
        << ", \"warns\": " << freshness_warns
        << ", \"clears\": " << freshness_clears
@@ -992,6 +702,47 @@ StreamReport::toJson() const
        << "}\n";
     os << "}\n";
     return os.str();
+}
+
+StreamModelConfig
+parseModelSpec(const std::string &spec,
+               const StreamModelConfig &defaults)
+{
+    StreamModelConfig mc = defaults;
+    mc.model = serve::splitModelSpec(
+        spec, mc.precision,
+        [&](const std::string &k, const std::string &v) {
+            if (serve::applyEngineKey(k, v, mc.batching,
+                                      mc.instances_per_device,
+                                      mc.calibration_seed))
+                return true;
+            if (k == "streams")
+                mc.streams = static_cast<int>(optionInt(k, v));
+            else if (k == "fps")
+                mc.fps = optionNumber(k, v);
+            else if (k == "policy")
+                mc.policy = parseBackpressurePolicy(v);
+            else if (k == "budget")
+                mc.frame_budget = static_cast<int>(optionInt(k, v));
+            else if (k == "stale_ms")
+                mc.stale_ms = optionNumber(k, v);
+            else if (k == "arrival")
+                mc.arrival = parseFrameArrival(v);
+            else if (k == "jitter_pct")
+                mc.arrival_jitter_pct = optionNumber(k, v);
+            else if (k == "decode_ms")
+                mc.stages.decode_ms = optionNumber(k, v);
+            else if (k == "preprocess_ms")
+                mc.stages.preprocess_ms = optionNumber(k, v);
+            else if (k == "postprocess_ms")
+                mc.stages.postprocess_ms = optionNumber(k, v);
+            else if (k == "stage_jitter_pct")
+                mc.stages.jitter_pct = optionNumber(k, v);
+            else
+                return false;
+            return true;
+        });
+    return mc;
 }
 
 } // namespace edgert::stream

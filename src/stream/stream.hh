@@ -39,6 +39,7 @@
 #include "gpusim/device.hh"
 #include "gpusim/sim.hh"
 #include "nn/executor.hh"
+#include "serve/core.hh"
 #include "serve/queue.hh"
 #include "stream/freshness.hh"
 #include "stream/pipeline.hh"
@@ -84,10 +85,10 @@ struct StreamConfig
     double ram_fraction = 0.5;
 
     std::uint64_t build_id = 1;
-    int build_jobs = 1;
 
-    /** Replay worker threads; reports are byte-identical for any
-     *  value (same defer/commit contract as serve). */
+    /** Replay worker threads; reports and metric snapshots are
+     *  byte-identical for any value (each device's simulator records
+     *  into a private registry merged in device order, as in serve). */
     int sim_threads = 1;
 
     gpusim::TraceMode trace_mode = gpusim::TraceMode::kFull;
@@ -146,25 +147,13 @@ struct StreamModelStats
     std::vector<StreamLaneStats> lanes; //!< stream-index order
 };
 
-/** Per-device replay outcome. */
-struct StreamDeviceStats
-{
-    std::string device;
-    int instances = 0;
-    double sm_util_pct = 0.0;
-    double copy_busy_pct = 0.0;
-    double makespan_s = 0.0;
-    std::int64_t ram_used_bytes = 0;
-    std::int64_t ram_budget_bytes = 0;
-};
-
 /** Full report of one EdgeStream run. */
 struct StreamReport
 {
     std::uint64_t seed = 0;
     double duration_s = 0.0;
     std::vector<StreamModelStats> models;
-    std::vector<StreamDeviceStats> devices;
+    std::vector<serve::DeviceStats> devices;
 
     // Freshness-alert rollup over every (model, stream) key.
     std::int64_t freshness_pages = 0;
@@ -178,6 +167,16 @@ struct StreamReport
 
 /** Run the streaming pipeline; deterministic for a fixed config. */
 StreamReport runStreams(const StreamConfig &cfg);
+
+/**
+ * edgertstream's --model spec: the shared engine keys (see
+ * serve/cli.hh) plus streams, fps, policy, budget, stale_ms,
+ * arrival=fixed|jitter, jitter_pct, decode_ms, preprocess_ms,
+ * postprocess_ms and stage_jitter_pct. Options override `defaults`
+ * (the tool's --streams / --fps / --policy globals).
+ */
+StreamModelConfig parseModelSpec(const std::string &spec,
+                                 const StreamModelConfig &defaults);
 
 } // namespace edgert::stream
 

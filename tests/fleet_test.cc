@@ -16,6 +16,10 @@
 #include "fleet/fleet.hh"
 #include "fleet/placement.hh"
 #include "fleet/spec.hh"
+#include "obs/clock.hh"
+#include "obs/metrics.hh"
+#include "serve/core.hh"
+#include "serve/server.hh"
 
 namespace {
 
@@ -46,13 +50,62 @@ TEST(Fleet, SameSeedByteIdenticalSerialAndParallel)
     fs.rejoin_s = 0.7;
     cfg.failures.push_back(fs);
 
-    std::string serial = fleet::runFleet(cfg).toJson();
-    std::string rerun = fleet::runFleet(cfg).toJson();
-    EXPECT_EQ(serial, rerun);
+    // Report and registry snapshot of one run from a fresh registry;
+    // the FakeClock pins the wall-clock builder histograms.
+    auto run = [&cfg](int threads) {
+        obs::MetricRegistry::global().reset();
+        obs::FakeClock fake(1'000'000, 500);
+        obs::ScopedClock scoped(&fake);
+        cfg.sim_threads = threads;
+        std::string report = fleet::runFleet(cfg).toJson();
+        return std::make_pair(report,
+                              obs::MetricRegistry::global().toJson());
+    };
+    auto serial = run(1);
+    EXPECT_EQ(serial, run(1));
+    auto parallel = run(4);
+    EXPECT_EQ(serial.first, parallel.first);
+    EXPECT_EQ(serial.second, parallel.second);
+}
 
-    cfg.sim_threads = 4;
-    std::string parallel = fleet::runFleet(cfg).toJson();
-    EXPECT_EQ(serial, parallel);
+// Fleet nodes budget context RAM exactly as serve's InstancePool
+// does (a GiB share of the node's RAM). At a ram_fraction where one
+// alexnet ladder fits under the GiB rule but not under a 1e9-byte
+// rule, every node and the single-device server place one instance.
+TEST(Fleet, RamBudgetMatchesServe)
+{
+    const gpusim::DeviceSpec nx = gpusim::DeviceSpec::xavierNX();
+    serve::LadderSpec ladder;
+    ladder.model = "alexnet";
+    const std::int64_t fp =
+        serve::buildLadder(nx, ladder, nullptr).maxFootprintBytes();
+    const double ram_fraction =
+        0.99 * static_cast<double>(fp) / (nx.ram_gb * 1e9);
+    ASSERT_LT(ram_fraction * nx.ram_gb * 1e9, static_cast<double>(fp));
+
+    fleet::FleetConfig cfg;
+    cfg.groups.push_back(fleet::parseNodeGroup("nx:2"));
+    fleet::FleetModelConfig mc;
+    mc.model = "alexnet";
+    mc.arrivals.qps = 100.0;
+    cfg.models.push_back(mc);
+    cfg.duration_s = 0.2;
+    cfg.ram_fraction = ram_fraction;
+    fleet::FleetReport rep = fleet::runFleet(cfg);
+    ASSERT_EQ(rep.models.size(), 1u);
+    EXPECT_EQ(rep.models[0].serving_nodes, 2);
+    EXPECT_EQ(rep.shed, 0);
+
+    serve::ServeConfig scfg;
+    serve::ModelConfig smc;
+    smc.model = "alexnet";
+    smc.arrivals.qps = 100.0;
+    scfg.models.push_back(smc);
+    scfg.devices.push_back(nx);
+    scfg.duration_s = 0.2;
+    scfg.ram_fraction = ram_fraction;
+    serve::ServeReport srep = serve::runServer(scfg);
+    EXPECT_EQ(srep.models[0].instances, 1);
 }
 
 TEST(Fleet, DifferentSeedDifferentWorkload)

@@ -235,7 +235,7 @@ struct ServeArtifacts
 };
 
 ServeArtifacts
-runFleet(int sim_threads, const std::string &trace_path)
+runServe(int sim_threads, const std::string &trace_path)
 {
     obs::MetricRegistry::global().reset();
     obs::FakeClock fake(1'000'000, 500);
@@ -274,9 +274,9 @@ runFleet(int sim_threads, const std::string &trace_path)
 
 TEST(ParallelReplay, ByteIdenticalToSerial)
 {
-    ServeArtifacts serial = runFleet(1, "eventqueue_serial.json");
+    ServeArtifacts serial = runServe(1, "eventqueue_serial.json");
     ServeArtifacts parallel =
-        runFleet(4, "eventqueue_parallel.json");
+        runServe(4, "eventqueue_parallel.json");
     EXPECT_EQ(serial.report, parallel.report);
     EXPECT_EQ(serial.metrics, parallel.metrics);
     ASSERT_FALSE(serial.trace.empty());

@@ -1,0 +1,179 @@
+/**
+ * @file
+ * The shared serving core and CLI pieces: the --model spec grammar of
+ * the three serving tools (shared keys everywhere, another tool's keys
+ * rejected, malformed numbers named) and the calibrated ladder build.
+ */
+
+#include <gtest/gtest.h>
+
+#include <string>
+
+#include "common/logging.hh"
+#include "fleet/fleet.hh"
+#include "serve/cli.hh"
+#include "serve/core.hh"
+#include "serve/predictor.hh"
+#include "serve/server.hh"
+#include "stream/stream.hh"
+
+namespace edgert {
+namespace {
+
+/** The engine keys every tool shares, as one tool parsed them. */
+struct EngineFields
+{
+    nn::Precision precision;
+    serve::BatchPolicy batching;
+    int instances;
+    std::uint64_t calibration_seed;
+};
+
+EngineFields
+engineFields(const std::string &tool, const std::string &spec)
+{
+    if (tool == "serve") {
+        serve::ModelConfig mc = serve::parseModelSpec(spec);
+        return {mc.precision, mc.batching, mc.instances_per_device,
+                mc.calibration_seed};
+    }
+    if (tool == "fleet") {
+        fleet::FleetModelConfig mc = fleet::parseModelSpec(spec);
+        return {mc.precision, mc.batching, mc.instances_per_node,
+                mc.calibration_seed};
+    }
+    stream::StreamModelConfig mc = stream::parseModelSpec(spec, {});
+    return {mc.precision, mc.batching, mc.instances_per_device,
+            mc.calibration_seed};
+}
+
+/** Parse `spec` with `tool`'s parser, discarding the result. */
+void
+parseWith(const std::string &tool, const std::string &spec)
+{
+    if (tool == "serve")
+        serve::parseModelSpec(spec);
+    else if (tool == "fleet")
+        fleet::parseModelSpec(spec);
+    else
+        stream::parseModelSpec(spec, {});
+}
+
+/** The fatal() message `tool` gives for `spec` ("" = accepted). */
+std::string
+fatalMessage(const std::string &tool, const std::string &spec)
+{
+    try {
+        parseWith(tool, spec);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+class ModelSpecTable : public ::testing::TestWithParam<const char *>
+{
+  protected:
+    void SetUp() override { setLogLevel(LogLevel::kError); }
+    void TearDown() override { setLogLevel(LogLevel::kInfo); }
+};
+
+TEST_P(ModelSpecTable, EngineKeysAndPrecisionSuffix)
+{
+    EngineFields f = engineFields(
+        GetParam(), "resnet-18@int8:max_batch=4:timeout_us=500"
+                    ":instances=2:calib_seed=3");
+    EXPECT_EQ(f.precision, nn::Precision::kInt8);
+    EXPECT_EQ(f.batching.max_batch, 4);
+    EXPECT_DOUBLE_EQ(f.batching.timeout_us, 500.0);
+    EXPECT_EQ(f.instances, 2);
+    EXPECT_EQ(f.calibration_seed, 3u);
+
+    EngineFields plain = engineFields(GetParam(), "alexnet");
+    EXPECT_EQ(plain.precision, nn::Precision::kFp16);
+}
+
+TEST_P(ModelSpecTable, MalformedSpecsAreFatal)
+{
+    const std::string tool = GetParam();
+    for (const char *spec : {"", "@int8", "alexnet:max_batch",
+                             "alexnet:warp=9", "alexnet@fp64"})
+        EXPECT_NE(fatalMessage(tool, spec), "") << tool << " " << spec;
+    std::string msg = fatalMessage(tool, "alexnet:max_batch=lots");
+    EXPECT_NE(msg.find("max_batch"), std::string::npos) << msg;
+    msg = fatalMessage(tool, "alexnet:timeout_us=1ms");
+    EXPECT_NE(msg.find("timeout_us"), std::string::npos) << msg;
+}
+
+INSTANTIATE_TEST_SUITE_P(Tools, ModelSpecTable,
+                         ::testing::Values("serve", "fleet", "stream"));
+
+TEST(ModelSpec, TrafficKeysOnServeAndFleet)
+{
+    const std::string spec = "alexnet:qps=250:slo_ms=12:arrival=bursty"
+                             ":burst_factor=3:period_s=2:duty=0.25";
+    serve::ModelConfig s = serve::parseModelSpec(spec);
+    fleet::FleetModelConfig f = fleet::parseModelSpec(spec);
+    for (const serve::ArrivalConfig *a : {&s.arrivals, &f.arrivals}) {
+        EXPECT_DOUBLE_EQ(a->qps, 250.0);
+        EXPECT_EQ(a->kind, serve::ArrivalKind::kBursty);
+        EXPECT_DOUBLE_EQ(a->burst_factor, 3.0);
+        EXPECT_DOUBLE_EQ(a->period_s, 2.0);
+        EXPECT_DOUBLE_EQ(a->duty, 0.25);
+    }
+    EXPECT_DOUBLE_EQ(s.slo_ms, 12.0);
+    EXPECT_DOUBLE_EQ(f.slo_ms, 12.0);
+    std::string msg = fatalMessage("fleet", "alexnet:qps=fast");
+    EXPECT_NE(msg.find("qps"), std::string::npos) << msg;
+}
+
+TEST(ModelSpec, ToolKeysStayWithTheirTool)
+{
+    setLogLevel(LogLevel::kError);
+    EXPECT_DOUBLE_EQ(fleet::parseModelSpec("alexnet:nodes_pct=40")
+                         .nodes_pct,
+                     40.0);
+    stream::StreamModelConfig defaults;
+    defaults.fps = 15.0;
+    stream::StreamModelConfig sm = stream::parseModelSpec(
+        "tiny-yolov3:fps=20:streams=6:policy=block", defaults);
+    EXPECT_DOUBLE_EQ(sm.fps, 20.0);
+    EXPECT_EQ(sm.streams, 6);
+    EXPECT_EQ(sm.policy, stream::BackpressurePolicy::kBlock);
+    EXPECT_DOUBLE_EQ(
+        stream::parseModelSpec("tiny-yolov3", defaults).fps, 15.0);
+
+    EXPECT_NE(fatalMessage("serve", "alexnet:nodes_pct=40"), "");
+    EXPECT_NE(fatalMessage("serve", "alexnet:fps=30"), "");
+    EXPECT_NE(fatalMessage("fleet", "alexnet:fps=30"), "");
+    EXPECT_NE(fatalMessage("stream", "alexnet:nodes_pct=40"), "");
+    // Frames arrive from cameras, not from a request process.
+    EXPECT_NE(fatalMessage("stream", "alexnet:qps=100"), "");
+    EXPECT_NE(fatalMessage("stream", "alexnet:slo_ms=10"), "");
+    setLogLevel(LogLevel::kInfo);
+}
+
+// Every engine of a ladder is calibrated on its own: svc[i] is what a
+// fresh LatencyPredictor calibrated on engine i alone predicts.
+TEST(BuildLadder, PerEngineCalibration)
+{
+    const gpusim::DeviceSpec nx = gpusim::DeviceSpec::xavierNX();
+    serve::LadderSpec spec;
+    spec.model = "alexnet";
+    spec.max_batch = 4;
+    serve::EngineSet set = serve::buildLadder(nx, spec, nullptr);
+    ASSERT_EQ(set.batches, (std::vector<int>{1, 2, 4}));
+    ASSERT_EQ(set.engines.size(), 3u);
+    ASSERT_EQ(set.service_s.size(), 3u);
+    for (std::size_t i = 0; i < set.engines.size(); i++) {
+        serve::LatencyPredictor fresh(nx);
+        fresh.calibrate(set.engines[i]);
+        EXPECT_EQ(set.service_s[i],
+                  fresh.predictServiceSeconds(set.engines[i]))
+            << "engine " << i;
+    }
+    EXPECT_LT(set.service_s[0], set.service_s[2]);
+}
+
+} // namespace
+} // namespace edgert

@@ -15,6 +15,8 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "obs/clock.hh"
+#include "obs/metrics.hh"
 #include "serve/server.hh"
 #include "stream/freshness.hh"
 #include "stream/pipeline.hh"
@@ -293,9 +295,21 @@ TEST(RunStreams, SerialAndThreadedReplayAreByteIdentical)
     mc.fps = 30.0;
     cfg.models.push_back(mc);
 
-    std::string serial = runStreams(cfg).toJson();
-    cfg.sim_threads = 4;
-    EXPECT_EQ(serial, runStreams(cfg).toJson());
+    // Report and registry snapshot of one run from a fresh registry;
+    // the FakeClock pins the wall-clock builder histograms.
+    auto run = [&cfg](int threads) {
+        obs::MetricRegistry::global().reset();
+        obs::FakeClock fake(1'000'000, 500);
+        obs::ScopedClock scoped(&fake);
+        cfg.sim_threads = threads;
+        std::string report = runStreams(cfg).toJson();
+        return std::make_pair(report,
+                              obs::MetricRegistry::global().toJson());
+    };
+    auto serial = run(1);
+    auto threaded = run(4);
+    EXPECT_EQ(serial.first, threaded.first);
+    EXPECT_EQ(serial.second, threaded.second);
 }
 
 TEST(RunStreams, DuplicateModelNamesAreFatal)

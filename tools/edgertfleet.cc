@@ -16,7 +16,6 @@
  *               --sim-threads=8 --report-out=fleet.json
  */
 
-#include <cstdarg>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -26,105 +25,11 @@
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "fleet/fleet.hh"
-#include "nn/model_zoo.hh"
-#include "obs/metrics.hh"
+#include "serve/cli.hh"
 
 using namespace edgert;
 
 namespace {
-
-/** Progress chatter ("[edgertfleet] ..."); silenced by --quiet. */
-void
-say(const char *fmt, ...)
-{
-    if (logLevel() > LogLevel::kInfo)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::vprintf(fmt, ap);
-    va_end(ap);
-}
-
-double
-optNumber(const std::string &k, const std::string &v)
-{
-    auto r = parseDouble(v);
-    if (!r.ok())
-        fatal("bad option '", k, "=", v,
-              "': ", r.status().message());
-    return *r;
-}
-
-int
-optInt(const std::string &k, const std::string &v)
-{
-    auto r = parseInt64(v);
-    if (!r.ok())
-        fatal("bad option '", k, "=", v,
-              "': ", r.status().message());
-    return static_cast<int>(*r);
-}
-
-/**
- * Parse one --model spec:
- *   <zoo-name>[@fp16|@int8|@mixed][:qps=..][:slo_ms=..]
- *            [:arrival=poisson|bursty|replay]
- *            [:max_batch=..][:timeout_us=..][:instances=..]
- *            [:nodes_pct=..][:burst_factor=..][:period_s=..]
- *            [:duty=..][:calib_seed=..]
- * qps is the *aggregate* fleet-wide offered rate.
- */
-fleet::FleetModelConfig
-parseModelSpec(const std::string &spec)
-{
-    auto parts = split(spec, ':');
-    if (parts.empty() || parts[0].empty())
-        fatal("empty --model spec");
-    fleet::FleetModelConfig mc;
-    mc.model = parts[0];
-    auto at = mc.model.find('@');
-    if (at != std::string::npos) {
-        mc.precision =
-            nn::parsePrecisionName(mc.model.substr(at + 1));
-        mc.model.resize(at);
-        if (mc.model.empty())
-            fatal("empty model name in --model spec '", spec, "'");
-    }
-    for (std::size_t i = 1; i < parts.size(); i++) {
-        auto eq = parts[i].find('=');
-        if (eq == std::string::npos)
-            fatal("bad --model option '", parts[i],
-                  "' (expected key=value)");
-        std::string k = parts[i].substr(0, eq);
-        std::string v = parts[i].substr(eq + 1);
-        if (k == "qps")
-            mc.arrivals.qps = optNumber(k, v);
-        else if (k == "slo_ms")
-            mc.slo_ms = optNumber(k, v);
-        else if (k == "arrival")
-            mc.arrivals.kind = serve::parseArrivalKind(v);
-        else if (k == "max_batch")
-            mc.batching.max_batch = optInt(k, v);
-        else if (k == "timeout_us")
-            mc.batching.timeout_us = optNumber(k, v);
-        else if (k == "instances")
-            mc.instances_per_node = optInt(k, v);
-        else if (k == "nodes_pct")
-            mc.nodes_pct = optNumber(k, v);
-        else if (k == "burst_factor")
-            mc.arrivals.burst_factor = optNumber(k, v);
-        else if (k == "period_s")
-            mc.arrivals.period_s = optNumber(k, v);
-        else if (k == "duty")
-            mc.arrivals.duty = optNumber(k, v);
-        else if (k == "calib_seed")
-            mc.calibration_seed =
-                static_cast<std::uint64_t>(optInt(k, v));
-        else
-            fatal("unknown --model option '", k, "'");
-    }
-    return mc;
-}
 
 /** Parse a --fail spec: <node>:<t_s>[:rejoin=<t_s>]. */
 fleet::FailureSpec
@@ -135,15 +40,15 @@ parseFailure(const std::string &spec)
         fatal("bad --fail spec '", spec,
               "' (expected node:t[:rejoin=t])");
     fleet::FailureSpec f;
-    f.node = optInt("fail node", parts[0]);
-    f.fail_s = optNumber("fail time", parts[1]);
+    f.node = static_cast<int>(optionInt("fail node", parts[0]));
+    f.fail_s = optionNumber("fail time", parts[1]);
     for (std::size_t i = 2; i < parts.size(); i++) {
         auto eq = parts[i].find('=');
         if (eq == std::string::npos ||
             parts[i].substr(0, eq) != "rejoin")
             fatal("bad --fail option '", parts[i],
                   "' (expected rejoin=t)");
-        f.rejoin_s = optNumber("rejoin", parts[i].substr(eq + 1));
+        f.rejoin_s = optionNumber("rejoin", parts[i].substr(eq + 1));
     }
     return f;
 }
@@ -169,9 +74,9 @@ parseRollout(const std::string &spec)
         std::string v = parts[i].substr(eq + 1);
         if (k == "build")
             ro.candidate_build_id = static_cast<std::uint64_t>(
-                optInt(k, v));
+                static_cast<int>(optionInt(k, v)));
         else if (k == "gate_pct")
-            ro.gate.max_disagreement_pct = optNumber(k, v);
+            ro.gate.max_disagreement_pct = optionNumber(k, v);
         else if (k == "stages") {
             for (const auto &st : split(v, ',')) {
                 auto at = st.find('@');
@@ -179,8 +84,8 @@ parseRollout(const std::string &spec)
                     fatal("bad --rollout stage '", st,
                           "' (expected pct@t)");
                 fleet::RolloutStage s;
-                s.pct = optNumber("stage pct", st.substr(0, at));
-                s.t_s = optNumber("stage time", st.substr(at + 1));
+                s.pct = optionNumber("stage pct", st.substr(0, at));
+                s.t_s = optionNumber("stage time", st.substr(at + 1));
                 ro.stages.push_back(s);
             }
         } else
@@ -194,10 +99,7 @@ parseRollout(const std::string &spec)
 struct Args
 {
     fleet::FleetConfig cfg;
-    std::string report_out;
-    std::string metrics_out;
-    std::string metrics_format = "json"; //!< json | prom
-    bool quiet = false;
+    serve::OutputFlags out;
 };
 
 void
@@ -214,13 +116,10 @@ usage()
         "  --model <spec>        serve a model fleet-wide; "
         "repeatable.\n"
         "                        name[@fp16|@int8|@mixed]"
-        "[:qps=N]\n"
-        "                        [:slo_ms=N][:nodes_pct=N]\n"
-        "                        [:arrival=poisson|bursty|replay]\n"
-        "                        [:max_batch=N][:timeout_us=N]\n"
-        "                        [:instances=N][:calib_seed=N] — "
-        "qps is\n"
-        "                        the aggregate fleet-wide rate\n"
+        "[:nodes_pct=N]\n"
+        "%s%s"
+        "                        — qps is the aggregate fleet-wide\n"
+        "                        rate, instances are per node\n"
         "  --route <p>           routing policy: hash (default) | "
         "sojourn\n"
         "  --placement <p>       engine placement: calibrated "
@@ -245,18 +144,9 @@ usage()
         "  --rollout <spec>      staged rollout; repeatable.\n"
         "                        model[:build=id][:gate_pct=x]"
         ":stages=pct@t[,...]\n"
-        "  --sim-threads <n>     replay worker threads (default 1;\n"
-        "                        reports are byte-identical for "
-        "any n)\n"
-        "  --report-out <f>      write the fleet report JSON\n"
-        "  --metrics-out <f>     write the metric-registry "
-        "snapshot\n"
-        "  --metrics-format <f>  snapshot format: json (default) "
-        "or\n"
-        "                        prom (Prometheus text exposition)\n"
-        "  --quiet               warnings and errors only\n"
-        "  --list                list zoo models\n"
-        "Options also accept --opt=value syntax.\n");
+        "%s",
+        serve::kTrafficKeysHelp, serve::kEngineKeysHelp,
+        serve::kOutputFlagsHelp);
 }
 
 std::optional<Args>
@@ -269,7 +159,8 @@ parse(int argc, char **argv)
             a.cfg.groups.push_back(
                 fleet::parseNodeGroup(flags.value()));
         else if (flags.is("--model"))
-            a.cfg.models.push_back(parseModelSpec(flags.value()));
+            a.cfg.models.push_back(
+                fleet::parseModelSpec(flags.value()));
         else if (flags.is("--route"))
             a.cfg.route_policy =
                 fleet::parseRoutePolicy(flags.value());
@@ -281,49 +172,19 @@ parse(int argc, char **argv)
         else if (flags.is("--choices"))
             a.cfg.sojourn_choices =
                 static_cast<int>(flags.unsignedValue());
-        else if (flags.is("--duration-s"))
-            a.cfg.duration_s = flags.numberValue();
-        else if (flags.is("--seed"))
-            a.cfg.seed = flags.unsignedValue();
         else if (flags.is("--no-admission"))
             a.cfg.admission_control = false;
         else if (flags.is("--no-quarantine"))
             a.cfg.quarantine_on_page = false;
-        else if (flags.is("--ram-fraction"))
-            a.cfg.ram_fraction = flags.numberValue();
         else if (flags.is("--fail"))
             a.cfg.failures.push_back(parseFailure(flags.value()));
         else if (flags.is("--rollout"))
             a.cfg.rollouts.push_back(parseRollout(flags.value()));
-        else if (flags.is("--sim-threads")) {
-            auto n = flags.unsignedValue();
-            if (n < 1)
-                fatal("invalid value '", n,
-                      "' for --sim-threads: must be at least 1");
-            a.cfg.sim_threads = static_cast<int>(n);
-        } else if (flags.is("--report-out"))
-            a.report_out = flags.value();
-        else if (flags.is("--metrics-out"))
-            a.metrics_out = flags.value();
-        else if (flags.is("--metrics-format")) {
-            a.metrics_format = flags.value();
-            if (a.metrics_format != "json" &&
-                a.metrics_format != "prom")
-                fatal("invalid value '", a.metrics_format,
-                      "' for --metrics-format: expected json|prom");
-        } else if (flags.is("--quiet"))
-            a.quiet = true;
-        else if (flags.is("--list")) {
-            for (const auto &m : nn::zooModelNames())
-                std::printf("%s\n", m.c_str());
-            return std::nullopt;
-        } else if (flags.is("--help") || flags.is("-h")) {
-            usage();
-            return std::nullopt;
-        } else {
-            std::fprintf(stderr, "unknown option: %s\n",
-                         flags.arg().c_str());
-            usage();
+        else if (serve::parseRunFlag(flags, a.cfg) ||
+                 a.out.parse(flags))
+            continue;
+        else {
+            serve::endFlags(flags, usage);
             return std::nullopt;
         }
     }
@@ -337,8 +198,6 @@ run(int argc, char **argv)
     if (!parsed)
         return 0;
     Args args = *parsed;
-    if (args.quiet)
-        setLogLevel(LogLevel::kWarn);
     if (args.cfg.groups.empty()) {
         usage();
         fatal("at least one --nodes pool is required");
@@ -419,25 +278,7 @@ run(int argc, char **argv)
         static_cast<long long>(report.shed),
         static_cast<long long>(report.unaccounted), report.p99_ms);
 
-    if (!args.report_out.empty()) {
-        std::FILE *f = std::fopen(args.report_out.c_str(), "w");
-        if (!f)
-            fatal("cannot write '", args.report_out, "'");
-        std::string json = report.toJson();
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        say("[edgertfleet] report written to %s\n",
-            args.report_out.c_str());
-    }
-    if (!args.metrics_out.empty()) {
-        if (args.metrics_format == "prom")
-            obs::MetricRegistry::global().savePromText(
-                args.metrics_out);
-        else
-            obs::MetricRegistry::global().save(args.metrics_out);
-        say("[edgertfleet] metrics written to %s (%s)\n",
-            args.metrics_out.c_str(), args.metrics_format.c_str());
-    }
+    args.out.write("edgertfleet", report.toJson());
     return 0;
 }
 
@@ -446,11 +287,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // fatal() has already printed the diagnostic through the log
-    // sink; a bad flag or config must exit non-zero, not abort.
-    try {
-        return run(argc, argv);
-    } catch (const FatalError &) {
-        return 1;
-    }
+    return runCli(run, argc, argv);
 }

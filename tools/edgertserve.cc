@@ -14,7 +14,6 @@
  *               --no-admission --dump-trace=serve_trace.json
  */
 
-#include <cstdarg>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -24,106 +23,12 @@
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "deploy/hotswap.hh"
-#include "nn/model_zoo.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
+#include "serve/cli.hh"
 #include "serve/server.hh"
 
 using namespace edgert;
 
 namespace {
-
-/** Progress chatter ("[edgertserve] ..."); silenced by --quiet. */
-void
-say(const char *fmt, ...)
-{
-    if (logLevel() > LogLevel::kInfo)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::vprintf(fmt, ap);
-    va_end(ap);
-}
-
-/** Parse a numeric --model option value or fatal() with the
- *  offending key=value pair (never an uncaught std::sto* throw). */
-double
-modelNumber(const std::string &k, const std::string &v)
-{
-    auto r = parseDouble(v);
-    if (!r.ok())
-        fatal("bad --model option '", k, "=", v,
-              "': ", r.status().message());
-    return *r;
-}
-
-int
-modelInt(const std::string &k, const std::string &v)
-{
-    auto r = parseInt64(v);
-    if (!r.ok())
-        fatal("bad --model option '", k, "=", v,
-              "': ", r.status().message());
-    return static_cast<int>(*r);
-}
-
-/**
- * Parse one --model spec:
- *   <zoo-name>[@fp16|@int8|@mixed]
- *            [:qps=..][:slo_ms=..][:arrival=poisson|bursty|replay]
- *            [:max_batch=..][:timeout_us=..][:instances=..]
- *            [:burst_factor=..][:period_s=..][:duty=..]
- *            [:calib_seed=..]
- */
-serve::ModelConfig
-parseModelSpec(const std::string &spec)
-{
-    auto parts = split(spec, ':');
-    if (parts.empty() || parts[0].empty())
-        fatal("empty --model spec");
-    serve::ModelConfig mc;
-    mc.model = parts[0];
-    auto at = mc.model.find('@');
-    if (at != std::string::npos) {
-        mc.precision =
-            nn::parsePrecisionName(mc.model.substr(at + 1));
-        mc.model.resize(at);
-        if (mc.model.empty())
-            fatal("empty model name in --model spec '", spec, "'");
-    }
-    for (std::size_t i = 1; i < parts.size(); i++) {
-        auto eq = parts[i].find('=');
-        if (eq == std::string::npos)
-            fatal("bad --model option '", parts[i],
-                  "' (expected key=value)");
-        std::string k = parts[i].substr(0, eq);
-        std::string v = parts[i].substr(eq + 1);
-        if (k == "qps")
-            mc.arrivals.qps = modelNumber(k, v);
-        else if (k == "slo_ms")
-            mc.slo_ms = modelNumber(k, v);
-        else if (k == "arrival")
-            mc.arrivals.kind = serve::parseArrivalKind(v);
-        else if (k == "max_batch")
-            mc.batching.max_batch = modelInt(k, v);
-        else if (k == "timeout_us")
-            mc.batching.timeout_us = modelNumber(k, v);
-        else if (k == "instances")
-            mc.instances_per_device = modelInt(k, v);
-        else if (k == "burst_factor")
-            mc.arrivals.burst_factor = modelNumber(k, v);
-        else if (k == "period_s")
-            mc.arrivals.period_s = modelNumber(k, v);
-        else if (k == "duty")
-            mc.arrivals.duty = modelNumber(k, v);
-        else if (k == "calib_seed")
-            mc.calibration_seed =
-                static_cast<std::uint64_t>(modelInt(k, v));
-        else
-            fatal("unknown --model option '", k, "'");
-    }
-    return mc;
-}
 
 /** Parse a <model>[:count] fault spec (default count 1). */
 void
@@ -150,10 +55,7 @@ parseFailSpec(const char *flag, const std::string &spec,
 struct Args
 {
     serve::ServeConfig cfg;
-    std::string metrics_out;
-    std::string metrics_format = "json"; //!< json | prom
-    std::string report_out;
-    bool quiet = false;
+    serve::OutputFlags out;
 
     // Engine-lifecycle (EdgeDeploy) options.
     std::string repo;             //!< repository root ("" = off)
@@ -174,12 +76,7 @@ usage()
         "usage: edgertserve [options]\n"
         "  --model <spec>        serve a model; repeatable. Spec:\n"
         "                        name[@fp16|@int8|@mixed]\n"
-        "                        [:qps=N][:slo_ms=N]\n"
-        "                        [:arrival=poisson|bursty|replay]\n"
-        "                        [:max_batch=N][:timeout_us=N]\n"
-        "                        [:instances=N][:burst_factor=N]\n"
-        "                        [:period_s=N][:duty=N]"
-        "[:calib_seed=N]\n"
+        "%s%s"
         "  --devices nx,agx      simulated fleet (default nx)\n"
         "  --duration-s <n>      simulated serving window "
         "(default 10)\n"
@@ -217,22 +114,8 @@ usage()
         "  --drift-gate-pct <x>  max tolerated canary top-1\n"
         "                        disagreement, percent "
         "(default 0.4)\n"
-        "  --sim-threads <n>     replay worker threads (default 1;\n"
-        "                        reports are byte-identical for "
-        "any n)\n"
         "  --sim-metrics         publish sim.* / serve.pool.* "
         "gauges\n"
-        "  --trace-mode <m>      kernel trace: full|sampled|off\n"
-        "                        (default sampled)\n"
-        "  --trace-sample <n>    keep 1 in n trace records when\n"
-        "                        sampled (default 16)\n"
-        "  --report-out <f>      write the serve report JSON\n"
-        "  --metrics-out <f>     write the metric-registry "
-        "snapshot\n"
-        "  --metrics-format <f>  snapshot format: json (default) "
-        "or\n"
-        "                        prom (Prometheus text "
-        "exposition)\n"
         "  --watch-out <f>       enable EdgeWatch; write the watch\n"
         "                        report here (incidents land next "
         "to\n"
@@ -243,13 +126,9 @@ usage()
         "  --flight-recorder-depth <n>\n"
         "                        flight-recorder ring size "
         "(default 256)\n"
-        "  --dump-trace <f>      write a merged chrome://tracing\n"
-        "                        timeline (host spans + one "
-        "process\n"
-        "                        per device)\n"
-        "  --quiet               warnings and errors only\n"
-        "  --list                list zoo models\n"
-        "Options also accept --opt=value syntax.\n");
+        "%s%s",
+        serve::kTrafficKeysHelp, serve::kEngineKeysHelp,
+        serve::kTraceFlagsHelp, serve::kOutputFlagsHelp);
 }
 
 std::optional<Args>
@@ -260,36 +139,27 @@ parse(int argc, char **argv)
     // fixture: default to the thinned trace (the library default
     // stays full so canonical reports keep their bytes).
     a.cfg.trace_mode = gpusim::TraceMode::kSampled;
-    std::string devices = "nx";
+    a.cfg.devices = serve::parseDevices("nx");
     FlagParser flags(argc, argv);
     while (flags.next()) {
         if (flags.is("--model"))
-            a.cfg.models.push_back(parseModelSpec(flags.value()));
+            a.cfg.models.push_back(
+                serve::parseModelSpec(flags.value()));
         else if (flags.is("--devices"))
-            devices = flags.value();
-        else if (flags.is("--duration-s"))
-            a.cfg.duration_s = flags.numberValue();
-        else if (flags.is("--seed"))
-            a.cfg.seed = flags.unsignedValue();
+            a.cfg.devices = serve::parseDevices(flags.value());
         else if (flags.is("--no-admission"))
             a.cfg.admission_control = false;
         else if (flags.is("--no-batching"))
             a.cfg.dynamic_batching = false;
-        else if (flags.is("--ram-fraction"))
-            a.cfg.ram_fraction = flags.numberValue();
         else if (flags.is("--fail-load"))
             parseFailSpec("--fail-load", flags.value(),
                           a.cfg.faults.engine_load_failures);
         else if (flags.is("--fail-swap-load"))
             parseFailSpec("--fail-swap-load", flags.value(),
                           a.cfg.faults.swap_load_failures);
-        else if (flags.is("--load-attempts")) {
-            auto n = flags.unsignedValue();
-            if (n < 1)
-                fatal("invalid value '", n,
-                      "' for --load-attempts: must be at least 1");
-            a.cfg.faults.max_load_attempts = static_cast<int>(n);
-        } else if (flags.is("--repo"))
+        else if (flags.is("--load-attempts"))
+            a.cfg.faults.max_load_attempts = flags.positiveValue();
+        else if (flags.is("--repo"))
             a.repo = flags.value();
         else if (flags.is("--rebuild-at"))
             a.rebuild_at_s = flags.numberValue();
@@ -301,42 +171,13 @@ parse(int argc, char **argv)
             a.rebuild_calib_seed = flags.unsignedValue();
         else if (flags.is("--drift-gate-pct"))
             a.drift_gate_pct = flags.numberValue();
-        else if (flags.is("--sim-threads")) {
-            auto n = flags.unsignedValue();
-            if (n < 1)
-                fatal("invalid value '", n,
-                      "' for --sim-threads: must be at least 1");
-            a.cfg.sim_threads = static_cast<int>(n);
-        } else if (flags.is("--sim-metrics"))
+        else if (flags.is("--sim-metrics"))
             a.cfg.sim_metrics = true;
-        else if (flags.is("--trace-mode")) {
-            std::string m = flags.value();
-            if (m == "full")
-                a.cfg.trace_mode = gpusim::TraceMode::kFull;
-            else if (m == "sampled")
-                a.cfg.trace_mode = gpusim::TraceMode::kSampled;
-            else if (m == "off")
-                a.cfg.trace_mode = gpusim::TraceMode::kOff;
-            else
-                fatal("invalid value '", m, "' for --trace-mode: "
-                      "expected full|sampled|off");
-        } else if (flags.is("--trace-sample")) {
-            auto n = flags.unsignedValue();
-            if (n < 1)
-                fatal("invalid value '", n,
-                      "' for --trace-sample: must be at least 1");
-            a.cfg.trace_sample_every = static_cast<int>(n);
-        } else if (flags.is("--report-out"))
-            a.report_out = flags.value();
-        else if (flags.is("--metrics-out"))
-            a.metrics_out = flags.value();
-        else if (flags.is("--metrics-format")) {
-            a.metrics_format = flags.value();
-            if (a.metrics_format != "json" &&
-                a.metrics_format != "prom")
-                fatal("invalid value '", a.metrics_format,
-                      "' for --metrics-format: expected json|prom");
-        } else if (flags.is("--watch-out")) {
+        else if (serve::parseRunFlag(flags, a.cfg) ||
+                 serve::parseTraceFlag(flags, a.cfg) ||
+                 a.out.parse(flags))
+            continue;
+        else if (flags.is("--watch-out")) {
             std::string f = flags.value();
             a.cfg.watch.enabled = true;
             a.cfg.watch.out_path = f;
@@ -353,35 +194,13 @@ parse(int argc, char **argv)
                 fatal("invalid value '", pct,
                       "' for --slo-alert-pct: must be in (0, 100)");
             a.cfg.watch.slo_objective_pct = pct;
-        } else if (flags.is("--flight-recorder-depth")) {
-            auto n = flags.unsignedValue();
-            if (n < 1)
-                fatal("invalid value '", n,
-                      "' for --flight-recorder-depth: must be at "
-                      "least 1");
-            a.cfg.watch.flight_recorder_depth =
-                static_cast<int>(n);
-        } else if (flags.is("--dump-trace")) {
-            a.cfg.trace_out = flags.value();
-            obs::Tracer::global().setEnabled(true);
-        } else if (flags.is("--quiet"))
-            a.quiet = true;
-        else if (flags.is("--list")) {
-            for (const auto &m : nn::zooModelNames())
-                std::printf("%s\n", m.c_str());
-            return std::nullopt;
-        } else if (flags.is("--help") || flags.is("-h")) {
-            usage();
-            return std::nullopt;
-        } else {
-            std::fprintf(stderr, "unknown option: %s\n",
-                         flags.arg().c_str());
-            usage();
+        } else if (flags.is("--flight-recorder-depth"))
+            a.cfg.watch.flight_recorder_depth = flags.positiveValue();
+        else {
+            serve::endFlags(flags, usage);
             return std::nullopt;
         }
     }
-    for (const auto &d : split(devices, ','))
-        a.cfg.devices.push_back(serve::parseDevice(d));
     return a;
 }
 
@@ -392,8 +211,6 @@ run(int argc, char **argv)
     if (!parsed)
         return 0;
     Args args = *parsed;
-    if (args.quiet)
-        setLogLevel(LogLevel::kWarn);
     if (args.cfg.models.empty()) {
         usage();
         fatal("at least one --model is required");
@@ -486,16 +303,6 @@ run(int argc, char **argv)
             static_cast<double>(d.ram_budget_bytes) /
                 (1024.0 * 1024.0));
 
-    if (!args.report_out.empty()) {
-        std::FILE *f = std::fopen(args.report_out.c_str(), "w");
-        if (!f)
-            fatal("cannot write '", args.report_out, "'");
-        std::string json = report.toJson();
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        say("[edgertserve] report written to %s\n",
-            args.report_out.c_str());
-    }
     if (report.watch.enabled) {
         say("[edgertserve] watch: %lld page / %lld warn alert(s), "
             "%lld anomaly(ies), %lld incident(s)%s%s\n",
@@ -509,19 +316,7 @@ run(int argc, char **argv)
             say("[edgertserve] watch: first page alert at %.3f s\n",
                 report.watch.first_page_s);
     }
-    if (!args.metrics_out.empty()) {
-        if (args.metrics_format == "prom")
-            obs::MetricRegistry::global().savePromText(
-                args.metrics_out);
-        else
-            obs::MetricRegistry::global().save(args.metrics_out);
-        say("[edgertserve] metrics written to %s (%s)\n",
-            args.metrics_out.c_str(), args.metrics_format.c_str());
-    }
-    if (!args.cfg.trace_out.empty())
-        say("[edgertserve] timeline written to %s (open in "
-            "chrome://tracing)\n",
-            args.cfg.trace_out.c_str());
+    args.out.write("edgertserve", report.toJson(), args.cfg.trace_out);
     return 0;
 }
 
@@ -530,11 +325,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // fatal() has already printed the diagnostic through the log
-    // sink; a bad flag or config must exit non-zero, not abort.
-    try {
-        return run(argc, argv);
-    } catch (const FatalError &) {
-        return 1;
-    }
+    return runCli(run, argc, argv);
 }

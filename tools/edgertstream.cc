@@ -15,7 +15,6 @@
  *                --metrics-out=metrics.prom
  */
 
-#include <cstdarg>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -23,128 +22,17 @@
 
 #include "common/cliflags.hh"
 #include "common/logging.hh"
-#include "common/strutil.hh"
-#include "nn/model_zoo.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
-#include "serve/server.hh"
+#include "serve/cli.hh"
 #include "stream/stream.hh"
 
 using namespace edgert;
 
 namespace {
 
-/** Progress chatter ("[edgertstream] ..."); silenced by --quiet. */
-void
-say(const char *fmt, ...)
-{
-    if (logLevel() > LogLevel::kInfo)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::vprintf(fmt, ap);
-    va_end(ap);
-}
-
-double
-modelNumber(const std::string &k, const std::string &v)
-{
-    auto r = parseDouble(v);
-    if (!r.ok())
-        fatal("bad --model option '", k, "=", v,
-              "': ", r.status().message());
-    return *r;
-}
-
-int
-modelInt(const std::string &k, const std::string &v)
-{
-    auto r = parseInt64(v);
-    if (!r.ok())
-        fatal("bad --model option '", k, "=", v,
-              "': ", r.status().message());
-    return static_cast<int>(*r);
-}
-
-/**
- * Parse one --model spec:
- *   <zoo-name>[@fp16|@int8|@mixed]
- *            [:streams=..][:fps=..][:policy=..][:budget=..]
- *            [:stale_ms=..][:arrival=fixed|jitter][:jitter_pct=..]
- *            [:max_batch=..][:timeout_us=..][:instances=..]
- *            [:decode_ms=..][:preprocess_ms=..][:postprocess_ms=..]
- *            [:stage_jitter_pct=..][:calib_seed=..]
- * Per-spec options override the --streams/--fps/--policy globals,
- * which are applied by the caller before the overrides land here.
- */
-stream::StreamModelConfig
-parseModelSpec(const std::string &spec,
-               const stream::StreamModelConfig &defaults)
-{
-    auto parts = split(spec, ':');
-    if (parts.empty() || parts[0].empty())
-        fatal("empty --model spec");
-    stream::StreamModelConfig mc = defaults;
-    mc.model = parts[0];
-    auto at = mc.model.find('@');
-    if (at != std::string::npos) {
-        mc.precision =
-            nn::parsePrecisionName(mc.model.substr(at + 1));
-        mc.model.resize(at);
-        if (mc.model.empty())
-            fatal("empty model name in --model spec '", spec, "'");
-    }
-    for (std::size_t i = 1; i < parts.size(); i++) {
-        auto eq = parts[i].find('=');
-        if (eq == std::string::npos)
-            fatal("bad --model option '", parts[i],
-                  "' (expected key=value)");
-        std::string k = parts[i].substr(0, eq);
-        std::string v = parts[i].substr(eq + 1);
-        if (k == "streams")
-            mc.streams = modelInt(k, v);
-        else if (k == "fps")
-            mc.fps = modelNumber(k, v);
-        else if (k == "policy")
-            mc.policy = stream::parseBackpressurePolicy(v);
-        else if (k == "budget")
-            mc.frame_budget = modelInt(k, v);
-        else if (k == "stale_ms")
-            mc.stale_ms = modelNumber(k, v);
-        else if (k == "arrival")
-            mc.arrival = stream::parseFrameArrival(v);
-        else if (k == "jitter_pct")
-            mc.arrival_jitter_pct = modelNumber(k, v);
-        else if (k == "max_batch")
-            mc.batching.max_batch = modelInt(k, v);
-        else if (k == "timeout_us")
-            mc.batching.timeout_us = modelNumber(k, v);
-        else if (k == "instances")
-            mc.instances_per_device = modelInt(k, v);
-        else if (k == "decode_ms")
-            mc.stages.decode_ms = modelNumber(k, v);
-        else if (k == "preprocess_ms")
-            mc.stages.preprocess_ms = modelNumber(k, v);
-        else if (k == "postprocess_ms")
-            mc.stages.postprocess_ms = modelNumber(k, v);
-        else if (k == "stage_jitter_pct")
-            mc.stages.jitter_pct = modelNumber(k, v);
-        else if (k == "calib_seed")
-            mc.calibration_seed =
-                static_cast<std::uint64_t>(modelInt(k, v));
-        else
-            fatal("unknown --model option '", k, "'");
-    }
-    return mc;
-}
-
 struct Args
 {
     stream::StreamConfig cfg;
-    std::string metrics_out;
-    std::string metrics_format = "json"; //!< json | prom
-    std::string report_out;
-    bool quiet = false;
+    serve::OutputFlags out;
 };
 
 void
@@ -160,12 +48,10 @@ usage()
         "                        [:budget=N][:stale_ms=N]\n"
         "                        [:arrival=fixed|jitter]"
         "[:jitter_pct=N]\n"
-        "                        [:max_batch=N][:timeout_us=N]\n"
-        "                        [:instances=N][:decode_ms=N]\n"
-        "                        [:preprocess_ms=N]"
-        "[:postprocess_ms=N]\n"
-        "                        [:stage_jitter_pct=N]"
-        "[:calib_seed=N]\n"
+        "                        [:decode_ms=N][:preprocess_ms=N]\n"
+        "                        [:postprocess_ms=N]"
+        "[:stage_jitter_pct=N]\n"
+        "%s"
         "  --streams <n>         default camera streams per model\n"
         "                        (default 4)\n"
         "  --fps <n>             default per-stream frame rate\n"
@@ -178,32 +64,14 @@ usage()
         "  --seed <n>            frame/stage seed (default 1)\n"
         "  --ram-fraction <f>    device RAM share for contexts "
         "(default 0.5)\n"
-        "  --sim-threads <n>     replay worker threads (default 1;\n"
-        "                        reports are byte-identical for "
-        "any n)\n"
-        "  --trace-mode <m>      kernel trace: full|sampled|off\n"
-        "                        (default sampled)\n"
-        "  --trace-sample <n>    keep 1 in n trace records when\n"
-        "                        sampled (default 16)\n"
-        "  --report-out <f>      write the stream report JSON\n"
-        "  --metrics-out <f>     write the metric-registry "
-        "snapshot\n"
-        "  --metrics-format <f>  snapshot format: json (default) "
-        "or\n"
-        "                        prom (Prometheus text "
-        "exposition)\n"
         "  --watch-out <f>       write the per-stream freshness\n"
         "                        burn-rate report here\n"
         "  --stale-alert-pct <x> freshness objective for the\n"
         "                        burn-rate alerts, percent "
         "(default 99)\n"
-        "  --dump-trace <f>      write a merged chrome://tracing\n"
-        "                        timeline (host spans + one "
-        "process\n"
-        "                        per device)\n"
-        "  --quiet               warnings and errors only\n"
-        "  --list                list zoo models\n"
-        "Options also accept --opt=value syntax.\n");
+        "%s%s",
+        serve::kEngineKeysHelp, serve::kTraceFlagsHelp,
+        serve::kOutputFlagsHelp);
 }
 
 std::optional<Args>
@@ -213,66 +81,27 @@ parse(int argc, char **argv)
     // Interactive tooling defaults to the thinned trace (the
     // library default stays full for canonical reports).
     a.cfg.trace_mode = gpusim::TraceMode::kSampled;
-    std::string devices = "nx";
+    a.cfg.devices = serve::parseDevices("nx");
     stream::StreamModelConfig defaults;
     std::vector<std::string> model_specs;
     FlagParser flags(argc, argv);
     while (flags.next()) {
         if (flags.is("--model"))
             model_specs.push_back(flags.value());
-        else if (flags.is("--streams")) {
-            auto n = flags.unsignedValue();
-            if (n < 1)
-                fatal("invalid value '", n,
-                      "' for --streams: must be at least 1");
-            defaults.streams = static_cast<int>(n);
-        } else if (flags.is("--fps"))
+        else if (flags.is("--streams"))
+            defaults.streams = flags.positiveValue();
+        else if (flags.is("--fps"))
             defaults.fps = flags.numberValue();
         else if (flags.is("--policy"))
             defaults.policy =
                 stream::parseBackpressurePolicy(flags.value());
         else if (flags.is("--devices"))
-            devices = flags.value();
-        else if (flags.is("--duration-s"))
-            a.cfg.duration_s = flags.numberValue();
-        else if (flags.is("--seed"))
-            a.cfg.seed = flags.unsignedValue();
-        else if (flags.is("--ram-fraction"))
-            a.cfg.ram_fraction = flags.numberValue();
-        else if (flags.is("--sim-threads")) {
-            auto n = flags.unsignedValue();
-            if (n < 1)
-                fatal("invalid value '", n,
-                      "' for --sim-threads: must be at least 1");
-            a.cfg.sim_threads = static_cast<int>(n);
-        } else if (flags.is("--trace-mode")) {
-            std::string m = flags.value();
-            if (m == "full")
-                a.cfg.trace_mode = gpusim::TraceMode::kFull;
-            else if (m == "sampled")
-                a.cfg.trace_mode = gpusim::TraceMode::kSampled;
-            else if (m == "off")
-                a.cfg.trace_mode = gpusim::TraceMode::kOff;
-            else
-                fatal("invalid value '", m, "' for --trace-mode: "
-                      "expected full|sampled|off");
-        } else if (flags.is("--trace-sample")) {
-            auto n = flags.unsignedValue();
-            if (n < 1)
-                fatal("invalid value '", n,
-                      "' for --trace-sample: must be at least 1");
-            a.cfg.trace_sample_every = static_cast<int>(n);
-        } else if (flags.is("--report-out"))
-            a.report_out = flags.value();
-        else if (flags.is("--metrics-out"))
-            a.metrics_out = flags.value();
-        else if (flags.is("--metrics-format")) {
-            a.metrics_format = flags.value();
-            if (a.metrics_format != "json" &&
-                a.metrics_format != "prom")
-                fatal("invalid value '", a.metrics_format,
-                      "' for --metrics-format: expected json|prom");
-        } else if (flags.is("--watch-out")) {
+            a.cfg.devices = serve::parseDevices(flags.value());
+        else if (serve::parseRunFlag(flags, a.cfg) ||
+                 serve::parseTraceFlag(flags, a.cfg) ||
+                 a.out.parse(flags))
+            continue;
+        else if (flags.is("--watch-out")) {
             a.cfg.watch.enabled = true;
             a.cfg.watch.out_path = flags.value();
         } else if (flags.is("--stale-alert-pct")) {
@@ -282,29 +111,13 @@ parse(int argc, char **argv)
                       "' for --stale-alert-pct: must be in "
                       "(0, 100)");
             a.cfg.watch.slo_objective_pct = pct;
-        } else if (flags.is("--dump-trace")) {
-            a.cfg.trace_out = flags.value();
-            obs::Tracer::global().setEnabled(true);
-        } else if (flags.is("--quiet"))
-            a.quiet = true;
-        else if (flags.is("--list")) {
-            for (const auto &m : nn::zooModelNames())
-                std::printf("%s\n", m.c_str());
-            return std::nullopt;
-        } else if (flags.is("--help") || flags.is("-h")) {
-            usage();
-            return std::nullopt;
         } else {
-            std::fprintf(stderr, "unknown option: %s\n",
-                         flags.arg().c_str());
-            usage();
+            serve::endFlags(flags, usage);
             return std::nullopt;
         }
     }
     for (const auto &spec : model_specs)
-        a.cfg.models.push_back(parseModelSpec(spec, defaults));
-    for (const auto &d : split(devices, ','))
-        a.cfg.devices.push_back(serve::parseDevice(d));
+        a.cfg.models.push_back(stream::parseModelSpec(spec, defaults));
     return a;
 }
 
@@ -315,8 +128,6 @@ run(int argc, char **argv)
     if (!parsed)
         return 0;
     Args args = *parsed;
-    if (args.quiet)
-        setLogLevel(LogLevel::kWarn);
     if (args.cfg.models.empty()) {
         usage();
         fatal("at least one --model is required");
@@ -375,29 +186,7 @@ run(int argc, char **argv)
             "%.3f s\n",
             report.first_page_s);
 
-    if (!args.report_out.empty()) {
-        std::FILE *f = std::fopen(args.report_out.c_str(), "w");
-        if (!f)
-            fatal("cannot write '", args.report_out, "'");
-        std::string json = report.toJson();
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        say("[edgertstream] report written to %s\n",
-            args.report_out.c_str());
-    }
-    if (!args.metrics_out.empty()) {
-        if (args.metrics_format == "prom")
-            obs::MetricRegistry::global().savePromText(
-                args.metrics_out);
-        else
-            obs::MetricRegistry::global().save(args.metrics_out);
-        say("[edgertstream] metrics written to %s (%s)\n",
-            args.metrics_out.c_str(), args.metrics_format.c_str());
-    }
-    if (!args.cfg.trace_out.empty())
-        say("[edgertstream] timeline written to %s (open in "
-            "chrome://tracing)\n",
-            args.cfg.trace_out.c_str());
+    args.out.write("edgertstream", report.toJson(), args.cfg.trace_out);
     return 0;
 }
 
@@ -406,11 +195,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // fatal() has already printed the diagnostic through the log
-    // sink; a bad flag or config must exit non-zero, not abort.
-    try {
-        return run(argc, argv);
-    } catch (const FatalError &) {
-        return 1;
-    }
+    return runCli(run, argc, argv);
 }
