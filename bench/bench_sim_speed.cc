@@ -198,7 +198,7 @@ runReplay(const Workload &w,
         if (publish && rep == w.reps - 1)
             for (std::size_t d = 0; d < sims.size(); d++)
                 gpusim::publishSimMetrics(
-                    *sims[d],
+                    sims[d]->simStats(),
                     {{"workload", w.name},
                      {"device", w.devices[d].name},
                      {"index", std::to_string(d)}},

@@ -15,6 +15,15 @@ namespace {
 constexpr double kTimeEps = 1e-12;  // seconds
 constexpr double kFracEps = 1e-9;   // progress fraction
 
+// Tags every simulator knows without interning them: interned tags
+// number from kFixedTags.
+const std::string kFixedTagNames[] = {"host_delay", "release_at",
+                                      "wait_event"};
+constexpr std::int32_t kTagHostDelay = 0;
+constexpr std::int32_t kTagReleaseAt = 1;
+constexpr std::int32_t kTagWaitEvent = 2;
+constexpr std::int32_t kFixedTags = 3;
+
 } // namespace
 
 double
@@ -78,19 +87,31 @@ std::int32_t
 GpuSim::acquireOp(OpKind kind)
 {
     std::int32_t idx = ops_.acquire();
-    Op &op = ops_[idx];
-    // Recycled slots keep string capacity (kernel name / tag); every
-    // scalar field is reset here so tenants never see stale state.
-    op.kind = kind;
-    op.bytes = 0;
-    op.transfers = 0;
-    op.pinned = false;
-    op.event = -1;
-    op.delay_s = 0.0;
-    op.delay_until = false;
-    op.next = -1;
+    // Recycled slots hold the previous tenant's fields: reset all.
+    ops_[idx] = Op{};
+    ops_[idx].kind = kind;
     ops_enqueued_++;
     return idx;
+}
+
+std::int32_t
+GpuSim::internTag(const std::string &tag)
+{
+    auto it = tag_ids_.find(tag);
+    if (it != tag_ids_.end())
+        return it->second;
+    const auto id = kFixedTags + static_cast<std::int32_t>(tags_.size());
+    it = tag_ids_.emplace(tag, id).first;
+    tags_.push_back(&it->first);
+    return id;
+}
+
+const std::string &
+GpuSim::tagName(std::int32_t tag) const
+{
+    return tag < kFixedTags
+               ? kFixedTagNames[tag]
+               : *tags_[static_cast<std::size_t>(tag - kFixedTags)];
 }
 
 void
@@ -120,7 +141,7 @@ void
 GpuSim::launchKernel(int stream, const KernelDesc &kernel)
 {
     std::int32_t idx = acquireOp(OpKind::kKernel);
-    ops_[idx].kernel = kernel;
+    ops_[idx].kernel = &kernel;
     pushOp(stream, idx);
     m_kernel_launches_.add();
 }
@@ -129,35 +150,41 @@ void
 GpuSim::launchKernel(int stream, KernelDesc &&kernel)
 {
     std::int32_t idx = acquireOp(OpKind::kKernel);
-    ops_[idx].kernel = std::move(kernel);
+    std::int32_t slot = owned_kernels_.acquire();
+    owned_kernels_[slot] = std::move(kernel);
+    ops_[idx].kernel = &owned_kernels_[slot];
+    ops_[idx].owned = slot;
     pushOp(stream, idx);
     m_kernel_launches_.add();
 }
 
 void
-GpuSim::memcpyH2D(int stream, std::uint64_t bytes, int transfers,
-                  std::string tag, bool pinned)
+GpuSim::enqueueCopy(OpKind kind, int stream, std::uint64_t bytes,
+                    int transfers, const std::string &tag, bool pinned)
 {
-    std::int32_t idx = acquireOp(OpKind::kMemcpyH2D);
+    std::int32_t idx = acquireOp(kind);
     Op &op = ops_[idx];
     op.bytes = bytes;
     op.transfers = transfers;
     op.pinned = pinned;
-    op.tag = std::move(tag);
+    op.tag = internTag(tag);
     pushOp(stream, idx);
 }
 
 void
-GpuSim::memcpyD2H(int stream, std::uint64_t bytes, int transfers,
-                  std::string tag, bool pinned)
+GpuSim::memcpyH2D(int stream, std::uint64_t bytes, int transfers,
+                  const std::string &tag, bool pinned)
 {
-    std::int32_t idx = acquireOp(OpKind::kMemcpyD2H);
-    Op &op = ops_[idx];
-    op.bytes = bytes;
-    op.transfers = transfers;
-    op.pinned = pinned;
-    op.tag = std::move(tag);
-    pushOp(stream, idx);
+    enqueueCopy(OpKind::kMemcpyH2D, stream, bytes, transfers, tag,
+                pinned);
+}
+
+void
+GpuSim::memcpyD2H(int stream, std::uint64_t bytes, int transfers,
+                  const std::string &tag, bool pinned)
+{
+    enqueueCopy(OpKind::kMemcpyD2H, stream, bytes, transfers, tag,
+                pinned);
 }
 
 void
@@ -166,7 +193,7 @@ GpuSim::hostDelay(int stream, double seconds)
     std::int32_t idx = acquireOp(OpKind::kDelay);
     Op &op = ops_[idx];
     op.delay_s = seconds;
-    op.tag = "host_delay";
+    op.tag = kTagHostDelay;
     pushOp(stream, idx);
 }
 
@@ -177,7 +204,7 @@ GpuSim::delayUntil(int stream, double seconds)
     Op &op = ops_[idx];
     op.delay_s = seconds;
     op.delay_until = true;
-    op.tag = "release_at";
+    op.tag = kTagReleaseAt;
     pushOp(stream, idx);
 }
 
@@ -190,7 +217,7 @@ GpuSim::waitEvent(int stream, EventId event)
     std::int32_t idx = acquireOp(OpKind::kWaitEvent);
     Op &op = ops_[idx];
     op.event = event;
-    op.tag = "wait_event";
+    op.tag = kTagWaitEvent;
     pushOp(stream, idx);
 }
 
@@ -244,27 +271,38 @@ GpuSim::simStats() const
     s.ops_enqueued = ops_enqueued_;
     s.ops_completed = ops_completed_;
     s.trace_records = trace_records_;
+    s.simulated_s = now_;
+    // Interned tags count their table entries, map nodes and
+    // heap-held characters; owned descriptors count their pool slots.
+    std::size_t tag_bytes =
+        tags_.capacity() * sizeof(const std::string *) +
+        tag_ids_.bucket_count() * sizeof(void *);
+    for (const std::string *t : tags_)
+        tag_bytes += sizeof(decltype(tag_ids_)::value_type) +
+                     sizeof(void *) + t->capacity();
     s.arena_bytes =
         ops_.bytesReserved() +
+        owned_kernels_.bytesReserved() +
+        tag_bytes +
         trace_.capacity() * sizeof(OpRecord) +
         delay_heap_.capacity() * sizeof(DelayEntry) +
         copy_ring_.bytesReserved() +
-        active_.capacity() * sizeof(ActiveKernel);
+        active_.capacity() * sizeof(ActiveKernel) +
+        event_times_.capacity() * sizeof(double) +
+        wait_list_.capacity() * sizeof(EventWaiter);
     return s;
 }
 
 void
-publishSimMetrics(const GpuSim &sim, const obs::Labels &labels,
+publishSimMetrics(const SimStats &stats, const obs::Labels &labels,
                   double wall_seconds)
 {
     obs::MetricRegistry &reg = obs::MetricRegistry::global();
-    SimStats st = sim.simStats();
     reg.gauge("sim.events", labels)
-        .set(static_cast<double>(st.events));
+        .set(static_cast<double>(stats.events));
     reg.gauge("sim.arena.bytes", labels)
-        .set(static_cast<double>(st.arena_bytes));
-    reg.gauge("sim.simulated_seconds", labels)
-        .set(sim.nowSeconds());
+        .set(static_cast<double>(stats.arena_bytes));
+    reg.gauge("sim.simulated_seconds", labels).set(stats.simulated_s);
     reg.gauge("sim.wall_seconds", labels).set(wall_seconds);
 }
 
@@ -393,7 +431,7 @@ GpuSim::admitReady()
                     continue;
                 }
                 if (head.kind == OpKind::kKernel) {
-                    const KernelDesc &k = head.kernel;
+                    const KernelDesc &k = *head.kernel;
                     ActiveKernel ak;
                     ak.op_idx = idx;
                     ak.stream = si;
@@ -655,10 +693,10 @@ GpuSim::finishOp(std::int32_t op_idx, std::int32_t stream,
         rec.end_s = now_;
         rec.bytes = op.bytes;
         if (op.kind == OpKind::kKernel) {
-            rec.name = op.kernel.name;
-            rec.kernel = op.kernel;
-        } else {
-            rec.name = op.tag;
+            rec.name = op.kernel->name;
+            rec.kernel = *op.kernel;
+        } else if (op.tag >= 0) {
+            rec.name = tagName(op.tag);
         }
         trace_records_++;
     }
@@ -675,6 +713,8 @@ GpuSim::finishOp(std::int32_t op_idx, std::int32_t stream,
     st.busy = false;
     if (st.head != -1)
         markReady(stream);
+    if (op.owned >= 0)
+        owned_kernels_.release(op.owned);
     ops_.release(op_idx);
 }
 

@@ -32,6 +32,8 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/arena.hh"
@@ -99,7 +101,8 @@ struct SimStats
     std::uint64_t ops_enqueued = 0;  //!< ops accepted (incl. markers)
     std::uint64_t ops_completed = 0; //!< non-marker ops finished
     std::uint64_t trace_records = 0; //!< records actually retained
-    std::size_t arena_bytes = 0;     //!< pool/calendar/trace footprint
+    std::size_t arena_bytes = 0;     //!< whole simulator footprint
+    double simulated_s = 0.0;        //!< simulated time reached
 };
 
 /**
@@ -134,23 +137,34 @@ class GpuSim
      */
     int createStream(double priority_weight = 1.0);
 
-    /** Enqueue a kernel launch on a stream. */
+    /**
+     * Enqueue a kernel launch on a stream, borrowing the descriptor:
+     * the op keeps only a pointer, so `kernel` must outlive the
+     * launch's retirement (run() returning, or the op's completion
+     * under runUntilEvent). Engine-owned descriptors satisfy this for
+     * any context enqueueing them.
+     */
     void launchKernel(int stream, const KernelDesc &kernel);
+
+    /** Enqueue a launch of a temporary descriptor: the simulator
+     *  moves it into a store it owns until the launch retires. */
     void launchKernel(int stream, KernelDesc &&kernel);
 
     /**
      * Enqueue a host-to-device copy.
      * @param transfers Number of cudaMemcpy calls this represents.
+     * @param tag       Trace name; interned, so repeated tags cost
+     *                  no allocation.
      * @param pinned    Copy from a pre-pinned ring buffer (camera
      *                  pipelines); pays ~1/10 the per-transfer
      *                  driver overhead of pageable weight uploads.
      */
     void memcpyH2D(int stream, std::uint64_t bytes, int transfers,
-                   std::string tag, bool pinned = false);
+                   const std::string &tag, bool pinned = false);
 
     /** Enqueue a device-to-host copy. */
     void memcpyD2H(int stream, std::uint64_t bytes, int transfers,
-                   std::string tag, bool pinned = false);
+                   const std::string &tag, bool pinned = false);
 
     /** Record an event that completes when the stream drains to it. */
     EventId recordEvent(int stream);
@@ -216,6 +230,9 @@ class GpuSim
     const std::vector<OpRecord> &trace() const { return trace_; }
     void clearTrace() { trace_.clear(); }
 
+    /** Move the trace out, leaving it empty (outlives the sim). */
+    std::vector<OpRecord> takeTrace() { return std::exchange(trace_, {}); }
+
     /**
      * Trace retention policy (default kFull, the historical
      * behavior). In kSampled mode every Nth completed op is kept;
@@ -244,19 +261,26 @@ class GpuSim
     SimStats simStats() const;
 
   private:
+    /**
+     * One enqueued op, kept compact (no owned heap memory): a kernel
+     * points at its descriptor and a copy or delay names its trace
+     * tag by index into the interned tag table.
+     */
     struct Op
     {
         OpKind kind = OpKind::kKernel;
-        KernelDesc kernel;
+        std::int32_t tag = -1;      //!< trace tag id (non-kernel ops)
+        const KernelDesc *kernel = nullptr;
         std::uint64_t bytes = 0;
-        int transfers = 0;
-        bool pinned = false;
-        std::string tag;
         EventId event = -1;
         double delay_s = 0.0;
-        bool delay_until = false; //!< delay_s is an absolute time
-        std::int32_t next = -1;   //!< intrusive stream-FIFO link
+        int transfers = 0;
+        std::int32_t owned = -1;    //!< owned_kernels_ slot, if any
+        std::int32_t next = -1;     //!< intrusive stream-FIFO link
+        bool pinned = false;
+        bool delay_until = false;   //!< delay_s is an absolute time
     };
+    static_assert(sizeof(Op) <= 64, "an op fits one cache line");
 
     struct Stream
     {
@@ -347,6 +371,11 @@ class GpuSim
     bool step();
 
     std::int32_t acquireOp(OpKind kind);
+    std::int32_t internTag(const std::string &tag);
+    const std::string &tagName(std::int32_t tag) const;
+    void enqueueCopy(OpKind kind, int stream, std::uint64_t bytes,
+                     int transfers, const std::string &tag,
+                     bool pinned);
     void pushOp(int stream, std::int32_t op_idx);
     void markReady(std::int32_t stream);
     void admitReady();
@@ -370,6 +399,11 @@ class GpuSim
     double now_ = 0.0;
     std::vector<Stream> streams_;
     IndexPool<Op> ops_;
+    IndexPool<KernelDesc> owned_kernels_; //!< rvalue launches in flight
+    // Interned trace tags: each distinct string is stored once, as a
+    // map key (node-stable); ops hold its id (see tagName).
+    std::unordered_map<std::string, std::int32_t> tag_ids_;
+    std::vector<const std::string *> tags_;
     std::vector<std::int32_t> ready_; //!< streams with admittable ops
     std::vector<ActiveKernel> active_;
     std::vector<DelayEntry> delay_heap_; //!< calendar (see DelayAfter)
@@ -428,13 +462,15 @@ class GpuSim
 };
 
 /**
- * Publish one simulator's self-measurement as gauges under
- * @p labels: `sim.events`, `sim.arena.bytes`, `sim.simulated_seconds`
- * and `sim.wall_seconds` (the host time @p wall_seconds the caller
- * measured around run()). Callers gate this — the gauges carry
- * wall-clock and so are excluded from byte-reproducible reports.
+ * Publish one simulator's self-measurement @p stats (a
+ * GpuSim::simStats() snapshot, which outlives the simulator) as gauges
+ * under @p labels: `sim.events`, `sim.arena.bytes`,
+ * `sim.simulated_seconds` and `sim.wall_seconds` (the host time
+ * @p wall_seconds the caller measured around run()). Callers gate
+ * this — the gauges carry wall-clock and so are excluded from
+ * byte-reproducible reports.
  */
-void publishSimMetrics(const GpuSim &sim, const obs::Labels &labels,
+void publishSimMetrics(const SimStats &stats, const obs::Labels &labels,
                        double wall_seconds);
 
 } // namespace edgert::gpusim

@@ -23,6 +23,18 @@ ExecutionContext::ExecutionContext(const core::Engine &engine,
     EDGERT_SPAN("context_setup",
                 {{"model", engine.modelName()},
                  {"stream", std::to_string(stream)}});
+    for (const auto &in : engine.inputs())
+        input_tags_.push_back("input_h2d:" + in.name);
+    for (const auto &out : engine.outputs())
+        output_tags_.push_back("output_d2h:" + out.name);
+}
+
+void
+ExecutionContext::countInference()
+{
+    if (!enqueued_)
+        enqueued_ = runtimeCounter("runtime.inference.enqueued", *engine_);
+    enqueued_->add();
 }
 
 void
@@ -38,32 +50,50 @@ ExecutionContext::enqueueWeightUpload()
         .add(bytes);
 }
 
+void
+ExecutionContext::enqueueInputs(int stream, bool pinned)
+{
+    const auto &inputs = engine_->inputs();
+    for (std::size_t i = 0; i < inputs.size(); i++)
+        sim_->memcpyH2D(stream,
+                        static_cast<std::uint64_t>(inputs[i].bytes), 1,
+                        input_tags_[i], pinned);
+}
+
+void
+ExecutionContext::enqueueKernels()
+{
+    for (const auto &step : engine_->steps())
+        for (const auto &k : step.kernels)
+            sim_->launchKernel(stream_, k);
+}
+
+void
+ExecutionContext::enqueueOutputs(int stream, bool pinned)
+{
+    const auto &outputs = engine_->outputs();
+    for (std::size_t i = 0; i < outputs.size(); i++)
+        sim_->memcpyD2H(stream,
+                        static_cast<std::uint64_t>(outputs[i].bytes), 1,
+                        output_tags_[i], pinned);
+}
+
 InferenceHandle
 ExecutionContext::enqueueInference(bool copy_input, bool copy_output,
                                    bool staged)
 {
-    runtimeCounter("runtime.inference.enqueued", *engine_).add();
+    countInference();
     InferenceHandle h;
     h.begin = sim_->recordEvent(stream_);
-    if (copy_input) {
-        for (const auto &in : engine_->inputs())
-            sim_->memcpyH2D(stream_,
-                            static_cast<std::uint64_t>(in.bytes), 1,
-                            "input_h2d:" + in.name);
-    }
+    if (copy_input)
+        enqueueInputs(stream_, /*pinned=*/false);
     if (staged)
         h.upload_done = sim_->recordEvent(stream_);
-    for (const auto &step : engine_->steps())
-        for (const auto &k : step.kernels)
-            sim_->launchKernel(stream_, k);
+    enqueueKernels();
     if (staged)
         h.compute_done = sim_->recordEvent(stream_);
-    if (copy_output) {
-        for (const auto &out : engine_->outputs())
-            sim_->memcpyD2H(stream_,
-                            static_cast<std::uint64_t>(out.bytes), 1,
-                            "output_d2h:" + out.name);
-    }
+    if (copy_output)
+        enqueueOutputs(stream_, /*pinned=*/false);
     h.end = sim_->recordEvent(stream_);
     return h;
 }
@@ -71,26 +101,18 @@ ExecutionContext::enqueueInference(bool copy_input, bool copy_output,
 InferenceHandle
 ExecutionContext::enqueuePipelinedInference()
 {
-    runtimeCounter("runtime.inference.enqueued", *engine_).add();
+    countInference();
     if (copy_stream_ < 0)
         copy_stream_ = sim_->createStream();
     // Next frame's input upload and previous frame's output download
     // overlap with this frame's kernels (double buffering through
     // pre-pinned ring buffers).
-    for (const auto &in : engine_->inputs())
-        sim_->memcpyH2D(copy_stream_,
-                        static_cast<std::uint64_t>(in.bytes), 1,
-                        "input_h2d:" + in.name, /*pinned=*/true);
-    for (const auto &out : engine_->outputs())
-        sim_->memcpyD2H(copy_stream_,
-                        static_cast<std::uint64_t>(out.bytes), 1,
-                        "output_d2h:" + out.name, /*pinned=*/true);
+    enqueueInputs(copy_stream_, /*pinned=*/true);
+    enqueueOutputs(copy_stream_, /*pinned=*/true);
 
     InferenceHandle h;
     h.begin = sim_->recordEvent(stream_);
-    for (const auto &step : engine_->steps())
-        for (const auto &k : step.kernels)
-            sim_->launchKernel(stream_, k);
+    enqueueKernels();
     h.end = sim_->recordEvent(stream_);
     return h;
 }
@@ -99,26 +121,18 @@ InferenceHandle
 ExecutionContext::enqueueStagedPipelined(int upload_stream,
                                          int download_stream)
 {
-    runtimeCounter("runtime.inference.enqueued", *engine_).add();
+    countInference();
     InferenceHandle h;
     h.begin = sim_->recordEvent(upload_stream);
-    for (const auto &in : engine_->inputs())
-        sim_->memcpyH2D(upload_stream,
-                        static_cast<std::uint64_t>(in.bytes), 1,
-                        "input_h2d:" + in.name, /*pinned=*/true);
+    enqueueInputs(upload_stream, /*pinned=*/true);
     h.upload_done = sim_->recordEvent(upload_stream);
 
     sim_->waitEvent(stream_, h.upload_done);
-    for (const auto &step : engine_->steps())
-        for (const auto &k : step.kernels)
-            sim_->launchKernel(stream_, k);
+    enqueueKernels();
     h.compute_done = sim_->recordEvent(stream_);
 
     sim_->waitEvent(download_stream, h.compute_done);
-    for (const auto &out : engine_->outputs())
-        sim_->memcpyD2H(download_stream,
-                        static_cast<std::uint64_t>(out.bytes), 1,
-                        "output_d2h:" + out.name, /*pinned=*/true);
+    enqueueOutputs(download_stream, /*pinned=*/true);
     h.end = sim_->recordEvent(download_stream);
     return h;
 }

@@ -9,8 +9,13 @@
  * timestamps.
  */
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "core/engine.hh"
 #include "gpusim/sim.hh"
+#include "obs/metrics.hh"
 
 namespace edgert::runtime {
 
@@ -35,7 +40,9 @@ class ExecutionContext
 {
   public:
     /**
-     * @param engine Built engine (outlives the context).
+     * @param engine Built engine. Launches borrow its kernel
+     *        descriptors (GpuSim::launchKernel), so it must outlive
+     *        the context and the run() of everything it enqueued.
      * @param sim    Device simulator (outlives the context).
      * @param stream Stream this context enqueues on.
      */
@@ -95,10 +102,23 @@ class ExecutionContext
     void enqueueHostGap(double seconds);
 
   private:
+    /** Count one enqueued inference (the counter series appears on
+     *  the first enqueue, so a context that never enqueues adds none). */
+    void countInference();
+
+    /** Enqueue the engine's input copies, kernels (on the context's
+     *  stream) or output copies. */
+    void enqueueInputs(int stream, bool pinned);
+    void enqueueKernels();
+    void enqueueOutputs(int stream, bool pinned);
+
     const core::Engine *engine_;
     gpusim::GpuSim *sim_;
     int stream_;
     int copy_stream_ = -1; //!< lazily created for pipelined mode
+    std::vector<std::string> input_tags_;  //!< "input_h2d:<name>"
+    std::vector<std::string> output_tags_; //!< "output_d2h:<name>"
+    std::optional<obs::Counter> enqueued_; //!< set on first enqueue
 };
 
 /**

@@ -1,7 +1,11 @@
 #include "serve/core.hh"
 
 #include <algorithm>
+#include <condition_variable>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <utility>
 
 #include "common/json.hh"
@@ -174,20 +178,28 @@ enqueueDevice(gpusim::GpuSim &sim, const std::vector<int> &members,
     return pending;
 }
 
-/** Run one device and fold its stage events back as seconds. */
-void
-runDevice(gpusim::GpuSim &sim, const std::vector<Pending> &pending,
-          double &wall_s)
+/** Run one device, fold its stage events back as seconds and extract
+ *  what the report needs of the simulator. */
+DeviceReplay
+runDevice(gpusim::GpuSim &sim, const std::vector<Pending> &pending)
 {
+    DeviceReplay out;
     const std::uint64_t t0 = obs::clock().nowNanos();
     sim.run();
-    wall_s = static_cast<double>(obs::clock().nowNanos() - t0) * 1e-9;
+    out.wall_s =
+        static_cast<double>(obs::clock().nowNanos() - t0) * 1e-9;
     for (const Pending &p : pending) {
         p.pd->begin_s = sim.eventSeconds(p.h.begin);
         p.pd->upload_done_s = sim.eventSeconds(p.h.upload_done);
         p.pd->compute_done_s = sim.eventSeconds(p.h.compute_done);
         p.pd->end_s = sim.eventSeconds(p.h.end);
     }
+    out.util = sim.stats();
+    out.sim = sim.simStats(); // before takeTrace: counts its capacity
+    out.trace_mode = sim.traceMode();
+    out.trace_sample_every = sim.traceSampleEvery();
+    out.trace = sim.takeTrace();
+    return out;
 }
 
 } // namespace
@@ -202,19 +214,14 @@ replayPlans(const std::vector<gpusim::DeviceSpec> &devices,
     const auto nd = static_cast<std::size_t>(n);
     Replay out;
     out.threads = std::min(std::max(1, options.threads), n);
-    out.wall_s.assign(nd, 0.0);
+    out.devices.resize(nd);
     std::vector<std::vector<int>> members(nd);
     for (std::size_t i = 0; i < instances.size(); i++)
         members[static_cast<std::size_t>(instances[i].device)]
             .push_back(static_cast<int>(i));
-    for (std::size_t d = 0; d < nd; d++) {
-        out.registries.push_back(
-            std::make_unique<obs::MetricRegistry>());
-        out.sims.push_back(std::make_unique<gpusim::GpuSim>(
-            devices[d], out.registries.back().get()));
-        out.sims.back()->setTraceMode(options.trace_mode,
-                                      options.trace_sample_every);
-    }
+    std::vector<std::unique_ptr<obs::MetricRegistry>> registries;
+    for (std::size_t d = 0; d < nd; d++)
+        registries.push_back(std::make_unique<obs::MetricRegistry>());
 
     {
         EDGERT_SPAN(options.span,
@@ -223,28 +230,61 @@ replayPlans(const std::vector<gpusim::DeviceSpec> &devices,
         // Enqueue stays on the calling thread: the plans' op storage
         // then comes from one heap that stays warm across runs. Worker
         // heaps are trimmed when the pool exits, so enqueueing on the
-        // workers faults that storage in afresh on every run.
-        std::vector<std::vector<Pending>> pending;
-        for (std::size_t d = 0; d < nd; d++)
-            pending.push_back(enqueueDevice(*out.sims[d], members[d],
-                                            instances, versions,
-                                            options.pipelined));
-        auto task = [&](std::size_t d) {
-            runDevice(*out.sims[d], pending[d], out.wall_s[d]);
+        // workers faults that storage in afresh on every run. Each
+        // task destroys its own simulator, and the caller waits while
+        // `window` of them are alive.
+        const int window = 2 * out.threads;
+        std::vector<std::unique_ptr<gpusim::GpuSim>> sims(nd);
+        std::vector<std::vector<Pending>> pending(nd);
+        std::mutex mu;
+        std::condition_variable retired;
+        int alive = 0;
+        auto retire = [&](std::size_t d) {
+            sims[d].reset();
+            std::vector<Pending>().swap(pending[d]);
+            std::lock_guard<std::mutex> lock(mu);
+            alive--;
+            retired.notify_one();
         };
-        if (out.threads <= 1) {
-            for (std::size_t d = 0; d < nd; d++)
+        auto task = [&](std::size_t d) {
+            try {
+                out.devices[d] = runDevice(*sims[d], pending[d]);
+            } catch (...) {
+                retire(d);
+                throw;
+            }
+            retire(d);
+        };
+        std::optional<ThreadPool> tp; // after what its tasks touch
+        if (out.threads > 1)
+            tp.emplace(out.threads);
+        for (std::size_t d = 0; d < nd; d++) {
+            {
+                std::unique_lock<std::mutex> lock(mu);
+                retired.wait(lock, [&] { return alive < window; });
+                alive++;
+            }
+            sims[d] = std::make_unique<gpusim::GpuSim>(
+                devices[d], registries[d].get());
+            sims[d]->setTraceMode(options.trace_mode,
+                                  options.trace_sample_every);
+            pending[d] = enqueueDevice(*sims[d], members[d], instances,
+                                       versions, options.pipelined);
+            // A device with nothing enqueued is not worth a handoff.
+            if (tp && !pending[d].empty())
+                tp->submit([&task, d] { task(d); });
+            else
                 task(d);
-        } else {
-            ThreadPool tp(out.threads);
-            tp.parallelFor(nd, task);
-            out.pool = tp.stats();
+        }
+        if (tp) {
+            tp->wait();
+            out.pool = tp->stats();
         }
     }
 
     obs::MetricRegistry &global = obs::MetricRegistry::global();
     for (std::size_t d = 0; d < nd; d++)
-        global.mergeFrom(*out.registries[d],
+        global.mergeFrom(*registries[d],
                          options.metric_prefixes.empty()
                              ? std::string()
                              : options.metric_prefixes[d]);
@@ -313,18 +353,18 @@ deviceStats(const std::vector<gpusim::DeviceSpec> &devices,
     std::vector<DeviceStats> out;
     for (std::size_t d = 0; d < devices.size(); d++) {
         const auto &spec = devices[d];
-        const gpusim::GpuSim &sim = *replay.sims[d];
+        const DeviceReplay &dr = replay.devices[d];
         DeviceStats s;
         s.device = spec.name;
         for (const auto &inst : pool.instances())
             if (inst.device == static_cast<int>(d))
                 s.instances++;
-        auto st = sim.stats();
+        const gpusim::UtilStats &st = dr.util;
         s.sm_util_pct = st.smUtilizationPct(spec.sm_count);
         s.copy_busy_pct =
             st.window_s > 0.0 ? 100.0 * st.copy_busy_s / st.window_s
                               : 0.0;
-        s.makespan_s = sim.nowSeconds();
+        s.makespan_s = dr.sim.simulated_s;
         s.ram_used_bytes = pool.ramUsedBytes(static_cast<int>(d));
         s.ram_budget_bytes = pool.ramBudgetBytes(static_cast<int>(d));
 
@@ -376,12 +416,12 @@ saveReplayTrace(const std::string &path,
 {
     std::vector<profile::NamedTrace> device_traces;
     for (std::size_t d = 0; d < devices.size(); d++) {
-        const gpusim::GpuSim &sim = *replay.sims[d];
+        const DeviceReplay &dr = replay.devices[d];
         profile::NamedTrace nt;
         nt.name = devices[d].name + "[" + std::to_string(d) + "]";
-        nt.trace = &sim.trace();
-        if (sim.traceMode() == gpusim::TraceMode::kSampled)
-            nt.sample_every = sim.traceSampleEvery();
+        nt.trace = &dr.trace;
+        if (dr.trace_mode == gpusim::TraceMode::kSampled)
+            nt.sample_every = dr.trace_sample_every;
         device_traces.push_back(std::move(nt));
     }
     profile::saveMergedChromeTrace(path, obs::Tracer::global().spans(),

@@ -12,7 +12,8 @@
  *  - control plane: a seq-stamped event calendar and the batch-cut
  *    loop that turns queued work into per-instance dispatch plans;
  *  - replay: per device, enqueue every instance's plan, run the
- *    GpuSim, fold the stage events back into the plans as seconds;
+ *    GpuSim, fold the stage events back into the plans as seconds,
+ *    keep a small per-device result and destroy the simulator;
  *  - report pieces: request tables, latency summaries, device stats
  *    and the merged chrome-trace export.
  *
@@ -22,7 +23,6 @@
  */
 
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <queue>
 #include <set>
@@ -270,27 +270,39 @@ struct ReplayOptions
     std::vector<std::string> metric_prefixes;
 };
 
-/** The simulators of one replay, kept for the report. */
+/** What the report needs of one device's simulator, extracted before
+ *  the simulator is destroyed. */
+struct DeviceReplay
+{
+    gpusim::UtilStats util;  //!< utilization over the whole run
+    gpusim::SimStats sim;    //!< self-measurement; makespan = simulated_s
+    double wall_s = 0.0;     //!< host seconds of run()
+    std::vector<gpusim::OpRecord> trace; //!< moved out of the sim
+    gpusim::TraceMode trace_mode = gpusim::TraceMode::kFull;
+    int trace_sample_every = 16;
+};
+
+/** The outcome of one replay, per device. */
 struct Replay
 {
-    /** Declared first so it outlives the simulators' handles. */
-    std::vector<std::unique_ptr<obs::MetricRegistry>> registries;
-    std::vector<std::unique_ptr<gpusim::GpuSim>> sims; //!< per device
-    std::vector<double> wall_s; //!< host seconds of each run()
-    int threads = 1;            //!< workers actually used
-    PoolStats pool;             //!< worker stats when threads > 1
+    std::vector<DeviceReplay> devices;
+    int threads = 1; //!< workers actually used
+    PoolStats pool;  //!< worker stats when threads > 1
 };
 
 /**
  * Phase 2 — replay every instance's plan on its device. Each device
- * gets its own GpuSim recording into a private MetricRegistry; per
- * device the task enqueues its instances' plans (delayUntil pins each
- * release; contexts are cached per (version, engine)), runs the
- * simulator and folds the stage events back into every
- * PlannedDispatch as seconds. Devices share nothing, so with
- * threads > 1 the tasks run on a ThreadPool; the private registries
- * merge into the global one in device index order afterwards, so
- * every observable is byte-identical at any thread count.
+ * gets its own GpuSim recording into a private MetricRegistry. The
+ * calling thread enqueues one device at a time (delayUntil pins each
+ * release; contexts are cached per (version, engine)) and hands it to
+ * a task that runs the simulator, folds the stage events back into
+ * every PlannedDispatch as seconds, extracts its DeviceReplay and
+ * destroys the simulator. The caller waits while 2 x threads
+ * simulators are alive, so replay memory is bounded by the devices in
+ * flight, not by the whole fleet. With threads <= 1 the same loop runs
+ * inline. Devices share nothing; the private registries merge into
+ * the global one in device index order afterwards, so every
+ * observable is byte-identical at any thread count.
  */
 Replay replayPlans(const std::vector<gpusim::DeviceSpec> &devices,
                    std::vector<Instance> &instances,
@@ -347,7 +359,7 @@ struct DeviceStats
 };
 
 /**
- * Stats of every device after a replay, with
+ * Stats of every device from a replay's per-device results, with
  * `<prefix>.device.{sm_util_pct,copy_busy_pct,instances}` gauges
  * labeled {device, index}.
  */

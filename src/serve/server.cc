@@ -590,10 +590,10 @@ runServer(const ServeConfig &cfg)
         for (int d = 0; d < n_devices; d++) {
             auto di = static_cast<std::size_t>(d);
             gpusim::publishSimMetrics(
-                *replay.sims[di],
+                replay.devices[di].sim,
                 {{"device", cfg.devices[di].name},
                  {"index", std::to_string(d)}},
-                replay.wall_s[di]);
+                replay.devices[di].wall_s);
         }
     }
 

@@ -2,10 +2,12 @@
  * @file
  * SimCore hot-path tests: the flat event calendar (delay min-heap
  * ordering with FIFO tie-break), the arena containers the simulator
- * allocates from, trace-mode thinning, the sampled-trace profiler
- * footer, and the serial-vs-parallel byte-identity contract of the
- * EdgeServe replay (sim_threads must never change an observable
- * byte of the report, metric snapshot or device traces).
+ * allocates from, compact op storage (per-op footprint, owned
+ * descriptors of temporary launches), trace-mode thinning, the
+ * sampled-trace profiler footer, and the serial-vs-parallel
+ * byte-identity contract of the serve and fleet replays (sim_threads
+ * must never change an observable byte of the report, metric
+ * snapshot or device traces).
  */
 
 #include <gtest/gtest.h>
@@ -17,11 +19,16 @@
 #include <vector>
 
 #include "common/arena.hh"
+#include "core/builder.hh"
+#include "fleet/fleet.hh"
+#include "fleet/spec.hh"
 #include "gpusim/device.hh"
 #include "gpusim/sim.hh"
+#include "nn/model_zoo.hh"
 #include "obs/clock.hh"
 #include "obs/metrics.hh"
 #include "profile/nvprof.hh"
+#include "runtime/context.hh"
 #include "serve/server.hh"
 
 namespace edgert {
@@ -152,6 +159,62 @@ TEST(RingBuffer, FifoAcrossGrowth)
 }
 
 // ---------------------------------------------------------------
+// Op storage
+// ---------------------------------------------------------------
+
+TEST(OpStorage, StagedInferencesStayCompact)
+{
+    // Ops borrow the engine's kernel descriptors and intern their
+    // copy tags, so a backlog of enqueued inferences costs a compact
+    // slot per op rather than a descriptor and a name copy per launch.
+    const gpusim::DeviceSpec nx = gpusim::DeviceSpec::xavierNX();
+    core::Engine engine = core::Builder(nx, core::BuilderConfig())
+                              .build(nn::buildZooModel("resnet-18"));
+    GpuSim sim(nx);
+    runtime::ExecutionContext ctx(engine, sim, 0);
+    for (int i = 0; i < 100; i++)
+        ctx.enqueueInference(true, true, /*staged=*/true);
+    const gpusim::SimStats st = sim.simStats();
+    ASSERT_GT(st.ops_enqueued, 1000u);
+    EXPECT_LE(st.arena_bytes / st.ops_enqueued, 96u)
+        << st.arena_bytes << " B for " << st.ops_enqueued << " ops";
+}
+
+TEST(OpStorage, TemporaryLaunchesKeepTheirDescriptors)
+{
+    // Launches of temporaries are owned by the simulator until they
+    // retire: every record keeps its own name and fields even though
+    // each descriptor died at the end of its launch statement. Names
+    // are longer than the small-string buffer, so a dangling borrow
+    // would read freed heap.
+    GpuSim sim(gpusim::DeviceSpec::xavierNX());
+    int s1 = sim.createStream();
+    const int n = 24;
+    for (int i = 0; i < n; i++) {
+        KernelDesc k = kernel(6 + i, 1'000'000 * (i + 1));
+        k.name = "temporary_kernel_with_a_long_name_" + std::to_string(i);
+        sim.launchKernel(i % 2 == 0 ? 0 : s1, std::move(k));
+    }
+    sim.run();
+    ASSERT_EQ(sim.trace().size(), static_cast<std::size_t>(n));
+    std::vector<bool> seen(n, false);
+    for (const auto &rec : sim.trace()) {
+        const int i = static_cast<int>(rec.kernel.grid_blocks) - 6;
+        ASSERT_GE(i, 0);
+        ASSERT_LT(i, n);
+        seen[static_cast<std::size_t>(i)] = true;
+        EXPECT_EQ(rec.name,
+                  "temporary_kernel_with_a_long_name_" +
+                      std::to_string(i));
+        EXPECT_EQ(rec.kernel.name, rec.name);
+        EXPECT_EQ(rec.kernel.flops, 1'000'000 * (i + 1));
+        EXPECT_EQ(rec.kernel.dram_bytes, 1 << 20);
+    }
+    for (int i = 0; i < n; i++)
+        EXPECT_TRUE(seen[static_cast<std::size_t>(i)]) << i;
+}
+
+// ---------------------------------------------------------------
 // Trace modes
 // ---------------------------------------------------------------
 
@@ -275,12 +338,45 @@ runServe(int sim_threads, const std::string &trace_path)
 TEST(ParallelReplay, ByteIdenticalToSerial)
 {
     ServeArtifacts serial = runServe(1, "eventqueue_serial.json");
-    ServeArtifacts parallel =
-        runServe(4, "eventqueue_parallel.json");
-    EXPECT_EQ(serial.report, parallel.report);
-    EXPECT_EQ(serial.metrics, parallel.metrics);
     ASSERT_FALSE(serial.trace.empty());
-    EXPECT_EQ(serial.trace, parallel.trace);
+    for (int threads : {2, 4}) {
+        SCOPED_TRACE(threads);
+        ServeArtifacts parallel =
+            runServe(threads, "eventqueue_parallel.json");
+        EXPECT_EQ(serial.report, parallel.report);
+        EXPECT_EQ(serial.metrics, parallel.metrics);
+        EXPECT_EQ(serial.trace, parallel.trace);
+    }
+}
+
+TEST(ParallelReplay, FleetWiderThanTheWindowMatchesSerial)
+{
+    // 16 nodes at 2 threads: at most 4 simulators are alive, so the
+    // enqueueing caller waits on retiring tasks mid-replay.
+    auto run = [](int threads) {
+        obs::MetricRegistry::global().reset();
+        obs::FakeClock fake(1'000'000, 500);
+        obs::ScopedClock scoped(&fake);
+        fleet::FleetConfig cfg;
+        cfg.groups.push_back(fleet::parseNodeGroup("nx:12"));
+        cfg.groups.push_back(fleet::parseNodeGroup("agx:4"));
+        fleet::FleetModelConfig mc;
+        mc.model = "alexnet";
+        mc.slo_ms = 100.0;
+        mc.arrivals.qps = 1600.0;
+        cfg.models.push_back(mc);
+        cfg.duration_s = 0.5;
+        cfg.seed = 5;
+        cfg.sim_threads = threads;
+        std::string report = fleet::runFleet(cfg).toJson();
+        return std::make_pair(report,
+                              obs::MetricRegistry::global().toJson());
+    };
+    auto serial = run(1);
+    auto parallel = run(2);
+    EXPECT_EQ(serial.first, parallel.first);
+    EXPECT_EQ(serial.second, parallel.second);
+    EXPECT_NE(serial.first.find("\"nodes\": 16"), std::string::npos);
 }
 
 } // namespace

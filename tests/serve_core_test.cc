@@ -11,6 +11,7 @@
 
 #include "common/logging.hh"
 #include "fleet/fleet.hh"
+#include "obs/metrics.hh"
 #include "serve/cli.hh"
 #include "serve/core.hh"
 #include "serve/predictor.hh"
@@ -173,6 +174,80 @@ TEST(BuildLadder, PerEngineCalibration)
             << "engine " << i;
     }
     EXPECT_LT(set.service_s[0], set.service_s[2]);
+}
+
+// replayPlans streams devices through a window of 2 x threads live
+// simulators: ten devices at two threads make the enqueueing caller
+// wait on retiring tasks, and every folded time, per-device result
+// and merged metric still matches the inline run.
+TEST(ReplayPlans, WindowedReplayMatchesInline)
+{
+    const gpusim::DeviceSpec nx = gpusim::DeviceSpec::xavierNX();
+    serve::LadderSpec spec;
+    spec.model = "alexnet";
+    spec.max_batch = 2;
+    serve::ModelVersions versions(1);
+    versions[0].emplace_back();
+    versions[0][0].sets.push_back(serve::buildLadder(nx, spec, nullptr));
+    const std::vector<gpusim::DeviceSpec> devices(10, nx);
+
+    struct Outcome
+    {
+        std::vector<serve::Instance> instances;
+        serve::Replay replay;
+        std::string metrics;
+    };
+    auto replay = [&](int threads) {
+        obs::MetricRegistry::global().reset();
+        Outcome o;
+        for (int d = 0; d < static_cast<int>(devices.size()); d++) {
+            serve::Instance inst;
+            inst.device = d;
+            for (int i = 0; i < 4; i++) {
+                serve::PlannedDispatch pd;
+                pd.t_s = 0.002 * i + 0.0001 * d;
+                pd.engine_idx = (i + d) % 2;
+                pd.batch = pd.engine_idx + 1;
+                inst.plan.push_back(pd);
+            }
+            o.instances.push_back(inst);
+        }
+        serve::ReplayOptions ro;
+        ro.threads = threads;
+        o.replay = serve::replayPlans(devices, o.instances, versions, ro);
+        o.metrics = obs::MetricRegistry::global().toJson();
+        return o;
+    };
+    const Outcome inline_run = replay(1);
+    const Outcome windowed = replay(2);
+    EXPECT_EQ(windowed.replay.threads, 2);
+    EXPECT_EQ(windowed.replay.pool.tasks_run, devices.size());
+    EXPECT_EQ(inline_run.metrics, windowed.metrics);
+    ASSERT_EQ(windowed.replay.devices.size(), devices.size());
+    for (std::size_t d = 0; d < devices.size(); d++) {
+        SCOPED_TRACE(d);
+        const serve::DeviceReplay &a = inline_run.replay.devices[d];
+        const serve::DeviceReplay &b = windowed.replay.devices[d];
+        EXPECT_GT(a.sim.simulated_s, 0.0);
+        EXPECT_EQ(a.sim.simulated_s, b.sim.simulated_s);
+        EXPECT_EQ(a.sim.ops_completed, b.sim.ops_completed);
+        EXPECT_EQ(a.util.gpu_busy_s, b.util.gpu_busy_s);
+        ASSERT_FALSE(a.trace.empty()); // moved out of the simulator
+        ASSERT_EQ(a.trace.size(), b.trace.size());
+        for (std::size_t i = 0; i < a.trace.size(); i++) {
+            EXPECT_EQ(a.trace[i].name, b.trace[i].name);
+            EXPECT_EQ(a.trace[i].end_s, b.trace[i].end_s);
+        }
+        const auto &pa = inline_run.instances[d].plan;
+        const auto &pb = windowed.instances[d].plan;
+        for (std::size_t i = 0; i < pa.size(); i++) {
+            EXPECT_GT(pa[i].end_s, pa[i].begin_s);
+            EXPECT_EQ(pa[i].begin_s, pb[i].begin_s);
+            EXPECT_EQ(pa[i].upload_done_s, pb[i].upload_done_s);
+            EXPECT_EQ(pa[i].compute_done_s, pb[i].compute_done_s);
+            EXPECT_EQ(pa[i].end_s, pb[i].end_s);
+        }
+    }
 }
 
 } // namespace
