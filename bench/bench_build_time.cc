@@ -243,7 +243,7 @@ runBuildTimeStudy()
 
     bench::saveBenchReport(
         "BENCH_build.json", "bench_build_time",
-        [&](bench::JsonWriter &w) {
+        [&](JsonWriter &w) {
             w.field("device", nx.name);
             w.field("models", rows.size());
             w.field("jobs", hw_jobs);

@@ -94,7 +94,7 @@ writeJsonReport(const std::vector<SweepRow> &rows)
 {
     bench::saveBenchReport(
         "BENCH_concurrency.json", "concurrency",
-        [&](bench::JsonWriter &w) {
+        [&](JsonWriter &w) {
             w.key("sweeps").beginArray();
             for (const SweepRow &r : rows) {
                 w.beginObject();

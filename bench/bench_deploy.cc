@@ -267,7 +267,7 @@ swapStudy()
 // ---------- Report ----------
 
 void
-fillReport(bench::JsonWriter &w, const GateStudy &gate,
+fillReport(JsonWriter &w, const GateStudy &gate,
            const SwapStudy &swap)
 {
     w.field("model", kModel);
@@ -346,7 +346,7 @@ renderReport()
     GateStudy gate = gateSweep();
     SwapStudy swap = swapStudy();
 
-    bench::JsonWriter w;
+    JsonWriter w;
     w.beginObject();
     w.field("bench", "bench_deploy");
     fillReport(w, gate, swap);

@@ -153,7 +153,7 @@ writeJsonReport(const std::vector<VarianceRow> &variance,
 {
     bench::saveBenchReport(
         "BENCH_engine_variance.json", "bench_engine_variance",
-        [&](bench::JsonWriter &w) {
+        [&](JsonWriter &w) {
             w.field("device", "xavier-agx");
             w.field("builds_per_model", 3);
             w.key("variance").beginArray();

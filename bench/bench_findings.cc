@@ -157,7 +157,7 @@ printScorecard()
 
     bench::saveBenchReport(
         "BENCH_findings.json", "bench_findings",
-        [&](bench::JsonWriter &w) {
+        [&](JsonWriter &w) {
             w.key("findings").beginArray();
             for (const Finding &f : findings) {
                 w.beginObject();

@@ -75,7 +75,7 @@ baseConfig(const std::vector<fleet::NodeGroup> &groups,
 }
 
 void
-writeLatency(bench::JsonWriter &w, const fleet::FleetReport &r)
+writeLatency(JsonWriter &w, const fleet::FleetReport &r)
 {
     w.key("latency_ms").beginObject();
     w.field("mean", r.mean_ms);
@@ -87,7 +87,7 @@ writeLatency(bench::JsonWriter &w, const fleet::FleetReport &r)
 }
 
 void
-writeTotals(bench::JsonWriter &w, const fleet::FleetReport &r)
+writeTotals(JsonWriter &w, const fleet::FleetReport &r)
 {
     w.field("nodes", r.nodes);
     w.field("offered", r.offered);
@@ -281,7 +281,7 @@ runFigures()
 
     bench::saveBenchReport(
         "BENCH_fleet.json", "bench_fleet",
-        [&](bench::JsonWriter &w) {
+        [&](JsonWriter &w) {
             w.field("smoke", g_smoke);
             w.key("scale").beginObject();
             w.field("model", "resnet-18");

@@ -175,14 +175,14 @@ printTable9()
 void
 writeReport()
 {
-    auto writeCell = [](bench::JsonWriter &w, const char *name,
+    auto writeCell = [](JsonWriter &w, const char *name,
                         const runtime::LatencyStats &s) {
         w.key(name).beginObject();
         w.field("mean_ms", s.mean_ms);
         w.field("std_ms", s.std_ms);
         w.endObject();
     };
-    auto writeRows = [&](bench::JsonWriter &w,
+    auto writeRows = [&](JsonWriter &w,
                          const std::vector<MatrixRow> &rows) {
         w.beginArray();
         for (const MatrixRow &r : rows) {
@@ -199,7 +199,7 @@ writeReport()
     };
     bench::saveBenchReport(
         "BENCH_latency_matrix.json", "bench_latency_matrix",
-        [&](bench::JsonWriter &w) {
+        [&](JsonWriter &w) {
             w.key("table8").beginObject();
             w.field("with_profiler", true);
             w.key("rows");

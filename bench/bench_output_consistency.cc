@@ -94,7 +94,7 @@ writeJsonReport(const std::vector<ConsistencyRow> &rows,
 {
     bench::saveBenchReport(
         "BENCH_output_consistency.json", "bench_output_consistency",
-        [&](bench::JsonWriter &w) {
+        [&](JsonWriter &w) {
             w.field("dataset_size", dataset_size);
             w.field("engines_per_platform", 3);
             w.key("models").beginArray();

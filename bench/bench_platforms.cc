@@ -67,7 +67,7 @@ printTable1()
     std::printf("\n=== Table I: evaluation platforms ===\n");
     t.render(std::cout);
 
-    auto writePlatform = [](bench::JsonWriter &w,
+    auto writePlatform = [](JsonWriter &w,
                             const gpusim::DeviceSpec &d) {
         w.beginObject();
         w.field("name", d.name);
@@ -86,7 +86,7 @@ printTable1()
     };
     bench::saveBenchReport(
         "BENCH_platforms.json", "bench_platforms",
-        [&](bench::JsonWriter &w) {
+        [&](JsonWriter &w) {
             w.key("platforms").beginArray();
             writePlatform(w, nx);
             writePlatform(w, agx);

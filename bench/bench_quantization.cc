@@ -419,7 +419,7 @@ crossPrecisionSwap()
 // ---------- Report ----------
 
 void
-fillReport(bench::JsonWriter &w, const FrontierStudy &frontier,
+fillReport(JsonWriter &w, const FrontierStudy &frontier,
            const SeedStudy &seeds, const SwapStudy &swap)
 {
     w.field("smoke", g_smoke);
@@ -495,7 +495,7 @@ renderReport()
     SeedStudy seeds = seedStudy();
     SwapStudy swap = crossPrecisionSwap();
 
-    bench::JsonWriter w;
+    JsonWriter w;
     w.beginObject();
     w.field("bench", "bench_quantization");
     fillReport(w, frontier, seeds, swap);

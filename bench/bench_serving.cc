@@ -304,7 +304,7 @@ void
 writeJsonReport(const std::vector<Policy> &pols, const Ablation &ab,
                 bool same_seed)
 {
-    auto point = [](bench::JsonWriter &w, const Point &p) {
+    auto point = [](JsonWriter &w, const Point &p) {
         w.beginObject();
         w.field("target_qps", p.target_qps);
         w.field("offered_qps", p.offered_qps);
@@ -320,7 +320,7 @@ writeJsonReport(const std::vector<Policy> &pols, const Ablation &ab,
     };
     bench::saveBenchReport(
         "BENCH_serving.json", "bench_serving",
-        [&](bench::JsonWriter &w) {
+        [&](JsonWriter &w) {
             w.field("model", kModel);
             w.field("slo_ms", kSloMs);
             w.field("smoke", g_smoke);

@@ -356,7 +356,7 @@ main(int argc, char **argv)
 
     bench::saveBenchReport(
         "BENCH_sim_speed.json", "bench_sim_speed",
-        [&](bench::JsonWriter &w2) {
+        [&](JsonWriter &w2) {
             w2.field("smoke", g_smoke);
             w2.field("model", kModel);
             // Headline: the fleet shape is what the overhaul is

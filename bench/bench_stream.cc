@@ -82,7 +82,7 @@ struct PolicyOutcome
 };
 
 void
-writePolicy(bench::JsonWriter &w, const PolicyOutcome &o)
+writePolicy(JsonWriter &w, const PolicyOutcome &o)
 {
     w.beginObject();
     w.field("policy", o.policy);
@@ -120,7 +120,7 @@ runFigures()
         {"int8", nn::Precision::kInt8, 0, 0, 0.0},
     };
     const std::vector<int> counts = {4, 8, 12, 16, 20, 24};
-    bench::JsonWriter sweep;
+    JsonWriter sweep;
     sweep.beginArray();
     for (Rung &r : ladder) {
         for (int n : counts) {
@@ -212,7 +212,7 @@ runFigures()
 
     bench::saveBenchReport(
         "BENCH_stream.json", "bench_stream",
-        [&](bench::JsonWriter &w) {
+        [&](JsonWriter &w) {
             w.field("model", kModel);
             w.field("fps", kFps);
             w.field("stale_ms", kStaleMs);

@@ -98,7 +98,7 @@ printTable7()
 
     bench::saveBenchReport(
         "BENCH_throughput.json", "bench_throughput",
-        [&](bench::JsonWriter &w) {
+        [&](JsonWriter &w) {
             w.key("models").beginArray();
             for (const FpsRow &r : results) {
                 w.beginObject();

@@ -125,7 +125,7 @@ timedRun(const serve::ServeConfig &cfg)
 }
 
 void
-writeScenario(bench::JsonWriter &w, const ScenarioOutcome &o)
+writeScenario(JsonWriter &w, const ScenarioOutcome &o)
 {
     w.beginObject();
     w.field("scenario", o.name);
@@ -244,7 +244,7 @@ runFigures()
 
     bench::saveBenchReport(
         "BENCH_watch.json", "bench_watch",
-        [&](bench::JsonWriter &w) {
+        [&](JsonWriter &w) {
             w.field("model", kModel);
             w.field("slo_ms", kSloMs);
             w.field("smoke", g_smoke);

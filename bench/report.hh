@@ -3,168 +3,27 @@
 
 /**
  * @file
- * Shared BENCH_*.json emission for the bench suite.
- *
- * Every bench writes a machine-readable report so results are
- * comparable across commits; before this helper each bench
- * hand-rolled its own ofstream JSON. JsonWriter is a small
- * streaming writer (comma and indent management, deterministic
- * numbers via common/json's jsonNumber), and saveBenchReport()
- * wraps the standard envelope:
+ * saveBenchReport(): the standard BENCH_*.json envelope every bench
+ * writes, so results are comparable across commits:
  *
  *   { "bench": "<name>", <body fields...>, "metrics": <registry> }
  *
- * The trailing "metrics" key embeds the obs::MetricRegistry
- * snapshot, so benches that reset the registry before their study
- * ship exactly that study's counters.
+ * The body is filled through common/json's JsonWriter. The trailing
+ * "metrics" key embeds the obs::MetricRegistry snapshot, so benches
+ * that reset the registry before their study ship exactly that
+ * study's counters.
  */
 
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <string>
-#include <type_traits>
-#include <vector>
 
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 
 namespace edgert::bench {
-
-/**
- * Streaming JSON writer with comma/indent bookkeeping. Keys print
- * in call order; numbers go through jsonNumber, so two runs that
- * compute the same values emit byte-identical documents.
- */
-class JsonWriter
-{
-  public:
-    JsonWriter &beginObject()
-    {
-        prefix();
-        os_ += '{';
-        stack_.push_back({false, true});
-        return *this;
-    }
-
-    JsonWriter &endObject() { return close('}'); }
-
-    JsonWriter &beginArray()
-    {
-        prefix();
-        os_ += '[';
-        stack_.push_back({true, true});
-        return *this;
-    }
-
-    JsonWriter &endArray() { return close(']'); }
-
-    /** Start a field inside the current object. */
-    JsonWriter &key(const std::string &k)
-    {
-        prefix();
-        os_ += '"';
-        os_ += jsonEscape(k);
-        os_ += "\": ";
-        pending_key_ = true;
-        return *this;
-    }
-
-    JsonWriter &value(bool v)
-    {
-        prefix();
-        os_ += v ? "true" : "false";
-        return *this;
-    }
-
-    JsonWriter &value(double v)
-    {
-        prefix();
-        os_ += jsonNumber(v);
-        return *this;
-    }
-
-    template <typename T,
-              typename = std::enable_if_t<
-                  std::is_integral_v<T> &&
-                  !std::is_same_v<T, bool>>>
-    JsonWriter &value(T v)
-    {
-        prefix();
-        os_ += std::to_string(v);
-        return *this;
-    }
-
-    JsonWriter &value(const std::string &v)
-    {
-        prefix();
-        os_ += '"';
-        os_ += jsonEscape(v);
-        os_ += '"';
-        return *this;
-    }
-
-    JsonWriter &value(const char *v)
-    {
-        return value(std::string(v));
-    }
-
-    /** Splice pre-rendered JSON (e.g. a registry snapshot). */
-    JsonWriter &raw(const std::string &json)
-    {
-        prefix();
-        os_ += json;
-        return *this;
-    }
-
-    template <typename T>
-    JsonWriter &field(const std::string &k, T v)
-    {
-        return key(k).value(v);
-    }
-
-    const std::string &str() const { return os_; }
-
-  private:
-    struct Level
-    {
-        bool array;
-        bool first;
-    };
-
-    /** Comma/newline/indent before a value, key or container. */
-    void prefix()
-    {
-        if (pending_key_) {
-            pending_key_ = false;
-            return; // value follows its key inline
-        }
-        if (stack_.empty())
-            return;
-        if (!stack_.back().first)
-            os_ += ',';
-        stack_.back().first = false;
-        os_ += '\n';
-        os_.append(2 * stack_.size(), ' ');
-    }
-
-    JsonWriter &close(char c)
-    {
-        bool empty = stack_.back().first;
-        stack_.pop_back();
-        if (!empty) {
-            os_ += '\n';
-            os_.append(2 * stack_.size(), ' ');
-        }
-        os_ += c;
-        return *this;
-    }
-
-    std::string os_;
-    std::vector<Level> stack_;
-    bool pending_key_ = false;
-};
 
 /**
  * Write the standard bench report envelope to `path`: the `body`

@@ -7,11 +7,11 @@
 
 namespace edgert {
 
-std::string
-jsonEscape(const std::string &s)
+namespace {
+
+void
+appendEscaped(std::string &out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size());
     for (unsigned char c : s) {
         switch (c) {
           case '"': out += "\\\""; break;
@@ -31,6 +31,16 @@ jsonEscape(const std::string &s)
             }
         }
     }
+}
+
+} // namespace
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    appendEscaped(out, s);
     return out;
 }
 
@@ -42,6 +52,80 @@ jsonNumber(double v)
     char buf[32];
     auto res = std::to_chars(buf, buf + sizeof(buf), v);
     return std::string(buf, res.ptr);
+}
+
+JsonWriter &
+JsonWriter::open(char bracket, Layout layout)
+{
+    prefix();
+    out_ += bracket;
+    bool in_inline = !stack_.empty() && stack_.back().inline_layout;
+    stack_.push_back({in_inline || layout == Layout::Inline, true});
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::close(char bracket)
+{
+    bool inline_layout = stack_.back().inline_layout;
+    stack_.pop_back();
+    if (!inline_layout) {
+        out_ += '\n';
+        out_.append(2 * stack_.size(), ' ');
+    }
+    out_ += bracket;
+    return *this;
+}
+
+void
+JsonWriter::prefix()
+{
+    if (pending_key_) {
+        pending_key_ = false;
+        return; // a value follows its key on the same line
+    }
+    if (stack_.empty())
+        return;
+    Level &top = stack_.back();
+    if (top.inline_layout) {
+        if (!top.first)
+            out_ += ", ";
+    } else {
+        if (!top.first)
+            out_ += ',';
+        out_ += '\n';
+        out_.append(2 * stack_.size(), ' ');
+    }
+    top.first = false;
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view k)
+{
+    prefix();
+    out_ += '"';
+    appendEscaped(out_, k);
+    out_ += "\": ";
+    pending_key_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(std::string_view v)
+{
+    prefix();
+    out_ += '"';
+    appendEscaped(out_, v);
+    out_ += '"';
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::raw(std::string_view json)
+{
+    prefix();
+    out_ += json;
+    return *this;
 }
 
 namespace {

@@ -1,8 +1,8 @@
 #include "deploy/drift_gate.hh"
 
 #include <map>
-#include <sstream>
 
+#include "common/json.hh"
 #include "common/strutil.hh"
 #include "data/datasets.hh"
 #include "data/surrogate.hh"
@@ -23,51 +23,35 @@ kernelCalls(const core::Engine &engine)
     return calls;
 }
 
-void
-jsonStr(std::ostringstream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
-}
-
 } // namespace
 
 std::string
 DriftVerdict::toJson() const
 {
-    std::ostringstream os;
-    os << "{\"accepted\": " << (accepted ? "true" : "false")
-       << ", \"reason\": ";
-    jsonStr(os, reason);
-    os << ", \"detail\": ";
-    jsonStr(os, detail);
-    os << ", \"canary_ran\": " << (canary_ran ? "true" : "false")
-       << ", \"canary_size\": " << canary_size
-       << ", \"disagreements\": " << disagreements
-       << ", \"disagreement_pct\": "
-       << formatDouble(disagreement_pct, 4)
-       << ", \"kernel_remap_pct\": "
-       << formatDouble(kernel_remap_pct, 2)
-       << ", \"kernel_deltas\": [";
-    for (std::size_t i = 0; i < kernel_deltas.size(); i++) {
-        const KernelDelta &d = kernel_deltas[i];
-        if (i)
-            os << ", ";
-        os << "{\"kernel\": ";
-        jsonStr(os, d.kernel);
-        os << ", \"incumbent_calls\": " << d.incumbent_calls
-           << ", \"candidate_calls\": " << d.candidate_calls << "}";
+    JsonWriter w;
+    w.beginObject(JsonWriter::Layout::Inline);
+    w.field("accepted", accepted);
+    w.field("reason", reason);
+    w.field("detail", detail);
+    w.field("canary_ran", canary_ran);
+    w.field("canary_size", canary_size);
+    w.field("disagreements", disagreements);
+    w.key("disagreement_pct").raw(formatDouble(disagreement_pct, 4));
+    w.key("kernel_remap_pct").raw(formatDouble(kernel_remap_pct, 2));
+    w.key("kernel_deltas").beginArray();
+    for (const KernelDelta &d : kernel_deltas) {
+        w.beginObject();
+        w.field("kernel", d.kernel);
+        w.field("incumbent_calls", d.incumbent_calls);
+        w.field("candidate_calls", d.candidate_calls);
+        w.endObject();
     }
-    os << "], \"cross_precision\": "
-       << (cross_precision ? "true" : "false")
-       << ", \"applied_disagreement_pct\": "
-       << formatDouble(applied_disagreement_pct, 4) << "}";
-    return os.str();
+    w.endArray();
+    w.field("cross_precision", cross_precision);
+    w.key("applied_disagreement_pct")
+        .raw(formatDouble(applied_disagreement_pct, 4));
+    w.endObject();
+    return w.str();
 }
 
 DriftGate::DriftGate(DriftGateConfig cfg)

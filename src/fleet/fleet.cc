@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <memory>
-#include <sstream>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -26,6 +25,10 @@ namespace edgert::fleet {
 namespace {
 
 using serve::Event;
+
+/** Probe keys per remap measurement (membership-change events
+ *  report the share of key space that moved). */
+constexpr int kRemapProbes = 4096;
 
 /** Mutable per-rollout progress. */
 struct RolloutState
@@ -53,9 +56,6 @@ runFleet(const FleetConfig &cfg)
     if (cfg.sojourn_choices < 1)
         fatal("fleet sojourn_choices must be >= 1 (got ",
               cfg.sojourn_choices, ")");
-    if (cfg.remap_probes < 1)
-        fatal("fleet remap_probes must be >= 1 (got ",
-              cfg.remap_probes, ")");
 
     ResolvedFleet fleet = resolveFleet(cfg.groups);
     const int n_nodes = static_cast<int>(fleet.nodes.size());
@@ -425,7 +425,7 @@ runFleet(const FleetConfig &cfg)
                 continue;
             HashRing before = ring;
             ring.remove(node);
-            remap_sum += remapPct(before, ring, cfg.remap_probes);
+            remap_sum += remapPct(before, ring, kRemapProbes);
             remap_n++;
             auto &q = queues[nmSlot(node, m)];
             timeouts[nmSlot(node, m)].armed_for = -1;
@@ -605,7 +605,7 @@ runFleet(const FleetConfig &cfg)
                           HashRing before = ring;
                           ring.add(node);
                           remap_sum += remapPct(before, ring,
-                                                cfg.remap_probes);
+                                                kRemapProbes);
                           remap_n++;
                       }
                   }
@@ -866,155 +866,133 @@ runFleet(const FleetConfig &cfg)
 std::string
 FleetReport::toJson() const
 {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"seed\": " << seed << ",\n";
-    os << "  \"duration_s\": " << jsonNumber(duration_s) << ",\n";
-    os << "  \"route_policy\": \"" << jsonEscape(route_policy)
-       << "\",\n";
-    os << "  \"placement\": \"" << jsonEscape(placement) << "\",\n";
-    os << "  \"vnodes\": " << vnodes << ",\n";
-    os << "  \"nodes\": " << nodes << ",\n";
-    os << "  \"offered\": " << offered << ",\n";
-    os << "  \"completed\": " << completed << ",\n";
-    os << "  \"shed\": " << shed << ",\n";
-    os << "  \"unaccounted\": " << unaccounted << ",\n";
-    os << "  \"aggregate_offered_qps\": "
-       << jsonNumber(aggregate_offered_qps) << ",\n";
-    writeJson(os, "latency_ms", 2);
-    os << ",\n";
-    os << "  \"classes\": [\n";
-    for (std::size_t i = 0; i < classes.size(); i++) {
-        const FleetClassStats &c = classes[i];
-        os << "    {\"label\": \"" << jsonEscape(c.label)
-           << "\", \"nodes\": " << c.nodes << ", \"svc1_ms\": [";
-        for (std::size_t m = 0; m < c.svc1_ms.size(); m++)
-            os << (m ? ", " : "") << jsonNumber(c.svc1_ms[m]);
-        os << "]}" << (i + 1 < classes.size() ? "," : "") << "\n";
+    using Layout = JsonWriter::Layout;
+    JsonWriter w;
+    w.beginObject();
+    w.field("seed", seed);
+    w.field("duration_s", duration_s);
+    w.field("route_policy", route_policy);
+    w.field("placement", placement);
+    w.field("vnodes", vnodes);
+    w.field("nodes", nodes);
+    w.field("offered", offered);
+    w.field("completed", completed);
+    w.field("shed", shed);
+    w.field("unaccounted", unaccounted);
+    w.field("aggregate_offered_qps", aggregate_offered_qps);
+    writeJson(w, "latency_ms");
+    w.key("classes").beginArray();
+    for (const FleetClassStats &c : classes) {
+        w.beginObject(Layout::Inline);
+        w.field("label", c.label);
+        w.field("nodes", c.nodes);
+        w.key("svc1_ms").beginArray();
+        for (double ms : c.svc1_ms)
+            w.value(ms);
+        w.endArray();
+        w.endObject();
     }
-    os << "  ],\n";
-    os << "  \"models\": [\n";
-    for (std::size_t i = 0; i < models.size(); i++) {
-        const FleetModelStats &s = models[i];
-        os << "    {\n";
-        os << "      \"model\": \"" << jsonEscape(s.model)
-           << "\",\n";
-        os << "      \"slo_ms\": " << jsonNumber(s.slo_ms)
-           << ",\n";
-        os << "      \"serving_nodes\": " << s.serving_nodes
-           << ",\n";
-        os << "      \"placement_rank\": [";
-        for (std::size_t r = 0; r < s.placement_rank.size(); r++)
-            os << (r ? ", " : "") << "\""
-               << jsonEscape(s.placement_rank[r]) << "\"";
-        os << "],\n";
-        os << "      \"offered\": " << s.offered << ",\n";
-        os << "      \"offered_qps\": "
-           << jsonNumber(s.offered_qps) << ",\n";
-        os << "      \"shed\": " << s.shed << ",\n";
-        os << "      \"completed\": " << s.completed << ",\n";
-        os << "      \"slo_violations\": " << s.slo_violations
-           << ",\n";
-        os << "      \"attainment_pct\": "
-           << jsonNumber(s.attainment_pct) << ",\n";
-        os << "      \"batches\": " << s.batches << ",\n";
-        os << "      \"mean_batch\": " << jsonNumber(s.mean_batch)
-           << ",\n";
-        os << "      \"goodput_qps\": "
-           << jsonNumber(s.goodput_qps) << ",\n";
-        s.writeJson(os, "latency_ms", 6);
-        os << "\n";
-        os << "    }" << (i + 1 < models.size() ? "," : "")
-           << "\n";
+    w.endArray();
+    w.key("models").beginArray();
+    for (const FleetModelStats &s : models) {
+        w.beginObject();
+        w.field("model", s.model);
+        w.field("slo_ms", s.slo_ms);
+        w.field("serving_nodes", s.serving_nodes);
+        w.key("placement_rank").beginArray(Layout::Inline);
+        for (const std::string &label : s.placement_rank)
+            w.value(label);
+        w.endArray();
+        w.field("offered", s.offered);
+        w.field("offered_qps", s.offered_qps);
+        w.field("shed", s.shed);
+        w.field("completed", s.completed);
+        w.field("slo_violations", s.slo_violations);
+        w.field("attainment_pct", s.attainment_pct);
+        w.field("batches", s.batches);
+        w.field("mean_batch", s.mean_batch);
+        w.field("goodput_qps", s.goodput_qps);
+        s.writeJson(w, "latency_ms");
+        w.endObject();
     }
-    os << "  ],\n";
-    os << "  \"groups\": [\n";
-    for (std::size_t i = 0; i < groups.size(); i++) {
-        const FleetGroupStats &g = groups[i];
-        os << "    {\"group\": \"" << jsonEscape(g.group)
-           << "\", \"class\": \"" << jsonEscape(g.dev_class)
-           << "\", \"nodes\": " << g.nodes
-           << ", \"quarantined\": " << g.quarantined
-           << ", \"failed\": " << g.failed
-           << ", \"completed\": " << g.completed
-           << ", \"mean_ms\": " << jsonNumber(g.mean_ms)
-           << ", \"p99_ms\": " << jsonNumber(g.p99_ms) << "}"
-           << (i + 1 < groups.size() ? "," : "") << "\n";
+    w.endArray();
+    w.key("groups").beginArray();
+    for (const FleetGroupStats &g : groups) {
+        w.beginObject(Layout::Inline);
+        w.field("group", g.group);
+        w.field("class", g.dev_class);
+        w.field("nodes", g.nodes);
+        w.field("quarantined", g.quarantined);
+        w.field("failed", g.failed);
+        w.field("completed", g.completed);
+        w.field("mean_ms", g.mean_ms);
+        w.field("p99_ms", g.p99_ms);
+        w.endObject();
     }
-    os << "  ],\n";
-    os << "  \"events\": [\n";
-    for (std::size_t i = 0; i < events.size(); i++) {
-        const FleetEvent &e = events[i];
-        os << "    {\"t_s\": " << jsonNumber(e.t_s)
-           << ", \"node\": " << e.node << ", \"name\": \""
-           << jsonEscape(e.node_name) << "\", \"kind\": \""
-           << jsonEscape(e.kind) << "\", \"reason\": \""
-           << jsonEscape(e.reason)
-           << "\", \"rerouted\": " << e.rerouted
-           << ", \"remap_pct\": " << jsonNumber(e.remap_pct)
-           << "}" << (i + 1 < events.size() ? "," : "") << "\n";
+    w.endArray();
+    w.key("events").beginArray();
+    for (const FleetEvent &e : events) {
+        w.beginObject(Layout::Inline);
+        w.field("t_s", e.t_s);
+        w.field("node", e.node);
+        w.field("name", e.node_name);
+        w.field("kind", e.kind);
+        w.field("reason", e.reason);
+        w.field("rerouted", e.rerouted);
+        w.field("remap_pct", e.remap_pct);
+        w.endObject();
     }
-    os << "  ],\n";
-    os << "  \"rollouts\": [\n";
-    for (std::size_t i = 0; i < rollouts.size(); i++) {
-        const RolloutStats &ro = rollouts[i];
-        os << "    {\n";
-        os << "      \"model\": \"" << jsonEscape(ro.model)
-           << "\",\n";
-        os << "      \"candidate_build_id\": "
-           << ro.candidate_build_id << ",\n";
-        os << "      \"halted\": "
-           << (ro.halted ? "true" : "false") << ",\n";
-        os << "      \"verdicts\": [\n";
-        for (std::size_t v = 0; v < ro.verdicts.size(); v++) {
-            const ClassVerdictStats &cs = ro.verdicts[v];
-            os << "        {\"class\": \""
-               << jsonEscape(cs.dev_class) << "\", \"accepted\": "
-               << (cs.accepted ? "true" : "false")
-               << ", \"reason\": \"" << jsonEscape(cs.reason)
-               << "\", \"disagreement_pct\": "
-               << jsonNumber(cs.disagreement_pct)
-               << ", \"kernel_remap_pct\": "
-               << jsonNumber(cs.kernel_remap_pct) << "}"
-               << (v + 1 < ro.verdicts.size() ? "," : "") << "\n";
+    w.endArray();
+    w.key("rollouts").beginArray();
+    for (const RolloutStats &ro : rollouts) {
+        w.beginObject();
+        w.field("model", ro.model);
+        w.field("candidate_build_id", ro.candidate_build_id);
+        w.field("halted", ro.halted);
+        w.key("verdicts").beginArray();
+        for (const ClassVerdictStats &cs : ro.verdicts) {
+            w.beginObject(Layout::Inline);
+            w.field("class", cs.dev_class);
+            w.field("accepted", cs.accepted);
+            w.field("reason", cs.reason);
+            w.field("disagreement_pct", cs.disagreement_pct);
+            w.field("kernel_remap_pct", cs.kernel_remap_pct);
+            w.endObject();
         }
-        os << "      ],\n";
-        os << "      \"stages\": [\n";
-        for (std::size_t s = 0; s < ro.stages.size(); s++) {
-            const RolloutStageStats &ss = ro.stages[s];
-            os << "        {\"t_s\": " << jsonNumber(ss.t_s)
-               << ", \"pct\": " << jsonNumber(ss.pct)
-               << ", \"executed\": "
-               << (ss.executed ? "true" : "false")
-               << ", \"cohort\": " << ss.cohort
-               << ", \"switched\": " << ss.switched
-               << ", \"quarantined\": " << ss.quarantined << "}"
-               << (s + 1 < ro.stages.size() ? "," : "") << "\n";
+        w.endArray();
+        w.key("stages").beginArray();
+        for (const RolloutStageStats &ss : ro.stages) {
+            w.beginObject(Layout::Inline);
+            w.field("t_s", ss.t_s);
+            w.field("pct", ss.pct);
+            w.field("executed", ss.executed);
+            w.field("cohort", ss.cohort);
+            w.field("switched", ss.switched);
+            w.field("quarantined", ss.quarantined);
+            w.endObject();
         }
-        os << "      ]\n";
-        os << "    }" << (i + 1 < rollouts.size() ? "," : "")
-           << "\n";
+        w.endArray();
+        w.endObject();
     }
-    os << "  ],\n";
-    os << "  \"alerts\": {\n";
-    os << "    \"pages\": " << alerts.pages << ",\n";
-    os << "    \"warns\": " << alerts.warns << ",\n";
-    os << "    \"clears\": " << alerts.clears << ",\n";
-    os << "    \"first_page_s\": " << jsonNumber(alerts.first_page_s)
-       << ",\n";
-    os << "    \"by_group\": [\n";
-    for (std::size_t i = 0; i < alerts.by_group.size(); i++) {
-        const FleetAlertStats::Group &g = alerts.by_group[i];
-        os << "      {\"group\": \"" << jsonEscape(g.group)
-           << "\", \"pages\": " << g.pages
-           << ", \"warns\": " << g.warns
-           << ", \"clears\": " << g.clears << "}"
-           << (i + 1 < alerts.by_group.size() ? "," : "") << "\n";
+    w.endArray();
+    w.key("alerts").beginObject();
+    w.field("pages", alerts.pages);
+    w.field("warns", alerts.warns);
+    w.field("clears", alerts.clears);
+    w.field("first_page_s", alerts.first_page_s);
+    w.key("by_group").beginArray();
+    for (const FleetAlertStats::Group &g : alerts.by_group) {
+        w.beginObject(Layout::Inline);
+        w.field("group", g.group);
+        w.field("pages", g.pages);
+        w.field("warns", g.warns);
+        w.field("clears", g.clears);
+        w.endObject();
     }
-    os << "    ]\n";
-    os << "  }\n";
-    os << "}\n";
-    return os.str();
+    w.endArray();
+    w.endObject();
+    w.endObject();
+    return w.str() + "\n";
 }
 
 FleetModelConfig

@@ -141,10 +141,6 @@ struct FleetConfig
 
     std::vector<FailureSpec> failures;
     std::vector<RolloutSpec> rollouts;
-
-    /** Probe keys per remap measurement (membership-change events
-     *  report the share of key space that moved). */
-    int remap_probes = 4096;
 };
 
 /** Per-model fleet-wide serving outcome; the LatencySummary is over

@@ -331,17 +331,15 @@ LatencySummary::summarize(const std::vector<double> &ms)
 }
 
 void
-LatencySummary::writeJson(std::ostream &os, const char *key,
-                          int indent) const
+LatencySummary::writeJson(JsonWriter &w, const char *key) const
 {
-    const std::string pad(static_cast<std::size_t>(indent), ' ');
-    os << pad << "\"" << key << "\": {\n";
-    os << pad << "  \"mean\": " << jsonNumber(mean_ms) << ",\n";
-    os << pad << "  \"p50\": " << jsonNumber(p50_ms) << ",\n";
-    os << pad << "  \"p95\": " << jsonNumber(p95_ms) << ",\n";
-    os << pad << "  \"p99\": " << jsonNumber(p99_ms) << ",\n";
-    os << pad << "  \"max\": " << jsonNumber(max_ms) << "\n";
-    os << pad << "}";
+    w.key(key).beginObject();
+    w.field("mean", mean_ms);
+    w.field("p50", p50_ms);
+    w.field("p95", p95_ms);
+    w.field("p99", p99_ms);
+    w.field("max", max_ms);
+    w.endObject();
 }
 
 std::vector<DeviceStats>
@@ -382,29 +380,21 @@ deviceStats(const std::vector<gpusim::DeviceSpec> &devices,
 }
 
 void
-writeDevicesJson(std::ostream &os,
-                 const std::vector<DeviceStats> &devices)
+writeDevicesJson(JsonWriter &w, const std::vector<DeviceStats> &devices)
 {
-    os << "  \"devices\": [\n";
-    for (std::size_t i = 0; i < devices.size(); i++) {
-        const DeviceStats &s = devices[i];
-        os << "    {\n";
-        os << "      \"device\": \"" << jsonEscape(s.device)
-           << "\",\n";
-        os << "      \"instances\": " << s.instances << ",\n";
-        os << "      \"sm_util_pct\": " << jsonNumber(s.sm_util_pct)
-           << ",\n";
-        os << "      \"copy_busy_pct\": "
-           << jsonNumber(s.copy_busy_pct) << ",\n";
-        os << "      \"makespan_s\": " << jsonNumber(s.makespan_s)
-           << ",\n";
-        os << "      \"ram_used_bytes\": " << s.ram_used_bytes
-           << ",\n";
-        os << "      \"ram_budget_bytes\": " << s.ram_budget_bytes
-           << "\n";
-        os << "    }" << (i + 1 < devices.size() ? "," : "") << "\n";
+    w.key("devices").beginArray();
+    for (const DeviceStats &s : devices) {
+        w.beginObject();
+        w.field("device", s.device);
+        w.field("instances", s.instances);
+        w.field("sm_util_pct", s.sm_util_pct);
+        w.field("copy_busy_pct", s.copy_busy_pct);
+        w.field("makespan_s", s.makespan_s);
+        w.field("ram_used_bytes", s.ram_used_bytes);
+        w.field("ram_budget_bytes", s.ram_budget_bytes);
+        w.endObject();
     }
-    os << "  ]";
+    w.endArray();
 }
 
 void

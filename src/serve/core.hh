@@ -23,12 +23,12 @@
  */
 
 #include <cstdint>
-#include <ostream>
 #include <queue>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/threadpool.hh"
 #include "gpusim/device.hh"
@@ -340,10 +340,9 @@ struct LatencySummary
     /** Summarize `ms`; an empty sample leaves every field 0. */
     void summarize(const std::vector<double> &ms);
 
-    /** `"<key>": {"mean": .., "p50": .., ...}` over indented lines
-     *  at `indent` spaces, without a trailing comma or newline. */
-    void writeJson(std::ostream &os, const char *key,
-                   int indent) const;
+    /** Member `"<key>": {"mean": .., "p50": .., ...}`, one field
+     *  per line. */
+    void writeJson(JsonWriter &w, const char *key) const;
 };
 
 /** Per-device replay outcome (serve and stream). */
@@ -368,8 +367,8 @@ deviceStats(const std::vector<gpusim::DeviceSpec> &devices,
             const InstancePool &pool, const Replay &replay,
             const std::string &prefix);
 
-/** `"devices": [...]` at two spaces, no trailing comma or newline. */
-void writeDevicesJson(std::ostream &os,
+/** Member `"devices": [...]`, one object per device. */
+void writeDevicesJson(JsonWriter &w,
                       const std::vector<DeviceStats> &devices);
 
 /**

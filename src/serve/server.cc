@@ -27,6 +27,10 @@ parseDevice(const std::string &name)
 
 namespace {
 
+/** A swap rolls back when the candidate's canary latency exceeds
+ *  the incumbent's by more than this percentage. */
+constexpr double kRollbackRegressionPct = 10.0;
+
 /** Per-model obs:: handles (created once, recorded in sim order). */
 struct ModelMetrics
 {
@@ -518,8 +522,6 @@ runServer(const ServeConfig &cfg)
                   break;
               }
               case Event::kSwapReady: {
-                  const SwapSpec &sp =
-                      cfg.swaps[static_cast<std::size_t>(e.target)];
                   SwapState &st =
                       swap_states[static_cast<std::size_t>(
                           e.target)];
@@ -528,7 +530,7 @@ runServer(const ServeConfig &cfg)
                   const std::string &name = cfg.models[mi].model;
                   double limit =
                       st.incumbent_canary_ms *
-                      (1.0 + sp.rollback_regression_pct / 100.0);
+                      (1.0 + kRollbackRegressionPct / 100.0);
                   if (st.candidate_canary_ms > limit) {
                       std::ostringstream detail;
                       detail << "canary " << st.candidate_canary_ms
@@ -912,121 +914,92 @@ runServer(const ServeConfig &cfg)
 std::string
 ServeReport::toJson() const
 {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"seed\": " << seed << ",\n";
-    os << "  \"duration_s\": " << jsonNumber(duration_s) << ",\n";
-    os << "  \"admission_control\": "
-       << (admission_control ? "true" : "false") << ",\n";
-    os << "  \"dynamic_batching\": "
-       << (dynamic_batching ? "true" : "false") << ",\n";
-    os << "  \"models\": [\n";
-    for (std::size_t i = 0; i < models.size(); i++) {
-        const ModelStats &s = models[i];
-        os << "    {\n";
-        os << "      \"model\": \"" << jsonEscape(s.model)
-           << "\",\n";
-        os << "      \"slo_ms\": " << jsonNumber(s.slo_ms)
-           << ",\n";
-        os << "      \"instances\": " << s.instances << ",\n";
-        os << "      \"degraded\": "
-           << (s.degraded ? "true" : "false") << ",\n";
-        os << "      \"load_failures\": " << s.load_failures
-           << ",\n";
-        os << "      \"rebuilds\": " << s.rebuilds << ",\n";
-        os << "      \"offered\": " << s.offered << ",\n";
-        os << "      \"offered_qps\": "
-           << jsonNumber(s.offered_qps) << ",\n";
-        os << "      \"shed\": " << s.shed << ",\n";
-        os << "      \"completed\": " << s.completed << ",\n";
-        os << "      \"slo_violations\": " << s.slo_violations
-           << ",\n";
-        os << "      \"batches\": " << s.batches << ",\n";
-        os << "      \"mean_batch\": " << jsonNumber(s.mean_batch)
-           << ",\n";
-        os << "      \"goodput_qps\": "
-           << jsonNumber(s.goodput_qps) << ",\n";
-        s.writeJson(os, "latency_ms", 6);
-        os << ",\n";
-        os << "      \"predictor_mae_pct\": "
-           << jsonNumber(s.predictor_mae_pct) << ",\n";
-        os << "      \"active_build_id\": " << s.active_build_id
-           << ",\n";
-        os << "      \"swaps\": " << s.swaps << ",\n";
-        os << "      \"swaps_rolled_back\": " << s.swaps_rolled_back
-           << ",\n";
-        os << "      \"swap_downtime_ms\": "
-           << jsonNumber(s.swap_downtime_ms) << ",\n";
-        os << "      \"swap_rollback_reason\": \""
-           << jsonEscape(s.swap_rollback_reason) << "\",\n";
-        os << "      \"p99_swap_ms\": " << jsonNumber(s.p99_swap_ms)
-           << ",\n";
-        os << "      \"p99_steady_ms\": "
-           << jsonNumber(s.p99_steady_ms) << ",\n";
-        os << "      \"versions\": [\n";
-        for (std::size_t v = 0; v < s.versions.size(); v++) {
-            const VersionStats &vs = s.versions[v];
-            os << "        {\"build_id\": " << vs.build_id
-               << ", \"fingerprint\": \"" << vs.fingerprint
-               << "\", \"batches\": " << vs.batches
-               << ", \"completed\": " << vs.completed
-               << ", \"mean_ms\": " << jsonNumber(vs.mean_ms)
-               << ", \"p99_ms\": " << jsonNumber(vs.p99_ms) << "}"
-               << (v + 1 < s.versions.size() ? "," : "") << "\n";
+    using Layout = JsonWriter::Layout;
+    JsonWriter w;
+    w.beginObject();
+    w.field("seed", seed);
+    w.field("duration_s", duration_s);
+    w.field("admission_control", admission_control);
+    w.field("dynamic_batching", dynamic_batching);
+    w.key("models").beginArray();
+    for (const ModelStats &s : models) {
+        w.beginObject();
+        w.field("model", s.model);
+        w.field("slo_ms", s.slo_ms);
+        w.field("instances", s.instances);
+        w.field("degraded", s.degraded);
+        w.field("load_failures", s.load_failures);
+        w.field("rebuilds", s.rebuilds);
+        w.field("offered", s.offered);
+        w.field("offered_qps", s.offered_qps);
+        w.field("shed", s.shed);
+        w.field("completed", s.completed);
+        w.field("slo_violations", s.slo_violations);
+        w.field("batches", s.batches);
+        w.field("mean_batch", s.mean_batch);
+        w.field("goodput_qps", s.goodput_qps);
+        s.writeJson(w, "latency_ms");
+        w.field("predictor_mae_pct", s.predictor_mae_pct);
+        w.field("active_build_id", s.active_build_id);
+        w.field("swaps", s.swaps);
+        w.field("swaps_rolled_back", s.swaps_rolled_back);
+        w.field("swap_downtime_ms", s.swap_downtime_ms);
+        w.field("swap_rollback_reason", s.swap_rollback_reason);
+        w.field("p99_swap_ms", s.p99_swap_ms);
+        w.field("p99_steady_ms", s.p99_steady_ms);
+        w.key("versions").beginArray();
+        for (const VersionStats &vs : s.versions) {
+            w.beginObject(Layout::Inline);
+            w.field("build_id", vs.build_id);
+            w.field("fingerprint", std::to_string(vs.fingerprint));
+            w.field("batches", vs.batches);
+            w.field("completed", vs.completed);
+            w.field("mean_ms", vs.mean_ms);
+            w.field("p99_ms", vs.p99_ms);
+            w.endObject();
         }
-        os << "      ]\n";
-        os << "    }" << (i + 1 < models.size() ? "," : "")
-           << "\n";
+        w.endArray();
+        w.endObject();
     }
-    os << "  ],\n";
-    writeDevicesJson(os, devices);
+    w.endArray();
+    writeDevicesJson(w, devices);
     // Trailing key so watch-off reports keep their pre-watch bytes.
     if (watch.enabled) {
-        os << ",\n  \"watch\": {\n";
-        os << "    \"admitted\": " << watch.admitted << ",\n";
-        os << "    \"shed\": " << watch.shed << ",\n";
-        os << "    \"completed\": " << watch.completed << ",\n";
-        os << "    \"page_alerts\": " << watch.page_alerts
-           << ",\n";
-        os << "    \"warn_alerts\": " << watch.warn_alerts
-           << ",\n";
-        os << "    \"clear_alerts\": " << watch.clear_alerts
-           << ",\n";
-        os << "    \"anomalies\": " << watch.anomalies << ",\n";
-        os << "    \"incidents\": " << watch.incidents << ",\n";
-        os << "    \"first_page_s\": "
-           << jsonNumber(watch.first_page_s) << ",\n";
-        os << "    \"models\": [\n";
-        for (std::size_t i = 0; i < watch.models.size(); i++) {
-            const watch::ModelWatchStats &m = watch.models[i];
-            os << "      {\"model\": \"" << jsonEscape(m.model)
-               << "\", \"tier\": \""
-               << watch::alertTierName(m.tier)
-               << "\", \"burn_fast\": " << jsonNumber(m.burn.fast)
-               << ", \"burn_mid\": " << jsonNumber(m.burn.mid)
-               << ", \"burn_slow\": " << jsonNumber(m.burn.slow)
-               << ", \"observed\": " << m.observed
-               << ", \"bad\": " << m.bad
-               << ", \"stage_mean_ms\": {\"queue\": "
-               << jsonNumber(m.queue_mean_ms)
-               << ", \"dispatch_wait\": "
-               << jsonNumber(m.dispatch_wait_mean_ms)
-               << ", \"upload\": " << jsonNumber(m.upload_mean_ms)
-               << ", \"compute\": "
-               << jsonNumber(m.compute_mean_ms)
-               << ", \"download\": "
-               << jsonNumber(m.download_mean_ms)
-               << ", \"total\": " << jsonNumber(m.total_mean_ms)
-               << "}}"
-               << (i + 1 < watch.models.size() ? "," : "") << "\n";
+        w.key("watch").beginObject();
+        w.field("admitted", watch.admitted);
+        w.field("shed", watch.shed);
+        w.field("completed", watch.completed);
+        w.field("page_alerts", watch.page_alerts);
+        w.field("warn_alerts", watch.warn_alerts);
+        w.field("clear_alerts", watch.clear_alerts);
+        w.field("anomalies", watch.anomalies);
+        w.field("incidents", watch.incidents);
+        w.field("first_page_s", watch.first_page_s);
+        w.key("models").beginArray();
+        for (const watch::ModelWatchStats &m : watch.models) {
+            w.beginObject(Layout::Inline);
+            w.field("model", m.model);
+            w.field("tier", watch::alertTierName(m.tier));
+            w.field("burn_fast", m.burn.fast);
+            w.field("burn_mid", m.burn.mid);
+            w.field("burn_slow", m.burn.slow);
+            w.field("observed", m.observed);
+            w.field("bad", m.bad);
+            w.key("stage_mean_ms").beginObject();
+            w.field("queue", m.queue_mean_ms);
+            w.field("dispatch_wait", m.dispatch_wait_mean_ms);
+            w.field("upload", m.upload_mean_ms);
+            w.field("compute", m.compute_mean_ms);
+            w.field("download", m.download_mean_ms);
+            w.field("total", m.total_mean_ms);
+            w.endObject();
+            w.endObject();
         }
-        os << "    ]\n";
-        os << "  }\n";
-    } else {
-        os << "\n";
+        w.endArray();
+        w.endObject();
     }
-    os << "}\n";
-    return os.str();
+    w.endObject();
+    return w.str() + "\n";
 }
 
 } // namespace edgert::serve

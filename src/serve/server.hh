@@ -108,10 +108,6 @@ struct SwapSpec
     double t_s = 0.0;                   //!< trigger time (seconds)
     std::uint64_t candidate_build_id = 0;
 
-    /** Roll back when the candidate's canary latency exceeds the
-     *  incumbent's by more than this percentage. */
-    double rollback_regression_pct = 10.0;
-
     /**
      * Precision of the candidate ladder. Unset (the default) keeps
      * the model's serving precision; set it for a cross-precision

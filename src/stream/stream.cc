@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -108,25 +107,32 @@ writeFreshnessFile(const std::string &path,
     std::ofstream f(path);
     if (!f)
         fatal("EdgeStream: cannot write '", path, "'");
-    f << "{\n  \"lanes\": [\n";
-    auto keys = slo.keys();
-    for (std::size_t i = 0; i < keys.size(); i++) {
-        const watch::SloTracker *t = slo.find(keys[i]);
+    JsonWriter w;
+    w.beginObject();
+    w.key("lanes").beginArray();
+    for (const std::string &key : slo.keys()) {
+        const watch::SloTracker *t = slo.find(key);
         watch::BurnRates b = t->burnRates();
-        f << "    {\"key\": \"" << jsonEscape(keys[i])
-          << "\", \"tier\": \"" << watch::alertTierName(t->tier())
-          << "\", \"burn_fast\": " << jsonNumber(b.fast)
-          << ", \"burn_mid\": " << jsonNumber(b.mid)
-          << ", \"burn_slow\": " << jsonNumber(b.slow)
-          << ", \"observed\": " << t->total()
-          << ", \"bad\": " << t->bad() << "}"
-          << (i + 1 < keys.size() ? "," : "") << "\n";
+        w.beginObject(JsonWriter::Layout::Inline);
+        w.field("key", key);
+        w.field("tier", watch::alertTierName(t->tier()));
+        w.field("burn_fast", b.fast);
+        w.field("burn_mid", b.mid);
+        w.field("burn_slow", b.slow);
+        w.field("observed", t->total());
+        w.field("bad", t->bad());
+        w.endObject();
     }
+    w.endArray();
     const auto &r = slo.rollup();
-    f << "  ],\n  \"rollup\": {\"pages\": " << r.pages
-      << ", \"warns\": " << r.warns << ", \"clears\": " << r.clears
-      << ", \"first_page_s\": " << jsonNumber(r.first_page_s)
-      << "}\n}\n";
+    w.key("rollup").beginObject(JsonWriter::Layout::Inline);
+    w.field("pages", r.pages);
+    w.field("warns", r.warns);
+    w.field("clears", r.clears);
+    w.field("first_page_s", r.first_page_s);
+    w.endObject();
+    w.endObject();
+    f << w.str() << "\n";
 }
 
 } // namespace
@@ -616,92 +622,73 @@ runStreams(const StreamConfig &cfg)
 std::string
 StreamReport::toJson() const
 {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"seed\": " << seed << ",\n";
-    os << "  \"duration_s\": " << jsonNumber(duration_s) << ",\n";
-    os << "  \"models\": [\n";
-    for (std::size_t i = 0; i < models.size(); i++) {
-        const StreamModelStats &s = models[i];
-        os << "    {\n";
-        os << "      \"model\": \"" << jsonEscape(s.model)
-           << "\",\n";
-        os << "      \"precision\": \"" << jsonEscape(s.precision)
-           << "\",\n";
-        os << "      \"policy\": \"" << jsonEscape(s.policy)
-           << "\",\n";
-        os << "      \"arrival\": \"" << jsonEscape(s.arrival)
-           << "\",\n";
-        os << "      \"streams\": " << s.streams << ",\n";
-        os << "      \"fps\": " << jsonNumber(s.fps) << ",\n";
-        os << "      \"stale_ms\": " << jsonNumber(s.stale_ms)
-           << ",\n";
-        os << "      \"instances\": " << s.instances << ",\n";
-        os << "      \"produced\": " << s.freshness.produced
-           << ",\n";
-        os << "      \"completed\": " << s.freshness.completed
-           << ",\n";
-        os << "      \"dropped\": " << s.freshness.dropped
-           << ",\n";
-        os << "      \"in_flight\": " << s.freshness.in_flight
-           << ",\n";
-        os << "      \"stale_completed\": "
-           << s.freshness.stale_completed << ",\n";
-        os << "      \"stale_rate_pct\": "
-           << jsonNumber(s.freshness.stale_rate_pct) << ",\n";
-        os << "      \"conserved\": "
-           << (s.conserved ? "true" : "false") << ",\n";
-        os << "      \"batches\": " << s.batches << ",\n";
-        os << "      \"mean_batch\": " << jsonNumber(s.mean_batch)
-           << ",\n";
+    using Layout = JsonWriter::Layout;
+    JsonWriter w;
+    w.beginObject();
+    w.field("seed", seed);
+    w.field("duration_s", duration_s);
+    w.key("models").beginArray();
+    for (const StreamModelStats &s : models) {
+        w.beginObject();
+        w.field("model", s.model);
+        w.field("precision", s.precision);
+        w.field("policy", s.policy);
+        w.field("arrival", s.arrival);
+        w.field("streams", s.streams);
+        w.field("fps", s.fps);
+        w.field("stale_ms", s.stale_ms);
+        w.field("instances", s.instances);
+        w.field("produced", s.freshness.produced);
+        w.field("completed", s.freshness.completed);
+        w.field("dropped", s.freshness.dropped);
+        w.field("in_flight", s.freshness.in_flight);
+        w.field("stale_completed", s.freshness.stale_completed);
+        w.field("stale_rate_pct", s.freshness.stale_rate_pct);
+        w.field("conserved", s.conserved);
+        w.field("batches", s.batches);
+        w.field("mean_batch", s.mean_batch);
         serve::LatencySummary{s.freshness.age_mean_ms,
                               s.freshness.age_p50_ms,
                               s.freshness.age_p95_ms,
                               s.freshness.age_p99_ms,
                               s.freshness.age_max_ms}
-            .writeJson(os, "age_ms", 6);
-        os << ",\n";
-        os << "      \"stage_mean_ms\": {\"decode\": "
-           << jsonNumber(s.decode_mean_ms) << ", \"preprocess\": "
-           << jsonNumber(s.preprocess_mean_ms) << ", \"queue\": "
-           << jsonNumber(s.queue_mean_ms)
-           << ", \"dispatch_wait\": "
-           << jsonNumber(s.dispatch_wait_mean_ms)
-           << ", \"upload\": " << jsonNumber(s.upload_mean_ms)
-           << ", \"compute\": " << jsonNumber(s.compute_mean_ms)
-           << ", \"download\": " << jsonNumber(s.download_mean_ms)
-           << ", \"postprocess\": "
-           << jsonNumber(s.postprocess_mean_ms) << "},\n";
-        os << "      \"lanes\": [\n";
-        for (std::size_t l = 0; l < s.lanes.size(); l++) {
-            const StreamLaneStats &lane = s.lanes[l];
-            os << "        {\"stream\": " << lane.stream
-               << ", \"produced\": " << lane.freshness.produced
-               << ", \"completed\": " << lane.freshness.completed
-               << ", \"dropped\": " << lane.freshness.dropped
-               << ", \"in_flight\": " << lane.freshness.in_flight
-               << ", \"stale_rate_pct\": "
-               << jsonNumber(lane.freshness.stale_rate_pct)
-               << ", \"age_p99_ms\": "
-               << jsonNumber(lane.freshness.age_p99_ms)
-               << ", \"tier\": \""
-               << watch::alertTierName(lane.tier) << "\"}"
-               << (l + 1 < s.lanes.size() ? "," : "") << "\n";
+            .writeJson(w, "age_ms");
+        w.key("stage_mean_ms").beginObject(Layout::Inline);
+        w.field("decode", s.decode_mean_ms);
+        w.field("preprocess", s.preprocess_mean_ms);
+        w.field("queue", s.queue_mean_ms);
+        w.field("dispatch_wait", s.dispatch_wait_mean_ms);
+        w.field("upload", s.upload_mean_ms);
+        w.field("compute", s.compute_mean_ms);
+        w.field("download", s.download_mean_ms);
+        w.field("postprocess", s.postprocess_mean_ms);
+        w.endObject();
+        w.key("lanes").beginArray();
+        for (const StreamLaneStats &lane : s.lanes) {
+            w.beginObject(Layout::Inline);
+            w.field("stream", lane.stream);
+            w.field("produced", lane.freshness.produced);
+            w.field("completed", lane.freshness.completed);
+            w.field("dropped", lane.freshness.dropped);
+            w.field("in_flight", lane.freshness.in_flight);
+            w.field("stale_rate_pct", lane.freshness.stale_rate_pct);
+            w.field("age_p99_ms", lane.freshness.age_p99_ms);
+            w.field("tier", watch::alertTierName(lane.tier));
+            w.endObject();
         }
-        os << "      ]\n";
-        os << "    }" << (i + 1 < models.size() ? "," : "")
-           << "\n";
+        w.endArray();
+        w.endObject();
     }
-    os << "  ],\n";
-    serve::writeDevicesJson(os, devices);
-    os << ",\n";
-    os << "  \"freshness\": {\"pages\": " << freshness_pages
-       << ", \"warns\": " << freshness_warns
-       << ", \"clears\": " << freshness_clears
-       << ", \"first_page_s\": " << jsonNumber(first_page_s)
-       << "}\n";
-    os << "}\n";
-    return os.str();
+    w.endArray();
+    serve::writeDevicesJson(w, devices);
+    w.key("freshness").beginObject(Layout::Inline);
+    w.field("pages", freshness_pages);
+    w.field("warns", freshness_warns);
+    w.field("clears", freshness_clears);
+    w.field("first_page_s", first_page_s);
+    w.endObject();
+    w.endObject();
+    return w.str() + "\n";
 }
 
 StreamModelConfig

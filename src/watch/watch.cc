@@ -23,42 +23,47 @@ incidentSeq(std::size_t n)
 }
 
 void
-writeFlightEvent(std::ostream &os, const FlightEvent &e)
+writeFlightEvent(JsonWriter &w, const FlightEvent &e)
 {
-    os << "{\"t_s\": " << jsonNumber(e.t_s) << ", \"kind\": \""
-       << flightEventKindName(e.kind) << "\", \"model\": \""
-       << jsonEscape(e.model) << "\", \"id\": " << e.id
-       << ", \"batch\": " << e.batch
-       << ", \"device\": " << e.device << ", \"detail\": \""
-       << jsonEscape(e.detail) << "\"}";
+    w.beginObject(JsonWriter::Layout::Inline);
+    w.field("t_s", e.t_s);
+    w.field("kind", flightEventKindName(e.kind));
+    w.field("model", e.model);
+    w.field("id", e.id);
+    w.field("batch", e.batch);
+    w.field("device", e.device);
+    w.field("detail", e.detail);
+    w.endObject();
 }
 
 void
-writeAlert(std::ostream &os, const Alert &a)
+writeAlert(JsonWriter &w, const Alert &a)
 {
-    os << "{\"t_s\": " << jsonNumber(a.t_s) << ", \"model\": \""
-       << jsonEscape(a.model) << "\", \"tier\": \""
-       << alertTierName(a.tier)
-       << "\", \"fast_burn\": " << jsonNumber(a.burn.fast)
-       << ", \"mid_burn\": " << jsonNumber(a.burn.mid)
-       << ", \"slow_burn\": " << jsonNumber(a.burn.slow)
-       << ", \"window_total\": " << a.window_total << "}";
+    w.beginObject(JsonWriter::Layout::Inline);
+    w.field("t_s", a.t_s);
+    w.field("model", a.model);
+    w.field("tier", alertTierName(a.tier));
+    w.field("fast_burn", a.burn.fast);
+    w.field("mid_burn", a.burn.mid);
+    w.field("slow_burn", a.burn.slow);
+    w.field("window_total", a.window_total);
+    w.endObject();
 }
 
 void
-writeAnomaly(std::ostream &os, const AnomalyFinding &f)
+writeAnomaly(JsonWriter &w, const AnomalyFinding &f)
 {
-    os << "{\"t_s\": " << jsonNumber(f.t_s) << ", \"model\": \""
-       << jsonEscape(f.model)
-       << "\", \"fast_device\": " << f.fast_device
-       << ", \"fast_device_name\": \""
-       << jsonEscape(f.fast_device_name)
-       << "\", \"slow_device\": " << f.slow_device
-       << ", \"slow_device_name\": \""
-       << jsonEscape(f.slow_device_name)
-       << "\", \"fast_median_ms\": " << jsonNumber(f.fast_median_ms)
-       << ", \"slow_median_ms\": " << jsonNumber(f.slow_median_ms)
-       << ", \"margin_pct\": " << jsonNumber(f.margin_pct) << "}";
+    w.beginObject(JsonWriter::Layout::Inline);
+    w.field("t_s", f.t_s);
+    w.field("model", f.model);
+    w.field("fast_device", f.fast_device);
+    w.field("fast_device_name", f.fast_device_name);
+    w.field("slow_device", f.slow_device);
+    w.field("slow_device_name", f.slow_device_name);
+    w.field("fast_median_ms", f.fast_median_ms);
+    w.field("slow_median_ms", f.slow_median_ms);
+    w.field("margin_pct", f.margin_pct);
+    w.endObject();
 }
 
 } // namespace
@@ -297,29 +302,26 @@ EdgeWatch::dumpIncident(double t_s, const std::string &reason,
         summary_.incidents++; // counted, not dumped
         return;
     }
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"incident\": " << incidents_.size() << ",\n";
-    os << "  \"reason\": \"" << jsonEscape(reason) << "\",\n";
-    os << "  \"t_s\": " << jsonNumber(t_s) << ",\n";
-    os << "  \"model\": \"" << jsonEscape(model) << "\",\n";
-    os << "  \"detail\": \"" << jsonEscape(detail) << "\",\n";
-    os << "  \"recorder\": {\"depth\": " << recorder_.depth()
-       << ", \"recorded\": " << recorder_.totalRecorded()
-       << "},\n";
-    os << "  \"events\": [\n";
-    std::vector<FlightEvent> events = recorder_.snapshot();
-    for (std::size_t i = 0; i < events.size(); i++) {
-        os << "    ";
-        writeFlightEvent(os, events[i]);
-        os << (i + 1 < events.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n";
-    os << "}\n";
+    JsonWriter w;
+    w.beginObject();
+    w.field("incident", incidents_.size());
+    w.field("reason", reason);
+    w.field("t_s", t_s);
+    w.field("model", model);
+    w.field("detail", detail);
+    w.key("recorder").beginObject(JsonWriter::Layout::Inline);
+    w.field("depth", recorder_.depth());
+    w.field("recorded", recorder_.totalRecorded());
+    w.endObject();
+    w.key("events").beginArray();
+    for (const FlightEvent &e : recorder_.snapshot())
+        writeFlightEvent(w, e);
+    w.endArray();
+    w.endObject();
 
     std::string fname = incidentSeq(incidents_.size()) + "-" +
                         reason + ".json";
-    incidents_.emplace_back(fname, os.str());
+    incidents_.emplace_back(fname, w.str() + "\n");
     summary_.incidents++;
     if (!cfg_.incident_prefix.empty()) {
         std::string path = cfg_.incident_prefix + fname;
@@ -360,100 +362,92 @@ EdgeWatch::finish(double end_s)
 std::string
 EdgeWatch::reportJson() const
 {
+    using Layout = JsonWriter::Layout;
     if (!finished_)
         fatal("EdgeWatch::reportJson before finish()");
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"config\": {\"slo_objective_pct\": "
-       << jsonNumber(cfg_.slo_objective_pct)
-       << ", \"page_burn\": " << jsonNumber(cfg_.page_burn)
-       << ", \"warn_burn\": " << jsonNumber(cfg_.warn_burn)
-       << ", \"fast_window_s\": " << jsonNumber(cfg_.fast_window_s)
-       << ", \"mid_window_s\": " << jsonNumber(cfg_.mid_window_s)
-       << ", \"slow_window_s\": " << jsonNumber(cfg_.slow_window_s)
-       << ", \"flight_recorder_depth\": "
-       << cfg_.flight_recorder_depth << "},\n";
-    os << "  \"totals\": {\"admitted\": " << summary_.admitted
-       << ", \"shed\": " << summary_.shed
-       << ", \"completed\": " << summary_.completed
-       << ", \"page_alerts\": " << summary_.page_alerts
-       << ", \"warn_alerts\": " << summary_.warn_alerts
-       << ", \"clear_alerts\": " << summary_.clear_alerts
-       << ", \"anomalies\": " << summary_.anomalies
-       << ", \"incidents\": " << summary_.incidents
-       << ", \"first_page_s\": "
-       << jsonNumber(summary_.first_page_s) << "},\n";
+    JsonWriter w;
+    w.beginObject();
+    w.key("config").beginObject(Layout::Inline);
+    w.field("slo_objective_pct", cfg_.slo_objective_pct);
+    w.field("page_burn", cfg_.page_burn);
+    w.field("warn_burn", cfg_.warn_burn);
+    w.field("fast_window_s", cfg_.fast_window_s);
+    w.field("mid_window_s", cfg_.mid_window_s);
+    w.field("slow_window_s", cfg_.slow_window_s);
+    w.field("flight_recorder_depth", cfg_.flight_recorder_depth);
+    w.endObject();
+    w.key("totals").beginObject(Layout::Inline);
+    w.field("admitted", summary_.admitted);
+    w.field("shed", summary_.shed);
+    w.field("completed", summary_.completed);
+    w.field("page_alerts", summary_.page_alerts);
+    w.field("warn_alerts", summary_.warn_alerts);
+    w.field("clear_alerts", summary_.clear_alerts);
+    w.field("anomalies", summary_.anomalies);
+    w.field("incidents", summary_.incidents);
+    w.field("first_page_s", summary_.first_page_s);
+    w.endObject();
 
-    os << "  \"models\": [\n";
-    for (std::size_t i = 0; i < summary_.models.size(); i++) {
-        const ModelWatchStats &m = summary_.models[i];
-        os << "    {\"model\": \"" << jsonEscape(m.model)
-           << "\", \"tier\": \"" << alertTierName(m.tier)
-           << "\", \"fast_burn\": " << jsonNumber(m.burn.fast)
-           << ", \"mid_burn\": " << jsonNumber(m.burn.mid)
-           << ", \"slow_burn\": " << jsonNumber(m.burn.slow)
-           << ", \"observed\": " << m.observed
-           << ", \"bad\": " << m.bad
-           << ", \"stage_mean_ms\": {\"queue\": "
-           << jsonNumber(m.queue_mean_ms) << ", \"dispatch_wait\": "
-           << jsonNumber(m.dispatch_wait_mean_ms)
-           << ", \"upload\": " << jsonNumber(m.upload_mean_ms)
-           << ", \"compute\": " << jsonNumber(m.compute_mean_ms)
-           << ", \"download\": " << jsonNumber(m.download_mean_ms)
-           << ", \"total\": " << jsonNumber(m.total_mean_ms)
-           << "}}"
-           << (i + 1 < summary_.models.size() ? "," : "") << "\n";
+    w.key("models").beginArray();
+    for (const ModelWatchStats &m : summary_.models) {
+        w.beginObject(Layout::Inline);
+        w.field("model", m.model);
+        w.field("tier", alertTierName(m.tier));
+        w.field("fast_burn", m.burn.fast);
+        w.field("mid_burn", m.burn.mid);
+        w.field("slow_burn", m.burn.slow);
+        w.field("observed", m.observed);
+        w.field("bad", m.bad);
+        w.key("stage_mean_ms").beginObject();
+        w.field("queue", m.queue_mean_ms);
+        w.field("dispatch_wait", m.dispatch_wait_mean_ms);
+        w.field("upload", m.upload_mean_ms);
+        w.field("compute", m.compute_mean_ms);
+        w.field("download", m.download_mean_ms);
+        w.field("total", m.total_mean_ms);
+        w.endObject();
+        w.endObject();
     }
-    os << "  ],\n";
+    w.endArray();
 
-    os << "  \"alerts\": [\n";
-    for (std::size_t i = 0; i < summary_.alerts.size(); i++) {
-        os << "    ";
-        writeAlert(os, summary_.alerts[i]);
-        os << (i + 1 < summary_.alerts.size() ? "," : "") << "\n";
+    w.key("alerts").beginArray();
+    for (const Alert &a : summary_.alerts)
+        writeAlert(w, a);
+    w.endArray();
+
+    w.key("anomalies").beginArray();
+    for (const AnomalyFinding &f : summary_.anomaly_findings)
+        writeAnomaly(w, f);
+    w.endArray();
+
+    w.key("slow_requests").beginArray();
+    for (const RequestTrace &r : summary_.slow_requests) {
+        w.beginObject(Layout::Inline);
+        w.field("id", r.id);
+        w.field("model", modelName(r.model));
+        w.field("device", r.device);
+        w.field("batch", r.batch);
+        w.field("arrival_s", r.arrival_s);
+        w.field("queue_ms", r.queueMs());
+        w.field("dispatch_wait_ms", r.dispatchWaitMs());
+        w.field("upload_ms", r.uploadMs());
+        w.field("compute_ms", r.computeMs());
+        w.field("download_ms", r.downloadMs());
+        w.field("total_ms", r.totalMs());
+        w.endObject();
     }
-    os << "  ],\n";
+    w.endArray();
 
-    os << "  \"anomalies\": [\n";
-    for (std::size_t i = 0;
-         i < summary_.anomaly_findings.size(); i++) {
-        os << "    ";
-        writeAnomaly(os, summary_.anomaly_findings[i]);
-        os << (i + 1 < summary_.anomaly_findings.size() ? "," : "")
-           << "\n";
-    }
-    os << "  ],\n";
-
-    os << "  \"slow_requests\": [\n";
-    for (std::size_t i = 0; i < summary_.slow_requests.size();
-         i++) {
-        const RequestTrace &r = summary_.slow_requests[i];
-        os << "    {\"id\": " << r.id << ", \"model\": \""
-           << jsonEscape(modelName(r.model))
-           << "\", \"device\": " << r.device
-           << ", \"batch\": " << r.batch
-           << ", \"arrival_s\": " << jsonNumber(r.arrival_s)
-           << ", \"queue_ms\": " << jsonNumber(r.queueMs())
-           << ", \"dispatch_wait_ms\": "
-           << jsonNumber(r.dispatchWaitMs())
-           << ", \"upload_ms\": " << jsonNumber(r.uploadMs())
-           << ", \"compute_ms\": " << jsonNumber(r.computeMs())
-           << ", \"download_ms\": " << jsonNumber(r.downloadMs())
-           << ", \"total_ms\": " << jsonNumber(r.totalMs()) << "}"
-           << (i + 1 < summary_.slow_requests.size() ? "," : "")
-           << "\n";
-    }
-    os << "  ],\n";
-
-    os << "  \"recorder\": {\"depth\": " << recorder_.depth()
-       << ", \"recorded\": " << recorder_.totalRecorded()
-       << ", \"incident_files\": [";
-    for (std::size_t i = 0; i < incidents_.size(); i++)
-        os << (i ? ", " : "") << "\""
-           << jsonEscape(incidents_[i].first) << "\"";
-    os << "]}\n";
-    os << "}\n";
-    return os.str();
+    w.key("recorder").beginObject(Layout::Inline);
+    w.field("depth", recorder_.depth());
+    w.field("recorded", recorder_.totalRecorded());
+    w.key("incident_files").beginArray();
+    for (const auto &incident : incidents_)
+        w.value(incident.first);
+    w.endArray();
+    w.endObject();
+    w.endObject();
+    return w.str() + "\n";
 }
 
 void

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/builder.hh"
 #include "deploy/drift_gate.hh"
@@ -307,6 +308,27 @@ TEST(DriftGateTest, IdentityMismatchesRejectWithoutCanary)
     EXPECT_FALSE(v.accepted);
     EXPECT_EQ(v.reason, "model_mismatch");
     EXPECT_FALSE(v.canary_ran);
+}
+
+TEST(DriftGateTest, VerdictJsonEscapesControlCharacters)
+{
+    // Kernel and model names come from plan-file bytes, so a hostile
+    // plan can carry any byte into the printed verdict.
+    deploy::DriftVerdict v;
+    v.reason = "drift_exceeds_threshold";
+    v.detail = "model \"evil\"\tname";
+    deploy::KernelDelta d;
+    d.kernel = std::string("conv\n") + '\x01' + "\\gemm";
+    d.incumbent_calls = 3;
+    d.candidate_calls = 1;
+    v.kernel_deltas.push_back(d);
+
+    std::string json = v.toJson();
+    std::string err;
+    EXPECT_TRUE(jsonValid(json, &err)) << err << "\n" << json;
+    EXPECT_NE(json.find("\"conv\\n\\u0001\\\\gemm\""),
+              std::string::npos)
+        << json;
 }
 
 TEST_F(DeployRepoTest, RebuildWorkerBootstrapsThenGates)
