@@ -149,16 +149,22 @@ normalQuantile(double p)
 double
 percentile(std::vector<double> xs, double p)
 {
-    if (xs.empty())
+    std::sort(xs.begin(), xs.end());
+    return percentileSorted(xs, p);
+}
+
+double
+percentileSorted(const std::vector<double> &sorted, double p)
+{
+    if (sorted.empty())
         fatal("percentile of empty sample");
     if (p < 0.0 || p > 100.0)
         fatal("percentile p out of range: ", p);
-    std::sort(xs.begin(), xs.end());
-    double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
+    double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
     std::size_t lo = static_cast<std::size_t>(rank);
-    std::size_t hi = std::min(lo + 1, xs.size() - 1);
+    std::size_t hi = std::min(lo + 1, sorted.size() - 1);
     double frac = rank - static_cast<double>(lo);
-    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 } // namespace edgert

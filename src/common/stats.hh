@@ -60,6 +60,12 @@ double stddev(const std::vector<double> &xs);
  */
 double percentile(std::vector<double> xs, double p);
 
+/**
+ * percentile() of samples already sorted ascending: sort once, then
+ * read several percentiles of the same sample.
+ */
+double percentileSorted(const std::vector<double> &sorted, double p);
+
 /** Standard normal CDF. */
 double normalCdf(double x);
 

@@ -50,6 +50,9 @@ GpuSim::GpuSim(const DeviceSpec &spec,
     sm_count_d_ = static_cast<double>(spec_.sm_count);
     eff_dram_bps_ = spec_.effDramBps();
     streams_.emplace_back(); // default stream 0
+    fill_.resize(streams_.size());
+    batch_stall_us_.reserve(kKernelSampleBatch);
+    batch_waste_pct_.reserve(kKernelSampleBatch);
 
     obs::MetricRegistry &reg =
         registry ? *registry : obs::MetricRegistry::global();
@@ -80,7 +83,30 @@ GpuSim::createStream(double priority_weight)
         fatal("createStream: priority weight must be positive");
     streams_.emplace_back();
     streams_.back().weight = priority_weight;
+    fill_.resize(streams_.size());
     return static_cast<int>(streams_.size()) - 1;
+}
+
+void
+GpuSim::ShareScratch::resize(std::size_t n)
+{
+    for (auto *v : {&exec, &open, &still})
+        v->resize(n);
+    for (auto *v : {&sm_caps, &prio, &sm_grant, &tcomp, &wave,
+                    &bw_caps, &bw_grant, &share})
+        v->resize(n);
+}
+
+std::size_t
+GpuSim::ShareScratch::bytesReserved() const
+{
+    std::size_t bytes = 0;
+    for (const auto *v : {&exec, &open, &still})
+        bytes += v->capacity() * sizeof(std::size_t);
+    for (const auto *v : {&sm_caps, &prio, &sm_grant, &tcomp, &wave,
+                          &bw_caps, &bw_grant, &share})
+        bytes += v->capacity() * sizeof(double);
+    return bytes;
 }
 
 std::int32_t
@@ -289,7 +315,10 @@ GpuSim::simStats() const
         copy_ring_.bytesReserved() +
         active_.capacity() * sizeof(ActiveKernel) +
         event_times_.capacity() * sizeof(double) +
-        wait_list_.capacity() * sizeof(EventWaiter);
+        wait_list_.capacity() * sizeof(EventWaiter) +
+        fill_.bytesReserved() +
+        (batch_stall_us_.capacity() + batch_waste_pct_.capacity()) *
+            sizeof(double);
     return s;
 }
 
@@ -388,7 +417,8 @@ GpuSim::admitReady()
     // order fixes the jitter draw sequence and the active-list
     // order, both observable in timing).
     while (!ready_.empty()) {
-        std::sort(ready_.begin(), ready_.end());
+        if (ready_.size() > 1)
+            std::sort(ready_.begin(), ready_.end());
         scratch_ready_.clear();
         scratch_ready_.swap(ready_);
         for (std::int32_t si : scratch_ready_) {
@@ -483,143 +513,144 @@ GpuSim::admitReady()
 }
 
 void
-GpuSim::waterFillInto(const std::vector<double> &caps,
-                      double capacity,
-                      const std::vector<double> &weights,
-                      std::vector<double> &grant)
+GpuSim::waterFillInto(std::size_t n, const double *caps,
+                      double capacity, const double *weights,
+                      double *grant)
 {
-    // Weighted max-min fair allocation of `capacity` among consumers
+    // Weighted max-min fair allocation of `capacity` among n consumers
     // with per-consumer caps and priority weights; grants sum to at
     // most capacity and never exceed caps. Same algorithm — and the
-    // same FP operation order — as the original free function; the
-    // index vectors are members so steady state allocates nothing.
-    if (caps.size() == 1) {
+    // same FP operation order — as the original free function. An
+    // open consumer has been granted nothing (a grant is written only
+    // when its consumer leaves the open set), so its headroom is
+    // exactly its cap and its final grant exactly its share.
+    if (n == 1) {
         // Scalar unroll of the first (and only) fill round; the
         // w/w non-cancellation is kept so the grant is the exact
         // double the loop below would produce.
-        grant.assign(1, 0.0);
+        grant[0] = 0.0;
         if (caps[0] > 0.0 && capacity > 1e-15) {
             double share = capacity * weights[0] / weights[0];
             grant[0] = caps[0] <= share ? caps[0] : share;
         }
         return;
     }
-    grant.assign(caps.size(), 0.0);
-    wf_open_.clear();
-    for (std::size_t i = 0; i < caps.size(); i++)
+    std::size_t *open = fill_.open.data();
+    std::size_t *still = fill_.still.data();
+    double *share = fill_.share.data();
+    std::size_t n_open = 0;
+    for (std::size_t i = 0; i < n; i++) {
+        grant[i] = 0.0;
         if (caps[i] > 0.0)
-            wf_open_.push_back(i);
+            open[n_open++] = i;
+    }
 
     double remaining = capacity;
-    while (!wf_open_.empty() && remaining > 1e-15) {
+    while (n_open > 0 && remaining > 1e-15) {
         double weight_sum = 0.0;
-        for (std::size_t i : wf_open_)
-            weight_sum += weights[i];
+        for (std::size_t k = 0; k < n_open; k++)
+            weight_sum += weights[open[k]];
         bool any_capped = false;
-        wf_next_.clear();
-        for (std::size_t i : wf_open_) {
-            double share = remaining * weights[i] / weight_sum;
-            if (caps[i] - grant[i] <= share) {
+        for (std::size_t k = 0; k < n_open; k++) {
+            share[k] = remaining * weights[open[k]] / weight_sum;
+            if (caps[open[k]] <= share[k])
                 any_capped = true;
-            } else {
-                wf_next_.push_back(i);
-            }
         }
         if (!any_capped) {
-            for (std::size_t i : wf_next_) {
-                grant[i] += remaining * weights[i] / weight_sum;
-            }
-            remaining = 0.0;
-            break;
+            for (std::size_t k = 0; k < n_open; k++)
+                grant[open[k]] = share[k];
+            return;
         }
-        // Saturate capped consumers, then redistribute.
-        wf_still_.clear();
-        for (std::size_t i : wf_open_) {
-            double share = remaining * weights[i] / weight_sum;
-            if (caps[i] - grant[i] <= share) {
-                remaining -= caps[i] - grant[i];
+        // Saturate capped consumers, then redistribute. The share is
+        // re-derived from the shrinking remainder, so a consumer capped
+        // against the round's first share may stay open for the next.
+        std::size_t n_still = 0;
+        for (std::size_t k = 0; k < n_open; k++) {
+            std::size_t i = open[k];
+            if (caps[i] <= remaining * weights[i] / weight_sum) {
+                remaining -= caps[i];
                 grant[i] = caps[i];
             } else {
-                wf_still_.push_back(i);
+                still[n_still++] = i;
             }
         }
-        wf_open_.swap(wf_still_);
+        std::swap(open, still);
+        n_open = n_still;
     }
 }
 
 void
 GpuSim::recomputeShares()
 {
-    scratch_exec_.clear();
-    for (std::size_t i = 0; i < active_.size(); i++)
-        if (active_[i].in_exec)
-            scratch_exec_.push_back(i);
-    if (scratch_exec_.empty())
-        return;
-
-    // SM allocation: weighted max-min fair, capped by each kernel's
-    // block count (a 3-block grid cannot occupy 6 SMs). Weights come
-    // from the owning stream's priority.
-    scratch_caps_.clear();
-    scratch_prio_.clear();
-    for (std::size_t i : scratch_exec_) {
-        scratch_caps_.push_back(active_[i].sm_cap);
-        scratch_prio_.push_back(
-            streams_[static_cast<std::size_t>(active_[i].stream)]
-                .weight);
+    // Gather the executing kernels. SM allocation: weighted max-min
+    // fair, capped by each kernel's block count (a 3-block grid
+    // cannot occupy 6 SMs). Weights come from the owning stream's
+    // priority.
+    ShareScratch &f = fill_;
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < active_.size(); i++) {
+        const ActiveKernel &ak = active_[i];
+        if (!ak.in_exec)
+            continue;
+        f.exec[n] = i;
+        f.sm_caps[n] = ak.sm_cap;
+        f.prio[n] =
+            streams_[static_cast<std::size_t>(ak.stream)].weight;
+        n++;
     }
-    waterFillInto(scratch_caps_, sm_count_d_, scratch_prio_,
-                  scratch_sm_grant_);
+    if (n == 0)
+        return;
+    waterFillInto(n, f.sm_caps.data(), sm_count_d_, f.prio.data(),
+                  f.sm_grant.data());
 
     // Bandwidth allocation: demands derive from the pace each kernel
     // would sustain at its SM grant.
-    scratch_tcomp_.assign(scratch_exec_.size(), 0.0);
-    scratch_bwcaps_.assign(scratch_exec_.size(), 0.0);
-    scratch_wave_.assign(scratch_exec_.size(), 1.0);
-    for (std::size_t j = 0; j < scratch_exec_.size(); j++) {
-        const ActiveKernel &ak = active_[scratch_exec_[j]];
-        double alloc = std::max(scratch_sm_grant_[j], 1e-6);
-        // kernelComputeSeconds inlined on the cached invariants
-        // (identical FP expression order). The wave factor is also
-        // what the wave_util pass below needs — min(alloc, grid)
-        // equals min(max(grant, 1e-6), grid) — so compute it once.
+    for (std::size_t j = 0; j < n; j++) {
+        const ActiveKernel &ak = active_[f.exec[j]];
+        double alloc = std::max(f.sm_grant[j], 1e-6);
+        // kernelComputeSeconds and waveFactor inlined on the cached
+        // invariants (identical FP expression order). The wave factor
+        // is also what the wave_util pass below needs — min(alloc,
+        // grid) equals min(max(grant, 1e-6), grid) — so compute it
+        // once.
         double usable = std::min(alloc, ak.grid_d);
         double conc = usable * ak.maxb_d;
-        double wave = waveFactor(ak.grid_blocks, conc);
-        scratch_wave_[j] = wave;
+        double wave = 1.0;
+        if (!(ak.grid_blocks <= 0 || conc <= 0.0 || ak.grid_d <= conc)) {
+            double ideal = ak.grid_d / conc;
+            wave = std::ceil(ideal) / ideal;
+        }
+        f.wave[j] = wave;
         double t_comp = 0.0;
         if (ak.has_flops)
             t_comp = ak.flops_d / (usable * ak.per_sm_flops) * wave;
-        scratch_tcomp_[j] = t_comp;
+        f.tcomp[j] = t_comp;
+        f.bw_caps[j] = 0.0;
         if (ak.has_dram) {
             double unconstrained = std::max(t_comp, ak.mem_s);
-            scratch_bwcaps_[j] =
-                ak.dram_d / std::max(unconstrained, 1e-12);
+            f.bw_caps[j] = ak.dram_d / std::max(unconstrained, 1e-12);
         }
     }
-    waterFillInto(scratch_bwcaps_, eff_dram_bps_, scratch_prio_,
-                  scratch_bw_grant_);
+    waterFillInto(n, f.bw_caps.data(), eff_dram_bps_, f.prio.data(),
+                  f.bw_grant.data());
 
-    for (std::size_t j = 0; j < scratch_exec_.size(); j++) {
-        ActiveKernel &ak = active_[scratch_exec_[j]];
+    for (std::size_t j = 0; j < n; j++) {
+        ActiveKernel &ak = active_[f.exec[j]];
         double t_mem = 0.0;
         if (ak.has_dram)
-            t_mem = ak.dram_d /
-                    std::max(scratch_bw_grant_[j], 1e-3);
-        double dur = std::max(scratch_tcomp_[j], t_mem) * ak.jitter;
+            t_mem = ak.dram_d / std::max(f.bw_grant[j], 1e-3);
+        double dur = std::max(f.tcomp[j], t_mem) * ak.jitter;
         ak.exec_duration_s = std::max(dur, kTimeEps);
-        ak.alloc_sms = scratch_sm_grant_[j];
+        ak.alloc_sms = f.sm_grant[j];
         // Tail waves leave some of the allocated SMs idle on
         // average; this is what caps tegrastats-style utilization
         // in the paper's Figures 3/4 at ~82-86%.
-        ak.wave_util = 1.0 / scratch_wave_[j];
+        ak.wave_util = 1.0 / f.wave[j];
         // GR3D counts issue-active cycles: memory-stall time while
         // resident discounts the reported load.
-        double raw_dur = std::max(scratch_tcomp_[j], t_mem);
+        double raw_dur = std::max(f.tcomp[j], t_mem);
         ak.issue_act =
-            raw_dur > 0.0
-                ? std::min(1.0, scratch_tcomp_[j] / raw_dur)
-                : 1.0;
+            raw_dur > 0.0 ? std::min(1.0, f.tcomp[j] / raw_dur) : 1.0;
     }
 }
 
@@ -737,9 +768,11 @@ GpuSim::completeFinished()
             // in the tail wave.
             double stall_us =
                 (1.0 - ak.issue_act) * ak.exec_duration_s * 1e6;
-            double waste_pct = (1.0 - ak.wave_util) * 100.0;
-            m_kernel_stall_us_.record(stall_us);
-            m_wave_waste_pct_.record(waste_pct);
+            batch_stall_us_.push_back(stall_us);
+            batch_waste_pct_.push_back(
+                (1.0 - ak.wave_util) * 100.0);
+            if (batch_stall_us_.size() == kKernelSampleBatch)
+                flushKernelSamples();
             finishOp(ak.op_idx, ak.stream, ak.start_s);
             active_.erase(active_.begin() +
                           static_cast<std::ptrdiff_t>(i));
@@ -824,16 +857,33 @@ GpuSim::run()
                        1);
     while (step()) {
     }
+    flushKernelSamples();
+}
+
+void
+GpuSim::flushKernelSamples()
+{
+    // One lock per histogram per batch. Each cell receives the same
+    // samples in the same order as per-kernel records would have, and
+    // every run returns flushed, so sums accumulate identically even
+    // when several simulators share a registry.
+    m_kernel_stall_us_.recordBatch(batch_stall_us_);
+    m_wave_waste_pct_.recordBatch(batch_waste_pct_);
+    batch_stall_us_.clear();
+    batch_waste_pct_.clear();
 }
 
 void
 GpuSim::runUntilEvent(EventId id)
 {
     while (event_times_.at(static_cast<std::size_t>(id)) < 0.0) {
-        if (!step())
+        if (!step()) {
+            flushKernelSamples();
             fatal("runUntilEvent: simulation drained before event ",
                   id, " completed");
+        }
     }
+    flushKernelSamples();
 }
 
 } // namespace edgert::gpusim

@@ -25,11 +25,16 @@
  * (completion time, insertion seq); the copy backlog is a ring; and
  * share recomputation is skipped while the executing-kernel set is
  * unchanged (the water-fill is a pure function of that set, so the
- * skip is bit-exact). All of this changes per-event cost only —
- * the event sequence, every timestamp and every metric value are
- * bit-identical to the pre-overhaul simulator.
+ * skip is bit-exact); when it does rerun, it works on scratch arrays
+ * sized once per stream. The two per-kernel histogram samples are
+ * buffered and recorded in batches, flushed before run() and
+ * runUntilEvent() return. All of this changes per-event cost only —
+ * the event sequence, every timestamp and every metric value
+ * (histogram sums included) are bit-identical to the pre-overhaul
+ * simulator.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -124,6 +129,10 @@ class GpuSim
     explicit GpuSim(const DeviceSpec &spec,
                     obs::MetricRegistry *registry = nullptr);
 
+    /** Retired kernels whose histogram samples are buffered before
+     *  one batched record (see flushKernelSamples). */
+    static constexpr std::size_t kKernelSampleBatch = 64;
+
     GpuSim(const GpuSim &) = delete;
     GpuSim &operator=(const GpuSim &) = delete;
 
@@ -202,7 +211,9 @@ class GpuSim
     /** Run the simulation until every queue is empty. */
     void run();
 
-    /** Run until the given event has completed (fatal on deadlock). */
+    /** Run until the given event has completed (fatal on deadlock).
+     *  The gpusim.kernel.* histograms count every kernel retired so
+     *  far once it returns. */
     void runUntilEvent(EventId id);
 
     /** Current simulated time in seconds. */
@@ -330,6 +341,31 @@ class GpuSim
         bool valid = false;
     };
 
+    /**
+     * Share-recompute scratch, one slot per stream: a stream holds at
+     * most one active kernel, so createStream() sizes these arrays
+     * and no recompute allocates or re-initialises them.
+     */
+    struct ShareScratch
+    {
+        std::vector<std::size_t> exec; //!< active_ index per consumer
+        std::vector<double> sm_caps;
+        std::vector<double> prio;
+        std::vector<double> sm_grant;
+        std::vector<double> tcomp;
+        std::vector<double> wave;
+        std::vector<double> bw_caps;
+        std::vector<double> bw_grant;
+        // Water-fill rounds: open consumers, the ones still open after
+        // saturation, and each open consumer's share of the round.
+        std::vector<std::size_t> open;
+        std::vector<std::size_t> still;
+        std::vector<double> share;
+
+        void resize(std::size_t n);
+        std::size_t bytesReserved() const;
+    };
+
     struct CopyEntry
     {
         std::int32_t op_idx = -1;
@@ -381,16 +417,16 @@ class GpuSim
     void admitReady();
     void wakeWaiters(EventId id);
     void recomputeShares();
-    void waterFillInto(const std::vector<double> &caps,
-                       double capacity,
-                       const std::vector<double> &weights,
-                       std::vector<double> &grant);
+    void waterFillInto(std::size_t n, const double *caps,
+                       double capacity, const double *weights,
+                       double *grant);
     double jitterFactor();
     double nextEventDt() const;
     void advance(double dt);
     void completeFinished();
     void finishOp(std::int32_t op_idx, std::int32_t stream,
                   double start_s);
+    void flushKernelSamples();
     void startCopyIfIdle();
 
     DeviceSpec spec_;
@@ -427,18 +463,7 @@ class GpuSim
     std::uint64_t ops_completed_ = 0;
     std::uint64_t trace_records_ = 0;
 
-    // Recompute/water-fill scratch (steady-state: zero allocation).
-    std::vector<std::size_t> scratch_exec_;
-    std::vector<double> scratch_caps_;
-    std::vector<double> scratch_prio_;
-    std::vector<double> scratch_tcomp_;
-    std::vector<double> scratch_wave_;
-    std::vector<double> scratch_bwcaps_;
-    std::vector<double> scratch_sm_grant_;
-    std::vector<double> scratch_bw_grant_;
-    std::vector<std::size_t> wf_open_;
-    std::vector<std::size_t> wf_next_;
-    std::vector<std::size_t> wf_still_;
+    ShareScratch fill_;
     std::vector<DelayEntry> scratch_expired_;
     std::vector<std::int32_t> scratch_ready_;
 
@@ -448,6 +473,12 @@ class GpuSim
     double gpu_busy_s_ = 0.0;
     double copy_busy_s_ = 0.0;
     double dram_bytes_win_ = 0.0;
+
+    // Samples of retired kernels awaiting one batched record into
+    // m_kernel_stall_us_ / m_wave_waste_pct_ (kKernelSampleBatch
+    // capacity each, reserved in the constructor).
+    std::vector<double> batch_stall_us_;
+    std::vector<double> batch_waste_pct_;
 
     // Device metrics, labeled {device=<name>} and recorded in
     // simulation order (deterministic). Handles are created once in

@@ -38,11 +38,18 @@ HistogramCell::upperBound(int bucket)
 }
 
 void
-HistogramCell::record(double v)
+HistogramCell::record(std::span<const double> values)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    for (double v : values)
+        recordLocked(v);
+}
+
+void
+HistogramCell::recordLocked(double v)
 {
     if (!std::isfinite(v))
         return;
-    std::lock_guard<std::mutex> lock(mu);
     if (count == 0) {
         min = v;
         max = v;

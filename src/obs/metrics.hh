@@ -35,6 +35,7 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,7 +86,9 @@ struct HistogramCell
 
     static double upperBound(int bucket);
 
-    void record(double v);
+    /** Record each finite value of @p values in order, under one
+     *  lock: the cell ends as after one record() call per value. */
+    void record(std::span<const double> values);
     void reset();
     double percentileLocked(double p) const; //!< caller holds mu
 
@@ -94,6 +97,9 @@ struct HistogramCell
     {
         return count == exact.size();
     }
+
+  private:
+    void recordLocked(double v); //!< caller holds mu
 };
 
 } // namespace metrics_detail
@@ -163,7 +169,16 @@ class Histogram
     record(double v)
     {
         if (cell_)
-            cell_->record(v);
+            cell_->record({&v, 1});
+    }
+
+    /** Record a batch of values in order, taking the cell's lock
+     *  once (hot loops buffer their samples and flush them here). */
+    void
+    recordBatch(std::span<const double> values)
+    {
+        if (cell_ && !values.empty())
+            cell_->record(values);
     }
 
     std::uint64_t count() const;

@@ -324,9 +324,11 @@ LatencySummary::summarize(const std::vector<double> &ms)
     if (ms.empty())
         return;
     mean_ms = mean(ms);
-    p50_ms = percentile(ms, 50.0);
-    p95_ms = percentile(ms, 95.0);
-    p99_ms = percentile(ms, 99.0);
+    std::vector<double> sorted = ms;
+    std::sort(sorted.begin(), sorted.end());
+    p50_ms = percentileSorted(sorted, 50.0);
+    p95_ms = percentileSorted(sorted, 95.0);
+    p99_ms = percentileSorted(sorted, 99.0);
     max_ms = *std::max_element(ms.begin(), ms.end());
 }
 

@@ -67,9 +67,10 @@ FreshnessTracker::finish(const Counts &c, std::vector<double> ages)
         s.age_mean_ms = mean(ages);
         s.age_max_ms =
             *std::max_element(ages.begin(), ages.end());
-        s.age_p50_ms = percentile(ages, 50.0);
-        s.age_p95_ms = percentile(ages, 95.0);
-        s.age_p99_ms = percentile(std::move(ages), 99.0);
+        std::sort(ages.begin(), ages.end());
+        s.age_p50_ms = percentileSorted(ages, 50.0);
+        s.age_p95_ms = percentileSorted(ages, 95.0);
+        s.age_p99_ms = percentileSorted(ages, 99.0);
     }
     return s;
 }

@@ -22,14 +22,13 @@ AnomalyDetector::AnomalyDetector(
 }
 
 double
-AnomalyDetector::medianOf(const Series &s) const
+AnomalyDetector::medianOf(const Series &s)
 {
-    scratch_ = s.ring;
-    std::sort(scratch_.begin(), scratch_.end());
-    std::size_t n = scratch_.size();
+    const std::vector<double> &v = s.sorted;
+    std::size_t n = v.size();
     if (n % 2 == 1)
-        return scratch_[n / 2];
-    return 0.5 * (scratch_[n / 2 - 1] + scratch_[n / 2]);
+        return v[n / 2];
+    return 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 std::optional<AnomalyFinding>
@@ -42,12 +41,22 @@ AnomalyDetector::observe(double t_s, const std::string &model,
         return std::nullopt;
     if (device < 0 || device >= static_cast<int>(names_.size()))
         return std::nullopt;
+    // Slide the window: the sorted copy drops one instance of the
+    // evicted value and takes the new one at its ordered position.
     Series &s = series_[{model, device}];
-    if (static_cast<int>(s.ring.size()) < cfg_.window)
+    std::vector<double> &sorted = s.sorted;
+    if (static_cast<int>(s.ring.size()) < cfg_.window) {
         s.ring.push_back(latency_ms);
-    else
-        s.ring[static_cast<std::size_t>(
-            s.count % cfg_.window)] = latency_ms;
+    } else {
+        double &slot =
+            s.ring[static_cast<std::size_t>(s.count % cfg_.window)];
+        sorted.erase(
+            std::lower_bound(sorted.begin(), sorted.end(), slot));
+        slot = latency_ms;
+    }
+    sorted.insert(
+        std::upper_bound(sorted.begin(), sorted.end(), latency_ms),
+        latency_ms);
     s.count++;
     if (s.count < cfg_.min_samples)
         return std::nullopt;

@@ -9,11 +9,12 @@
  * genuinely *faster* on the weaker Xavier NX than on the AGX — an
  * inversion of the ordering the devices' raw capability predicts.
  * The detector keeps a windowed median of observed per-request
- * latency for every (model, device) pair; when the device with the
- * higher capability score (peak FLOPS) shows a median at least
- * `margin_pct` *slower* than a weaker device on the same model —
- * with both medians resting on enough samples — it flags one
- * AnomalyFinding per (model, device-pair) for the run.
+ * latency for every (model, device) pair (each window is also kept
+ * sorted as it slides, so a median is an index, not a sort); when
+ * the device with the higher capability score (peak FLOPS) shows a
+ * median at least `margin_pct` *slower* than a weaker device on the
+ * same model — with both medians resting on enough samples — it
+ * flags one AnomalyFinding per (model, device-pair) for the run.
  *
  * A flagged inversion is not necessarily a fault (the paper shows
  * real engines doing this), which is exactly why it is surfaced as
@@ -82,11 +83,12 @@ class AnomalyDetector
   private:
     struct Series
     {
-        std::vector<double> ring; //!< last `window` latencies
+        std::vector<double> ring;   //!< last `window` latencies
+        std::vector<double> sorted; //!< the same values, ascending
         std::int64_t count = 0;
     };
 
-    double medianOf(const Series &s) const;
+    static double medianOf(const Series &s);
 
     Config cfg_;
     std::vector<std::string> names_;
@@ -95,7 +97,6 @@ class AnomalyDetector
     std::map<std::pair<std::string, std::pair<int, int>>, bool>
         flagged_;
     std::vector<AnomalyFinding> findings_;
-    mutable std::vector<double> scratch_; //!< medianOf sort buffer
 };
 
 } // namespace edgert::watch

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/binio.hh"
@@ -68,6 +69,38 @@ TEST(Percentile, RejectsBadInput)
     EXPECT_THROW(percentile({}, 50), FatalError);
     EXPECT_THROW(percentile({1.0}, -1), FatalError);
     EXPECT_THROW(percentile({1.0}, 101), FatalError);
+    EXPECT_THROW(percentileSorted({}, 50), FatalError);
+    EXPECT_THROW(percentileSorted({1.0}, 101), FatalError);
+}
+
+TEST(Percentile, SortedReadsMatchTheCopyAndSortCall)
+{
+    // Sorting once and reading several percentiles gives the exact
+    // doubles of one copy-and-sort call per percentile (the formula
+    // below, spelled out), duplicates and a single sample included.
+    auto copy_and_sort = [](std::vector<double> xs, double p) {
+        std::sort(xs.begin(), xs.end());
+        double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
+        auto lo = static_cast<std::size_t>(rank);
+        std::size_t hi = std::min(lo + 1, xs.size() - 1);
+        double frac = rank - static_cast<double>(lo);
+        return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+    };
+    Rng rng(17);
+    for (std::size_t n : {1, 2, 3, 7, 64, 101, 997}) {
+        std::vector<double> xs;
+        for (std::size_t i = 0; i < n; i++)
+            xs.push_back(rng.chance(0.3)
+                             ? 2.5 * static_cast<double>(rng.below(4))
+                             : rng.uniform(0.0, 100.0));
+        std::vector<double> sorted = xs;
+        std::sort(sorted.begin(), sorted.end());
+        for (double p : {0.0, 1.0, 25.0, 50.0, 95.0, 99.0, 99.9, 100.0}) {
+            const double want = copy_and_sort(xs, p);
+            EXPECT_EQ(percentileSorted(sorted, p), want) << n << " " << p;
+            EXPECT_EQ(percentile(xs, p), want) << n << " " << p;
+        }
+    }
 }
 
 TEST(NormalQuantile, InvertsCdf)

@@ -180,6 +180,23 @@ TEST(OpStorage, StagedInferencesStayCompact)
         << st.arena_bytes << " B for " << st.ops_enqueued << " ops";
 }
 
+TEST(OpStorage, ArenaBytesCountPerSimulatorBuffers)
+{
+    // The footprint includes the buffers a simulator owns before any
+    // op arrives: the kernel-sample batch, reserved at construction,
+    // and the share-recompute scratch, one slot per stream in each of
+    // its arrays.
+    GpuSim sim(gpusim::DeviceSpec::xavierNX());
+    const std::size_t base = sim.simStats().arena_bytes;
+    EXPECT_GE(base, 2 * GpuSim::kKernelSampleBatch * sizeof(double));
+    const std::size_t streams = 15;
+    for (std::size_t i = 0; i < streams; i++)
+        sim.createStream();
+    const std::size_t grown = sim.simStats().arena_bytes;
+    ASSERT_GT(grown, base);
+    EXPECT_GE(grown - base, streams * 8 * sizeof(double));
+}
+
 TEST(OpStorage, TemporaryLaunchesKeepTheirDescriptors)
 {
     // Launches of temporaries are owned by the simulator until they

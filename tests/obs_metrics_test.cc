@@ -229,6 +229,43 @@ TEST(Histogram, ExactnessEndsPastTheCap)
                 static_cast<double>(cap) / 2.0 * 0.35);
 }
 
+TEST(Histogram, BatchRecordMatchesOneByOneRecords)
+{
+    // recordBatch takes the cell's lock once, yet must leave it
+    // byte-identical to one record() per value — sum included — on an
+    // empty cell and on a non-empty one, skipping NaN and +/-inf, both
+    // inside the exact reservoir and across its cap.
+    const int cap = metrics_detail::HistogramCell::kExactCap;
+    for (int prefix : {0, 10}) {
+        for (int n : {20, cap + 20}) {
+            std::vector<double> batch;
+            for (int i = 0; i < n; i++)
+                batch.push_back(0.1 * ((i * 37) % 101) + 1e-3 * i);
+            batch[3] = std::nan("");
+            batch[7] = INFINITY;
+            batch[11] = -INFINITY;
+            MetricRegistry one, bat;
+            Histogram a = one.histogram("x.duration_us");
+            Histogram b = bat.histogram("x.duration_us");
+            for (int i = 0; i < prefix; i++) {
+                a.record(0.3 * i + 0.7);
+                b.record(0.3 * i + 0.7);
+            }
+            for (double v : batch)
+                a.record(v);
+            b.recordBatch(batch);
+            const std::string want = one.toJson();
+            EXPECT_EQ(bat.toJson(), want) << prefix << "+" << n;
+            EXPECT_EQ(b.count(),
+                      static_cast<std::uint64_t>(prefix + n - 3));
+            const bool exact = prefix + n - 3 <= cap;
+            EXPECT_NE(want.find(exact ? "\"exact\": true"
+                                      : "\"exact\": false"),
+                      std::string::npos);
+        }
+    }
+}
+
 TEST(Histogram, ResetRestoresExactness)
 {
     MetricRegistry reg;

@@ -13,11 +13,16 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/json.hh"
+#include "common/rng.hh"
 #include "serve/server.hh"
 #include "watch/anomaly.hh"
 #include "watch/recorder.hh"
@@ -240,6 +245,150 @@ TEST(AnomalyDetector, ExpectedOrderingAndSmallSamplesStaySilent)
     for (int i = 0; i < cfg.min_samples - 1; i++) {
         det.observe(i * 0.01, "n", 0, 5.0);
         EXPECT_FALSE(det.observe(i * 0.01, "n", 1, 10.0));
+    }
+}
+
+/**
+ * Brute-force reference of AnomalyDetector: each window is a plain
+ * FIFO and every median copies and sorts it. The comparison logic is
+ * the detector's, restated.
+ */
+class ReferenceDetector
+{
+  public:
+    ReferenceDetector(const AnomalyDetector::Config &cfg,
+                      std::vector<double> scores)
+        : cfg_(cfg), scores_(std::move(scores))
+    {}
+
+    std::optional<AnomalyFinding>
+    observe(double t_s, const std::string &model, int device,
+            double latency_ms)
+    {
+        Series &s = series_[{model, device}];
+        s.window.push_back(latency_ms);
+        if (static_cast<int>(s.window.size()) > cfg_.window)
+            s.window.erase(s.window.begin());
+        s.count++;
+        if (s.count < cfg_.min_samples)
+            return std::nullopt;
+        const double mine = median(s.window);
+        for (int other = 0; other < static_cast<int>(scores_.size());
+             other++) {
+            auto it = series_.find({model, other});
+            if (other == device || it == series_.end() ||
+                it->second.count < cfg_.min_samples)
+                continue;
+            const double theirs = median(it->second.window);
+            const double my_score = scores_[static_cast<std::size_t>(device)];
+            const double their_score =
+                scores_[static_cast<std::size_t>(other)];
+            if (my_score == their_score)
+                continue;
+            const bool strong_is_me = my_score > their_score;
+            const int weak = strong_is_me ? other : device;
+            const int strong = strong_is_me ? device : other;
+            const double strong_median = strong_is_me ? mine : theirs;
+            const double weak_median = strong_is_me ? theirs : mine;
+            if (strong_median <=
+                weak_median * (1.0 + cfg_.margin_pct / 100.0))
+                continue;
+            if (!flagged_.insert({model, weak, strong}).second)
+                continue;
+            AnomalyFinding f;
+            f.t_s = t_s;
+            f.model = model;
+            f.fast_device = weak;
+            f.slow_device = strong;
+            f.fast_median_ms = weak_median;
+            f.slow_median_ms = strong_median;
+            f.margin_pct = (strong_median / weak_median - 1.0) * 100.0;
+            return f;
+        }
+        return std::nullopt;
+    }
+
+  private:
+    struct Series
+    {
+        std::vector<double> window;
+        std::int64_t count = 0;
+    };
+
+    static double
+    median(std::vector<double> v)
+    {
+        std::sort(v.begin(), v.end());
+        const std::size_t n = v.size();
+        return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+    }
+
+    AnomalyDetector::Config cfg_;
+    std::vector<double> scores_;
+    std::map<std::pair<std::string, int>, Series> series_;
+    std::set<std::tuple<std::string, int, int>> flagged_;
+};
+
+TEST(AnomalyDetector, IncrementalMediansMatchCopyAndSort)
+{
+    // Seeded latencies drawn from a few repeated levels; each model's
+    // stronger devices degrade at a model-specific step, so
+    // inversions are confirmed at many points, several window
+    // wrap-arounds in. Every finding, both medians and the margin
+    // included, must equal the copy-and-sort reference's.
+    const std::vector<double> scores = {10.0, 20.0, 30.0};
+    for (int window : {1, 2, 63, 64}) {
+        AnomalyDetector::Config cfg;
+        cfg.window = window;
+        cfg.min_samples = std::min(window, 16);
+        cfg.margin_pct = 5.0;
+        AnomalyDetector det(cfg, {"a", "b", "c"}, scores);
+        ReferenceDetector ref(cfg, scores);
+        Rng rng(static_cast<std::uint64_t>(window));
+        const int steps = 8 * window + 64;
+        auto draw_step = [&] {
+            return static_cast<int>(
+                rng.below(static_cast<std::uint64_t>(steps)));
+        };
+        std::vector<std::pair<int, int>> degrade_at; // per model: b, c
+        for (int m = 0; m < 12; m++) {
+            const int b_at = draw_step();
+            degrade_at.emplace_back(b_at, draw_step());
+        }
+        int matched = 0;
+        double last_t = 0.0;
+        for (int step = 0; step < steps; step++) {
+            for (int m = 0; m < 12; m++) {
+                const std::string model = "m" + std::to_string(m);
+                const auto [b_at, c_at] =
+                    degrade_at[static_cast<std::size_t>(m)];
+                const double level[3] = {4.0, step < b_at ? 3.0 : 5.5,
+                                         step < c_at ? 2.0 : 7.0};
+                for (int d = 0; d < 3; d++) {
+                    const double ms =
+                        level[d] + 0.5 * static_cast<double>(rng.below(3));
+                    const double t = static_cast<double>(step);
+                    auto got = det.observe(t, model, d, ms);
+                    auto want = ref.observe(t, model, d, ms);
+                    ASSERT_EQ(got.has_value(), want.has_value())
+                        << "window " << window << " step " << step;
+                    if (!got)
+                        continue;
+                    EXPECT_EQ(got->t_s, want->t_s);
+                    EXPECT_EQ(got->model, want->model);
+                    EXPECT_EQ(got->fast_device, want->fast_device);
+                    EXPECT_EQ(got->slow_device, want->slow_device);
+                    EXPECT_EQ(got->fast_median_ms, want->fast_median_ms);
+                    EXPECT_EQ(got->slow_median_ms, want->slow_median_ms);
+                    EXPECT_EQ(got->margin_pct, want->margin_pct);
+                    matched++;
+                    last_t = got->t_s;
+                }
+            }
+        }
+        EXPECT_EQ(static_cast<std::size_t>(matched), det.findings().size());
+        EXPECT_GE(matched, 12) << "window " << window;
+        EXPECT_GE(last_t, 3.0 * window) << "window " << window;
     }
 }
 
