@@ -343,9 +343,21 @@ GpuSim::setTraceMode(TraceMode mode, int sample_every)
 }
 
 void
-GpuSim::reserveTrace(std::size_t records)
+GpuSim::reserveTraceForOps(std::size_t ops)
 {
-    trace_.reserve(records);
+    if (trace_mode_ == TraceMode::kFull)
+        trace_.reserve(trace_.size() + ops);
+    else if (trace_mode_ == TraceMode::kSampled)
+        trace_.reserve(trace_.size() +
+                       ops / static_cast<std::size_t>(trace_sample_) +
+                       1);
+}
+
+bool
+GpuSim::streamIdle(int stream) const
+{
+    const Stream &st = streams_.at(static_cast<std::size_t>(stream));
+    return st.head == -1 && !st.busy;
 }
 
 void
@@ -810,7 +822,7 @@ GpuSim::completeFinished()
 }
 
 bool
-GpuSim::step()
+GpuSim::step(double horizon)
 {
     admitReady();
     // The water-fill is a pure function of the executing set, so it
@@ -834,6 +846,10 @@ GpuSim::step()
     double dt = nextEventDt();
     if (!std::isfinite(dt))
         panic("GpuSim: no next event while ops active");
+    // Pausing here is a no-op on resume: admitReady finds nothing new
+    // and the fill is clean, so the next step recomputes this dt.
+    if (!(now_ + dt < horizon))
+        return false;
     advance(dt);
     completeFinished();
     // Resolve markers that became ready at this timestamp, so
@@ -847,15 +863,14 @@ GpuSim::run()
 {
     // Pre-size the trace for the enqueued backlog so long replays
     // stop paying repeated O(n) vector growth mid-run.
-    std::size_t backlog = ops_.live();
-    if (trace_mode_ == TraceMode::kFull)
-        trace_.reserve(trace_.size() + backlog);
-    else if (trace_mode_ == TraceMode::kSampled)
-        trace_.reserve(trace_.size() +
-                       backlog / static_cast<std::size_t>(
-                                     trace_sample_) +
-                       1);
-    while (step()) {
+    reserveTraceForOps(ops_.live());
+    runBefore(std::numeric_limits<double>::infinity());
+}
+
+void
+GpuSim::runBefore(double horizon)
+{
+    while (step(horizon)) {
     }
     flushKernelSamples();
 }

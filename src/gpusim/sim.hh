@@ -27,15 +27,16 @@
  * unchanged (the water-fill is a pure function of that set, so the
  * skip is bit-exact); when it does rerun, it works on scratch arrays
  * sized once per stream. The two per-kernel histogram samples are
- * buffered and recorded in batches, flushed before run() and
- * runUntilEvent() return. All of this changes per-event cost only —
- * the event sequence, every timestamp and every metric value
- * (histogram sums included) are bit-identical to the pre-overhaul
- * simulator.
+ * buffered and recorded in batches, flushed before run(),
+ * runBefore() and runUntilEvent() return. All of this changes
+ * per-event cost only — the event sequence, every timestamp and every
+ * metric value (histogram sums included) are bit-identical to the
+ * pre-overhaul simulator.
  */
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -208,8 +209,27 @@ class GpuSim
      */
     void delayUntil(int stream, double seconds);
 
-    /** Run the simulation until every queue is empty. */
+    /** Run the simulation until every queue is empty: runBefore(∞)
+     *  after pre-sizing the trace for the enqueued backlog. */
     void run();
+
+    /**
+     * Run every step whose next event falls strictly before
+     * `horizon` (now + dt < horizon), then pause; run() is the
+     * horizon = ∞ case of the same loop. Work enqueued during a pause
+     * replays exactly as if it had been enqueued before the first
+     * run, provided it lands behind queued or in-flight work of its
+     * stream (see streamIdle): a stream never reads past its FIFO
+     * head, so it cannot tell when its tail was filled. This is how a
+     * serving replay feeds each instance one dispatch ahead of its
+     * release (serve::replayPlans). Histograms are flushed on return.
+     */
+    void runBefore(double horizon);
+
+    /** True when `stream` has nothing queued and nothing in flight:
+     *  an op enqueued on it now would start at the current time,
+     *  not behind earlier work. */
+    bool streamIdle(int stream) const;
 
     /** Run until the given event has completed (fatal on deadlock).
      *  The gpusim.kernel.* histograms count every kernel retired so
@@ -254,9 +274,12 @@ class GpuSim
     TraceMode traceMode() const { return trace_mode_; }
     int traceSampleEvery() const { return trace_sample_; }
 
-    /** Pre-size the trace for an expected number of records. run()
-     *  also reserves automatically from the enqueued-op backlog. */
-    void reserveTrace(std::size_t records);
+    /** Pre-size the trace for `ops` more completed ops under the
+     *  current trace mode (all of them in kFull, 1 in N sampled,
+     *  none when off). run() reserves this way for its backlog; a
+     *  caller that feeds work during pauses (runBefore) reserves for
+     *  the whole feed once up front. */
+    void reserveTraceForOps(std::size_t ops);
 
     /** Completed non-marker ops, including ones the trace mode
      *  dropped (the profiler footer's "of T ops" denominator). */
@@ -403,8 +426,9 @@ class GpuSim
         }
     };
 
-    /** One simulation step; returns false when fully idle. */
-    bool step();
+    /** One simulation step; returns false when fully idle or when
+     *  the next event does not fall before `horizon`. */
+    bool step(double horizon = std::numeric_limits<double>::infinity());
 
     std::int32_t acquireOp(OpKind kind);
     std::int32_t internTag(const std::string &tag);

@@ -1,10 +1,9 @@
 #include "serve/core.hh"
 
 #include <algorithm>
-#include <condition_variable>
+#include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -123,68 +122,152 @@ stampRequests(std::vector<Request> &requests, const PlannedDispatch &pd,
 
 namespace {
 
-/** One enqueued dispatch, waiting for its device's run(). */
+/** One enqueued dispatch, folded back once its device has run out. */
 struct Pending
 {
     PlannedDispatch *pd;
     runtime::InferenceHandle h;
 };
 
-/** Enqueue the plans of one device's instances (`members`). */
-std::vector<Pending>
-enqueueDevice(gpusim::GpuSim &sim, const std::vector<int> &members,
-              std::vector<Instance> &instances,
-              const ModelVersions &versions, bool pipelined)
+/** A context of one (version, engine) on an instance, and the ops one
+ *  dispatch through it enqueues. */
+struct BoundEngine
 {
-    std::vector<Pending> pending;
-    bool first = true;
-    for (int idx : members) {
-        Instance &inst = instances[static_cast<std::size_t>(idx)];
-        // The device's first instance releases on the default
-        // stream; the rest get fresh ones, in instance order.
-        const int release = first ? 0 : sim.createStream();
-        first = false;
-        const int compute = pipelined ? sim.createStream() : release;
-        const int download = pipelined ? sim.createStream() : release;
-        // An instance keeps an old version's contexts alive through a
-        // swap: batches planned on the incumbent drain on its
-        // contexts while new batches run on the candidate's.
-        std::map<std::pair<int, int>,
-                 std::unique_ptr<runtime::ExecutionContext>>
-            ctxs;
-        for (auto &pd : inst.plan) {
-            sim.delayUntil(release, pd.t_s);
-            auto &ctx = ctxs[{pd.version, pd.engine_idx}];
-            if (!ctx)
-                ctx = std::make_unique<runtime::ExecutionContext>(
-                    versions[static_cast<std::size_t>(inst.model)]
-                            [static_cast<std::size_t>(pd.version)]
-                                .sets[static_cast<std::size_t>(
-                                    inst.slot)]
-                                .engines[static_cast<std::size_t>(
-                                    pd.engine_idx)],
-                    sim, compute);
-            // Serving always stages: the boundary markers are
-            // timing-neutral, so the replay's event stream never
-            // depends on whether anything reads them.
-            pending.push_back(
-                {&pd, pipelined
-                          ? ctx->enqueueStagedPipelined(release,
-                                                        download)
-                          : ctx->enqueueInference(true, true,
-                                                  /*staged=*/true)});
-        }
+    std::unique_ptr<runtime::ExecutionContext> ctx;
+    std::size_t ops = 0;
+};
+
+/** One instance of a device being fed: its streams, its contexts and
+ *  the first plan not yet enqueued. */
+struct InstanceFeed
+{
+    int idx = 0;
+    Instance *inst = nullptr;
+    int release = 0;
+    int compute = 0;
+    int download = 0;
+    std::size_t next = 0;
+    // An instance keeps an old version's contexts alive through a
+    // swap: batches planned on the incumbent drain on its contexts
+    // while new batches run on the candidate's.
+    std::map<std::pair<int, int>, BoundEngine> engines;
+
+    bool fedAll() const { return next == inst->plan.size(); }
+
+    /** Release time of the last plan enqueued. */
+    double lastRelease() const { return inst->plan[next - 1].t_s; }
+};
+
+/** The context `pd` runs on, created on first use. */
+BoundEngine &
+engineFor(InstanceFeed &f, const PlannedDispatch &pd,
+          gpusim::GpuSim &sim, const ModelVersions &versions,
+          bool pipelined)
+{
+    BoundEngine &b = f.engines[{pd.version, pd.engine_idx}];
+    if (!b.ctx) {
+        const core::Engine &eng =
+            versions[static_cast<std::size_t>(f.inst->model)]
+                    [static_cast<std::size_t>(pd.version)]
+                        .sets[static_cast<std::size_t>(f.inst->slot)]
+                        .engines[static_cast<std::size_t>(
+                            pd.engine_idx)];
+        b.ctx = std::make_unique<runtime::ExecutionContext>(
+            eng, sim, f.compute);
+        // A release delay, four stage markers, the copies and the
+        // kernels, and two cross-stream waits when pipelined.
+        b.ops = 5 + eng.inputs().size() + eng.outputs().size() +
+                static_cast<std::size_t>(eng.kernelCount()) +
+                (pipelined ? 2 : 0);
     }
-    return pending;
+    return b;
 }
 
-/** Run one device, fold its stage events back as seconds and extract
- *  what the report needs of the simulator. */
+/**
+ * Replay one device's instances (`members`) on a fresh GpuSim, feeding
+ * each instance one dispatch ahead of its release, then fold the stage
+ * events back into the plans as seconds and extract what the report
+ * needs before the simulator is destroyed.
+ */
 DeviceReplay
-runDevice(gpusim::GpuSim &sim, const std::vector<Pending> &pending)
+replayDevice(const gpusim::DeviceSpec &spec,
+             obs::MetricRegistry &registry,
+             const std::vector<int> &members,
+             std::vector<Instance> &instances,
+             const ModelVersions &versions, const ReplayOptions &options)
 {
+    const bool pipelined = options.pipelined;
+    gpusim::GpuSim sim(spec, &registry);
+    sim.setTraceMode(options.trace_mode, options.trace_sample_every);
+    std::vector<InstanceFeed> feeds;
+    feeds.reserve(members.size());
+    std::size_t ops = 0;
+    std::size_t dispatches = 0;
+    for (int idx : members) {
+        InstanceFeed f;
+        f.idx = idx;
+        f.inst = &instances[static_cast<std::size_t>(idx)];
+        // The device's first instance releases on the default
+        // stream; the rest get fresh ones, in instance order.
+        f.release = feeds.empty() ? 0 : sim.createStream();
+        f.compute = pipelined ? sim.createStream() : f.release;
+        f.download = pipelined ? sim.createStream() : f.release;
+        for (const PlannedDispatch &pd : f.inst->plan)
+            ops += engineFor(f, pd, sim, versions, pipelined).ops;
+        dispatches += f.inst->plan.size();
+        feeds.push_back(std::move(f));
+    }
+    // The same trace capacity an upfront enqueue of every plan gets.
+    sim.reserveTraceForOps(ops);
+
+    std::vector<Pending> pending;
+    pending.reserve(dispatches);
+    auto enqueueNext = [&](InstanceFeed &f) {
+        PlannedDispatch &pd = f.inst->plan[f.next++];
+        sim.delayUntil(f.release, pd.t_s);
+        runtime::ExecutionContext &ctx =
+            *engineFor(f, pd, sim, versions, pipelined).ctx;
+        // Serving always stages: the boundary markers are
+        // timing-neutral, so the replay's event stream never
+        // depends on whether anything reads them.
+        pending.push_back(
+            {&pd, pipelined ? ctx.enqueueStagedPipelined(f.release,
+                                                         f.download)
+                            : ctx.enqueueInference(true, true,
+                                                   /*staged=*/true)});
+    };
+
     DeviceReplay out;
     const std::uint64_t t0 = obs::clock().nowNanos();
+    for (InstanceFeed &f : feeds)
+        if (!f.fedAll())
+            enqueueNext(f);
+    // Plan k+1 joins its streams before any of them can drain plan k,
+    // whose release delay ends no earlier than its t_s (core.hh).
+    for (;;) {
+        bool unfed = false;
+        double horizon = std::numeric_limits<double>::infinity();
+        for (const InstanceFeed &f : feeds) {
+            if (!f.fedAll()) {
+                unfed = true;
+                horizon = std::min(horizon, f.lastRelease());
+            }
+        }
+        if (!unfed)
+            break;
+        sim.runBefore(horizon);
+        for (InstanceFeed &f : feeds) {
+            while (!f.fedAll() && f.lastRelease() <= horizon) {
+                if (sim.streamIdle(f.release) ||
+                    sim.streamIdle(f.compute) ||
+                    sim.streamIdle(f.download))
+                    panic("replayPlans: instance ", f.idx, " plan ",
+                          f.next, " fed at t=", sim.nowSeconds(),
+                          " after its streams drained");
+                enqueueNext(f);
+            }
+        }
+    }
     sim.run();
     out.wall_s =
         static_cast<double>(obs::clock().nowNanos() - t0) * 1e-9;
@@ -227,54 +310,28 @@ replayPlans(const std::vector<gpusim::DeviceSpec> &devices,
         EDGERT_SPAN(options.span,
                     {{"devices", std::to_string(n)},
                      {"threads", std::to_string(out.threads)}});
-        // Enqueue stays on the calling thread: the plans' op storage
-        // then comes from one heap that stays warm across runs. Worker
-        // heaps are trimmed when the pool exits, so enqueueing on the
-        // workers faults that storage in afresh on every run. Each
-        // task destroys its own simulator, and the caller waits while
-        // `window` of them are alive.
-        const int window = 2 * out.threads;
-        std::vector<std::unique_ptr<gpusim::GpuSim>> sims(nd);
-        std::vector<std::vector<Pending>> pending(nd);
-        std::mutex mu;
-        std::condition_variable retired;
-        int alive = 0;
-        auto retire = [&](std::size_t d) {
-            sims[d].reset();
-            std::vector<Pending>().swap(pending[d]);
-            std::lock_guard<std::mutex> lock(mu);
-            alive--;
-            retired.notify_one();
-        };
-        auto task = [&](std::size_t d) {
-            try {
-                out.devices[d] = runDevice(*sims[d], pending[d]);
-            } catch (...) {
-                retire(d);
-                throw;
-            }
-            retire(d);
-        };
+        // Each device is one task that builds, feeds, runs and
+        // destroys its own simulator, so at most one simulator per
+        // worker is alive.
         std::optional<ThreadPool> tp; // after what its tasks touch
         if (out.threads > 1)
             tp.emplace(out.threads);
         for (std::size_t d = 0; d < nd; d++) {
-            {
-                std::unique_lock<std::mutex> lock(mu);
-                retired.wait(lock, [&] { return alive < window; });
-                alive++;
-            }
-            sims[d] = std::make_unique<gpusim::GpuSim>(
-                devices[d], registries[d].get());
-            sims[d]->setTraceMode(options.trace_mode,
-                                  options.trace_sample_every);
-            pending[d] = enqueueDevice(*sims[d], members[d], instances,
-                                       versions, options.pipelined);
-            // A device with nothing enqueued is not worth a handoff.
-            if (tp && !pending[d].empty())
-                tp->submit([&task, d] { task(d); });
+            auto task = [&, d] {
+                out.devices[d] =
+                    replayDevice(devices[d], *registries[d], members[d],
+                                 instances, versions, options);
+            };
+            // A device with nothing to replay is not worth a handoff.
+            const bool planned = std::any_of(
+                members[d].begin(), members[d].end(), [&](int idx) {
+                    return !instances[static_cast<std::size_t>(idx)]
+                                .plan.empty();
+                });
+            if (tp && planned)
+                tp->submit(task);
             else
-                task(d);
+                task();
         }
         if (tp) {
             tp->wait();

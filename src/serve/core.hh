@@ -11,9 +11,10 @@
  *    device, each engine calibrated by its own LatencyPredictor;
  *  - control plane: a seq-stamped event calendar and the batch-cut
  *    loop that turns queued work into per-instance dispatch plans;
- *  - replay: per device, enqueue every instance's plan, run the
- *    GpuSim, fold the stage events back into the plans as seconds,
- *    keep a small per-device result and destroy the simulator;
+ *  - replay: per device, feed every instance's plan into a GpuSim one
+ *    dispatch ahead of its release, fold the stage events back into
+ *    the plans as seconds, keep a small per-device result and destroy
+ *    the simulator;
  *  - report pieces: request tables, latency summaries, device stats
  *    and the merged chrome-trace export.
  *
@@ -276,7 +277,7 @@ struct DeviceReplay
 {
     gpusim::UtilStats util;  //!< utilization over the whole run
     gpusim::SimStats sim;    //!< self-measurement; makespan = simulated_s
-    double wall_s = 0.0;     //!< host seconds of run()
+    double wall_s = 0.0;     //!< host seconds of the fed run
     std::vector<gpusim::OpRecord> trace; //!< moved out of the sim
     gpusim::TraceMode trace_mode = gpusim::TraceMode::kFull;
     int trace_sample_every = 16;
@@ -291,18 +292,30 @@ struct Replay
 };
 
 /**
- * Phase 2 — replay every instance's plan on its device. Each device
- * gets its own GpuSim recording into a private MetricRegistry. The
- * calling thread enqueues one device at a time (delayUntil pins each
- * release; contexts are cached per (version, engine)) and hands it to
- * a task that runs the simulator, folds the stage events back into
- * every PlannedDispatch as seconds, extracts its DeviceReplay and
- * destroys the simulator. The caller waits while 2 x threads
- * simulators are alive, so replay memory is bounded by the devices in
- * flight, not by the whole fleet. With threads <= 1 the same loop runs
- * inline. Devices share nothing; the private registries merge into
- * the global one in device index order afterwards, so every
- * observable is byte-identical at any thread count.
+ * Phase 2 — replay every instance's plan on its device. Each device is
+ * one task that creates a GpuSim recording into a private
+ * MetricRegistry, feeds it, runs it out, folds the stage events back
+ * into every PlannedDispatch as seconds, extracts its DeviceReplay and
+ * destroys the simulator. The caller enqueues nothing.
+ *
+ * The feed is just in time. Each instance's first plan is enqueued
+ * (delayUntil pins its release; contexts are cached per (version,
+ * engine)). Then, repeatedly, with H the smallest release among the
+ * plans whose successor is still unfed, the simulator runs every event
+ * strictly before H (GpuSim::runBefore) and every plan whose
+ * predecessor releases at or before H joins its streams. A stream
+ * drains plan k no earlier than plan k's release, so plan k+1 is
+ * always queued before its streams could go idle, and the replay is
+ * exactly the one an upfront enqueue of every plan gives. The feeder
+ * panics if that invariant ever fails (GpuSim::streamIdle). Op storage
+ * is O(instances x 2 plans) instead of O(simulated duration).
+ *
+ * With threads > 1, devices with plans go to a pool of that many
+ * workers, so at most one simulator per worker is alive; devices with
+ * no plans, and every device when threads <= 1, run inline. Devices
+ * share nothing; the private registries merge into the global one in
+ * device index order afterwards, so every observable is byte-identical
+ * at any thread count.
  */
 Replay replayPlans(const std::vector<gpusim::DeviceSpec> &devices,
                    std::vector<Instance> &instances,

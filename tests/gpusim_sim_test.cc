@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <optional>
 #include <vector>
 
 #include "common/logging.hh"
@@ -531,6 +533,259 @@ TEST(GpuSimGolden, HistogramsCountKernelsRetiredByRunUntilEvent)
     sim.run();
     EXPECT_EQ(stall.count(), static_cast<std::uint64_t>(first + 10));
     EXPECT_EQ(waste.count(), static_cast<std::uint64_t>(first + 10));
+}
+
+// ---------------------------------------------------------------
+// Just-in-time feeding through runBefore
+// ---------------------------------------------------------------
+
+/** One serving instance of the feed scenario: a plan of releases,
+ *  replayed staged on one stream or pipelined across three. */
+struct FeedInstance
+{
+    bool pipelined = false;
+    std::vector<double> releases;
+    std::vector<const KernelDesc *> kernels;
+    int release = 0;
+    int compute = 0;
+    int download = 0;
+};
+
+/** The four stage events of one enqueued dispatch. */
+struct DispatchEvents
+{
+    EventId begin = -1;
+    EventId upload = -1;
+    EventId compute = -1;
+    EventId end = -1;
+};
+
+/** Enqueue dispatch `k` of `in` the way serve::replayPlans does: a
+ *  release delay, then a staged or a 3-stream pipelined inference. */
+DispatchEvents
+enqueueDispatch(GpuSim &sim, const FeedInstance &in, std::size_t k)
+{
+    DispatchEvents e;
+    sim.delayUntil(in.release, in.releases[k]);
+    e.begin = sim.recordEvent(in.release);
+    sim.memcpyH2D(in.release, 1 << 18, 1, "input_h2d", in.pipelined);
+    e.upload = sim.recordEvent(in.release);
+    if (in.pipelined)
+        sim.waitEvent(in.compute, e.upload);
+    for (const KernelDesc *kd : in.kernels)
+        sim.launchKernel(in.compute, *kd);
+    e.compute = sim.recordEvent(in.compute);
+    if (in.pipelined)
+        sim.waitEvent(in.download, e.compute);
+    sim.memcpyD2H(in.download, 1 << 16, 1, "output_d2h", in.pipelined);
+    e.end = sim.recordEvent(in.download);
+    return e;
+}
+
+/** How the feed scenario reaches the simulator. */
+enum class Feed {
+    kUpfront, //!< every plan enqueued, then run()
+    kJustInTime, //!< one dispatch ahead of its release (runBefore)
+    kOneLate, //!< as kJustInTime, but one plan held one horizon back
+};
+
+struct FeedOutcome
+{
+    std::vector<OpRecord> trace;
+    std::vector<std::vector<std::array<double, 4>>> events;
+    UtilStats util;
+    double now = 0.0;
+    std::uint64_t kernels = 0;
+    double stall_sum = 0.0;
+    double waste_sum = 0.0;
+    int horizons = 0; //!< runBefore pauses
+    int guard_trips = 0; //!< plans fed behind an idle stream
+};
+
+/**
+ * Two staged instances whose releases tie on every t_s (both release
+ * delays end at 0, 12 and 30 ms), and one pipelined instance whose
+ * early releases outrun its service, so it is fed while busy with
+ * earlier plans, and whose later ones leave it waiting on its release
+ * delay when the next plan is fed.
+ */
+FeedOutcome
+replayFeedScenario(TraceMode mode, Feed feed)
+{
+    const DeviceSpec nx = DeviceSpec::xavierNX();
+    static const KernelDesc small =
+        goldenKernel("small", 3, 1, 331'000'000, 1 << 20);
+    static const KernelDesc big =
+        goldenKernel("big", 39, 2, 1'262'000'000, 11 << 20);
+    static const KernelDesc dram =
+        goldenKernel("dram", 11, 2, 16'000'000, 35 << 20);
+    obs::MetricRegistry reg;
+    GpuSim sim(nx, &reg);
+    sim.setTraceMode(mode, 3);
+    const std::vector<double> tied = {0.0,    0.0,    2.0e-3,
+                                      12e-3,  12e-3,  14e-3,
+                                      30e-3,  31e-3};
+    std::vector<FeedInstance> in(3);
+    in[0].releases = tied;
+    in[0].kernels = {&small, &dram};
+    in[1].releases = tied;
+    in[1].kernels = {&big};
+    in[2].pipelined = true;
+    in[2].releases = {0.5e-3, 1.0e-3, 1.5e-3, 2.0e-3,
+                      20e-3,  26e-3,  26.5e-3, 40e-3};
+    in[2].kernels = {&dram, &small, &small};
+    for (std::size_t i = 0; i < in.size(); i++) {
+        in[i].release = i == 0 ? 0 : sim.createStream();
+        in[i].compute = in[i].pipelined ? sim.createStream()
+                                        : in[i].release;
+        in[i].download = in[i].pipelined ? sim.createStream()
+                                         : in[i].release;
+    }
+
+    FeedOutcome out;
+    std::vector<std::vector<DispatchEvents>> handles(in.size());
+    std::vector<std::size_t> next(in.size(), 0);
+    auto enqueueNext = [&](std::size_t i) {
+        if (feed != Feed::kUpfront && next[i] > 0 &&
+            (sim.streamIdle(in[i].release) ||
+             sim.streamIdle(in[i].compute) ||
+             sim.streamIdle(in[i].download)))
+            out.guard_trips++;
+        handles[i].push_back(enqueueDispatch(sim, in[i], next[i]++));
+    };
+    if (feed == Feed::kUpfront) {
+        for (std::size_t i = 0; i < in.size(); i++)
+            while (next[i] < in[i].releases.size())
+                enqueueNext(i);
+        sim.run();
+    } else {
+        std::size_t ops = 0;
+        for (const FeedInstance &fi : in)
+            ops += fi.releases.size() *
+                   (7 + fi.kernels.size() + (fi.pipelined ? 2 : 0));
+        sim.reserveTraceForOps(ops);
+        for (std::size_t i = 0; i < in.size(); i++)
+            enqueueNext(i);
+        // kOneLate holds instance 0's fourth plan back one horizon.
+        bool held = feed != Feed::kOneLate;
+        bool holding = false;
+        auto pendingRelease = [&](std::size_t i) {
+            return in[i].releases[next[i] - 1];
+        };
+        for (;;) {
+            std::optional<double> horizon;
+            for (std::size_t i = 0; i < in.size(); i++)
+                if (next[i] < in[i].releases.size() &&
+                    !(holding && i == 0))
+                    horizon = std::min(
+                        horizon.value_or(pendingRelease(i)),
+                        pendingRelease(i));
+            if (!horizon)
+                break;
+            sim.runBefore(*horizon);
+            out.horizons++;
+            if (holding) {
+                enqueueNext(0);
+                holding = false;
+            }
+            for (std::size_t i = 0; i < in.size(); i++) {
+                while (next[i] < in[i].releases.size() &&
+                       pendingRelease(i) <= *horizon) {
+                    if (!held && i == 0 && next[i] == 3) {
+                        held = holding = true;
+                        break;
+                    }
+                    enqueueNext(i);
+                }
+            }
+        }
+        sim.run();
+    }
+
+    out.trace = sim.takeTrace();
+    for (const auto &inst : handles) {
+        out.events.emplace_back();
+        for (const DispatchEvents &e : inst)
+            out.events.back().push_back(
+                {sim.eventSeconds(e.begin), sim.eventSeconds(e.upload),
+                 sim.eventSeconds(e.compute), sim.eventSeconds(e.end)});
+    }
+    out.util = sim.stats();
+    out.now = sim.nowSeconds();
+    const obs::Labels dev = {{"device", nx.name}};
+    const obs::Histogram stall =
+        reg.histogram("gpusim.kernel.stall_us", dev);
+    const obs::Histogram waste =
+        reg.histogram("gpusim.kernel.wave_waste_pct", dev);
+    out.kernels = stall.count();
+    EXPECT_EQ(waste.count(), out.kernels);
+    out.stall_sum = stall.sum();
+    out.waste_sum = waste.sum();
+    return out;
+}
+
+/** Bitwise equality of every traced op of two runs. */
+bool
+sameTrace(const std::vector<OpRecord> &a, const std::vector<OpRecord> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); i++)
+        if (a[i].kind != b[i].kind || a[i].name != b[i].name ||
+            a[i].stream != b[i].stream || a[i].start_s != b[i].start_s ||
+            a[i].end_s != b[i].end_s)
+            return false;
+    return true;
+}
+
+TEST(GpuSimGolden, FedReplayMatchesUpfront)
+{
+    // Feeding each instance one dispatch ahead of its release replays
+    // exactly what enqueueing every plan before run() does: the same
+    // ops at the same times (tied releases keep their delay-calendar
+    // order), the same stage events, utilization and kernel samples.
+    for (TraceMode mode : {TraceMode::kFull, TraceMode::kSampled}) {
+        SCOPED_TRACE(mode == TraceMode::kFull ? "full" : "sampled");
+        const FeedOutcome up = replayFeedScenario(mode, Feed::kUpfront);
+        const FeedOutcome fed =
+            replayFeedScenario(mode, Feed::kJustInTime);
+        EXPECT_EQ(fed.guard_trips, 0);
+        // One pause per distinct release a fed plan waits behind.
+        EXPECT_EQ(fed.horizons, 11);
+        ASSERT_FALSE(up.trace.empty());
+        ASSERT_EQ(up.trace.size(), fed.trace.size());
+        for (std::size_t i = 0; i < up.trace.size(); i++) {
+            SCOPED_TRACE(i);
+            EXPECT_EQ(up.trace[i].kind, fed.trace[i].kind);
+            EXPECT_EQ(up.trace[i].name, fed.trace[i].name);
+            EXPECT_EQ(up.trace[i].stream, fed.trace[i].stream);
+            EXPECT_EQ(up.trace[i].start_s, fed.trace[i].start_s);
+            EXPECT_EQ(up.trace[i].end_s, fed.trace[i].end_s);
+        }
+        EXPECT_EQ(up.events, fed.events);
+        EXPECT_EQ(up.now, fed.now);
+        EXPECT_EQ(up.util.window_s, fed.util.window_s);
+        EXPECT_EQ(up.util.sm_busy_integral, fed.util.sm_busy_integral);
+        EXPECT_EQ(up.util.gpu_busy_s, fed.util.gpu_busy_s);
+        EXPECT_EQ(up.util.copy_busy_s, fed.util.copy_busy_s);
+        EXPECT_EQ(up.util.dram_bytes, fed.util.dram_bytes);
+        EXPECT_EQ(up.kernels, fed.kernels);
+        EXPECT_EQ(up.stall_sum, fed.stall_sum);
+        EXPECT_EQ(up.waste_sum, fed.waste_sum);
+    }
+}
+
+TEST(GpuSimGolden, FeedingOnePlanLateTripsTheIdleGuard)
+{
+    // A plan fed one horizon late lands behind a stream that already
+    // drained: the replay diverges from the upfront one, and the
+    // streamIdle check serve::replayPlans panics on sees it.
+    const FeedOutcome up =
+        replayFeedScenario(TraceMode::kFull, Feed::kUpfront);
+    const FeedOutcome late =
+        replayFeedScenario(TraceMode::kFull, Feed::kOneLate);
+    EXPECT_GE(late.guard_trips, 1);
+    EXPECT_FALSE(sameTrace(up.trace, late.trace));
 }
 
 /** Property sweep: makespan of N identical kernels across N streams

@@ -176,10 +176,11 @@ TEST(BuildLadder, PerEngineCalibration)
     EXPECT_LT(set.service_s[0], set.service_s[2]);
 }
 
-// replayPlans streams devices through a window of 2 x threads live
-// simulators: ten devices at two threads make the enqueueing caller
-// wait on retiring tasks, and every folded time, per-device result
-// and merged metric still matches the inline run.
+// replayPlans hands each planned device to a worker that feeds, runs
+// and destroys its own simulator: ten planned devices at two threads,
+// plus an eleventh whose instances have no plans and so replays inline
+// on the caller, give the same folded times, per-device results and
+// merged metrics as the inline run.
 TEST(ReplayPlans, WindowedReplayMatchesInline)
 {
     const gpusim::DeviceSpec nx = gpusim::DeviceSpec::xavierNX();
@@ -189,7 +190,8 @@ TEST(ReplayPlans, WindowedReplayMatchesInline)
     serve::ModelVersions versions(1);
     versions[0].emplace_back();
     versions[0][0].sets.push_back(serve::buildLadder(nx, spec, nullptr));
-    const std::vector<gpusim::DeviceSpec> devices(10, nx);
+    const std::size_t planned = 10;
+    const std::vector<gpusim::DeviceSpec> devices(planned + 1, nx);
 
     struct Outcome
     {
@@ -203,9 +205,15 @@ TEST(ReplayPlans, WindowedReplayMatchesInline)
         for (int d = 0; d < static_cast<int>(devices.size()); d++) {
             serve::Instance inst;
             inst.device = d;
+            if (d == static_cast<int>(planned)) {
+                o.instances.push_back(inst); // two planless instances
+                o.instances.push_back(inst);
+                continue;
+            }
             for (int i = 0; i < 4; i++) {
                 serve::PlannedDispatch pd;
-                pd.t_s = 0.002 * i + 0.0001 * d;
+                // The last release comes after the instance drained.
+                pd.t_s = (i < 3 ? 0.002 * i : 0.05) + 0.0001 * d;
                 pd.engine_idx = (i + d) % 2;
                 pd.batch = pd.engine_idx + 1;
                 inst.plan.push_back(pd);
@@ -219,15 +227,21 @@ TEST(ReplayPlans, WindowedReplayMatchesInline)
         return o;
     };
     const Outcome inline_run = replay(1);
-    const Outcome windowed = replay(2);
-    EXPECT_EQ(windowed.replay.threads, 2);
-    EXPECT_EQ(windowed.replay.pool.tasks_run, devices.size());
-    EXPECT_EQ(inline_run.metrics, windowed.metrics);
-    ASSERT_EQ(windowed.replay.devices.size(), devices.size());
-    for (std::size_t d = 0; d < devices.size(); d++) {
+    const Outcome pooled = replay(2);
+    EXPECT_EQ(pooled.replay.threads, 2);
+    EXPECT_EQ(pooled.replay.pool.tasks_run, planned);
+    EXPECT_EQ(inline_run.metrics, pooled.metrics);
+    ASSERT_EQ(pooled.replay.devices.size(), devices.size());
+    for (const Outcome *o : {&inline_run, &pooled}) {
+        const serve::DeviceReplay &idle = o->replay.devices[planned];
+        EXPECT_EQ(idle.sim.simulated_s, 0.0);
+        EXPECT_EQ(idle.sim.ops_enqueued, 0u);
+        EXPECT_TRUE(idle.trace.empty());
+    }
+    for (std::size_t d = 0; d < planned; d++) {
         SCOPED_TRACE(d);
         const serve::DeviceReplay &a = inline_run.replay.devices[d];
-        const serve::DeviceReplay &b = windowed.replay.devices[d];
+        const serve::DeviceReplay &b = pooled.replay.devices[d];
         EXPECT_GT(a.sim.simulated_s, 0.0);
         EXPECT_EQ(a.sim.simulated_s, b.sim.simulated_s);
         EXPECT_EQ(a.sim.ops_completed, b.sim.ops_completed);
@@ -239,7 +253,9 @@ TEST(ReplayPlans, WindowedReplayMatchesInline)
             EXPECT_EQ(a.trace[i].end_s, b.trace[i].end_s);
         }
         const auto &pa = inline_run.instances[d].plan;
-        const auto &pb = windowed.instances[d].plan;
+        const auto &pb = pooled.instances[d].plan;
+        // Released on time: the instance sat idle until then.
+        EXPECT_NEAR(pa.back().begin_s, pa.back().t_s, 1e-12);
         for (std::size_t i = 0; i < pa.size(); i++) {
             EXPECT_GT(pa[i].end_s, pa[i].begin_s);
             EXPECT_EQ(pa[i].begin_s, pb[i].begin_s);
