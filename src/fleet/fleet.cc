@@ -287,12 +287,6 @@ runFleet(const FleetConfig &cfg)
     }
 
     std::vector<FleetEvent> events;
-    std::vector<std::int64_t> model_shed(
-        static_cast<std::size_t>(n_models), 0);
-    std::vector<std::int64_t> model_batches(
-        static_cast<std::size_t>(n_models), 0);
-    std::vector<std::int64_t> model_dispatched(
-        static_cast<std::size_t>(n_models), 0);
     // Next plan entry whose predicted completion is unobserved.
     std::vector<std::size_t> next_obs;
 
@@ -329,9 +323,6 @@ runFleet(const FleetConfig &cfg)
             instances, evq, timeouts[slot], pick,
             [&](const serve::PlannedDispatch &pd, int idx) {
                 serve::stampRequests(requests, pd, node, idx);
-                model_batches[static_cast<std::size_t>(m)]++;
-                model_dispatched[static_cast<std::size_t>(m)] +=
-                    pd.batch;
             });
     };
 
@@ -367,7 +358,6 @@ runFleet(const FleetConfig &cfg)
             HashRing &ring = rings[static_cast<std::size_t>(m)];
             if (ring.empty()) {
                 r.outcome = serve::Outcome::kShed;
-                model_shed[static_cast<std::size_t>(m)]++;
                 return;
             }
             std::uint64_t key = ring.keyFor(id);
@@ -402,7 +392,6 @@ runFleet(const FleetConfig &cfg)
                     static_cast<int>(q.size()), t, q.rateHz());
                 if (est_s * 1e3 > r.slo_ms) {
                     r.outcome = serve::Outcome::kShed;
-                    model_shed[static_cast<std::size_t>(m)]++;
                     trackerObserve(node, t, true);
                     return;
                 }
@@ -697,18 +686,18 @@ runFleet(const FleetConfig &cfg)
 
     // Fold measured completions back (node-major instance order,
     // then plan order — deterministic).
-    for (const serve::Instance &inst : instances)
-        for (const auto &pd : inst.plan)
-            for (std::int64_t id : pd.request_ids) {
-                serve::Request &r =
-                    requests[static_cast<std::size_t>(id)];
-                r.outcome = serve::Outcome::kCompleted;
-                r.done_s = pd.end_s;
-            }
+    serve::FoldCounts folded;
+    {
+        EDGERT_SPAN("fleet_fold",
+                    {{"requests", std::to_string(requests.size())}});
+        folded = serve::foldReplay(instances, n_models, requests,
+                                   serve::Outcome::kCompleted);
+    }
 
     // ------------------------------------------------------------
     // Report assembly (request-id order).
     // ------------------------------------------------------------
+    EDGERT_SPAN("fleet_report", {{"models", std::to_string(n_models)}});
     FleetReport report;
     report.seed = cfg.seed;
     report.duration_s = cfg.duration_s;
@@ -717,35 +706,27 @@ runFleet(const FleetConfig &cfg)
     report.vnodes = cfg.vnodes;
     report.nodes = n_nodes;
 
-    std::vector<std::vector<double>> model_lat(
-        static_cast<std::size_t>(n_models));
-    std::vector<std::vector<double>> group_lat(fleet.groups.size());
-    std::vector<std::int64_t> within_slo(
-        static_cast<std::size_t>(n_models), 0);
-    std::vector<double> all_lat;
+    // One pass over the request table tallies it fleet-wide, by
+    // model and by the group of the node that completed the request.
+    serve::Tally all;
+    std::vector<serve::Tally> by_model(static_cast<std::size_t>(n_models));
+    std::vector<serve::Tally> by_group(fleet.groups.size());
     for (const serve::Request &r : requests) {
-        report.offered++;
-        if (r.outcome == serve::Outcome::kShed) {
-            report.shed++;
-            continue;
-        }
-        if (r.outcome != serve::Outcome::kCompleted) {
-            report.unaccounted++;
-            continue;
-        }
-        report.completed++;
-        double ms = r.latencyMs();
-        all_lat.push_back(ms);
-        model_lat[static_cast<std::size_t>(r.model)].push_back(ms);
-        if (r.sloMet())
-            within_slo[static_cast<std::size_t>(r.model)]++;
-        int g = fleet.nodes[static_cast<std::size_t>(r.device)]
-                    .group;
-        group_lat[static_cast<std::size_t>(g)].push_back(ms);
+        all.add(r);
+        by_model[static_cast<std::size_t>(r.model)].add(r);
+        if (r.outcome == serve::Outcome::kCompleted)
+            by_group[static_cast<std::size_t>(
+                         fleet.nodes[static_cast<std::size_t>(r.device)]
+                             .group)]
+                .add(r);
     }
+    report.offered = all.offered;
+    report.completed = all.completed;
+    report.shed = all.shed;
+    report.unaccounted = all.offered - all.shed - all.completed;
     report.aggregate_offered_qps =
         static_cast<double>(report.offered) / cfg.duration_s;
-    report.summarize(all_lat);
+    report.summarize(all.latency_ms);
 
     for (int c = 0; c < n_classes; c++) {
         FleetClassStats cs;
@@ -766,34 +747,17 @@ runFleet(const FleetConfig &cfg)
     for (int m = 0; m < n_models; m++) {
         auto mi = static_cast<std::size_t>(m);
         const auto &mc = cfg.models[mi];
+        const serve::Tally &t = by_model[mi];
         FleetModelStats s;
         s.model = mc.model;
         s.slo_ms = mc.slo_ms;
         s.serving_nodes = serving_nodes[mi];
         s.placement_rank = placement_rank_labels[mi];
-        for (const serve::Request &r : requests)
-            if (r.model == m)
-                s.offered++;
-        s.shed = model_shed[mi];
-        s.completed =
-            static_cast<std::int64_t>(model_lat[mi].size());
-        s.slo_violations = s.completed - within_slo[mi];
-        s.batches = model_batches[mi];
-        s.offered_qps =
-            static_cast<double>(s.offered) / cfg.duration_s;
-        s.goodput_qps = static_cast<double>(within_slo[mi]) /
-                        cfg.duration_s;
+        s.fill(t, folded, mi, cfg.duration_s);
         s.attainment_pct =
-            s.offered > 0
-                ? 100.0 * static_cast<double>(within_slo[mi]) /
-                      static_cast<double>(s.offered)
-                : 0.0;
-        s.mean_batch =
-            s.batches > 0
-                ? static_cast<double>(model_dispatched[mi]) /
-                      static_cast<double>(s.batches)
-                : 0.0;
-        s.summarize(model_lat[mi]);
+            t.offered > 0 ? 100.0 * static_cast<double>(t.within_slo) /
+                                static_cast<double>(t.offered)
+                          : 0.0;
         report.models.push_back(std::move(s));
     }
 
@@ -814,11 +778,11 @@ runFleet(const FleetConfig &cfg)
             if (failed[static_cast<std::size_t>(fn.id)])
                 gs.failed++;
         }
-        gs.completed =
-            static_cast<std::int64_t>(group_lat[g].size());
-        if (!group_lat[g].empty()) {
-            gs.mean_ms = mean(group_lat[g]);
-            gs.p99_ms = percentile(group_lat[g], 99.0);
+        const std::vector<double> &lat = by_group[g].latency_ms;
+        gs.completed = by_group[g].completed;
+        if (!lat.empty()) {
+            gs.mean_ms = mean(lat);
+            gs.p99_ms = percentile(lat, 99.0);
         }
         report.groups.push_back(std::move(gs));
     }

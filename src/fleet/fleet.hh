@@ -143,25 +143,14 @@ struct FleetConfig
     std::vector<RolloutSpec> rollouts;
 };
 
-/** Per-model fleet-wide serving outcome; the LatencySummary is over
- *  the model's completed requests. */
-struct FleetModelStats : serve::LatencySummary
+/** Per-model fleet-wide serving outcome. */
+struct FleetModelStats : serve::TrafficStats
 {
     std::string model;
     double slo_ms = 0.0;
     int serving_nodes = 0; //!< nodes placed with >= 1 instance
     std::vector<std::string> placement_rank; //!< class labels, best first
-
-    std::int64_t offered = 0;
-    std::int64_t shed = 0;
-    std::int64_t completed = 0;
-    std::int64_t slo_violations = 0;
-    std::int64_t batches = 0;
-
-    double offered_qps = 0.0;
-    double goodput_qps = 0.0;     //!< within-SLO completions / s
     double attainment_pct = 0.0;  //!< within-SLO / offered x 100
-    double mean_batch = 0.0;
 };
 
 /** Per-group (node pool) outcome. */

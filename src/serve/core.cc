@@ -390,6 +390,35 @@ LatencySummary::summarize(const std::vector<double> &ms)
 }
 
 void
+Tally::add(const Request &r)
+{
+    offered++;
+    if (r.outcome == Outcome::kShed)
+        shed++;
+    if (r.outcome != Outcome::kCompleted)
+        return;
+    completed++;
+    latency_ms.push_back(r.latencyMs());
+    if (r.sloMet())
+        within_slo++;
+}
+
+void
+TrafficStats::fill(const Tally &t, const FoldCounts &folded,
+                   std::size_t m, double duration_s)
+{
+    offered = t.offered;
+    shed = t.shed;
+    completed = t.completed;
+    slo_violations = completed - t.within_slo;
+    batches = folded.batches[m];
+    offered_qps = static_cast<double>(offered) / duration_s;
+    goodput_qps = static_cast<double>(t.within_slo) / duration_s;
+    mean_batch = folded.meanBatch(m);
+    summarize(t.latency_ms);
+}
+
+void
 LatencySummary::writeJson(JsonWriter &w, const char *key) const
 {
     w.key(key).beginObject();

@@ -15,8 +15,11 @@
  *    dispatch ahead of its release, fold the stage events back into
  *    the plans as seconds, keep a small per-device result and destroy
  *    the simulator;
- *  - report pieces: request tables, latency summaries, device stats
- *    and the merged chrome-trace export.
+ *  - completion fold: the plans' stage times back onto the requests
+ *    or frames they carried, in one walk;
+ *  - report pieces: request tables, the per-key tally of a request
+ *    table, latency summaries, device stats and the merged
+ *    chrome-trace export.
  *
  * Versions index the same way in every front-end:
  * `versions[model][version].sets[slot]`, where a slot is a device
@@ -323,6 +326,68 @@ Replay replayPlans(const std::vector<gpusim::DeviceSpec> &devices,
                    const ReplayOptions &options);
 
 // ----------------------------------------------------------------
+// Completion fold
+// ----------------------------------------------------------------
+
+/** Per-model dispatch totals of a replay. */
+struct FoldCounts
+{
+    std::vector<std::int64_t> batches;    //!< planned dispatches
+    std::vector<std::int64_t> dispatched; //!< requests they carried
+
+    /** Mean requests per dispatch of model `m`; 0 without any. */
+    double meanBatch(std::size_t m) const
+    {
+        return batches[m] > 0 ? static_cast<double>(dispatched[m]) /
+                                    static_cast<double>(batches[m])
+                              : 0.0;
+    }
+};
+
+/** foldReplay's default per-plan hook: none. */
+struct NoPlanHook
+{
+    void operator()(const Instance &, const PlannedDispatch &) const {}
+};
+
+/**
+ * Fold a replay's measured completions into `recs`, a table indexed by
+ * request id (serve::Request or a stream frame): one walk over the
+ * instances, then their plans. Every record a plan carries gets
+ * outcome `completed` and the plan's begin_s, upload_done_s,
+ * compute_done_s and end_s (as done_s); records no plan carries stay
+ * untouched. `on_plan(instance, plan)` sees every plan in walk order.
+ * Plans are only ever appended by cutBatches, so the returned counts
+ * over `n_models` models are the dispatches the control plane made.
+ */
+template <class Rec, class Done, class OnPlan = NoPlanHook>
+FoldCounts
+foldReplay(const std::vector<Instance> &instances, int n_models,
+           std::vector<Rec> &recs, Done completed, OnPlan on_plan = {})
+{
+    FoldCounts fc;
+    fc.batches.assign(static_cast<std::size_t>(n_models), 0);
+    fc.dispatched.assign(static_cast<std::size_t>(n_models), 0);
+    for (const Instance &inst : instances) {
+        const auto m = static_cast<std::size_t>(inst.model);
+        for (const PlannedDispatch &pd : inst.plan) {
+            fc.batches[m]++;
+            fc.dispatched[m] += pd.batch;
+            on_plan(inst, pd);
+            for (std::int64_t id : pd.request_ids) {
+                Rec &r = recs[static_cast<std::size_t>(id)];
+                r.outcome = completed;
+                r.begin_s = pd.begin_s;
+                r.upload_done_s = pd.upload_done_s;
+                r.compute_done_s = pd.compute_done_s;
+                r.done_s = pd.end_s;
+            }
+        }
+    }
+    return fc;
+}
+
+// ----------------------------------------------------------------
 // Report pieces
 // ----------------------------------------------------------------
 
@@ -356,6 +421,43 @@ struct LatencySummary
     /** Member `"<key>": {"mean": .., "p50": .., ...}`, one field
      *  per line. */
     void writeJson(JsonWriter &w, const char *key) const;
+};
+
+/**
+ * Outcome counts and latency sample of one slice of a request table.
+ * A front-end fills every tally it reports in one pass over the table
+ * in id order, adding each request under the keys it chooses (model,
+ * version, group, ...), so each sample is in request-id order, as a
+ * per-key rescan of the table would collect it.
+ */
+struct Tally
+{
+    std::int64_t offered = 0;
+    std::int64_t shed = 0;
+    std::int64_t completed = 0;
+    std::int64_t within_slo = 0;
+    std::vector<double> latency_ms; //!< completed requests, id order
+
+    void add(const Request &r);
+};
+
+/** One model's traffic outcome, as serve and fleet report it; the
+ *  LatencySummary is over the model's completed requests. */
+struct TrafficStats : LatencySummary
+{
+    std::int64_t offered = 0;
+    std::int64_t shed = 0;
+    std::int64_t completed = 0;
+    std::int64_t slo_violations = 0;
+    std::int64_t batches = 0;
+    double offered_qps = 0.0; //!< measured offered rate
+    double goodput_qps = 0.0; //!< completions within SLO per second
+    double mean_batch = 0.0;
+
+    /** Every field from model `m`'s tally and fold counts over a run
+     *  of `duration_s`. */
+    void fill(const Tally &t, const FoldCounts &folded, std::size_t m,
+              double duration_s);
 };
 
 /** Per-device replay outcome (serve and stream). */

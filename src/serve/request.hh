@@ -31,6 +31,10 @@ struct Request
 
     Outcome outcome = Outcome::kPending;
     double dispatch_s = 0.0; //!< batch cut time (kCompleted only)
+    // Replay stage boundaries of its batch (kCompleted only).
+    double begin_s = 0.0;        //!< device starts the batch
+    double upload_done_s = 0.0;  //!< input H2D copies finished
+    double compute_done_s = 0.0; //!< kernels finished
     double done_s = 0.0;     //!< execution completion time
     int batch = 0;           //!< size of the batch it rode in
     int device = -1;         //!< device the batch ran on

@@ -601,35 +601,28 @@ runServer(const ServeConfig &cfg)
 
     // Fold measured completions back into the request table and the
     // predictor-error metric (instance order, then plan order —
-    // deterministic). The per-request stage times (batch start,
-    // upload done, compute done) feed EdgeWatch's attribution.
-    std::vector<double> stage_begin(requests.size(), 0.0);
-    std::vector<double> stage_upload(requests.size(), 0.0);
-    std::vector<double> stage_compute(requests.size(), 0.0);
+    // deterministic).
     std::vector<double> mae_sum(static_cast<std::size_t>(n_models), 0.0);
-    std::vector<std::int64_t> batches(static_cast<std::size_t>(n_models), 0);
-    std::vector<std::int64_t> dispatched(
-        static_cast<std::size_t>(n_models), 0);
-    for (const Instance &inst : pool.instances()) {
-        const auto m = static_cast<std::size_t>(inst.model);
-        for (const auto &pd : inst.plan) {
-            batches[m]++;
-            dispatched[m] += pd.batch;
-            double actual_s = std::max(pd.end_s - pd.begin_s, 1e-12);
-            double err_pct =
-                std::fabs(pd.predicted_service_s - actual_s) /
-                actual_s * 100.0;
-            mm[m].predictor_err.record(err_pct);
-            mae_sum[m] += err_pct;
-            for (std::int64_t id : pd.request_ids) {
-                auto ri = static_cast<std::size_t>(id);
-                requests[ri].outcome = Outcome::kCompleted;
-                requests[ri].done_s = pd.end_s;
-                stage_begin[ri] = pd.begin_s;
-                stage_upload[ri] = pd.upload_done_s;
-                stage_compute[ri] = pd.compute_done_s;
-            }
-        }
+    for (int m = 0; m < n_models; m++)
+        stats[static_cast<std::size_t>(m)].versions.resize(
+            versions[static_cast<std::size_t>(m)].size());
+    FoldCounts folded;
+    {
+        EDGERT_SPAN("serve_fold",
+                    {{"requests", std::to_string(requests.size())}});
+        folded = foldReplay(
+            pool.instances(), n_models, requests, Outcome::kCompleted,
+            [&](const Instance &inst, const PlannedDispatch &pd) {
+                const auto m = static_cast<std::size_t>(inst.model);
+                double actual_s = std::max(pd.end_s - pd.begin_s, 1e-12);
+                double err_pct =
+                    std::fabs(pd.predicted_service_s - actual_s) /
+                    actual_s * 100.0;
+                mm[m].predictor_err.record(err_pct);
+                mae_sum[m] += err_pct;
+                stats[m].versions[static_cast<std::size_t>(pd.version)]
+                    .batches++;
+            });
     }
 
     // ------------------------------------------------------------
@@ -642,104 +635,87 @@ runServer(const ServeConfig &cfg)
     report.admission_control = cfg.admission_control;
     report.dynamic_batching = cfg.dynamic_batching;
 
-    for (int m = 0; m < n_models; m++) {
-        auto mi = static_cast<std::size_t>(m);
-        const auto &mc = cfg.models[mi];
-        const auto &mv = versions[mi];
-        ModelStats &s = stats[mi];
-        s.model = mc.model;
-        s.slo_ms = mc.slo_ms;
-        s.instances = static_cast<int>(pool.instancesOf(m).size());
-        s.degraded = degraded[mi];
-        s.batches = batches[mi];
-        s.active_build_id =
-            mv[static_cast<std::size_t>(active[mi])].build_id;
-
-        // One pass over the model's requests, in id order; latencies
-        // split by engine version and by arrival inside vs outside a
-        // swap window.
-        std::vector<double> lat, in_win, out_win;
-        std::vector<std::vector<double>> vlat(mv.size());
-        std::int64_t within_slo = 0;
+    {
+        EDGERT_SPAN("serve_report",
+                    {{"models", std::to_string(n_models)}});
+        // One pass over the request table tallies it by model, by
+        // (model, engine version) and by (model, arrival inside a
+        // swap window).
+        std::vector<Tally> by_model(static_cast<std::size_t>(n_models));
+        std::vector<std::vector<Tally>> by_version, by_window;
+        for (const auto &mv : versions) {
+            by_version.emplace_back(mv.size());
+            by_window.emplace_back(2);
+        }
         for (const Request &r : requests) {
-            if (r.model != m)
-                continue;
-            s.offered++;
-            if (r.outcome == Outcome::kShed)
-                s.shed++;
-            if (r.outcome != Outcome::kCompleted)
-                continue;
-            const double ms = r.latencyMs();
-            lat.push_back(ms);
-            vlat[static_cast<std::size_t>(r.version)].push_back(ms);
-            mm[mi].latency_ms.record(ms);
-            mm[mi].completed.add();
-            if (r.sloMet())
-                within_slo++;
-            else
-                mm[mi].violations.add();
+            const auto mi = static_cast<std::size_t>(r.model);
             bool in = false;
             for (const auto &[a, b] : swap_windows[mi])
-                if (r.arrival_s >= a && r.arrival_s <= b) {
-                    in = true;
-                    break;
-                }
-            (in ? in_win : out_win).push_back(ms);
+                in = in || (r.arrival_s >= a && r.arrival_s <= b);
+            by_model[mi].add(r);
+            by_version[mi][static_cast<std::size_t>(r.version)].add(r);
+            by_window[mi][in ? 1 : 0].add(r);
         }
-        s.completed = static_cast<std::int64_t>(lat.size());
-        s.slo_violations = s.completed - within_slo;
-        s.offered_qps = static_cast<double>(s.offered) / cfg.duration_s;
-        s.goodput_qps =
-            static_cast<double>(within_slo) / cfg.duration_s;
-        if (s.batches > 0) {
-            s.mean_batch = static_cast<double>(dispatched[mi]) /
-                           static_cast<double>(s.batches);
-            // Mean absolute predictor error over the model's batches.
-            s.predictor_mae_pct =
-                mae_sum[mi] / static_cast<double>(s.batches);
-        }
-        s.summarize(lat);
-        if (!in_win.empty())
-            s.p99_swap_ms = percentile(in_win, 99.0);
-        if (!out_win.empty())
-            s.p99_steady_ms = percentile(out_win, 99.0);
 
-        // Per engine-version breakdown (hot-swap lineage).
-        s.versions.resize(mv.size());
-        for (std::size_t v = 0; v < mv.size(); v++) {
-            VersionStats &vs = s.versions[v];
-            vs.build_id = mv[v].build_id;
-            for (int d = 0; d < n_devices; d++)
-                if (mv[v].availableOn(d)) {
-                    vs.fingerprint =
-                        mv[v].sets[static_cast<std::size_t>(d)]
-                            .engines.front()
-                            .fingerprint();
-                    break;
+        for (int m = 0; m < n_models; m++) {
+            auto mi = static_cast<std::size_t>(m);
+            const auto &mc = cfg.models[mi];
+            const auto &mv = versions[mi];
+            ModelStats &s = stats[mi];
+            s.model = mc.model;
+            s.slo_ms = mc.slo_ms;
+            s.instances = static_cast<int>(pool.instancesOf(m).size());
+            s.degraded = degraded[mi];
+            s.active_build_id =
+                mv[static_cast<std::size_t>(active[mi])].build_id;
+            s.fill(by_model[mi], folded, mi, cfg.duration_s);
+            for (double ms : by_model[mi].latency_ms)
+                mm[mi].latency_ms.record(ms);
+            mm[mi].completed.add(s.completed);
+            mm[mi].violations.add(s.slo_violations);
+            // Mean absolute predictor error over the model's batches.
+            if (s.batches > 0)
+                s.predictor_mae_pct =
+                    mae_sum[mi] / static_cast<double>(s.batches);
+            const Tally &in_win = by_window[mi][1];
+            const Tally &out_win = by_window[mi][0];
+            if (!in_win.latency_ms.empty())
+                s.p99_swap_ms = percentile(in_win.latency_ms, 99.0);
+            if (!out_win.latency_ms.empty())
+                s.p99_steady_ms = percentile(out_win.latency_ms, 99.0);
+
+            // Per engine-version breakdown (hot-swap lineage).
+            for (std::size_t v = 0; v < mv.size(); v++) {
+                VersionStats &vs = s.versions[v];
+                const Tally &t = by_version[mi][v];
+                vs.build_id = mv[v].build_id;
+                for (int d = 0; d < n_devices; d++)
+                    if (mv[v].availableOn(d)) {
+                        vs.fingerprint =
+                            mv[v].sets[static_cast<std::size_t>(d)]
+                                .engines.front()
+                                .fingerprint();
+                        break;
+                    }
+                vs.completed = t.completed;
+                if (!t.latency_ms.empty()) {
+                    vs.mean_ms = mean(t.latency_ms);
+                    vs.p99_ms = percentile(t.latency_ms, 99.0);
                 }
-            vs.completed = static_cast<std::int64_t>(vlat[v].size());
-            if (!vlat[v].empty()) {
-                vs.mean_ms = mean(vlat[v]);
-                vs.p99_ms = percentile(vlat[v], 99.0);
             }
         }
-        for (int idx : pool.instancesOf(m))
-            for (const auto &pd :
-                 pool.instances()[static_cast<std::size_t>(idx)].plan)
-                s.versions[static_cast<std::size_t>(pd.version)]
-                    .batches++;
-    }
-    report.models = std::move(stats);
+        report.models = std::move(stats);
 
-    report.devices = deviceStats(cfg.devices, pool, replay, "serve");
-    for (int d = 0; d < n_devices; d++)
-        reg.gauge("serve.device.ram_used_bytes",
-                  {{"device", cfg.devices[static_cast<std::size_t>(d)]
-                                  .name},
-                   {"index", std::to_string(d)}})
-            .set(static_cast<double>(
-                report.devices[static_cast<std::size_t>(d)]
-                    .ram_used_bytes));
+        report.devices = deviceStats(cfg.devices, pool, replay, "serve");
+        for (int d = 0; d < n_devices; d++)
+            reg.gauge("serve.device.ram_used_bytes",
+                      {{"device", cfg.devices[static_cast<std::size_t>(d)]
+                                      .name},
+                       {"index", std::to_string(d)}})
+                .set(static_cast<double>(
+                    report.devices[static_cast<std::size_t>(d)]
+                        .ram_used_bytes));
+    }
 
     // ------------------------------------------------------------
     // EdgeWatch: replay the run's admissions, sheds, dispatches,
@@ -862,16 +838,16 @@ runServer(const ServeConfig &cfg)
                   rt.version = r.version;
                   rt.arrival_s = r.arrival_s;
                   rt.dispatch_s = r.dispatch_s;
-                  rt.begin_s = stage_begin[it.ref];
-                  rt.upload_done_s = stage_upload[it.ref];
-                  rt.compute_done_s = stage_compute[it.ref];
+                  rt.begin_s = r.begin_s;
+                  rt.upload_done_s = r.upload_done_s;
+                  rt.compute_done_s = r.compute_done_s;
                   rt.done_s = r.done_s;
                   ew.onComplete(rt);
                   break;
               }
             }
         }
-        ew.finish(cfg.duration_s);
+        ew.finish();
         report.watch = ew.summary();
         ew.writeFiles();
 
@@ -986,12 +962,12 @@ ServeReport::toJson() const
             w.field("observed", m.observed);
             w.field("bad", m.bad);
             w.key("stage_mean_ms").beginObject();
-            w.field("queue", m.queue_mean_ms);
-            w.field("dispatch_wait", m.dispatch_wait_mean_ms);
-            w.field("upload", m.upload_mean_ms);
-            w.field("compute", m.compute_mean_ms);
-            w.field("download", m.download_mean_ms);
-            w.field("total", m.total_mean_ms);
+            w.field("queue", m.stage_mean_ms.queue);
+            w.field("dispatch_wait", m.stage_mean_ms.dispatch_wait);
+            w.field("upload", m.stage_mean_ms.upload);
+            w.field("compute", m.stage_mean_ms.compute);
+            w.field("download", m.stage_mean_ms.download);
+            w.field("total", m.stage_mean_ms.total);
             w.endObject();
             w.endObject();
         }

@@ -197,22 +197,11 @@ struct VersionStats
     double p99_ms = 0.0;
 };
 
-/** Per-model serving outcome; the LatencySummary is over the
- *  model's completed requests. */
-struct ModelStats : LatencySummary
+/** Per-model serving outcome. */
+struct ModelStats : TrafficStats
 {
     std::string model;
     double slo_ms = 0.0;
-    double offered_qps = 0.0; //!< measured offered rate
-
-    std::int64_t offered = 0;
-    std::int64_t shed = 0;
-    std::int64_t completed = 0;
-    std::int64_t slo_violations = 0;
-    std::int64_t batches = 0;
-
-    double goodput_qps = 0.0; //!< completions within SLO per second
-    double mean_batch = 0.0;
     double predictor_mae_pct = 0.0; //!< mean |pred-meas|/meas x 100
     int instances = 0;
 

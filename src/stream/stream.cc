@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <tuple>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -83,13 +84,6 @@ struct ModelMetrics
     {}
 };
 
-/** Freshness-alert key of one camera stream. */
-std::string
-laneKey(const std::string &model, int stream)
-{
-    return model + "/cam" + std::to_string(stream);
-}
-
 /** Stage-duration jitter: base * max(0.1, 1 + N(0, pct/100)). */
 double
 jitteredSeconds(double base_ms, double jitter_pct, Rng &rng)
@@ -110,11 +104,11 @@ writeFreshnessFile(const std::string &path,
     JsonWriter w;
     w.beginObject();
     w.key("lanes").beginArray();
-    for (const std::string &key : slo.keys()) {
-        const watch::SloTracker *t = slo.find(key);
+    for (int lane : slo.observedByName()) {
+        const watch::SloTracker *t = slo.find(lane);
         watch::BurnRates b = t->burnRates();
         w.beginObject(JsonWriter::Layout::Inline);
-        w.field("key", key);
+        w.field("key", t->model());
         w.field("tier", watch::alertTierName(t->tier()));
         w.field("burn_fast", b.fast);
         w.field("burn_mid", b.mid);
@@ -306,11 +300,6 @@ runStreams(const StreamConfig &cfg)
         timeouts[static_cast<std::size_t>(m)].target = m;
     }
 
-    // Planned batches per model and the frames they carry.
-    std::vector<std::int64_t> batches(static_cast<std::size_t>(n_models), 0);
-    std::vector<std::int64_t> dispatched(
-        static_cast<std::size_t>(n_models), 0);
-
     serve::EventQueue evq;
     for (const FrameRec &fr : frames)
         if (fr.ready_s <= cfg.duration_s) // else: still decoding
@@ -326,8 +315,6 @@ runStreams(const StreamConfig &cfg)
                 for (std::int64_t id : pd.request_ids)
                     frames[static_cast<std::size_t>(id)].dispatch_s =
                         pd.t_s;
-                batches[mi]++;
-                dispatched[mi] += pd.batch;
                 mm[mi].batches.add();
                 mm[mi].batch_size.record(pd.batch);
             });
@@ -395,54 +382,38 @@ runStreams(const StreamConfig &cfg)
     // (instance order, then plan order — deterministic), then run
     // the host postprocess chains per camera stream over the
     // completions in (done, seq) order.
-    for (const serve::Instance &inst : pool.instances())
-        for (const auto &pd : inst.plan)
-            for (std::int64_t id : pd.request_ids) {
-                FrameRec &fr = frames[static_cast<std::size_t>(id)];
-                fr.outcome = FrameRec::kCompleted;
-                fr.begin_s = pd.begin_s;
-                fr.upload_done_s = pd.upload_done_s;
-                fr.compute_done_s = pd.compute_done_s;
-                fr.done_s = pd.end_s;
-            }
+    serve::FoldCounts folded;
     {
-        // Index completed frames per (model, stream).
-        std::vector<std::vector<std::vector<std::int64_t>>> done(
-            static_cast<std::size_t>(n_models));
-        for (int m = 0; m < n_models; m++)
-            done[static_cast<std::size_t>(m)].resize(
-                static_cast<std::size_t>(
-                    cfg.models[static_cast<std::size_t>(m)]
-                        .streams));
+        EDGERT_SPAN("stream_fold",
+                    {{"frames", std::to_string(frames.size())}});
+        folded = serve::foldReplay(pool.instances(), n_models, frames,
+                                   FrameRec::kCompleted);
+        // Completed frames by (model, stream, done, seq); each
+        // camera's postprocess chain is one run of that order.
+        std::vector<std::int64_t> done;
         for (const FrameRec &fr : frames)
             if (fr.outcome == FrameRec::kCompleted)
-                done[static_cast<std::size_t>(fr.model)]
-                    [static_cast<std::size_t>(fr.stream)]
-                        .push_back(fr.id);
-        for (auto &per_model : done)
-            for (auto &ids : per_model) {
-                std::sort(
-                    ids.begin(), ids.end(),
-                    [&frames](std::int64_t a, std::int64_t b) {
-                        const FrameRec &fa =
-                            frames[static_cast<std::size_t>(a)];
-                        const FrameRec &fb =
-                            frames[static_cast<std::size_t>(b)];
-                        if (fa.done_s != fb.done_s)
-                            return fa.done_s < fb.done_s;
-                        return fa.seq < fb.seq;
-                    });
-                double post_free = 0.0;
-                for (std::int64_t id : ids) {
-                    FrameRec &fr =
-                        frames[static_cast<std::size_t>(id)];
-                    double start =
-                        std::max(fr.done_s, post_free);
-                    fr.post_done_s =
-                        start + fr.postprocess_dur_s;
-                    post_free = fr.post_done_s;
-                }
-            }
+                done.push_back(fr.id);
+        auto key = [&frames](std::int64_t id) {
+            const FrameRec &fr = frames[static_cast<std::size_t>(id)];
+            return std::tie(fr.model, fr.stream, fr.done_s, fr.seq);
+        };
+        std::sort(done.begin(), done.end(),
+                  [&key](std::int64_t a, std::int64_t b) {
+                      return key(a) < key(b);
+                  });
+        const FrameRec *prev = nullptr;
+        double post_free = 0.0;
+        for (std::int64_t id : done) {
+            FrameRec &fr = frames[static_cast<std::size_t>(id)];
+            if (!prev || prev->model != fr.model ||
+                prev->stream != fr.stream)
+                post_free = 0.0;
+            fr.post_done_s =
+                std::max(fr.done_s, post_free) + fr.postprocess_dur_s;
+            post_free = fr.post_done_s;
+            prev = &fr;
+        }
     }
 
     // ------------------------------------------------------------
@@ -451,44 +422,45 @@ runStreams(const StreamConfig &cfg)
     // stream) SloTrackerSet in time order so its sliding windows
     // see a monotone clock. A dropped frame is bad at its drop
     // time; a completed frame is bad at postprocess-done when its
-    // age exceeds the stale budget.
+    // age exceeds the stale budget. Lane `first_lane[m] + stream`
+    // is named `<model>/cam<stream>`.
     // ------------------------------------------------------------
     std::vector<FreshnessTracker> fresh;
-    for (const auto &mc : cfg.models)
-        fresh.emplace_back(mc.streams, mc.stale_ms);
-    for (const FrameRec &fr : frames) {
-        auto m = static_cast<std::size_t>(fr.model);
-        fresh[m].onProduced(fr.stream);
-        mm[m].produced.add();
-        switch (fr.outcome) {
-          case FrameRec::kDropped:
-              fresh[m].onDropped(fr.stream);
-              mm[m].dropped.add();
-              break;
-          case FrameRec::kCompleted: {
-              double age = fr.ageMs();
-              fresh[m].onCompleted(fr.stream, age);
-              mm[m].completed.add();
-              mm[m].age_ms.record(age);
-              if (age > cfg.models[m].stale_ms)
-                  mm[m].stale.add();
-              break;
-          }
-          case FrameRec::kInFlight:
-              fresh[m].onLeftInFlight(fr.stream);
-              break;
-        }
-    }
-
-    watch::SloTracker::Config scfg;
-    scfg.objective_pct = cfg.watch.slo_objective_pct;
-    scfg.page_burn = cfg.watch.page_burn;
-    scfg.warn_burn = cfg.watch.warn_burn;
-    scfg.fast_window_s = cfg.watch.fast_window_s;
-    scfg.mid_window_s = cfg.watch.mid_window_s;
-    scfg.slow_window_s = cfg.watch.slow_window_s;
-    watch::SloTrackerSet slo(scfg);
+    watch::SloTrackerSet slo(cfg.watch.sloConfig());
+    std::vector<int> first_lane;
     {
+        EDGERT_SPAN("stream_freshness",
+                    {{"frames", std::to_string(frames.size())}});
+        for (const auto &mc : cfg.models) {
+            fresh.emplace_back(mc.streams, mc.stale_ms);
+            first_lane.push_back(static_cast<int>(slo.lanes()));
+            for (int c = 0; c < mc.streams; c++)
+                slo.addLane(mc.model + "/cam" + std::to_string(c));
+        }
+        for (const FrameRec &fr : frames) {
+            auto m = static_cast<std::size_t>(fr.model);
+            fresh[m].onProduced(fr.stream);
+            mm[m].produced.add();
+            switch (fr.outcome) {
+              case FrameRec::kDropped:
+                  fresh[m].onDropped(fr.stream);
+                  mm[m].dropped.add();
+                  break;
+              case FrameRec::kCompleted: {
+                  double age = fr.ageMs();
+                  fresh[m].onCompleted(fr.stream, age);
+                  mm[m].completed.add();
+                  mm[m].age_ms.record(age);
+                  if (age > cfg.models[m].stale_ms)
+                      mm[m].stale.add();
+                  break;
+              }
+              case FrameRec::kInFlight:
+                  fresh[m].onLeftInFlight(fr.stream);
+                  break;
+            }
+        }
+
         struct Item
         {
             double t;
@@ -520,15 +492,13 @@ runStreams(const StreamConfig &cfg)
             const FrameRec &fr =
                 frames[static_cast<std::size_t>(it.id)];
             slo.observe(
-                laneKey(cfg.models[static_cast<std::size_t>(
-                                       fr.model)]
-                            .model,
-                        fr.stream),
+                first_lane[static_cast<std::size_t>(fr.model)] +
+                    fr.stream,
                 it.t, it.bad);
         }
+        if (cfg.watch.enabled && !cfg.watch.out_path.empty())
+            writeFreshnessFile(cfg.watch.out_path, slo);
     }
-    if (cfg.watch.enabled && !cfg.watch.out_path.empty())
-        writeFreshnessFile(cfg.watch.out_path, slo);
 
     // ------------------------------------------------------------
     // Report assembly (model order, then stream order).
@@ -536,40 +506,27 @@ runStreams(const StreamConfig &cfg)
     StreamReport report;
     report.seed = cfg.seed;
     report.duration_s = cfg.duration_s;
-    report.freshness_pages = slo.rollup().pages;
-    report.freshness_warns = slo.rollup().warns;
-    report.freshness_clears = slo.rollup().clears;
-    report.first_page_s = slo.rollup().first_page_s;
+    {
+        EDGERT_SPAN("stream_report",
+                    {{"models", std::to_string(n_models)}});
+        report.freshness_pages = slo.rollup().pages;
+        report.freshness_warns = slo.rollup().warns;
+        report.freshness_clears = slo.rollup().clears;
+        report.first_page_s = slo.rollup().first_page_s;
 
-    for (int m = 0; m < n_models; m++) {
-        auto mi = static_cast<std::size_t>(m);
-        const auto &mc = cfg.models[mi];
-        StreamModelStats s;
-        s.model = mc.model;
-        s.precision = nn::precisionName(mc.precision);
-        s.policy = backpressurePolicyName(mc.policy);
-        s.arrival = frameArrivalName(mc.arrival);
-        s.streams = mc.streams;
-        s.fps = mc.fps;
-        s.stale_ms = mc.stale_ms;
-        s.instances = static_cast<int>(pool.instancesOf(m).size());
-        s.freshness = fresh[mi].totalStats();
-        s.conserved = fresh[mi].conserved();
-        s.batches = batches[mi];
-        s.mean_batch =
-            s.batches > 0
-                ? static_cast<double>(dispatched[mi]) /
-                      static_cast<double>(s.batches)
-                : 0.0;
-        // Stage attribution over completed frames, reusing the
-        // RequestTrace breakdown for the infer stages.
-        std::int64_t n = 0;
-        double dec = 0.0, pre = 0.0, que = 0.0, dw = 0.0,
-               up = 0.0, comp = 0.0, down = 0.0, post = 0.0;
+        // Stage attribution over completed frames in one frame-id-order
+        // pass; the infer stages reuse watch::RequestTrace's breakdown.
+        struct FrameStageSums
+        {
+            watch::StageSums infer;
+            double decode = 0.0, preprocess = 0.0, postprocess = 0.0;
+        };
+        std::vector<FrameStageSums> stages(
+            static_cast<std::size_t>(n_models));
         for (const FrameRec &fr : frames) {
-            if (fr.model != m ||
-                fr.outcome != FrameRec::kCompleted)
+            if (fr.outcome != FrameRec::kCompleted)
                 continue;
+            FrameStageSums &st = stages[static_cast<std::size_t>(fr.model)];
             watch::RequestTrace rt;
             rt.arrival_s = fr.ready_s;
             rt.dispatch_s = fr.dispatch_s;
@@ -577,41 +534,51 @@ runStreams(const StreamConfig &cfg)
             rt.upload_done_s = fr.upload_done_s;
             rt.compute_done_s = fr.compute_done_s;
             rt.done_s = fr.done_s;
-            dec += (fr.decode_done_s - fr.capture_s) * 1e3;
-            pre += (fr.ready_s - fr.decode_done_s) * 1e3;
-            que += rt.queueMs();
-            dw += rt.dispatchWaitMs();
-            up += rt.uploadMs();
-            comp += rt.computeMs();
-            down += rt.downloadMs();
-            post += (fr.post_done_s - fr.done_s) * 1e3;
-            n++;
+            st.infer.add(rt);
+            st.decode += (fr.decode_done_s - fr.capture_s) * 1e3;
+            st.preprocess += (fr.ready_s - fr.decode_done_s) * 1e3;
+            st.postprocess += (fr.post_done_s - fr.done_s) * 1e3;
         }
-        if (n > 0) {
-            auto dn = static_cast<double>(n);
-            s.decode_mean_ms = dec / dn;
-            s.preprocess_mean_ms = pre / dn;
-            s.queue_mean_ms = que / dn;
-            s.dispatch_wait_mean_ms = dw / dn;
-            s.upload_mean_ms = up / dn;
-            s.compute_mean_ms = comp / dn;
-            s.download_mean_ms = down / dn;
-            s.postprocess_mean_ms = post / dn;
-        }
-        for (int c = 0; c < mc.streams; c++) {
-            StreamLaneStats lane;
-            lane.stream = c;
-            lane.freshness = fresh[mi].streamStats(c);
-            if (const watch::SloTracker *t =
-                    slo.find(laneKey(mc.model, c)))
-                lane.tier = t->tier();
-            s.lanes.push_back(std::move(lane));
-        }
-        report.models.push_back(std::move(s));
-    }
 
-    report.devices =
-        serve::deviceStats(cfg.devices, pool, replay, "stream");
+        for (int m = 0; m < n_models; m++) {
+            auto mi = static_cast<std::size_t>(m);
+            const auto &mc = cfg.models[mi];
+            StreamModelStats s;
+            s.model = mc.model;
+            s.precision = nn::precisionName(mc.precision);
+            s.policy = backpressurePolicyName(mc.policy);
+            s.arrival = frameArrivalName(mc.arrival);
+            s.streams = mc.streams;
+            s.fps = mc.fps;
+            s.stale_ms = mc.stale_ms;
+            s.instances = static_cast<int>(pool.instancesOf(m).size());
+            s.freshness = fresh[mi].totalStats();
+            s.conserved = fresh[mi].conserved();
+            s.batches = folded.batches[mi];
+            s.mean_batch = folded.meanBatch(mi);
+            const FrameStageSums &st = stages[mi];
+            s.infer_mean_ms = st.infer.mean();
+            if (st.infer.n > 0) {
+                auto dn = static_cast<double>(st.infer.n);
+                s.decode_mean_ms = st.decode / dn;
+                s.preprocess_mean_ms = st.preprocess / dn;
+                s.postprocess_mean_ms = st.postprocess / dn;
+            }
+            for (int c = 0; c < mc.streams; c++) {
+                StreamLaneStats lane;
+                lane.stream = c;
+                lane.freshness = fresh[mi].streamStats(c);
+                if (const watch::SloTracker *t =
+                        slo.find(first_lane[mi] + c))
+                    lane.tier = t->tier();
+                s.lanes.push_back(std::move(lane));
+            }
+            report.models.push_back(std::move(s));
+        }
+
+        report.devices =
+            serve::deviceStats(cfg.devices, pool, replay, "stream");
+    }
     if (!cfg.trace_out.empty())
         serve::saveReplayTrace(cfg.trace_out, cfg.devices, replay, {},
                                "stream");
@@ -656,11 +623,11 @@ StreamReport::toJson() const
         w.key("stage_mean_ms").beginObject(Layout::Inline);
         w.field("decode", s.decode_mean_ms);
         w.field("preprocess", s.preprocess_mean_ms);
-        w.field("queue", s.queue_mean_ms);
-        w.field("dispatch_wait", s.dispatch_wait_mean_ms);
-        w.field("upload", s.upload_mean_ms);
-        w.field("compute", s.compute_mean_ms);
-        w.field("download", s.download_mean_ms);
+        w.field("queue", s.infer_mean_ms.queue);
+        w.field("dispatch_wait", s.infer_mean_ms.dispatch_wait);
+        w.field("upload", s.infer_mean_ms.upload);
+        w.field("compute", s.infer_mean_ms.compute);
+        w.field("download", s.infer_mean_ms.download);
         w.field("postprocess", s.postprocess_mean_ms);
         w.endObject();
         w.key("lanes").beginArray();

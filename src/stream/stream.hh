@@ -134,14 +134,11 @@ struct StreamModelStats
     double mean_batch = 0.0;
 
     // Mean per-stage attribution over completed frames, ms. The
-    // infer stages reuse watch::RequestTrace's breakdown.
+    // infer stages reuse watch::RequestTrace's breakdown; their total
+    // runs from preprocess-done to download-done.
     double decode_mean_ms = 0.0;
     double preprocess_mean_ms = 0.0;
-    double queue_mean_ms = 0.0;
-    double dispatch_wait_mean_ms = 0.0;
-    double upload_mean_ms = 0.0;
-    double compute_mean_ms = 0.0;
-    double download_mean_ms = 0.0;
+    watch::StageSums infer_mean_ms;
     double postprocess_mean_ms = 0.0;
 
     std::vector<StreamLaneStats> lanes; //!< stream-index order

@@ -165,14 +165,18 @@ SloTracker::observe(double t_s, bool bad)
     return a;
 }
 
-Alert
-SloTrackerSet::observe(const std::string &key, double t_s,
-                       bool bad)
+int
+SloTrackerSet::addLane(std::string name)
 {
-    auto it = trackers_.find(key);
-    if (it == trackers_.end())
-        it = trackers_.emplace(key, SloTracker(key, cfg_)).first;
-    Alert a = it->second.observe(t_s, bad);
+    trackers_.emplace_back(std::move(name), cfg_);
+    return static_cast<int>(trackers_.size()) - 1;
+}
+
+Alert
+SloTrackerSet::observe(int lane, double t_s, bool bad)
+{
+    Alert a = trackers_.at(static_cast<std::size_t>(lane)).observe(
+        t_s, bad);
     if (a.t_s >= 0.0) {
         switch (a.tier) {
           case Alert::kPage:
@@ -188,31 +192,26 @@ SloTrackerSet::observe(const std::string &key, double t_s,
 }
 
 const SloTracker *
-SloTrackerSet::find(const std::string &key) const
+SloTrackerSet::find(int lane) const
 {
-    auto it = trackers_.find(key);
-    if (it == trackers_.end())
-        return nullptr;
-    return &it->second;
+    const SloTracker &t = trackers_.at(static_cast<std::size_t>(lane));
+    return t.total() > 0 ? &t : nullptr;
 }
 
-std::vector<std::string>
-SloTrackerSet::keys() const
+std::vector<int>
+SloTrackerSet::observedByName() const
 {
-    std::vector<std::string> out;
-    out.reserve(trackers_.size());
-    for (const auto &kv : trackers_)
-        out.push_back(kv.first);
-    return out;
-}
-
-std::vector<std::string>
-SloTrackerSet::keysAtTier(Alert::Tier tier) const
-{
-    std::vector<std::string> out;
-    for (const auto &kv : trackers_)
-        if (kv.second.tier() == tier)
-            out.push_back(kv.first);
+    std::vector<int> out;
+    for (std::size_t i = 0; i < trackers_.size(); i++)
+        if (trackers_[i].total() > 0)
+            out.push_back(static_cast<int>(i));
+    std::sort(out.begin(), out.end(), [this](int a, int b) {
+        const std::string &na =
+            trackers_[static_cast<std::size_t>(a)].model();
+        const std::string &nb =
+            trackers_[static_cast<std::size_t>(b)].model();
+        return na != nb ? na < nb : a < b;
+    });
     return out;
 }
 

@@ -28,7 +28,6 @@
  */
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -149,14 +148,14 @@ class SloTracker
 };
 
 /**
- * A keyed family of SloTrackers sharing one Config — the per-key
- * rollup the streaming layer uses for per-stream freshness alerts
- * (and any future per-tenant / per-node split). Trackers are
- * created lazily on first observe() of a key; the rollup
- * accumulates every key's tier transitions so a caller gets fleet
- * totals (pages, warns, clears, first page time) without walking
- * the keys itself. Keys iterate in sorted order, so any report
- * built from the set is deterministic.
+ * A family of SloTrackers sharing one Config over dense lane ids — the
+ * per-lane rollup the streaming layer uses for per-stream freshness
+ * alerts (and any future per-tenant / per-node split). Lanes are
+ * registered once by name and observed by id, so the hot path never
+ * builds or looks up a string; names matter only at report time. The
+ * rollup accumulates every lane's tier transitions so a caller gets
+ * fleet totals (pages, warns, clears, first page time) without walking
+ * the lanes itself.
  */
 class SloTrackerSet
 {
@@ -165,7 +164,7 @@ class SloTrackerSet
         : cfg_(cfg)
     {}
 
-    /** Tier-transition totals across every key in the set. */
+    /** Tier-transition totals across every lane in the set. */
     struct Rollup
     {
         std::int64_t pages = 0;
@@ -174,28 +173,33 @@ class SloTrackerSet
         double first_page_s = -1.0; //!< -1 = no page fired
     };
 
+    /** Register a lane named `name`; returns its id. Ids count up
+     *  from 0 in registration order. */
+    int addLane(std::string name);
+
+    /** Registered lanes, observed or not. */
+    std::size_t lanes() const { return trackers_.size(); }
+
     /**
-     * Record one terminal outcome under `key` (created on first
-     * use). Returns the key's tracker alert — t_s < 0 means no
-     * tier transition, exactly as SloTracker::observe.
+     * Record one terminal outcome on `lane`. Returns the lane's
+     * tracker alert — t_s < 0 means no tier transition, exactly as
+     * SloTracker::observe.
      */
-    Alert observe(const std::string &key, double t_s, bool bad);
+    Alert observe(int lane, double t_s, bool bad);
 
-    /** The key's tracker, or nullptr if never observed. */
-    const SloTracker *find(const std::string &key) const;
+    /** The lane's tracker, or nullptr if never observed. Its model()
+     *  is the name the lane was registered under. */
+    const SloTracker *find(int lane) const;
 
-    /** Every observed key, sorted. */
-    std::vector<std::string> keys() const;
+    /** Every observed lane, sorted by name (ties by id), so any
+     *  report built from the set is deterministic. */
+    std::vector<int> observedByName() const;
 
     const Rollup &rollup() const { return rollup_; }
-    std::size_t size() const { return trackers_.size(); }
-
-    /** Keys currently at the given tier, sorted. */
-    std::vector<std::string> keysAtTier(Alert::Tier tier) const;
 
   private:
     SloTracker::Config cfg_;
-    std::map<std::string, SloTracker> trackers_;
+    std::vector<SloTracker> trackers_; //!< by lane id
     Rollup rollup_;
 };
 

@@ -68,6 +68,48 @@ writeAnomaly(JsonWriter &w, const AnomalyFinding &f)
 
 } // namespace
 
+SloTracker::Config
+WatchConfig::sloConfig() const
+{
+    SloTracker::Config c;
+    c.objective_pct = slo_objective_pct;
+    c.page_burn = page_burn;
+    c.warn_burn = warn_burn;
+    c.fast_window_s = fast_window_s;
+    c.mid_window_s = mid_window_s;
+    c.slow_window_s = slow_window_s;
+    return c;
+}
+
+void
+StageSums::add(const RequestTrace &rt)
+{
+    n++;
+    queue += rt.queueMs();
+    dispatch_wait += rt.dispatchWaitMs();
+    upload += rt.uploadMs();
+    compute += rt.computeMs();
+    download += rt.downloadMs();
+    total += rt.totalMs();
+}
+
+StageSums
+StageSums::mean() const
+{
+    StageSums m;
+    if (n == 0)
+        return m;
+    const auto d = static_cast<double>(n);
+    m.n = n;
+    m.queue = queue / d;
+    m.dispatch_wait = dispatch_wait / d;
+    m.upload = upload / d;
+    m.compute = compute / d;
+    m.download = download / d;
+    m.total = total / d;
+    return m;
+}
+
 EdgeWatch::EdgeWatch(const WatchConfig &cfg,
                      std::vector<std::string> models,
                      std::vector<double> model_slo_ms,
@@ -88,15 +130,8 @@ EdgeWatch::EdgeWatch(const WatchConfig &cfg,
     if (models_.size() != slo_ms_.size())
         fatal("EdgeWatch: ", models_.size(), " models vs ",
               slo_ms_.size(), " SLOs");
-    SloTracker::Config tc;
-    tc.objective_pct = cfg.slo_objective_pct;
-    tc.page_burn = cfg.page_burn;
-    tc.warn_burn = cfg.warn_burn;
-    tc.fast_window_s = cfg.fast_window_s;
-    tc.mid_window_s = cfg.mid_window_s;
-    tc.slow_window_s = cfg.slow_window_s;
     for (const std::string &m : models_)
-        trackers_.emplace_back(m, tc);
+        trackers_.emplace_back(m, cfg.sloConfig());
     summary_.enabled = true;
 }
 
@@ -168,14 +203,7 @@ EdgeWatch::onComplete(const RequestTrace &rt)
         e.detail = "slo_miss";
     recorder_.record(e);
 
-    StageSums &st = stages_[static_cast<std::size_t>(rt.model)];
-    st.n++;
-    st.queue += rt.queueMs();
-    st.dispatch_wait += rt.dispatchWaitMs();
-    st.upload += rt.uploadMs();
-    st.compute += rt.computeMs();
-    st.download += rt.downloadMs();
-    st.total += rt.totalMs();
+    stages_[static_cast<std::size_t>(rt.model)].add(rt);
 
     // Slow-request reservoir: worst slow_trace_count by total
     // latency, slowest first, ties to the lower request id.
@@ -333,7 +361,7 @@ EdgeWatch::dumpIncident(double t_s, const std::string &reason,
 }
 
 void
-EdgeWatch::finish(double end_s)
+EdgeWatch::finish()
 {
     for (std::size_t m = 0; m < models_.size(); m++) {
         SloTracker &tr = trackers_[m];
@@ -343,19 +371,9 @@ EdgeWatch::finish(double end_s)
         ms.burn = tr.burnRates();
         ms.observed = tr.total();
         ms.bad = tr.bad();
-        const StageSums &st = stages_[m];
-        if (st.n > 0) {
-            double n = static_cast<double>(st.n);
-            ms.queue_mean_ms = st.queue / n;
-            ms.dispatch_wait_mean_ms = st.dispatch_wait / n;
-            ms.upload_mean_ms = st.upload / n;
-            ms.compute_mean_ms = st.compute / n;
-            ms.download_mean_ms = st.download / n;
-            ms.total_mean_ms = st.total / n;
-        }
+        ms.stage_mean_ms = stages_[m].mean();
         summary_.models.push_back(std::move(ms));
     }
-    (void)end_s;
     finished_ = true;
 }
 
@@ -399,12 +417,12 @@ EdgeWatch::reportJson() const
         w.field("observed", m.observed);
         w.field("bad", m.bad);
         w.key("stage_mean_ms").beginObject();
-        w.field("queue", m.queue_mean_ms);
-        w.field("dispatch_wait", m.dispatch_wait_mean_ms);
-        w.field("upload", m.upload_mean_ms);
-        w.field("compute", m.compute_mean_ms);
-        w.field("download", m.download_mean_ms);
-        w.field("total", m.total_mean_ms);
+        w.field("queue", m.stage_mean_ms.queue);
+        w.field("dispatch_wait", m.stage_mean_ms.dispatch_wait);
+        w.field("upload", m.stage_mean_ms.upload);
+        w.field("compute", m.stage_mean_ms.compute);
+        w.field("download", m.stage_mean_ms.download);
+        w.field("total", m.stage_mean_ms.total);
         w.endObject();
         w.endObject();
     }

@@ -64,6 +64,10 @@ struct WatchConfig
     int anomaly_window = 64;
     int anomaly_min_samples = 16;
     double anomaly_margin_pct = 10.0;
+
+    /** The objective, burn thresholds and windows as the Config of
+     *  one SloTracker. */
+    SloTracker::Config sloConfig() const;
 };
 
 /** Per-stage attribution of one request (simulated seconds). */
@@ -105,6 +109,21 @@ struct RequestTrace
     double totalMs() const { return (done_s - arrival_s) * 1e3; }
 };
 
+/** Per-stage sums of n completed requests' attribution, ms; mean()
+ *  turns them into per-stage means. */
+struct StageSums
+{
+    std::int64_t n = 0;
+    double queue = 0.0, dispatch_wait = 0.0, upload = 0.0,
+           compute = 0.0, download = 0.0, total = 0.0;
+
+    /** Add one completed request's breakdown. */
+    void add(const RequestTrace &rt);
+
+    /** Each stage's mean over the n requests; all 0 when n is 0. */
+    StageSums mean() const;
+};
+
 /** End-of-run per-model watch outcome. */
 struct ModelWatchStats
 {
@@ -113,14 +132,7 @@ struct ModelWatchStats
     BurnRates burn;                  //!< burn rates at end of run
     std::int64_t observed = 0;       //!< terminal outcomes seen
     std::int64_t bad = 0;            //!< sheds + SLO misses
-
-    // Mean stage attribution over completed requests, ms.
-    double queue_mean_ms = 0.0;
-    double dispatch_wait_mean_ms = 0.0;
-    double upload_mean_ms = 0.0;
-    double compute_mean_ms = 0.0;
-    double download_mean_ms = 0.0;
-    double total_mean_ms = 0.0;
+    StageSums stage_mean_ms; //!< means over completed requests
 };
 
 /** Whole-run watch outcome (embedded in the ServeReport). */
@@ -175,8 +187,8 @@ class EdgeWatch
     void onSwapRollback(double t_s, int model,
                         const std::string &reason);
 
-    /** Close the run: slide windows to end_s, freeze the summary. */
-    void finish(double end_s);
+    /** Close the run: freeze the per-model summary. */
+    void finish();
 
     const WatchSummary &summary() const { return summary_; }
 
@@ -213,15 +225,7 @@ class EdgeWatch
     std::vector<SloTracker> trackers_;
     FlightRecorder recorder_;
     AnomalyDetector anomaly_;
-
-    // Stage-attribution accumulators per model.
-    struct StageSums
-    {
-        std::int64_t n = 0;
-        double queue = 0.0, dispatch_wait = 0.0, upload = 0.0,
-               compute = 0.0, download = 0.0, total = 0.0;
-    };
-    std::vector<StageSums> stages_;
+    std::vector<StageSums> stages_; //!< per model
 
     WatchSummary summary_;
     std::vector<std::pair<std::string, std::string>> incidents_;

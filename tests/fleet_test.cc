@@ -141,6 +141,42 @@ TEST(Fleet, FailureConservesRequests)
     EXPECT_DOUBLE_EQ(rep.events[1].t_s, 0.8);
 }
 
+// Under load a failing node has queued work: the fail event re-routes
+// it instead of only remapping the ring, and every request is still
+// accounted for, fleet-wide and per model.
+TEST(Fleet, LoadedFailoverReroutesAndConserves)
+{
+    fleet::FleetConfig cfg = smallFleet();
+    cfg.models[0].arrivals.qps = 3000.0;
+    cfg.admission_control = false;
+    cfg.quarantine_on_page = false;
+    fleet::FailureSpec fs;
+    fs.node = 0;
+    fs.fail_s = 0.4;
+    fs.rejoin_s = 0.8;
+    cfg.failures.push_back(fs);
+
+    fleet::FleetReport rep = fleet::runFleet(cfg);
+    ASSERT_EQ(rep.events.size(), 2u);
+    EXPECT_EQ(rep.events[0].kind, "fail");
+    EXPECT_GT(rep.events[0].rerouted, 0);
+    EXPECT_EQ(rep.unaccounted, 0);
+    EXPECT_EQ(rep.completed + rep.shed, rep.offered);
+
+    std::int64_t offered = 0, shed = 0, completed = 0, in_groups = 0;
+    for (const fleet::FleetModelStats &m : rep.models) {
+        offered += m.offered;
+        shed += m.shed;
+        completed += m.completed;
+    }
+    for (const fleet::FleetGroupStats &g : rep.groups)
+        in_groups += g.completed;
+    EXPECT_EQ(offered, rep.offered);
+    EXPECT_EQ(shed, rep.shed);
+    EXPECT_EQ(completed, rep.completed);
+    EXPECT_EQ(in_groups, rep.completed);
+}
+
 TEST(Fleet, ValidatesConfig)
 {
     fleet::FleetConfig none;

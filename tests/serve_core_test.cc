@@ -2,7 +2,8 @@
  * @file
  * The shared serving core and CLI pieces: the --model spec grammar of
  * the three serving tools (shared keys everywhere, another tool's keys
- * rejected, malformed numbers named) and the calibrated ladder build.
+ * rejected, malformed numbers named), the calibrated ladder build, the
+ * completion fold and the replay.
  */
 
 #include <gtest/gtest.h>
@@ -174,6 +175,67 @@ TEST(BuildLadder, PerEngineCalibration)
             << "engine " << i;
     }
     EXPECT_LT(set.service_s[0], set.service_s[2]);
+}
+
+// foldReplay copies each plan's measured stage times onto the requests
+// it carried, leaves a request no plan carries untouched, shows the
+// hook every plan in walk order and counts the plans per model.
+TEST(FoldReplay, CopiesPlanTimesAndCountsPerModel)
+{
+    std::vector<serve::Request> requests(6);
+    for (std::size_t i = 0; i < requests.size(); i++) {
+        requests[i].id = static_cast<std::int64_t>(i);
+        requests[i].model = i < 4 ? 0 : 1;
+        requests[i].arrival_s = 0.01 * static_cast<double>(i);
+    }
+    auto plan = [](std::vector<std::int64_t> ids, double t0) {
+        serve::PlannedDispatch pd;
+        pd.batch = static_cast<int>(ids.size());
+        pd.request_ids = std::move(ids);
+        pd.begin_s = t0;
+        pd.upload_done_s = t0 + 0.001;
+        pd.compute_done_s = t0 + 0.003;
+        pd.end_s = t0 + 0.004;
+        return pd;
+    };
+    // Model 0 on instance 0; model 1 on instances 1 (planless) and 2.
+    // Request 3 is never dispatched.
+    std::vector<serve::Instance> instances(3);
+    instances[0].plan = {plan({0, 2}, 0.1), plan({1}, 0.2)};
+    instances[1].model = 1;
+    instances[2].model = 1;
+    instances[2].plan = {plan({5, 4}, 0.3)};
+    const serve::Request before = requests[3];
+
+    std::vector<int> hook_batches;
+    const serve::FoldCounts fc = serve::foldReplay(
+        instances, 2, requests, serve::Outcome::kCompleted,
+        [&](const serve::Instance &, const serve::PlannedDispatch &pd) {
+            hook_batches.push_back(pd.batch);
+        });
+
+    for (const serve::Instance &inst : instances)
+        for (const serve::PlannedDispatch &pd : inst.plan)
+            for (std::int64_t id : pd.request_ids) {
+                SCOPED_TRACE(id);
+                const serve::Request &r =
+                    requests[static_cast<std::size_t>(id)];
+                EXPECT_EQ(r.outcome, serve::Outcome::kCompleted);
+                EXPECT_EQ(r.begin_s, pd.begin_s);
+                EXPECT_EQ(r.upload_done_s, pd.upload_done_s);
+                EXPECT_EQ(r.compute_done_s, pd.compute_done_s);
+                EXPECT_EQ(r.done_s, pd.end_s);
+            }
+    const serve::Request &idle = requests[3];
+    EXPECT_EQ(idle.outcome, serve::Outcome::kPending);
+    EXPECT_EQ(idle.begin_s, before.begin_s);
+    EXPECT_EQ(idle.upload_done_s, before.upload_done_s);
+    EXPECT_EQ(idle.compute_done_s, before.compute_done_s);
+    EXPECT_EQ(idle.done_s, before.done_s);
+
+    EXPECT_EQ(hook_batches, (std::vector<int>{2, 1, 2}));
+    EXPECT_EQ(fc.batches, (std::vector<std::int64_t>{2, 1}));
+    EXPECT_EQ(fc.dispatched, (std::vector<std::int64_t>{3, 2}));
 }
 
 // replayPlans hands each planned device to a worker that feeds, runs

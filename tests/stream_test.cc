@@ -272,7 +272,7 @@ TEST(RunStreams, UnderProvisionedRunStaysFreshAndQuiet)
     // preprocess means sit near their configured costs.
     EXPECT_NEAR(m.decode_mean_ms, mc.stages.decode_ms,
                 mc.stages.decode_ms);
-    EXPECT_GT(m.compute_mean_ms, 0.0);
+    EXPECT_GT(m.infer_mean_ms.compute, 0.0);
     EXPECT_GT(m.postprocess_mean_ms, 0.0);
 }
 

@@ -117,12 +117,28 @@ TEST(SloTracker, SustainedModerateBurnWarnsWithoutPaging)
     EXPECT_EQ(tr.tier(), Alert::kWarn);
 }
 
+/** The set's observed lanes currently at `tier`, in name order. */
+std::vector<int>
+lanesAtTier(const SloTrackerSet &set, Alert::Tier tier)
+{
+    std::vector<int> out;
+    for (int lane : set.observedByName())
+        if (set.find(lane)->tier() == tier)
+            out.push_back(lane);
+    return out;
+}
+
 TEST(SloTrackerSet, KeysTrackIndependentlyAndRollupAccumulates)
 {
     SloTracker::Config cfg;
     SloTrackerSet set(cfg);
-    EXPECT_EQ(set.size(), 0u);
-    EXPECT_EQ(set.find("cam0"), nullptr);
+    // Registered out of name order; cam2 is never observed.
+    const int cam1 = set.addLane("cam1");
+    const int cam2 = set.addLane("cam2");
+    const int cam0 = set.addLane("cam0");
+    EXPECT_EQ(set.lanes(), 3u);
+    EXPECT_TRUE(set.observedByName().empty());
+    EXPECT_EQ(set.find(cam0), nullptr);
     EXPECT_EQ(set.rollup().pages, 0);
     EXPECT_DOUBLE_EQ(set.rollup().first_page_s, -1.0);
 
@@ -130,52 +146,71 @@ TEST(SloTrackerSet, KeysTrackIndependentlyAndRollupAccumulates)
     // only cam1's tracker must transition, and the rollup must show
     // exactly its page.
     for (int i = 0; i < 200; i++) {
-        set.observe("cam0", i * 0.01, false);
-        set.observe("cam1", i * 0.01, true);
+        set.observe(cam0, i * 0.01, false);
+        set.observe(cam1, i * 0.01, true);
     }
-    ASSERT_EQ(set.size(), 2u);
-    ASSERT_NE(set.find("cam0"), nullptr);
-    ASSERT_NE(set.find("cam1"), nullptr);
-    EXPECT_EQ(set.find("cam0")->tier(), Alert::kNone);
-    EXPECT_EQ(set.find("cam1")->tier(), Alert::kPage);
-    EXPECT_EQ(set.find("cam0")->bad(), 0);
-    EXPECT_EQ(set.find("cam1")->bad(), 200);
+    ASSERT_EQ(set.observedByName().size(), 2u);
+    ASSERT_NE(set.find(cam0), nullptr);
+    ASSERT_NE(set.find(cam1), nullptr);
+    EXPECT_EQ(set.find(cam1)->model(), "cam1");
+    EXPECT_EQ(set.find(cam2), nullptr);
+    EXPECT_EQ(set.find(cam0)->tier(), Alert::kNone);
+    EXPECT_EQ(set.find(cam1)->tier(), Alert::kPage);
+    EXPECT_EQ(set.find(cam0)->bad(), 0);
+    EXPECT_EQ(set.find(cam1)->bad(), 200);
     EXPECT_EQ(set.rollup().pages, 1);
     EXPECT_EQ(set.rollup().clears, 0);
     EXPECT_GE(set.rollup().first_page_s, 0.0);
 
-    // Keys are sorted; tier filtering picks out the burning camera.
-    EXPECT_EQ(set.keys(),
-              (std::vector<std::string>{"cam0", "cam1"}));
-    EXPECT_EQ(set.keysAtTier(Alert::kPage),
-              std::vector<std::string>{"cam1"});
-    EXPECT_EQ(set.keysAtTier(Alert::kNone),
-              std::vector<std::string>{"cam0"});
+    // Observed lanes list by name; tier filtering picks out the
+    // burning camera.
+    EXPECT_EQ(set.observedByName(), (std::vector<int>{cam0, cam1}));
+    EXPECT_EQ(lanesAtTier(set, Alert::kPage), std::vector<int>{cam1});
+    EXPECT_EQ(lanesAtTier(set, Alert::kNone), std::vector<int>{cam0});
 
     // cam1 recovers: the clear lands in the rollup, pages stay 1.
     for (int i = 200; i < 20000; i++)
-        set.observe("cam1", i * 0.01, false);
-    EXPECT_EQ(set.find("cam1")->tier(), Alert::kNone);
+        set.observe(cam1, i * 0.01, false);
+    EXPECT_EQ(set.find(cam1)->tier(), Alert::kNone);
     EXPECT_EQ(set.rollup().pages, 1);
     EXPECT_EQ(set.rollup().clears, 1);
+}
+
+TEST(SloTrackerSet, ObservedLanesSortByNameNotId)
+{
+    // Twelve cameras registered in index order list as a string sort
+    // does: cam0, cam1, cam10, cam11, cam2, ...
+    SloTrackerSet set(SloTracker::Config{});
+    for (int c = 0; c < 12; c++)
+        set.observe(set.addLane("m/cam" + std::to_string(c)), 0.0,
+                    false);
+    std::vector<std::string> names;
+    for (int lane : set.observedByName())
+        names.push_back(set.find(lane)->model());
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "m/cam0", "m/cam1", "m/cam10", "m/cam11",
+                         "m/cam2", "m/cam3", "m/cam4", "m/cam5",
+                         "m/cam6", "m/cam7", "m/cam8", "m/cam9"}));
 }
 
 TEST(SloTrackerSet, SharedConfigAppliesToEveryKey)
 {
     // A permissive objective (50%) halves no one: 30% bad never
-    // burns past 1 on any key, so no tracker leaves kNone.
+    // burns past 1 on any lane, so no tracker leaves kNone.
     SloTracker::Config cfg;
     cfg.objective_pct = 50.0;
     SloTrackerSet set(cfg);
+    const int a = set.addLane("a");
+    const int b = set.addLane("b");
     for (int i = 0; i < 300; i++) {
-        set.observe("a", i * 0.01, i % 10 < 3);
-        set.observe("b", i * 0.01, i % 10 < 3);
+        set.observe(a, i * 0.01, i % 10 < 3);
+        set.observe(b, i * 0.01, i % 10 < 3);
     }
-    EXPECT_EQ(set.find("a")->tier(), Alert::kNone);
-    EXPECT_EQ(set.find("b")->tier(), Alert::kNone);
+    EXPECT_EQ(set.find(a)->tier(), Alert::kNone);
+    EXPECT_EQ(set.find(b)->tier(), Alert::kNone);
     EXPECT_EQ(set.rollup().pages, 0);
     EXPECT_EQ(set.rollup().warns, 0);
-    EXPECT_TRUE(set.keysAtTier(Alert::kPage).empty());
+    EXPECT_TRUE(lanesAtTier(set, Alert::kPage).empty());
 }
 
 TEST(FlightRecorder, RingKeepsTheLastDepthEventsOldestFirst)
@@ -416,7 +451,7 @@ driveWatch(EdgeWatch &ew)
         ew.onShed(1.0 + i * 0.01, 0, id++);
     ew.onSwapBegin(2.0, 0, 7);
     ew.onSwapRollback(2.1, 0, "latency_regression");
-    ew.finish(3.0);
+    ew.finish();
 }
 
 TEST(EdgeWatch, OverloadPagesAndDumpsByteIdenticalIncidents)
@@ -456,7 +491,7 @@ TEST(EdgeWatch, IncidentCapCountsWithoutDumping)
     EdgeWatch ew(cfg, {"m"}, {10.0}, {"d0"}, {1.0});
     for (int i = 0; i < 5; i++)
         ew.onSwapRollback(i * 0.1, 0, "load_failure");
-    ew.finish(1.0);
+    ew.finish();
     EXPECT_EQ(ew.incidents().size(), 2u);
     EXPECT_EQ(ew.summary().incidents, 5);
 }
@@ -496,11 +531,11 @@ TEST(ServeWatch, CleanScenarioFiresNoPageAlert)
     // must sum to the end-to-end mean.
     ASSERT_EQ(rep.watch.models.size(), 1u);
     const ModelWatchStats &m = rep.watch.models.front();
-    EXPECT_GT(m.compute_mean_ms, 0.0);
-    EXPECT_NEAR(m.queue_mean_ms + m.dispatch_wait_mean_ms +
-                    m.upload_mean_ms + m.compute_mean_ms +
-                    m.download_mean_ms,
-                m.total_mean_ms, 1e-6);
+    const StageSums &st = m.stage_mean_ms;
+    EXPECT_GT(st.compute, 0.0);
+    EXPECT_NEAR(st.queue + st.dispatch_wait + st.upload + st.compute +
+                    st.download,
+                st.total, 1e-6);
 
     // The slowest retained request is the report's max latency.
     ASSERT_FALSE(rep.watch.slow_requests.empty());

@@ -160,8 +160,9 @@ run(int argc, char **argv)
             "upload %.2f | compute %.2f | download %.2f | "
             "postprocess %.2f ms\n",
             m.model.c_str(), m.decode_mean_ms, m.preprocess_mean_ms,
-            m.queue_mean_ms, m.dispatch_wait_mean_ms,
-            m.upload_mean_ms, m.compute_mean_ms, m.download_mean_ms,
+            m.infer_mean_ms.queue, m.infer_mean_ms.dispatch_wait,
+            m.infer_mean_ms.upload, m.infer_mean_ms.compute,
+            m.infer_mean_ms.download,
             m.postprocess_mean_ms);
     }
     for (const auto &d : report.devices)
