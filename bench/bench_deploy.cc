@@ -326,7 +326,7 @@ fillReport(JsonWriter &w, const GateStudy &gate,
     w.key("watch").beginObject();
     w.field("clean_incidents", swap.clean_watch.incidents);
     w.field("faulted_incidents", swap.faulted_watch.incidents);
-    w.field("faulted_page_alerts", swap.faulted_watch.page_alerts);
+    w.field("faulted_page_alerts", swap.faulted_watch.alert_counts.pages);
     w.endObject();
     w.endObject();
 

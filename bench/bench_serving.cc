@@ -274,7 +274,7 @@ watchedArtifactRun()
     std::printf("\nwatch artifacts at %s*: %lld page alert(s), "
                 "%lld incident(s)\n",
                 g_watch_out.c_str(),
-                static_cast<long long>(rep.watch.page_alerts),
+                static_cast<long long>(rep.watch.alert_counts.pages),
                 static_cast<long long>(rep.watch.incidents));
 }
 

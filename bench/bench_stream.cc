@@ -177,7 +177,7 @@ runFigures()
         o.freshness = m.freshness;
         o.conserved = m.conserved;
         o.age_p99_ms = m.freshness.age_p99_ms;
-        o.pages = rep.freshness_pages;
+        o.pages = rep.freshness.pages;
         std::printf("backpressure %-14s @ %d streams: stale %5.1f%% "
                     "| dropped %5lld | in flight %5lld | age p99 "
                     "%8.2f ms | conservation %s\n",

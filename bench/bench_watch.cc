@@ -96,15 +96,15 @@ runWatched(const char *name, double qps, const std::string &out,
     o.watch = rep.watch;
     o.p99_ms = rep.models.front().p99_ms;
     o.offered = rep.models.front().offered;
+    const watch::AlertCounts &alerts = o.watch.alert_counts;
     std::printf("%-9s %4.0f qps: %lld page / %lld warn alert(s), "
                 "first page %s, %lld anomaly(ies), %lld "
                 "incident(s), %lld shed\n",
-                name, qps,
-                static_cast<long long>(o.watch.page_alerts),
-                static_cast<long long>(o.watch.warn_alerts),
-                o.watch.first_page_s < 0.0
+                name, qps, static_cast<long long>(alerts.pages),
+                static_cast<long long>(alerts.warns),
+                alerts.first_page_s < 0.0
                     ? "never"
-                    : (std::to_string(o.watch.first_page_s) + " s")
+                    : (std::to_string(alerts.first_page_s) + " s")
                           .c_str(),
                 static_cast<long long>(o.watch.anomalies),
                 static_cast<long long>(o.watch.incidents),
@@ -135,10 +135,10 @@ writeScenario(JsonWriter &w, const ScenarioOutcome &o)
     w.field("admitted", o.watch.admitted);
     w.field("shed", o.watch.shed);
     w.field("completed", o.watch.completed);
-    w.field("page_alerts", o.watch.page_alerts);
-    w.field("warn_alerts", o.watch.warn_alerts);
-    w.field("clear_alerts", o.watch.clear_alerts);
-    w.field("first_page_s", o.watch.first_page_s);
+    w.field("page_alerts", o.watch.alert_counts.pages);
+    w.field("warn_alerts", o.watch.alert_counts.warns);
+    w.field("clear_alerts", o.watch.alert_counts.clears);
+    w.field("first_page_s", o.watch.alert_counts.first_page_s);
     w.field("anomalies", o.watch.anomalies);
     w.field("incidents", o.watch.incidents);
     w.endObject();
@@ -252,7 +252,8 @@ runFigures()
             writeScenario(w, clean);
             writeScenario(w, overload);
             w.endArray();
-            w.field("alert_latency_s", overload.watch.first_page_s);
+            w.field("alert_latency_s",
+                    overload.watch.alert_counts.first_page_s);
             w.field("same_seed_identical", same_seed);
             w.key("overhead").beginArray();
             for (const OverheadPoint &p : overhead) {
@@ -270,15 +271,15 @@ runFigures()
         });
 
     int rc = 0;
-    if (clean.watch.page_alerts > 0) {
+    if (clean.watch.alert_counts.pages > 0) {
         std::fprintf(stderr,
                      "FAIL: %lld page-tier alert(s) on the clean "
                      "scenario — the alerter false-alarmed\n",
                      static_cast<long long>(
-                         clean.watch.page_alerts));
+                         clean.watch.alert_counts.pages));
         rc = 1;
     }
-    if (overload.watch.page_alerts < 1) {
+    if (overload.watch.alert_counts.pages < 1) {
         std::fprintf(stderr,
                      "FAIL: induced overload fired no page-tier "
                      "alert\n");

@@ -18,7 +18,6 @@
 #include "serve/core.hh"
 #include "serve/request.hh"
 #include "serve/scheduler.hh"
-#include "watch/rollup.hh"
 
 namespace edgert::fleet {
 
@@ -259,12 +258,10 @@ runFleet(const FleetConfig &cfg)
     std::vector<bool> quarantined(static_cast<std::size_t>(n_nodes),
                                   false);
 
-    std::vector<watch::SloTracker> trackers;
-    for (int node = 0; node < n_nodes; node++)
-        trackers.emplace_back(
-            fleet.nodes[static_cast<std::size_t>(node)].name,
-            cfg.slo);
-    watch::AlertRollup rollup;
+    watch::SloTrackerSet slo; // lane = node id
+    for (const FleetNode &fn : fleet.nodes)
+        slo.addLane(fn.name);
+    std::vector<watch::AlertCounts> group_alerts(fleet.groups.size());
 
     serve::EventQueue evq;
     for (const auto &r : requests)
@@ -330,17 +327,12 @@ runFleet(const FleetConfig &cfg)
     std::function<void(int, const char *, double)> quarantineNode;
 
     auto trackerObserve = [&](int node, double t, bool bad) {
-        watch::Alert a =
-            trackers[static_cast<std::size_t>(node)].observe(t,
-                                                             bad);
+        watch::Alert a = slo.observe(node, t, bad);
         if (a.t_s < 0.0)
             return; // no tier transition
         const FleetNode &fn =
             fleet.nodes[static_cast<std::size_t>(node)];
-        rollup.observe(
-            t, node,
-            fleet.groups[static_cast<std::size_t>(fn.group)].name,
-            a.tier, a.burn);
+        group_alerts[static_cast<std::size_t>(fn.group)].add(a);
         if (a.tier == watch::Alert::kPage &&
             cfg.quarantine_on_page &&
             !quarantined[static_cast<std::size_t>(node)] &&
@@ -790,18 +782,17 @@ runFleet(const FleetConfig &cfg)
     report.events = std::move(events);
     report.rollouts = std::move(ro_stats);
 
-    report.alerts.pages = rollup.pages();
-    report.alerts.warns = rollup.warns();
-    report.alerts.clears = rollup.clears();
-    report.alerts.first_page_s = rollup.firstPageSeconds();
-    for (const watch::GroupAlertCounts &gc : rollup.byGroup()) {
-        FleetAlertStats::Group g;
-        g.group = gc.group;
-        g.pages = gc.pages;
-        g.warns = gc.warns;
-        g.clears = gc.clears;
-        report.alerts.by_group.push_back(std::move(g));
+    report.alerts = slo.rollup();
+    for (std::size_t g = 0; g < group_alerts.size(); g++) {
+        const watch::AlertCounts &c = group_alerts[g];
+        if (c.pages + c.warns + c.clears > 0)
+            report.alerts_by_group.emplace_back(fleet.groups[g].name, c);
     }
+    std::sort(report.alerts_by_group.begin(),
+              report.alerts_by_group.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first < b.first;
+              });
 
     // A handful of fleet-level gauges for the CLI's metric dumps.
     {
@@ -940,17 +931,14 @@ FleetReport::toJson() const
     }
     w.endArray();
     w.key("alerts").beginObject();
-    w.field("pages", alerts.pages);
-    w.field("warns", alerts.warns);
-    w.field("clears", alerts.clears);
-    w.field("first_page_s", alerts.first_page_s);
+    alerts.writeFields(w);
     w.key("by_group").beginArray();
-    for (const FleetAlertStats::Group &g : alerts.by_group) {
+    for (const auto &[group, c] : alerts_by_group) {
         w.beginObject(Layout::Inline);
-        w.field("group", g.group);
-        w.field("pages", g.pages);
-        w.field("warns", g.warns);
-        w.field("clears", g.clears);
+        w.field("group", group);
+        w.field("pages", c.pages);
+        w.field("warns", c.warns);
+        w.field("clears", c.clears);
         w.endObject();
     }
     w.endArray();

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "deploy/drift_gate.hh"
@@ -135,9 +136,9 @@ struct FleetConfig
      */
     int sim_threads = 1;
 
-    /** Quarantine a node when its SLO tracker pages. */
+    /** Quarantine a node when its SLO tracker (99% objective)
+     *  pages. */
     bool quarantine_on_page = true;
-    watch::SloTracker::Config slo;
 
     std::vector<FailureSpec> failures;
     std::vector<RolloutSpec> rollouts;
@@ -209,24 +210,6 @@ struct RolloutStats
     std::vector<RolloutStageStats> stages;
 };
 
-/** Fleet-wide SLO alert rollup. */
-struct FleetAlertStats
-{
-    std::int64_t pages = 0;
-    std::int64_t warns = 0;
-    std::int64_t clears = 0;
-    double first_page_s = -1.0;
-
-    struct Group
-    {
-        std::string group;
-        std::int64_t pages = 0;
-        std::int64_t warns = 0;
-        std::int64_t clears = 0;
-    };
-    std::vector<Group> by_group;
-};
-
 /** Per-class summary (shared builds and calibration). */
 struct FleetClassStats
 {
@@ -261,7 +244,10 @@ struct FleetReport : serve::LatencySummary
     std::vector<FleetGroupStats> groups;
     std::vector<FleetEvent> events;
     std::vector<RolloutStats> rollouts;
-    FleetAlertStats alerts;
+    watch::AlertCounts alerts; //!< per-node SLO tier transitions
+    /** The same per group: groups with any transition, by name. */
+    std::vector<std::pair<std::string, watch::AlertCounts>>
+        alerts_by_group;
 
     /** Canonical JSON (deterministic field order and numbers). */
     std::string toJson() const;

@@ -72,6 +72,20 @@ validateModels(const char *who, const ModelConfigs &models,
                   "' (metric labels would collide)");
 }
 
+/** One `name{model=...}` histogram handle per model of `models`, in
+ *  model order, so every model's key is listed even if it records
+ *  nothing. */
+template <class ModelConfigs>
+std::vector<obs::Histogram>
+modelHistograms(const std::string &name, const ModelConfigs &models)
+{
+    std::vector<obs::Histogram> out;
+    for (const auto &m : models)
+        out.push_back(obs::MetricRegistry::global().histogram(
+            name, {{"model", m.model}}));
+    return out;
+}
+
 // ----------------------------------------------------------------
 // Ladder build
 // ----------------------------------------------------------------

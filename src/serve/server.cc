@@ -31,47 +31,6 @@ namespace {
  *  the incumbent's by more than this percentage. */
 constexpr double kRollbackRegressionPct = 10.0;
 
-/** Per-model obs:: handles (created once, recorded in sim order). */
-struct ModelMetrics
-{
-    obs::Counter offered;
-    obs::Counter shed;
-    obs::Counter completed;
-    obs::Counter violations;
-    obs::Counter batches;
-    obs::Counter load_failures;
-    obs::Counter rebuilds;
-    obs::Histogram queue_depth;
-    obs::Histogram batch_size;
-    obs::Histogram latency_ms;
-    obs::Histogram predictor_err;
-
-    explicit ModelMetrics(const std::string &model)
-        : offered(obs::MetricRegistry::global().counter(
-              "serve.request.offered", {{"model", model}})),
-          shed(obs::MetricRegistry::global().counter(
-              "serve.request.shed", {{"model", model}})),
-          completed(obs::MetricRegistry::global().counter(
-              "serve.request.completed", {{"model", model}})),
-          violations(obs::MetricRegistry::global().counter(
-              "serve.request.slo_violations", {{"model", model}})),
-          batches(obs::MetricRegistry::global().counter(
-              "serve.batch.dispatched", {{"model", model}})),
-          load_failures(obs::MetricRegistry::global().counter(
-              "serve.engine.load_failures", {{"model", model}})),
-          rebuilds(obs::MetricRegistry::global().counter(
-              "serve.engine.rebuilds", {{"model", model}})),
-          queue_depth(obs::MetricRegistry::global().histogram(
-              "serve.queue.depth", {{"model", model}})),
-          batch_size(obs::MetricRegistry::global().histogram(
-              "serve.batch.size", {{"model", model}})),
-          latency_ms(obs::MetricRegistry::global().histogram(
-              "serve.request.latency_ms", {{"model", model}})),
-          predictor_err(obs::MetricRegistry::global().histogram(
-              "serve.predictor.error_pct", {{"model", model}}))
-    {}
-};
-
 } // namespace
 
 ServeReport
@@ -95,13 +54,6 @@ runServer(const ServeConfig &cfg)
         }
         policies.push_back(p);
     }
-
-    // Per-model obs handles are created up front so the fault
-    // counters below exist (and snapshot deterministically) even
-    // for models that never complete a load.
-    std::vector<ModelMetrics> mm;
-    for (const auto &mc : cfg.models)
-        mm.emplace_back(mc.model);
 
     // ------------------------------------------------------------
     // Build: engines come in *versions* — the version the run
@@ -163,15 +115,12 @@ runServer(const ServeConfig &cfg)
                     set = buildLadder(spec, ladder,
                                       use_cache ? &timing_cache
                                                 : nullptr);
-                    if (a > 0) {
+                    if (a > 0)
                         stats[mi].rebuilds++;
-                        mm[mi].rebuilds.add();
-                    }
                     break;
                 }
                 it->second--;
                 stats[mi].load_failures++;
-                mm[mi].load_failures.add();
                 warn("EdgeServe: engine load for '", mc.model, "' on ",
                      spec.name, "[", d, "] failed (attempt ", a + 1,
                      "/", attempts,
@@ -332,6 +281,12 @@ runServer(const ServeConfig &cfg)
              ")");
     };
 
+    // Queue depths record in control order and predictor errors and
+    // batch sizes in fold order; every serve counter is published
+    // once, from the report.
+    std::vector<obs::Histogram> queue_depth =
+        modelHistograms("serve.queue.depth", cfg.models);
+
     auto tryDispatch = [&](int m, double t) {
         const auto mi = static_cast<std::size_t>(m);
         if (swap_paused[mi])
@@ -347,8 +302,6 @@ runServer(const ServeConfig &cfg)
                     pool.instances()[static_cast<std::size_t>(idx)]
                         .device,
                     idx);
-                mm[mi].batches.add();
-                mm[mi].batch_size.record(pd.batch);
             });
     };
 
@@ -365,12 +318,10 @@ runServer(const ServeConfig &cfg)
                   int m = r.model;
                   auto &q = queues[static_cast<std::size_t>(m)];
                   q.observeArrival(e.t);
-                  mm[static_cast<std::size_t>(m)].offered.add();
                   if (degraded[static_cast<std::size_t>(m)]) {
                       // No backend exists for this model; shed
                       // instead of queueing forever.
                       r.outcome = Outcome::kShed;
-                      mm[static_cast<std::size_t>(m)].shed.add();
                       break;
                   }
                   if (cfg.admission_control) {
@@ -386,15 +337,12 @@ runServer(const ServeConfig &cfg)
                           q.rateHz());
                       if (est_s * 1e3 > r.slo_ms) {
                           r.outcome = Outcome::kShed;
-                          mm[static_cast<std::size_t>(m)]
-                              .shed.add();
                           break;
                       }
                   }
                   q.push(r.id, e.t);
-                  mm[static_cast<std::size_t>(m)]
-                      .queue_depth.record(
-                          static_cast<double>(q.size()));
+                  queue_depth[static_cast<std::size_t>(m)].record(
+                      static_cast<double>(q.size()));
                   tryDispatch(m, e.t);
                   break;
               }
@@ -600,12 +548,16 @@ runServer(const ServeConfig &cfg)
     }
 
     // Fold measured completions back into the request table and the
-    // predictor-error metric (instance order, then plan order —
-    // deterministic).
+    // predictor-error and batch-size metrics (instance order, then
+    // plan order — deterministic).
     std::vector<double> mae_sum(static_cast<std::size_t>(n_models), 0.0);
     for (int m = 0; m < n_models; m++)
         stats[static_cast<std::size_t>(m)].versions.resize(
             versions[static_cast<std::size_t>(m)].size());
+    std::vector<obs::Histogram> predictor_err =
+        modelHistograms("serve.predictor.error_pct", cfg.models);
+    std::vector<obs::Histogram> batch_size =
+        modelHistograms("serve.batch.size", cfg.models);
     FoldCounts folded;
     {
         EDGERT_SPAN("serve_fold",
@@ -618,7 +570,8 @@ runServer(const ServeConfig &cfg)
                 double err_pct =
                     std::fabs(pd.predicted_service_s - actual_s) /
                     actual_s * 100.0;
-                mm[m].predictor_err.record(err_pct);
+                predictor_err[m].record(err_pct);
+                batch_size[m].record(pd.batch);
                 mae_sum[m] += err_pct;
                 stats[m].versions[static_cast<std::size_t>(pd.version)]
                     .batches++;
@@ -669,10 +622,18 @@ runServer(const ServeConfig &cfg)
             s.active_build_id =
                 mv[static_cast<std::size_t>(active[mi])].build_id;
             s.fill(by_model[mi], folded, mi, cfg.duration_s);
-            for (double ms : by_model[mi].latency_ms)
-                mm[mi].latency_ms.record(ms);
-            mm[mi].completed.add(s.completed);
-            mm[mi].violations.add(s.slo_violations);
+            const obs::Labels ml = {{"model", mc.model}};
+            for (const auto &[name, n] :
+                 {std::pair{"serve.request.offered", s.offered},
+                  {"serve.request.shed", s.shed},
+                  {"serve.request.completed", s.completed},
+                  {"serve.request.slo_violations", s.slo_violations},
+                  {"serve.batch.dispatched", s.batches},
+                  {"serve.engine.load_failures", s.load_failures},
+                  {"serve.engine.rebuilds", s.rebuilds}})
+                reg.counter(name, ml).add(n);
+            reg.histogram("serve.request.latency_ms", ml)
+                .recordBatch(by_model[mi].latency_ms);
             // Mean absolute predictor error over the model's batches.
             if (s.batches > 0)
                 s.predictor_mae_pct =
@@ -945,12 +906,12 @@ ServeReport::toJson() const
         w.field("admitted", watch.admitted);
         w.field("shed", watch.shed);
         w.field("completed", watch.completed);
-        w.field("page_alerts", watch.page_alerts);
-        w.field("warn_alerts", watch.warn_alerts);
-        w.field("clear_alerts", watch.clear_alerts);
+        w.field("page_alerts", watch.alert_counts.pages);
+        w.field("warn_alerts", watch.alert_counts.warns);
+        w.field("clear_alerts", watch.alert_counts.clears);
         w.field("anomalies", watch.anomalies);
         w.field("incidents", watch.incidents);
-        w.field("first_page_s", watch.first_page_s);
+        w.field("first_page_s", watch.alert_counts.first_page_s);
         w.key("models").beginArray();
         for (const watch::ModelWatchStats &m : watch.models) {
             w.beginObject(Layout::Inline);

@@ -55,35 +55,6 @@ struct FrameRec
     }
 };
 
-/** Per-model obs:: handles (created once, recorded in sim order). */
-struct ModelMetrics
-{
-    obs::Counter produced;
-    obs::Counter dropped;
-    obs::Counter completed;
-    obs::Counter stale;
-    obs::Counter batches;
-    obs::Histogram batch_size;
-    obs::Histogram age_ms;
-
-    explicit ModelMetrics(const std::string &model)
-        : produced(obs::MetricRegistry::global().counter(
-              "stream.frame.produced", {{"model", model}})),
-          dropped(obs::MetricRegistry::global().counter(
-              "stream.frame.dropped", {{"model", model}})),
-          completed(obs::MetricRegistry::global().counter(
-              "stream.frame.completed", {{"model", model}})),
-          stale(obs::MetricRegistry::global().counter(
-              "stream.frame.stale", {{"model", model}})),
-          batches(obs::MetricRegistry::global().counter(
-              "stream.batch.dispatched", {{"model", model}})),
-          batch_size(obs::MetricRegistry::global().histogram(
-              "stream.batch.size", {{"model", model}})),
-          age_ms(obs::MetricRegistry::global().histogram(
-              "stream.frame.age_ms", {{"model", model}}))
-    {}
-};
-
 /** Stage-duration jitter: base * max(0.1, 1 + N(0, pct/100)). */
 double
 jitteredSeconds(double base_ms, double jitter_pct, Rng &rng)
@@ -118,12 +89,8 @@ writeFreshnessFile(const std::string &path,
         w.endObject();
     }
     w.endArray();
-    const auto &r = slo.rollup();
     w.key("rollup").beginObject(JsonWriter::Layout::Inline);
-    w.field("pages", r.pages);
-    w.field("warns", r.warns);
-    w.field("clears", r.clears);
-    w.field("first_page_s", r.first_page_s);
+    slo.rollup().writeFields(w);
     w.endObject();
     w.endObject();
     f << w.str() << "\n";
@@ -143,10 +110,6 @@ runStreams(const StreamConfig &cfg)
 
     const int n_models = static_cast<int>(cfg.models.size());
     const int n_devices = static_cast<int>(cfg.devices.size());
-
-    std::vector<ModelMetrics> mm;
-    for (const auto &mc : cfg.models)
-        mm.emplace_back(mc.model);
 
     // ------------------------------------------------------------
     // Build: one calibrated engine ladder per (model, device) with a
@@ -315,8 +278,6 @@ runStreams(const StreamConfig &cfg)
                 for (std::int64_t id : pd.request_ids)
                     frames[static_cast<std::size_t>(id)].dispatch_s =
                         pd.t_s;
-                mm[mi].batches.add();
-                mm[mi].batch_size.record(pd.batch);
             });
     };
 
@@ -386,8 +347,15 @@ runStreams(const StreamConfig &cfg)
     {
         EDGERT_SPAN("stream_fold",
                     {{"frames", std::to_string(frames.size())}});
-        folded = serve::foldReplay(pool.instances(), n_models, frames,
-                                   FrameRec::kCompleted);
+        std::vector<obs::Histogram> batch_size =
+            serve::modelHistograms("stream.batch.size", cfg.models);
+        folded = serve::foldReplay(
+            pool.instances(), n_models, frames, FrameRec::kCompleted,
+            [&](const serve::Instance &inst,
+                const serve::PlannedDispatch &pd) {
+                batch_size[static_cast<std::size_t>(inst.model)].record(
+                    pd.batch);
+            });
         // Completed frames by (model, stream, done, seq); each
         // camera's postprocess chain is one run of that order.
         std::vector<std::int64_t> done;
@@ -418,7 +386,7 @@ runStreams(const StreamConfig &cfg)
 
     // ------------------------------------------------------------
     // Freshness: terminal outcomes feed the per-model trackers (and
-    // the metric registry) in frame-id order, and the per-(model,
+    // the frame-age histograms) in frame-id order, and the per-(model,
     // stream) SloTrackerSet in time order so its sliding windows
     // see a monotone clock. A dropped frame is bad at its drop
     // time; a completed frame is bad at postprocess-done when its
@@ -426,7 +394,9 @@ runStreams(const StreamConfig &cfg)
     // is named `<model>/cam<stream>`.
     // ------------------------------------------------------------
     std::vector<FreshnessTracker> fresh;
-    watch::SloTrackerSet slo(cfg.watch.sloConfig());
+    std::vector<obs::Histogram> age_ms =
+        serve::modelHistograms("stream.frame.age_ms", cfg.models);
+    watch::SloTrackerSet slo(cfg.watch.slo_objective_pct);
     std::vector<int> first_lane;
     {
         EDGERT_SPAN("stream_freshness",
@@ -440,21 +410,14 @@ runStreams(const StreamConfig &cfg)
         for (const FrameRec &fr : frames) {
             auto m = static_cast<std::size_t>(fr.model);
             fresh[m].onProduced(fr.stream);
-            mm[m].produced.add();
             switch (fr.outcome) {
               case FrameRec::kDropped:
                   fresh[m].onDropped(fr.stream);
-                  mm[m].dropped.add();
                   break;
-              case FrameRec::kCompleted: {
-                  double age = fr.ageMs();
-                  fresh[m].onCompleted(fr.stream, age);
-                  mm[m].completed.add();
-                  mm[m].age_ms.record(age);
-                  if (age > cfg.models[m].stale_ms)
-                      mm[m].stale.add();
+              case FrameRec::kCompleted:
+                  fresh[m].onCompleted(fr.stream, fr.ageMs());
+                  age_ms[m].record(fr.ageMs());
                   break;
-              }
               case FrameRec::kInFlight:
                   fresh[m].onLeftInFlight(fr.stream);
                   break;
@@ -509,10 +472,7 @@ runStreams(const StreamConfig &cfg)
     {
         EDGERT_SPAN("stream_report",
                     {{"models", std::to_string(n_models)}});
-        report.freshness_pages = slo.rollup().pages;
-        report.freshness_warns = slo.rollup().warns;
-        report.freshness_clears = slo.rollup().clears;
-        report.first_page_s = slo.rollup().first_page_s;
+        report.freshness = slo.rollup();
 
         // Stage attribution over completed frames in one frame-id-order
         // pass; the infer stages reuse watch::RequestTrace's breakdown.
@@ -556,6 +516,14 @@ runStreams(const StreamConfig &cfg)
             s.conserved = fresh[mi].conserved();
             s.batches = folded.batches[mi];
             s.mean_batch = folded.meanBatch(mi);
+            const obs::Labels ml = {{"model", mc.model}};
+            for (const auto &[name, n] :
+                 {std::pair{"stream.frame.produced", s.freshness.produced},
+                  {"stream.frame.dropped", s.freshness.dropped},
+                  {"stream.frame.completed", s.freshness.completed},
+                  {"stream.frame.stale", s.freshness.stale_completed},
+                  {"stream.batch.dispatched", s.batches}})
+                obs::MetricRegistry::global().counter(name, ml).add(n);
             const FrameStageSums &st = stages[mi];
             s.infer_mean_ms = st.infer.mean();
             if (st.infer.n > 0) {
@@ -649,10 +617,7 @@ StreamReport::toJson() const
     w.endArray();
     serve::writeDevicesJson(w, devices);
     w.key("freshness").beginObject(Layout::Inline);
-    w.field("pages", freshness_pages);
-    w.field("warns", freshness_warns);
-    w.field("clears", freshness_clears);
-    w.field("first_page_s", first_page_s);
+    freshness.writeFields(w);
     w.endObject();
     w.endObject();
     return w.str() + "\n";

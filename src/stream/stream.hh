@@ -98,11 +98,10 @@ struct StreamConfig
     std::string trace_out;
 
     /**
-     * Freshness alerting knobs: the burn-rate thresholds and
-     * windows come from here (watch.enabled additionally writes
-     * the freshness report to watch.out_path). The per-(model,
-     * stream) SloTrackerSet always runs — it is how the report's
-     * alert counts are computed.
+     * Freshness alerting: the objective comes from here
+     * (watch.enabled additionally writes the freshness report to
+     * watch.out_path). The per-(model, stream) SloTrackerSet always
+     * runs — it is how the report's alert counts are computed.
      */
     watch::WatchConfig watch;
 };
@@ -152,11 +151,8 @@ struct StreamReport
     std::vector<StreamModelStats> models;
     std::vector<serve::DeviceStats> devices;
 
-    // Freshness-alert rollup over every (model, stream) key.
-    std::int64_t freshness_pages = 0;
-    std::int64_t freshness_warns = 0;
-    std::int64_t freshness_clears = 0;
-    double first_page_s = -1.0; //!< -1 = no page fired
+    /** Freshness alerts over every (model, stream) lane. */
+    watch::AlertCounts freshness;
 
     /** Canonical JSON (deterministic field order and numbers). */
     std::string toJson() const;

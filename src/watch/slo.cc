@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace edgert::watch {
@@ -105,25 +106,47 @@ alertTierName(Alert::Tier tier)
     return "unknown";
 }
 
-SloTracker::SloTracker(std::string model, const Config &cfg)
-    : model_(std::move(model)),
-      cfg_(cfg),
-      budget_(1.0 - cfg.objective_pct / 100.0),
-      fast_(cfg.fast_window_s),
-      mid_(cfg.mid_window_s),
-      slow_(cfg.slow_window_s)
+void
+AlertCounts::add(const Alert &a)
 {
-    if (cfg.objective_pct <= 0.0 || cfg.objective_pct >= 100.0)
+    switch (a.tier) {
+      case Alert::kPage:
+        pages++;
+        if (first_page_s < 0.0)
+            first_page_s = a.t_s;
+        break;
+      case Alert::kWarn: warns++; break;
+      case Alert::kNone: clears++; break;
+    }
+}
+
+void
+AlertCounts::writeFields(JsonWriter &w) const
+{
+    w.field("pages", pages);
+    w.field("warns", warns);
+    w.field("clears", clears);
+    w.field("first_page_s", first_page_s);
+}
+
+SloTracker::SloTracker(std::string model, double objective_pct)
+    : model_(std::move(model)),
+      budget_(1.0 - objective_pct / 100.0),
+      fast_(kFastWindowS),
+      mid_(kMidWindowS),
+      slow_(kSlowWindowS)
+{
+    if (objective_pct <= 0.0 || objective_pct >= 100.0)
         fatal("SLO objective must be in (0, 100) percent (got ",
-              cfg.objective_pct, ")");
+              objective_pct, ")");
 }
 
 Alert::Tier
 SloTracker::computeTier(const BurnRates &b) const
 {
-    if (b.fast >= cfg_.page_burn && b.mid >= cfg_.page_burn)
+    if (b.fast >= kPageBurn && b.mid >= kPageBurn)
         return Alert::kPage;
-    if (b.mid >= cfg_.warn_burn && b.slow >= cfg_.warn_burn)
+    if (b.mid >= kWarnBurn && b.slow >= kWarnBurn)
         return Alert::kWarn;
     return Alert::kNone;
 }
@@ -151,7 +174,6 @@ SloTracker::observe(double t_s, bool bad)
     BurnRates b = burnRates();
     Alert::Tier next = computeTier(b);
     Alert a;
-    a.model = model_;
     a.burn = b;
     a.window_total = fast_.total();
     if (next == tier_) {
@@ -161,6 +183,7 @@ SloTracker::observe(double t_s, bool bad)
     }
     tier_ = next;
     a.t_s = t_s;
+    a.model = model_;
     a.tier = next;
     return a;
 }
@@ -168,7 +191,7 @@ SloTracker::observe(double t_s, bool bad)
 int
 SloTrackerSet::addLane(std::string name)
 {
-    trackers_.emplace_back(std::move(name), cfg_);
+    trackers_.emplace_back(std::move(name), objective_pct_);
     return static_cast<int>(trackers_.size()) - 1;
 }
 
@@ -177,17 +200,8 @@ SloTrackerSet::observe(int lane, double t_s, bool bad)
 {
     Alert a = trackers_.at(static_cast<std::size_t>(lane)).observe(
         t_s, bad);
-    if (a.t_s >= 0.0) {
-        switch (a.tier) {
-          case Alert::kPage:
-            rollup_.pages++;
-            if (rollup_.first_page_s < 0.0)
-                rollup_.first_page_s = a.t_s;
-            break;
-          case Alert::kWarn: rollup_.warns++; break;
-          case Alert::kNone: rollup_.clears++; break;
-        }
-    }
+    if (a.t_s >= 0.0)
+        rollup_.add(a);
     return a;
 }
 

@@ -8,8 +8,8 @@
  * time).
  *
  * Each served model gets one SloTracker holding three ring-bucket
- * sliding windows (fast / mid / slow, default 1 s / 10 s / 60 s of
- * sim time) over its terminal request outcomes. An outcome is *bad*
+ * sliding windows (fast / mid / slow: 1 s / 10 s / 60 s of sim
+ * time) over its terminal request outcomes. An outcome is *bad*
  * when the request was shed or completed past its deadline. With an
  * objective of `slo_objective_pct` (e.g. 99), the error budget is
  * `1 - objective/100` and a window's burn rate is
@@ -21,15 +21,19 @@
  * the objective allows; burn = 14.4 on a 99.9% objective is the
  * classic "page: budget gone in two days" threshold. Alerting is
  * multi-window to reject blips: *page* requires the fast AND mid
- * windows both over the page threshold, *warn* requires mid AND
- * slow both over the warn threshold. Tier changes are edge-
- * triggered: observe() returns an Alert only on a transition (to
- * page, to warn, or back to none — a "clear").
+ * windows both at or over 14.4, *warn* requires mid AND slow both
+ * at or over 6. Only the objective is configurable. Tier changes
+ * are edge-triggered: observe() returns an Alert only on a
+ * transition (to page, to warn, or back to none — a "clear").
  */
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+namespace edgert {
+class JsonWriter;
+}
 
 namespace edgert::watch {
 
@@ -91,7 +95,7 @@ struct Alert
     enum Tier { kNone, kWarn, kPage };
 
     double t_s = 0.0;
-    std::string model;
+    std::string model; //!< set only on a transition
     Tier tier = kNone; //!< new tier; kNone = the alert cleared
     BurnRates burn;    //!< burn rates at the transition
     std::int64_t window_total = 0; //!< fast-window sample count
@@ -100,27 +104,42 @@ struct Alert
 /** Stable wire name of an alert tier ("none", "warn", "page"). */
 const char *alertTierName(Alert::Tier tier);
 
+/** Tally of tier transitions: pages, warns, clears and the time of
+ *  the first page. */
+struct AlertCounts
+{
+    std::int64_t pages = 0;
+    std::int64_t warns = 0;
+    std::int64_t clears = 0;
+    double first_page_s = -1.0; //!< -1 = no page fired
+
+    /** Count one transition alert (t_s >= 0). */
+    void add(const Alert &a);
+
+    /** Write pages, warns, clears and first_page_s into the object
+     *  `w` has open. */
+    void writeFields(JsonWriter &w) const;
+};
+
 /** Multi-window burn-rate SLO tracker for one model. */
 class SloTracker
 {
   public:
-    struct Config
-    {
-        double objective_pct = 99.0; //!< SLO attainment objective
-        double page_burn = 14.4;     //!< fast+mid page threshold
-        double warn_burn = 6.0;      //!< mid+slow warn threshold
-        double fast_window_s = 1.0;
-        double mid_window_s = 10.0;
-        double slow_window_s = 60.0;
-    };
+    static constexpr double kPageBurn = 14.4; //!< fast+mid page threshold
+    static constexpr double kWarnBurn = 6.0;  //!< mid+slow warn threshold
+    static constexpr double kFastWindowS = 1.0;
+    static constexpr double kMidWindowS = 10.0;
+    static constexpr double kSlowWindowS = 60.0;
 
-    SloTracker(std::string model, const Config &cfg);
+    /** @param objective_pct SLO attainment objective, in (0, 100). */
+    SloTracker(std::string model, double objective_pct);
 
     /**
      * Record one terminal request outcome (bad = shed or SLO miss).
      * Returns the tier-transition alert when this observation moved
      * the tracker across a threshold, else an Alert with the
-     * current tier and t_s < 0 (sentinel: no transition).
+     * current tier, no model name and t_s < 0 (sentinel: no
+     * transition).
      */
     Alert observe(double t_s, bool bad);
 
@@ -137,7 +156,6 @@ class SloTracker
     Alert::Tier computeTier(const BurnRates &b) const;
 
     std::string model_;
-    Config cfg_;
     double budget_;
     SlidingWindow fast_;
     SlidingWindow mid_;
@@ -148,30 +166,20 @@ class SloTracker
 };
 
 /**
- * A family of SloTrackers sharing one Config over dense lane ids — the
- * per-lane rollup the streaming layer uses for per-stream freshness
- * alerts (and any future per-tenant / per-node split). Lanes are
+ * A family of SloTrackers sharing one objective over dense lane ids:
+ * EdgeWatch's per-model trackers, fleet's per-node trackers and
+ * stream's per-(model, camera) freshness trackers. Lanes are
  * registered once by name and observed by id, so the hot path never
  * builds or looks up a string; names matter only at report time. The
- * rollup accumulates every lane's tier transitions so a caller gets
- * fleet totals (pages, warns, clears, first page time) without walking
- * the lanes itself.
+ * rollup tallies every lane's tier transitions so a caller gets
+ * totals without walking the lanes itself.
  */
 class SloTrackerSet
 {
   public:
-    explicit SloTrackerSet(const SloTracker::Config &cfg)
-        : cfg_(cfg)
+    explicit SloTrackerSet(double objective_pct = 99.0)
+        : objective_pct_(objective_pct)
     {}
-
-    /** Tier-transition totals across every lane in the set. */
-    struct Rollup
-    {
-        std::int64_t pages = 0;
-        std::int64_t warns = 0;
-        std::int64_t clears = 0;
-        double first_page_s = -1.0; //!< -1 = no page fired
-    };
 
     /** Register a lane named `name`; returns its id. Ids count up
      *  from 0 in registration order. */
@@ -195,12 +203,13 @@ class SloTrackerSet
      *  report built from the set is deterministic. */
     std::vector<int> observedByName() const;
 
-    const Rollup &rollup() const { return rollup_; }
+    /** Tier transitions across every lane in the set. */
+    const AlertCounts &rollup() const { return rollup_; }
 
   private:
-    SloTracker::Config cfg_;
+    double objective_pct_;
     std::vector<SloTracker> trackers_; //!< by lane id
-    Rollup rollup_;
+    AlertCounts rollup_;
 };
 
 } // namespace edgert::watch

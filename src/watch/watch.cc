@@ -68,19 +68,6 @@ writeAnomaly(JsonWriter &w, const AnomalyFinding &f)
 
 } // namespace
 
-SloTracker::Config
-WatchConfig::sloConfig() const
-{
-    SloTracker::Config c;
-    c.objective_pct = slo_objective_pct;
-    c.page_burn = page_burn;
-    c.warn_burn = warn_burn;
-    c.fast_window_s = fast_window_s;
-    c.mid_window_s = mid_window_s;
-    c.slow_window_s = slow_window_s;
-    return c;
-}
-
 void
 StageSums::add(const RequestTrace &rt)
 {
@@ -119,6 +106,7 @@ EdgeWatch::EdgeWatch(const WatchConfig &cfg,
       models_(std::move(models)),
       slo_ms_(std::move(model_slo_ms)),
       device_names_(device_names),
+      trackers_(cfg.slo_objective_pct),
       recorder_(cfg.flight_recorder_depth),
       anomaly_(
           AnomalyDetector::Config{cfg.anomaly_window,
@@ -131,7 +119,7 @@ EdgeWatch::EdgeWatch(const WatchConfig &cfg,
         fatal("EdgeWatch: ", models_.size(), " models vs ",
               slo_ms_.size(), " SLOs");
     for (const std::string &m : models_)
-        trackers_.emplace_back(m, cfg.sloConfig());
+        trackers_.addLane(m);
     summary_.enabled = true;
 }
 
@@ -166,8 +154,7 @@ EdgeWatch::onShed(double t_s, int model, std::int64_t id)
     e.id = id;
     recorder_.record(e);
     // A shed consumed error budget: the request got no service.
-    handleAlert(trackers_[static_cast<std::size_t>(model)].observe(
-        t_s, true));
+    handleAlert(trackers_.observe(model, t_s, true));
 }
 
 void
@@ -221,8 +208,7 @@ EdgeWatch::onComplete(const RequestTrace &rt)
     if (static_cast<int>(slow.size()) > cfg_.slow_trace_count)
         slow.pop_back();
 
-    handleAlert(trackers_[static_cast<std::size_t>(rt.model)]
-                    .observe(rt.done_s, bad));
+    handleAlert(trackers_.observe(rt.model, rt.done_s, bad));
 
     auto finding =
         anomaly_.observe(rt.done_s, name, rt.device, rt.totalMs());
@@ -286,15 +272,6 @@ EdgeWatch::handleAlert(const Alert &a)
 {
     if (a.t_s < 0.0)
         return; // no tier transition
-    switch (a.tier) {
-      case Alert::kPage:
-        summary_.page_alerts++;
-        if (summary_.first_page_s < 0.0)
-            summary_.first_page_s = a.t_s;
-        break;
-      case Alert::kWarn: summary_.warn_alerts++; break;
-      case Alert::kNone: summary_.clear_alerts++; break;
-    }
     summary_.alerts.push_back(a);
     obs::MetricRegistry::global()
         .counter("watch.alert.fired",
@@ -364,16 +341,20 @@ void
 EdgeWatch::finish()
 {
     for (std::size_t m = 0; m < models_.size(); m++) {
-        SloTracker &tr = trackers_[m];
         ModelWatchStats ms;
         ms.model = models_[m];
-        ms.tier = tr.tier();
-        ms.burn = tr.burnRates();
-        ms.observed = tr.total();
-        ms.bad = tr.bad();
+        // A model never observed keeps tier none, zero burn.
+        if (const SloTracker *tr =
+                trackers_.find(static_cast<int>(m))) {
+            ms.tier = tr->tier();
+            ms.burn = tr->burnRates();
+            ms.observed = tr->total();
+            ms.bad = tr->bad();
+        }
         ms.stage_mean_ms = stages_[m].mean();
         summary_.models.push_back(std::move(ms));
     }
+    summary_.alert_counts = trackers_.rollup();
     finished_ = true;
 }
 
@@ -387,23 +368,23 @@ EdgeWatch::reportJson() const
     w.beginObject();
     w.key("config").beginObject(Layout::Inline);
     w.field("slo_objective_pct", cfg_.slo_objective_pct);
-    w.field("page_burn", cfg_.page_burn);
-    w.field("warn_burn", cfg_.warn_burn);
-    w.field("fast_window_s", cfg_.fast_window_s);
-    w.field("mid_window_s", cfg_.mid_window_s);
-    w.field("slow_window_s", cfg_.slow_window_s);
+    w.field("page_burn", SloTracker::kPageBurn);
+    w.field("warn_burn", SloTracker::kWarnBurn);
+    w.field("fast_window_s", SloTracker::kFastWindowS);
+    w.field("mid_window_s", SloTracker::kMidWindowS);
+    w.field("slow_window_s", SloTracker::kSlowWindowS);
     w.field("flight_recorder_depth", cfg_.flight_recorder_depth);
     w.endObject();
     w.key("totals").beginObject(Layout::Inline);
     w.field("admitted", summary_.admitted);
     w.field("shed", summary_.shed);
     w.field("completed", summary_.completed);
-    w.field("page_alerts", summary_.page_alerts);
-    w.field("warn_alerts", summary_.warn_alerts);
-    w.field("clear_alerts", summary_.clear_alerts);
+    w.field("page_alerts", summary_.alert_counts.pages);
+    w.field("warn_alerts", summary_.alert_counts.warns);
+    w.field("clear_alerts", summary_.alert_counts.clears);
     w.field("anomalies", summary_.anomalies);
     w.field("incidents", summary_.incidents);
-    w.field("first_page_s", summary_.first_page_s);
+    w.field("first_page_s", summary_.alert_counts.first_page_s);
     w.endObject();
 
     w.key("models").beginArray();

@@ -14,8 +14,8 @@
  *    queue / dispatch-wait / upload / compute / download breakdown,
  *    and the slowest N requests are retained for the report and the
  *    chrome-trace export;
- *  - per-model SloTracker instances (multi-window error-budget burn
- *    rates, page/warn alerts — see slo.hh);
+ *  - a SloTrackerSet with one lane per model (multi-window
+ *    error-budget burn rates, page/warn alerts — see slo.hh);
  *  - a FlightRecorder ring of recent events, dumped as a
  *    byte-deterministic JSON incident file on every page alert and
  *    swap rollback;
@@ -50,12 +50,9 @@ struct WatchConfig
      *  ("" = keep incident documents in memory only). */
     std::string incident_prefix;
 
+    /** SLO objective of every SloTracker (the burn thresholds and
+     *  windows are SloTracker constants). */
     double slo_objective_pct = 99.0;
-    double page_burn = 14.4;
-    double warn_burn = 6.0;
-    double fast_window_s = 1.0;
-    double mid_window_s = 10.0;
-    double slow_window_s = 60.0;
 
     int flight_recorder_depth = 256;
     int max_incidents = 8;  //!< later triggers only count
@@ -64,10 +61,6 @@ struct WatchConfig
     int anomaly_window = 64;
     int anomaly_min_samples = 16;
     double anomaly_margin_pct = 10.0;
-
-    /** The objective, burn thresholds and windows as the Config of
-     *  one SloTracker. */
-    SloTracker::Config sloConfig() const;
 };
 
 /** Per-stage attribution of one request (simulated seconds). */
@@ -142,12 +135,9 @@ struct WatchSummary
     std::int64_t admitted = 0;
     std::int64_t shed = 0;
     std::int64_t completed = 0;
-    std::int64_t page_alerts = 0;
-    std::int64_t warn_alerts = 0;
-    std::int64_t clear_alerts = 0;
+    AlertCounts alert_counts;
     std::int64_t anomalies = 0;
     std::int64_t incidents = 0;
-    double first_page_s = -1.0; //!< -1 = no page alert fired
 
     std::vector<ModelWatchStats> models;
     std::vector<Alert> alerts;
@@ -222,7 +212,7 @@ class EdgeWatch
     std::vector<double> slo_ms_;
     std::vector<std::string> device_names_;
 
-    std::vector<SloTracker> trackers_;
+    SloTrackerSet trackers_; //!< lane = model index
     FlightRecorder recorder_;
     AnomalyDetector anomaly_;
     std::vector<StageSums> stages_; //!< per model

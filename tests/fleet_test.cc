@@ -177,6 +177,45 @@ TEST(Fleet, LoadedFailoverReroutesAndConserves)
     EXPECT_EQ(in_groups, rep.completed);
 }
 
+// Past the fleet's capacity every node pages: the per-group counts
+// sum to the fleet totals, list in group-name order (agx1 before
+// nx0, the reverse of group-id order), and each page quarantines
+// its node.
+TEST(Fleet, NodePagesRollUpByGroupInNameOrder)
+{
+    fleet::FleetConfig cfg = smallFleet();
+    cfg.models[0].arrivals.qps = 4000.0;
+    fleet::FleetReport rep = fleet::runFleet(cfg);
+
+    EXPECT_EQ(rep.alerts.pages, 4);
+    EXPECT_EQ(rep.alerts.warns, 8);
+    EXPECT_EQ(rep.alerts.clears, 0);
+    EXPECT_NEAR(rep.alerts.first_page_s, 0.2352, 5e-5);
+
+    ASSERT_EQ(rep.alerts_by_group.size(), 2u);
+    EXPECT_EQ(rep.alerts_by_group[0].first, "agx1");
+    EXPECT_EQ(rep.alerts_by_group[1].first, "nx0");
+    std::int64_t pages = 0, warns = 0, clears = 0;
+    for (const auto &[group, c] : rep.alerts_by_group) {
+        pages += c.pages;
+        warns += c.warns;
+        clears += c.clears;
+    }
+    EXPECT_EQ(pages, rep.alerts.pages);
+    EXPECT_EQ(warns, rep.alerts.warns);
+    EXPECT_EQ(clears, rep.alerts.clears);
+    EXPECT_EQ(rep.alerts_by_group[0].second.pages, 1);
+    EXPECT_EQ(rep.alerts_by_group[1].second.pages, 3);
+    EXPECT_EQ(rep.alerts_by_group[0].second.warns, 2);
+    EXPECT_EQ(rep.alerts_by_group[1].second.warns, 6);
+
+    std::int64_t page_quarantines = 0;
+    for (const fleet::FleetEvent &e : rep.events)
+        if (e.kind == "quarantine" && e.reason == "slo_page")
+            page_quarantines++;
+    EXPECT_EQ(page_quarantines, rep.alerts.pages);
+}
+
 TEST(Fleet, ValidatesConfig)
 {
     fleet::FleetConfig none;

@@ -122,6 +122,30 @@ TEST(Server, SameSeedRunsAreByteIdentical)
     EXPECT_FALSE(metrics_a.empty());
 }
 
+// The per-model request and batch metrics agree with the report:
+// an overloaded run sheds, so every counter is exercised.
+TEST(Server, RegistryCountersMatchTheReport)
+{
+    MetricRegistry::global().reset();
+    ServeConfig cfg = smallConfig(900, 10, true);
+    cfg.devices.push_back(parseDevice("agx"));
+    ServeReport rep = runServer(cfg);
+    MetricRegistry &reg = MetricRegistry::global();
+    const ModelStats &m = rep.models.front();
+    const obs::Labels ml = {{"model", m.model}};
+    ASSERT_GT(m.shed, 0);
+    EXPECT_EQ(reg.counter("serve.request.offered", ml).value(), m.offered);
+    EXPECT_EQ(reg.counter("serve.request.shed", ml).value(), m.shed);
+    EXPECT_EQ(reg.counter("serve.request.completed", ml).value(),
+              m.completed);
+    EXPECT_EQ(reg.counter("serve.request.slo_violations", ml).value(),
+              m.slo_violations);
+    EXPECT_EQ(reg.counter("serve.batch.dispatched", ml).value(),
+              m.batches);
+    EXPECT_EQ(reg.histogram("serve.batch.size", ml).count(),
+              static_cast<std::uint64_t>(m.batches));
+}
+
 TEST(Server, SeedChangesTheWorkload)
 {
     ServeConfig cfg = smallConfig(250, 25, true);

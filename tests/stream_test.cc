@@ -246,8 +246,8 @@ TEST(RunStreams, SkipToLatestBeatsBlockOnStaleRateAtOverload)
               block.models.front().freshness.stale_rate_pct);
     // Freshness pages must fire under overload and land in the
     // report rollup.
-    EXPECT_GT(skip.freshness_pages, 0);
-    EXPECT_GE(skip.first_page_s, 0.0);
+    EXPECT_GT(skip.freshness.pages, 0);
+    EXPECT_GE(skip.freshness.first_page_s, 0.0);
 }
 
 TEST(RunStreams, UnderProvisionedRunStaysFreshAndQuiet)
@@ -266,8 +266,8 @@ TEST(RunStreams, UnderProvisionedRunStaysFreshAndQuiet)
     EXPECT_TRUE(m.conserved);
     EXPECT_EQ(m.freshness.dropped, 0);
     EXPECT_DOUBLE_EQ(m.freshness.stale_rate_pct, 0.0);
-    EXPECT_EQ(rep.freshness_pages, 0);
-    EXPECT_DOUBLE_EQ(rep.first_page_s, -1.0);
+    EXPECT_EQ(rep.freshness.pages, 0);
+    EXPECT_DOUBLE_EQ(rep.freshness.first_page_s, -1.0);
     // The staged pipeline attributes every stage: decode and
     // preprocess means sit near their configured costs.
     EXPECT_NEAR(m.decode_mean_ms, mc.stages.decode_ms,

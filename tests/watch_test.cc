@@ -60,8 +60,7 @@ TEST(SlidingWindow, ForgetsOutcomesPastItsSpan)
 
 TEST(SloTracker, MultiWindowRejectsBlipsThenPagesAndClears)
 {
-    SloTracker::Config cfg; // objective 99% -> budget 0.01
-    SloTracker tr("m", cfg);
+    SloTracker tr("m", 99.0); // budget 0.01
     EXPECT_NEAR(tr.errorBudget(), 0.01, 1e-12);
 
     // A healthy baseline fills the mid/slow windows with goods.
@@ -79,8 +78,8 @@ TEST(SloTracker, MultiWindowRejectsBlipsThenPagesAndClears)
         if (a.t_s >= 0.0 && a.tier == Alert::kPage) {
             pages++;
             page_t = a.t_s;
-            EXPECT_GE(a.burn.fast, cfg.page_burn);
-            EXPECT_GE(a.burn.mid, cfg.page_burn);
+            EXPECT_GE(a.burn.fast, SloTracker::kPageBurn);
+            EXPECT_GE(a.burn.mid, SloTracker::kPageBurn);
             EXPECT_GT(i, 0) << "paged on the first bad outcome";
         }
     }
@@ -98,8 +97,7 @@ TEST(SloTracker, MultiWindowRejectsBlipsThenPagesAndClears)
 
 TEST(SloTracker, SustainedModerateBurnWarnsWithoutPaging)
 {
-    SloTracker::Config cfg;
-    SloTracker tr("m", cfg);
+    SloTracker tr("m", 99.0);
     int warns = 0, pages = 0;
     // 1 bad in 11 => fraction ~0.091: burn 9.1 is over the warn
     // threshold (6) but under the page threshold (14.4).
@@ -130,8 +128,7 @@ lanesAtTier(const SloTrackerSet &set, Alert::Tier tier)
 
 TEST(SloTrackerSet, KeysTrackIndependentlyAndRollupAccumulates)
 {
-    SloTracker::Config cfg;
-    SloTrackerSet set(cfg);
+    SloTrackerSet set(99.0);
     // Registered out of name order; cam2 is never observed.
     const int cam1 = set.addLane("cam1");
     const int cam2 = set.addLane("cam2");
@@ -180,7 +177,7 @@ TEST(SloTrackerSet, ObservedLanesSortByNameNotId)
 {
     // Twelve cameras registered in index order list as a string sort
     // does: cam0, cam1, cam10, cam11, cam2, ...
-    SloTrackerSet set(SloTracker::Config{});
+    SloTrackerSet set;
     for (int c = 0; c < 12; c++)
         set.observe(set.addLane("m/cam" + std::to_string(c)), 0.0,
                     false);
@@ -197,9 +194,7 @@ TEST(SloTrackerSet, SharedConfigAppliesToEveryKey)
 {
     // A permissive objective (50%) halves no one: 30% bad never
     // burns past 1 on any lane, so no tracker leaves kNone.
-    SloTracker::Config cfg;
-    cfg.objective_pct = 50.0;
-    SloTrackerSet set(cfg);
+    SloTrackerSet set(50.0);
     const int a = set.addLane("a");
     const int b = set.addLane("b");
     for (int i = 0; i < 300; i++) {
@@ -463,8 +458,8 @@ TEST(EdgeWatch, OverloadPagesAndDumpsByteIdenticalIncidents)
     driveWatch(a);
     driveWatch(b);
 
-    EXPECT_GE(a.summary().page_alerts, 1);
-    EXPECT_GE(a.summary().first_page_s, 0.0);
+    EXPECT_GE(a.summary().alert_counts.pages, 1);
+    EXPECT_GE(a.summary().alert_counts.first_page_s, 0.0);
     // One incident for the page, one for the swap rollback.
     ASSERT_GE(a.incidents().size(), 2u);
     EXPECT_EQ(a.incidents()[0].first, "000-page_alert.json");
@@ -481,6 +476,28 @@ TEST(EdgeWatch, OverloadPagesAndDumpsByteIdenticalIncidents)
     EXPECT_TRUE(jsonValid(a.reportJson(), &err)) << err;
     for (const auto &[name, content] : a.incidents())
         EXPECT_TRUE(jsonValid(content, &err)) << name << ": " << err;
+}
+
+TEST(EdgeWatch, UnobservedModelReportsNoneWithZeroBurn)
+{
+    WatchConfig cfg;
+    cfg.enabled = true;
+    EdgeWatch ew(cfg, {"m0", "m1"}, {10.0, 10.0}, {"d0"}, {1.0});
+    for (int i = 0; i < 40; i++)
+        ew.onShed(i * 0.01, 0, i);
+    ew.finish();
+
+    const std::vector<ModelWatchStats> &models = ew.summary().models;
+    ASSERT_EQ(models.size(), 2u);
+    EXPECT_EQ(models[0].observed, 40);
+    EXPECT_EQ(models[0].tier, Alert::kPage);
+    EXPECT_EQ(models[1].model, "m1");
+    EXPECT_EQ(models[1].tier, Alert::kNone);
+    EXPECT_EQ(models[1].burn.fast, 0.0);
+    EXPECT_EQ(models[1].burn.mid, 0.0);
+    EXPECT_EQ(models[1].burn.slow, 0.0);
+    EXPECT_EQ(models[1].observed, 0);
+    EXPECT_EQ(models[1].bad, 0);
 }
 
 TEST(EdgeWatch, IncidentCapCountsWithoutDumping)
@@ -520,9 +537,9 @@ TEST(ServeWatch, CleanScenarioFiresNoPageAlert)
 {
     serve::ServeReport rep = serve::runServer(watchedConfig(150, 50));
     ASSERT_TRUE(rep.watch.enabled);
-    EXPECT_EQ(rep.watch.page_alerts, 0);
+    EXPECT_EQ(rep.watch.alert_counts.pages, 0);
     EXPECT_EQ(rep.watch.incidents, 0);
-    EXPECT_LT(rep.watch.first_page_s, 0.0);
+    EXPECT_LT(rep.watch.alert_counts.first_page_s, 0.0);
     EXPECT_EQ(rep.watch.admitted + rep.watch.shed,
               rep.models.front().offered);
     EXPECT_EQ(rep.watch.completed, rep.models.front().completed);
@@ -547,9 +564,9 @@ TEST(ServeWatch, InducedOverloadPagesWithFlightRecorderDump)
 {
     serve::ServeReport rep = serve::runServer(watchedConfig(900, 10));
     ASSERT_TRUE(rep.watch.enabled);
-    EXPECT_GE(rep.watch.page_alerts, 1);
-    EXPECT_GE(rep.watch.first_page_s, 0.0);
-    EXPECT_LE(rep.watch.first_page_s, 0.5);
+    EXPECT_GE(rep.watch.alert_counts.pages, 1);
+    EXPECT_GE(rep.watch.alert_counts.first_page_s, 0.0);
+    EXPECT_LE(rep.watch.alert_counts.first_page_s, 0.5);
     EXPECT_GE(rep.watch.incidents, 1);
     EXPECT_GT(rep.watch.shed, 0);
 }

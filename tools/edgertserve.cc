@@ -306,15 +306,15 @@ run(int argc, char **argv)
     if (report.watch.enabled) {
         say("[edgertserve] watch: %lld page / %lld warn alert(s), "
             "%lld anomaly(ies), %lld incident(s)%s%s\n",
-            static_cast<long long>(report.watch.page_alerts),
-            static_cast<long long>(report.watch.warn_alerts),
+            static_cast<long long>(report.watch.alert_counts.pages),
+            static_cast<long long>(report.watch.alert_counts.warns),
             static_cast<long long>(report.watch.anomalies),
             static_cast<long long>(report.watch.incidents),
             args.cfg.watch.out_path.empty() ? "" : ", report at ",
             args.cfg.watch.out_path.c_str());
-        if (report.watch.first_page_s >= 0.0)
+        if (report.watch.alert_counts.first_page_s >= 0.0)
             say("[edgertserve] watch: first page alert at %.3f s\n",
-                report.watch.first_page_s);
+                report.watch.alert_counts.first_page_s);
     }
     args.out.write("edgertserve", report.toJson(), args.cfg.trace_out);
     return 0;

@@ -177,15 +177,15 @@ run(int argc, char **argv)
                 (1024.0 * 1024.0));
     say("[edgertstream] freshness alerts: %lld page / %lld warn / "
         "%lld clear%s%s\n",
-        static_cast<long long>(report.freshness_pages),
-        static_cast<long long>(report.freshness_warns),
-        static_cast<long long>(report.freshness_clears),
+        static_cast<long long>(report.freshness.pages),
+        static_cast<long long>(report.freshness.warns),
+        static_cast<long long>(report.freshness.clears),
         args.cfg.watch.out_path.empty() ? "" : ", report at ",
         args.cfg.watch.out_path.c_str());
-    if (report.first_page_s >= 0.0)
+    if (report.freshness.first_page_s >= 0.0)
         say("[edgertstream] freshness: first page alert at "
             "%.3f s\n",
-            report.first_page_s);
+            report.freshness.first_page_s);
 
     args.out.write("edgertstream", report.toJson(), args.cfg.trace_out);
     return 0;
