@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <memory>
 
 #include "common/json.hh"
@@ -106,9 +105,6 @@ runFleet(const FleetConfig &cfg)
     // shared read-only by every node of the class. One timing cache
     // per class so rebuilds within a class stay warm.
     // ------------------------------------------------------------
-    std::vector<std::vector<int>> ladders;
-    for (const auto &mc : cfg.models)
-        ladders.push_back(serve::engineBatchLadder(mc.batching.max_batch));
     std::vector<core::TimingCache> caches(
         static_cast<std::size_t>(n_classes));
 
@@ -207,6 +203,9 @@ runFleet(const FleetConfig &cfg)
                     static_cast<int>(i));
         }
     }
+    // Per instance: the next plan entry whose predicted completion is
+    // unobserved.
+    std::vector<std::size_t> next_obs(instances.size(), 0);
 
     // ------------------------------------------------------------
     // Routing rings: one per model over the nodes actually hosting
@@ -263,9 +262,7 @@ runFleet(const FleetConfig &cfg)
         slo.addLane(fn.name);
     std::vector<watch::AlertCounts> group_alerts(fleet.groups.size());
 
-    serve::EventQueue evq;
-    for (const auto &r : requests)
-        evq.push(r.arrival_s, Event::kArrival, r.model, r.id);
+    serve::EventQueue evq(serve::requestArrivals(requests));
     for (const FailureSpec &fs : cfg.failures) {
         evq.push(fs.fail_s, Event::kFail, fs.node);
         if (fs.rejoin_s >= 0.0)
@@ -284,13 +281,14 @@ runFleet(const FleetConfig &cfg)
     }
 
     std::vector<FleetEvent> events;
-    // Next plan entry whose predicted completion is unobserved.
-    std::vector<std::size_t> next_obs;
 
-    auto viewOf = [&](int node, int m) {
-        return serve::backendView(ladders[static_cast<std::size_t>(m)],
-                                  insts_by_nm[nmSlot(node, m)],
-                                  instances, versions);
+    // Predicted sojourn of a model-m request arriving at `node` now.
+    auto sojournAt = [&](int node, int m, double t) {
+        const auto &q = queues[nmSlot(node, m)];
+        return serve::predictSojournSeconds(
+            insts_by_nm[nmSlot(node, m)], instances, versions,
+            batchers[static_cast<std::size_t>(m)].policy(),
+            static_cast<int>(q.size()), t, q.rateHz());
     };
 
     auto tryDispatch = [&](int node, int m, double t) {
@@ -323,78 +321,46 @@ runFleet(const FleetConfig &cfg)
             });
     };
 
-    // Quarantine can fire mid-observation, so declare first.
-    std::function<void(int, const char *, double)> quarantineNode;
-
-    auto trackerObserve = [&](int node, double t, bool bad) {
-        watch::Alert a = slo.observe(node, t, bad);
-        if (a.t_s < 0.0)
-            return; // no tier transition
-        const FleetNode &fn =
-            fleet.nodes[static_cast<std::size_t>(node)];
-        group_alerts[static_cast<std::size_t>(fn.group)].add(a);
-        if (a.tier == watch::Alert::kPage &&
-            cfg.quarantine_on_page &&
-            !quarantined[static_cast<std::size_t>(node)] &&
-            !failed[static_cast<std::size_t>(node)])
-            quarantineNode(node, "slo_page", t);
+    // Route request `id` of model m: the ring's owner of its key, or
+    // the least predicted sojourn among the key's successors. The
+    // chosen queue observes the arrival. Returns the node, or -1 with
+    // the request shed when no node serves m.
+    auto route = [&](int m, std::int64_t id, double t) {
+        HashRing &ring = rings[static_cast<std::size_t>(m)];
+        if (ring.empty()) {
+            requests[static_cast<std::size_t>(id)].outcome =
+                serve::Outcome::kShed;
+            return -1;
+        }
+        std::uint64_t key = ring.keyFor(id);
+        int node = -1;
+        if (cfg.route_policy == RoutePolicy::kHash) {
+            node = ring.route(key);
+        } else {
+            double best = 0.0;
+            for (int cand : ring.successors(key, cfg.sojourn_choices)) {
+                double est = sojournAt(cand, m, t);
+                if (node < 0 || est < best ||
+                    (est == best && cand < node)) {
+                    node = cand;
+                    best = est;
+                }
+            }
+        }
+        queues[nmSlot(node, m)].observeArrival(t);
+        return node;
     };
 
-    // Route one request; `admit` is false for re-routes (a request
-    // admitted once is never shed by a membership change).
-    std::function<void(int, std::int64_t, double, bool)>
-        routeRequest = [&](int m, std::int64_t id, double t,
-                           bool admit) {
-            serve::Request &r =
-                requests[static_cast<std::size_t>(id)];
-            HashRing &ring = rings[static_cast<std::size_t>(m)];
-            if (ring.empty()) {
-                r.outcome = serve::Outcome::kShed;
-                return;
-            }
-            std::uint64_t key = ring.keyFor(id);
-            int node = -1;
-            if (cfg.route_policy == RoutePolicy::kHash) {
-                node = ring.route(key);
-            } else {
-                auto cands =
-                    ring.successors(key, cfg.sojourn_choices);
-                double best = 0.0;
-                for (int cand : cands) {
-                    auto &cq = queues[nmSlot(cand, m)];
-                    double est = serve::predictSojournSeconds(
-                        viewOf(cand, m),
-                        batchers[static_cast<std::size_t>(m)].policy(),
-                        static_cast<int>(cq.size()), t,
-                        cq.rateHz());
-                    if (node < 0 || est < best ||
-                        (est == best && cand < node)) {
-                        node = cand;
-                        best = est;
-                    }
-                }
-            }
-            auto slot = nmSlot(node, m);
-            auto &q = queues[slot];
-            q.observeArrival(t);
-            if (admit && cfg.admission_control) {
-                double est_s = serve::predictSojournSeconds(
-                    viewOf(node, m),
-                    batchers[static_cast<std::size_t>(m)].policy(),
-                    static_cast<int>(q.size()), t, q.rateHz());
-                if (est_s * 1e3 > r.slo_ms) {
-                    r.outcome = serve::Outcome::kShed;
-                    trackerObserve(node, t, true);
-                    return;
-                }
-            }
-            q.push(id, t);
-            tryDispatch(node, m, t);
-        };
+    auto enqueue = [&](int node, int m, std::int64_t id, double t) {
+        queues[nmSlot(node, m)].push(id, t);
+        tryDispatch(node, m, t);
+    };
 
     // Remove a node from every ring and re-route its queued
     // requests (in-flight dispatches stay planned and drain in the
-    // replay — nothing is dropped). Returns (rerouted, remap_pct).
+    // replay — nothing is dropped). A request admitted once is never
+    // shed by a membership change, so re-routes skip admission.
+    // Returns (rerouted, remap_pct).
     auto removeAndReroute =
         [&](int node, double t) -> std::pair<std::int64_t, double> {
         std::int64_t moved = 0;
@@ -415,7 +381,8 @@ runFleet(const FleetConfig &cfg)
             auto ids = q.cut(static_cast<int>(q.size()));
             for (std::int64_t id : ids) {
                 moved++;
-                routeRequest(m, id, t, false);
+                if (int to = route(m, id, t); to >= 0)
+                    enqueue(to, m, id, t);
             }
         }
         return {moved,
@@ -433,7 +400,7 @@ runFleet(const FleetConfig &cfg)
             kind, reason, moved, remap});
     };
 
-    quarantineNode = [&](int node, const char *reason, double t) {
+    auto quarantineNode = [&](int node, const char *reason, double t) {
         quarantined[static_cast<std::size_t>(node)] = true;
         auto [moved, remap] = removeAndReroute(node, t);
         logEvent(t, node, "quarantine", reason, moved, remap);
@@ -441,6 +408,20 @@ runFleet(const FleetConfig &cfg)
              fleet.nodes[static_cast<std::size_t>(node)].name,
              " at t=", t, "s (", reason, "), rerouted ", moved,
              " queued requests");
+    };
+
+    auto trackerObserve = [&](int node, double t, bool bad) {
+        watch::Alert a = slo.observe(node, t, bad);
+        if (a.t_s < 0.0)
+            return; // no tier transition
+        const FleetNode &fn =
+            fleet.nodes[static_cast<std::size_t>(node)];
+        group_alerts[static_cast<std::size_t>(fn.group)].add(a);
+        if (a.tier == watch::Alert::kPage &&
+            cfg.quarantine_on_page &&
+            !quarantined[static_cast<std::size_t>(node)] &&
+            !failed[static_cast<std::size_t>(node)])
+            quarantineNode(node, "slo_page", t);
     };
 
     // Prepare a rollout at its first executed stage: build the
@@ -521,9 +502,21 @@ runFleet(const FleetConfig &cfg)
         while (!evq.empty()) {
             Event e = evq.pop();
             switch (e.kind) {
-              case Event::kArrival:
-                  routeRequest(e.target, e.req, e.t, true);
+              case Event::kArrival: {
+                  serve::Request &r =
+                      requests[static_cast<std::size_t>(e.req)];
+                  const int node = route(r.model, r.id, e.t);
+                  if (node < 0)
+                      break;
+                  if (cfg.admission_control &&
+                      sojournAt(node, r.model, e.t) * 1e3 > r.slo_ms) {
+                      r.outcome = serve::Outcome::kShed;
+                      trackerObserve(node, e.t, true);
+                      break;
+                  }
+                  enqueue(node, r.model, r.id, e.t);
                   break;
+              }
               case Event::kTimeout: {
                   auto slot = static_cast<std::size_t>(e.target);
                   tryDispatch(
@@ -538,8 +531,6 @@ runFleet(const FleetConfig &cfg)
               }
               case Event::kPredFree: {
                   auto ii = static_cast<std::size_t>(e.target);
-                  if (next_obs.size() <= ii)
-                      next_obs.resize(instances.size(), 0);
                   serve::Instance &inst = instances[ii];
                   // Predicted completion of the next unobserved
                   // dispatch: feed each request's predicted SLO

@@ -16,11 +16,13 @@
  *
  *  - sojourn: least-predicted-sojourn over a deterministic
  *    candidate set. The ring's first `choices` distinct successors
- *    of the key are scored with serve::predictSojournSeconds (the
- *    node's calibrated LatencyPredictor view) and the minimum wins,
- *    ties broken by lowest node id — the classic power-of-d-choices
- *    balancer, made reproducible by drawing candidates from the
- *    same seeded ring the hash policy uses.
+ *    of the key are scored with serve::predictSojournSeconds(members,
+ *    instances, versions, policy, queued_ahead, now_s, rate_hz) over
+ *    the node's instances of the model, each read in place with the
+ *    calibrated service times of its own version's ladder, and the
+ *    minimum wins, ties broken by lowest node id — the classic
+ *    power-of-d-choices balancer, made reproducible by drawing
+ *    candidates from the same seeded ring the hash policy uses.
  *
  * Everything is a pure function of (seed, membership, key): no
  * global state, no wall clock, byte-stable across platforms.

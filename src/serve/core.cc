@@ -63,28 +63,6 @@ placeOnDevices(InstancePool &pool, int m, const ModelVersion &ver,
     return eq1;
 }
 
-BackendView
-backendView(const std::vector<int> &ladder,
-            const std::vector<int> &members,
-            const std::vector<Instance> &instances,
-            const ModelVersions &versions)
-{
-    BackendView view;
-    view.ladder = ladder;
-    for (int idx : members) {
-        const Instance &inst = instances[static_cast<std::size_t>(idx)];
-        BackendView::InstanceView iv;
-        iv.free_s = inst.predicted_free_s;
-        iv.service_s = versions[static_cast<std::size_t>(inst.model)]
-                               [static_cast<std::size_t>(inst.version)]
-                                   .sets[static_cast<std::size_t>(
-                                       inst.slot)]
-                                   .service_s;
-        view.instances.push_back(std::move(iv));
-    }
-    return view;
-}
-
 void
 EventQueue::push(double t, Event::Kind kind, int target,
                  std::int64_t req)
@@ -101,9 +79,86 @@ EventQueue::push(double t, Event::Kind kind, int target,
 Event
 EventQueue::pop()
 {
+    // An arrival wins a tie: a calendar holding every arrival from the
+    // start would have given each one a lower push order than any
+    // event scheduled during the loop.
+    if (next_ < arrivals_.size() &&
+        (q_.empty() || arrivals_[next_].t <= q_.top().t)) {
+        const Arrival &a = arrivals_[next_++];
+        Event e;
+        e.t = a.t;
+        e.req = a.id;
+        return e;
+    }
     Event e = q_.top();
     q_.pop();
     return e;
+}
+
+std::vector<EventQueue::Arrival>
+requestArrivals(const std::vector<Request> &requests)
+{
+    std::vector<EventQueue::Arrival> out;
+    out.reserve(requests.size());
+    for (const Request &r : requests)
+        out.push_back({r.arrival_s, r.id});
+    return out;
+}
+
+double
+predictSojournSeconds(const std::vector<int> &members,
+                      const std::vector<Instance> &instances,
+                      const ModelVersions &versions,
+                      const BatchPolicy &policy, int queued_ahead,
+                      double now_s, double rate_hz)
+{
+    if (members.empty())
+        return 1e9; // nothing can serve this model
+
+    // Expected wait for this request's own batch to fill: the slots
+    // left after the backlog ahead of it is packed into full
+    // batches, divided by the arrival rate, capped by the batcher's
+    // timeout.
+    const int max_batch = std::max(1, policy.max_batch);
+    const double timeout_s = policy.timeout_us * 1e-6;
+    const int slots_open = max_batch - 1 - (queued_ahead % max_batch);
+    double fill_s = rate_hz > 1e-9
+                        ? static_cast<double>(slots_open) / rate_hz
+                        : timeout_s;
+    fill_s = std::min(fill_s, timeout_s);
+
+    // The request's own dispatch: its backlog remainder plus the
+    // arrivals expected while the batcher coalesces — not a full
+    // max_batch, or a lightly loaded server would predict the
+    // worst-case batch service for every request and shed traffic
+    // it could easily carry.
+    const int growth =
+        rate_hz > 0.0 ? static_cast<int>(rate_hz * fill_s) : 0;
+    const int own_batch =
+        std::min(max_batch, queued_ahead % max_batch + 1 + growth);
+
+    // Greedily assign the backlog's full batches, then the
+    // request's own batch, onto earliest-predicted-free instances.
+    std::vector<double> free_s;
+    free_s.reserve(members.size());
+    for (int idx : members)
+        free_s.push_back(std::max(
+            instances[static_cast<std::size_t>(idx)].predicted_free_s,
+            now_s));
+    // Returns the chosen member's free time after a `batch` dispatch.
+    auto assign = [&](int batch) {
+        const auto i = static_cast<std::size_t>(
+            std::min_element(free_s.begin(), free_s.end()) -
+            free_s.begin());
+        const EngineSet &set = ladderOf(
+            versions, instances[static_cast<std::size_t>(members[i])]);
+        return free_s[i] +=
+               set.service_s[static_cast<std::size_t>(
+                   set.indexFor(batch))];
+    };
+    for (int b = 0; b < queued_ahead / max_batch; b++)
+        assign(max_batch);
+    return std::max(0.0, assign(own_batch) - now_s) + fill_s;
 }
 
 void

@@ -9,8 +9,10 @@
  *
  *  - ladder build: a model's power-of-two engine ladder on one
  *    device, each engine calibrated by its own LatencyPredictor;
- *  - control plane: a seq-stamped event calendar and the batch-cut
- *    loop that turns queued work into per-instance dispatch plans;
+ *  - control plane: an event calendar (an arrival cursor merged with
+ *    a heap of scheduled events), the admission predictor and the
+ *    batch-cut loop that turns queued work into per-instance dispatch
+ *    plans;
  *  - replay: per device, feed every instance's plan into a GpuSim one
  *    dispatch ahead of its release, fold the stage events back into
  *    the plans as seconds, keep a small per-device result and destroy
@@ -26,10 +28,12 @@
  * (serve, stream) or a device class shared by many nodes (fleet).
  */
 
+#include <compare>
 #include <cstdint>
 #include <queue>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hh"
@@ -141,13 +145,6 @@ placeOnDevices(InstancePool &pool, int m, const ModelVersion &ver,
                const std::vector<gpusim::DeviceSpec> &devices,
                int want);
 
-/** Admission control's view of `members`, the instances of one
- *  model, whose engines batch by `ladder`. */
-BackendView backendView(const std::vector<int> &ladder,
-                        const std::vector<int> &members,
-                        const std::vector<Instance> &instances,
-                        const ModelVersions &versions);
-
 // ----------------------------------------------------------------
 // Control plane
 // ----------------------------------------------------------------
@@ -167,20 +164,43 @@ struct Event
     };
 
     double t = 0.0;
-    std::int64_t seq = 0; //!< push order: total, deterministic tie-break
+    std::int64_t seq = 0; //!< push order of a scheduled event
     Kind kind = kArrival;
     int target = 0;        //!< queue, instance, swap, node or rollout
-    std::int64_t req = -1; //!< request id or rollout stage index
+    std::int64_t req = -1; //!< request/frame id or rollout stage index
 };
 
-/** Time-ordered event calendar; equal times pop in push order. */
+/**
+ * Time-ordered event calendar. The arrivals are given up front, in pop
+ * order, and read through a cursor; the heap holds only the events
+ * scheduled while the loop runs, which pop by (t, push order). On
+ * equal t an arrival pops first.
+ */
 class EventQueue
 {
   public:
+    /** One arrival: its time and its request (or frame) id. Orders
+     *  by (t, id). */
+    struct Arrival
+    {
+        double t = 0.0;
+        std::int64_t id = 0;
+
+        auto operator<=>(const Arrival &) const = default;
+    };
+
+    explicit EventQueue(std::vector<Arrival> arrivals = {})
+        : arrivals_(std::move(arrivals))
+    {}
+
+    /** Schedule a non-arrival event. */
     void push(double t, Event::Kind kind, int target,
               std::int64_t req = -1);
 
-    bool empty() const { return q_.empty(); }
+    bool empty() const
+    {
+        return next_ == arrivals_.size() && q_.empty();
+    }
 
     Event pop();
 
@@ -195,9 +215,45 @@ class EventQueue
         }
     };
 
+    std::vector<Arrival> arrivals_;
+    std::size_t next_ = 0; //!< first arrival not yet popped
     std::priority_queue<Event, std::vector<Event>, After> q_;
     std::int64_t seq_ = 0;
 };
+
+/** The arrivals of a request table in id order, which
+ *  generateRequests makes time order. */
+std::vector<EventQueue::Arrival>
+requestArrivals(const std::vector<Request> &requests);
+
+/** The engine ladder new dispatches of `inst` run on: its version's
+ *  set for its slot. */
+inline const EngineSet &
+ladderOf(const ModelVersions &versions, const Instance &inst)
+{
+    return versions[static_cast<std::size_t>(inst.model)]
+                   [static_cast<std::size_t>(inst.version)]
+                       .sets[static_cast<std::size_t>(inst.slot)];
+}
+
+/**
+ * Predicted sojourn (seconds from `now_s` to completion) of a request
+ * arriving now at a queue served by `members` (indices into
+ * `instances`), given `queued_ahead` admitted requests already
+ * waiting. Greedily packs the backlog into full max_batch dispatches
+ * onto earliest-predicted-free instances; the request's own batch is
+ * sized by its backlog remainder plus the arrivals expected within the
+ * batching timeout, and the expected batch-fill wait min(timeout,
+ * slots-remaining / arrival-rate) is added on top. Each instance is
+ * scored with the calibrated service times of its own ladder
+ * (ladderOf), whose rungs cover `policy.max_batch`. No members: 1e9.
+ */
+double predictSojournSeconds(const std::vector<int> &members,
+                             const std::vector<Instance> &instances,
+                             const ModelVersions &versions,
+                             const BatchPolicy &policy,
+                             int queued_ahead, double now_s,
+                             double rate_hz);
 
 /** The batch timeout of one queue: its event target and the front
  *  request it is armed for. */
@@ -233,10 +289,7 @@ cutBatches(Queue &q, double (Queue::*oldest)() const,
         if (cut == 0)
             break;
         Instance &inst = instances[static_cast<std::size_t>(idx)];
-        const EngineSet &set =
-            versions[static_cast<std::size_t>(inst.model)]
-                    [static_cast<std::size_t>(inst.version)]
-                        .sets[static_cast<std::size_t>(inst.slot)];
+        const EngineSet &set = ladderOf(versions, inst);
         PlannedDispatch pd;
         pd.t_s = t;
         pd.engine_idx = set.indexFor(cut);

@@ -8,10 +8,11 @@
  * The queue holds admitted-but-undispatched request ids in arrival
  * order and tracks an EWMA of the arrival rate (used to estimate how
  * long a fresh request will wait for its batch to fill). Admission
- * control predicts the request's sojourn — batch-fill wait plus
- * queueing behind batches ahead of it plus its own service — against
- * a view of the backend instances' predicted-free times, and sheds
- * the request on arrival when the prediction exceeds the SLO
+ * control (serve::predictSojournSeconds, serve/core.hh) predicts the
+ * request's sojourn — batch-fill wait plus queueing behind batches
+ * ahead of it plus its own service — from the queue's depth and rate
+ * and the backend instances' predicted-free times, and sheds the
+ * request on arrival when the prediction exceeds the SLO
  * (deadline-infeasible work is rejected while it is still cheap).
  */
 
@@ -28,41 +29,6 @@ struct BatchPolicy
     int max_batch = 8;          //!< coalesce at most this many
     double timeout_us = 2000.0; //!< max wait for a fuller batch
 };
-
-/**
- * What admission control knows about the backend: the prebuilt
- * engine-batch ladder and, per instance serving this model, the
- * predicted-free time and predicted service seconds of one
- * dispatch at each ladder size.
- */
-struct BackendView
-{
-    std::vector<int> ladder; //!< engine batch sizes, ascending
-
-    struct InstanceView
-    {
-        double free_s = 0.0; //!< predicted idle-at time
-        std::vector<double> service_s; //!< parallel to `ladder`
-    };
-    std::vector<InstanceView> instances;
-
-    /** Service prediction of a `batch`-request dispatch there. */
-    double serviceFor(const InstanceView &inst, int batch) const;
-};
-
-/**
- * Predicted sojourn (seconds from `now_s` to completion) of a
- * request arriving now, given `queued_ahead` admitted requests
- * already waiting. Greedily packs the backlog into full max_batch
- * dispatches onto earliest-free instances; the request's own batch
- * is sized by its backlog remainder plus the arrivals expected
- * within the batching timeout, and the expected batch-fill wait
- * min(timeout, slots-remaining / arrival-rate) is added on top.
- */
-double predictSojournSeconds(const BackendView &backend,
-                             const BatchPolicy &policy,
-                             int queued_ahead, double now_s,
-                             double arrival_rate_hz);
 
 /** Arrival-ordered queue of admitted request ids for one model. */
 class RequestQueue

@@ -105,18 +105,6 @@ InstancePool::freeInstance(int model, double now_s) const
     return best;
 }
 
-double
-InstancePool::earliestFree(int model) const
-{
-    double best = 1e30;
-    for (int idx : instancesOf(model))
-        best = std::min(
-            best,
-            instances_[static_cast<std::size_t>(idx)]
-                .predicted_free_s);
-    return best;
-}
-
 std::int64_t
 InstancePool::ramUsedBytes(int device) const
 {

@@ -112,9 +112,6 @@ class InstancePool
      */
     int freeInstance(int model, double now_s) const;
 
-    /** Earliest predicted_free_s over `model`'s instances. */
-    double earliestFree(int model) const;
-
     /** Bytes of context footprint placed on `device`. */
     std::int64_t ramUsedBytes(int device) const;
 

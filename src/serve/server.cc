@@ -206,9 +206,7 @@ runServer(const ServeConfig &cfg)
         timeouts[static_cast<std::size_t>(m)].target = m;
     }
 
-    EventQueue evq;
-    for (const auto &r : requests)
-        evq.push(r.arrival_s, Event::kArrival, r.model, r.id);
+    EventQueue evq(requestArrivals(requests));
 
     // ------------------------------------------------------------
     // Hot-swap bookkeeping: one state per SwapSpec, spec order.
@@ -326,12 +324,8 @@ runServer(const ServeConfig &cfg)
                   }
                   if (cfg.admission_control) {
                       double est_s = predictSojournSeconds(
-                          backendView(
-                              engineBatchLadder(
-                                  policies[static_cast<std::size_t>(m)]
-                                      .max_batch),
-                              pool.instancesOf(m), pool.instances(),
-                              versions),
+                          pool.instancesOf(m), pool.instances(),
+                          versions,
                           policies[static_cast<std::size_t>(m)],
                           static_cast<int>(q.size()), e.t,
                           q.rateHz());

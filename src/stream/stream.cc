@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <tuple>
+#include <utility>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -167,16 +168,6 @@ runStreams(const StreamConfig &cfg)
         Rng root(cfg.seed);
         Rng frames_rng = root.fork("frames");
         Rng stages_rng = root.fork("stages");
-        struct Key
-        {
-            double capture_s;
-            int model;
-            int stream;
-            std::int64_t seq;
-            std::size_t idx;
-        };
-        std::vector<Key> order;
-        std::vector<FrameRec> raw;
         for (int m = 0; m < n_models; m++) {
             const auto &mc =
                 cfg.models[static_cast<std::size_t>(m)];
@@ -220,28 +211,21 @@ runStreams(const StreamConfig &cfg)
                         std::max(fr.decode_done_s, pre_free);
                     fr.ready_s = pstart + fr.preprocess_dur_s;
                     pre_free = fr.ready_s;
-                    order.push_back(Key{fr.capture_s, m, s,
-                                        fr.seq, raw.size()});
-                    raw.push_back(fr);
+                    frames.push_back(fr);
                 }
             }
         }
-        std::sort(order.begin(), order.end(),
-                  [](const Key &a, const Key &b) {
-                      if (a.capture_s != b.capture_s)
-                          return a.capture_s < b.capture_s;
-                      if (a.model != b.model)
-                          return a.model < b.model;
-                      if (a.stream != b.stream)
-                          return a.stream < b.stream;
-                      return a.seq < b.seq;
+        // (capture, model, stream, seq) is unique per frame, so the
+        // order is total.
+        std::sort(frames.begin(), frames.end(),
+                  [](const FrameRec &a, const FrameRec &b) {
+                      return std::tie(a.capture_s, a.model, a.stream,
+                                      a.seq) <
+                             std::tie(b.capture_s, b.model, b.stream,
+                                      b.seq);
                   });
-        frames.reserve(raw.size());
-        for (const Key &k : order) {
-            FrameRec fr = raw[k.idx];
-            fr.id = static_cast<std::int64_t>(frames.size());
-            frames.push_back(fr);
-        }
+        for (std::size_t i = 0; i < frames.size(); i++)
+            frames[i].id = static_cast<std::int64_t>(i);
     }
 
     // ------------------------------------------------------------
@@ -263,10 +247,14 @@ runStreams(const StreamConfig &cfg)
         timeouts[static_cast<std::size_t>(m)].target = m;
     }
 
-    serve::EventQueue evq;
+    // Ready times are not monotone in frame id (decode and preprocess
+    // jitter per stream), so the arrivals sort by (ready, id).
+    std::vector<serve::EventQueue::Arrival> ready;
     for (const FrameRec &fr : frames)
         if (fr.ready_s <= cfg.duration_s) // else: still decoding
-            evq.push(fr.ready_s, Event::kArrival, fr.model, fr.id);
+            ready.push_back({fr.ready_s, fr.id});
+    std::sort(ready.begin(), ready.end());
+    serve::EventQueue evq(std::move(ready));
 
     auto tryDispatch = [&](int m, double t) {
         const auto mi = static_cast<std::size_t>(m);

@@ -3,12 +3,15 @@
  * The shared serving core and CLI pieces: the --model spec grammar of
  * the three serving tools (shared keys everywhere, another tool's keys
  * rejected, malformed numbers named), the calibrated ladder build, the
- * completion fold and the replay.
+ * event calendar, the admission sojourn predictor, the completion fold
+ * and the replay.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/logging.hh"
 #include "fleet/fleet.hh"
@@ -175,6 +178,181 @@ TEST(BuildLadder, PerEngineCalibration)
             << "engine " << i;
     }
     EXPECT_LT(set.service_s[0], set.service_s[2]);
+}
+
+// The calendar merges the given arrivals with the scheduled events:
+// arrivals pop in the given order, scheduled events by (t, push order),
+// an arrival before a scheduled event at the same t, and the calendar
+// is empty only once both are drained.
+TEST(EventQueue, ArrivalsMergeWithScheduledEvents)
+{
+    using serve::Event;
+    serve::EventQueue q({{0.1, 7}, {0.2, 3}, {0.2, 5}});
+    q.push(0.2, Event::kTimeout, 1);
+    q.push(0.05, Event::kPredFree, 2);
+    q.push(0.2, Event::kPredFree, 4);
+    q.push(0.3, Event::kStage, 9, 11);
+    // (t, kind, request id for an arrival or target otherwise, req)
+    using Popped = std::tuple<double, Event::Kind, std::int64_t,
+                              std::int64_t>;
+    std::vector<Popped> got;
+    while (!q.empty()) {
+        const Event e = q.pop();
+        got.emplace_back(e.t, e.kind,
+                         e.kind == Event::kArrival ? e.req : e.target,
+                         e.req);
+    }
+    const std::vector<Popped> want = {
+        {0.05, Event::kPredFree, 2, -1}, {0.1, Event::kArrival, 7, 7},
+        {0.2, Event::kArrival, 3, 3},    {0.2, Event::kArrival, 5, 5},
+        {0.2, Event::kTimeout, 1, -1},   {0.2, Event::kPredFree, 4, -1},
+        {0.3, Event::kStage, 9, 11}};
+    EXPECT_EQ(got, want);
+
+    // Scheduled events drained first: arrivals keep the queue open.
+    serve::EventQueue tail({{1.0, 0}});
+    tail.push(0.5, Event::kTimeout, 0);
+    EXPECT_EQ(tail.pop().kind, Event::kTimeout);
+    ASSERT_FALSE(tail.empty());
+    EXPECT_EQ(tail.pop().kind, Event::kArrival);
+    EXPECT_TRUE(tail.empty());
+
+    // An event scheduled mid-loop at a pending arrival's time pops
+    // after it.
+    serve::EventQueue mid({{0.1, 0}, {0.3, 1}});
+    EXPECT_EQ(mid.pop().req, 0);
+    mid.push(0.3, Event::kPredFree, 6);
+    EXPECT_EQ(mid.pop().kind, Event::kArrival);
+    EXPECT_EQ(mid.pop().kind, Event::kPredFree);
+    EXPECT_TRUE(mid.empty());
+    EXPECT_TRUE(serve::EventQueue().empty());
+}
+
+/** A {1,2,4,8} ladder whose batch-1 service is `base_s`; each step
+ *  costs 1.5x the previous. No engines: the predictor reads only the
+ *  rungs and their service times. */
+serve::EngineSet
+scaledLadder(double base_s)
+{
+    serve::EngineSet set;
+    set.batches = {1, 2, 4, 8};
+    double s = base_s;
+    for (std::size_t i = 0; i < set.batches.size(); i++) {
+        set.service_s.push_back(s);
+        s *= 1.5;
+    }
+    return set;
+}
+
+/** Instances of model 0 scored together by the sojourn predictor. */
+struct Backend
+{
+    serve::ModelVersions versions;
+    std::vector<serve::Instance> instances;
+    std::vector<int> members;
+
+    /** Add a version-0, slot-0 member predicted free at `free_s`. */
+    void add(double free_s)
+    {
+        serve::Instance inst;
+        inst.predicted_free_s = free_s;
+        members.push_back(static_cast<int>(instances.size()));
+        instances.push_back(inst);
+    }
+
+    double sojourn(const serve::BatchPolicy &policy, int queued_ahead,
+                   double now_s, double rate_hz) const
+    {
+        return serve::predictSojournSeconds(members, instances, versions,
+                                            policy, queued_ahead, now_s,
+                                            rate_hz);
+    }
+};
+
+/** One instance, free at `free_s`, on a scaledLadder(base_s). */
+Backend
+ladderBackend(double free_s, double base_s)
+{
+    Backend b;
+    b.versions.resize(1);
+    b.versions[0].emplace_back();
+    b.versions[0][0].sets.push_back(scaledLadder(base_s));
+    b.add(free_s);
+    return b;
+}
+
+TEST(Sojourn, EmptyBackendIsInfeasible)
+{
+    Backend none = ladderBackend(0.0, 0.010);
+    none.members.clear();
+    serve::BatchPolicy policy;
+    EXPECT_GT(none.sojourn(policy, 0, 0.0, 100.0), 1e6);
+}
+
+TEST(Sojourn, IdleBackendPredictsSmallBatchService)
+{
+    // Idle instance, empty queue, slow arrivals: the estimate is
+    // near fill-wait + batch-1 service, nowhere near the batch-8
+    // worst case (which would make admission shed light traffic).
+    const Backend b = ladderBackend(0.0, 0.010);
+    serve::BatchPolicy policy{8, 2000.0};
+    double est = b.sojourn(policy, 0, 0.0, 10.0);
+    EXPECT_GE(est, 0.010);
+    EXPECT_LT(est, 0.010 * 1.5 + 0.0021); // < batch-2 svc + timeout
+}
+
+TEST(Sojourn, GrowsWithBacklog)
+{
+    const Backend b = ladderBackend(0.0, 0.010);
+    serve::BatchPolicy policy{8, 2000.0};
+    double prev = -1.0;
+    for (int backlog : {0, 8, 16, 32}) {
+        double est = b.sojourn(policy, backlog, 0.0, 100.0);
+        EXPECT_GT(est, prev);
+        prev = est;
+    }
+    // 32 queued ahead = 4 full batch-8 dispatches before ours.
+    double svc8 = 0.010 * 1.5 * 1.5 * 1.5;
+    EXPECT_GE(prev, 4 * svc8);
+}
+
+TEST(Sojourn, BusyInstanceDelaysCompletion)
+{
+    serve::BatchPolicy policy{8, 2000.0};
+    double idle = ladderBackend(0.0, 0.010).sojourn(policy, 0, 0.0, 100.0);
+    double busy = ladderBackend(0.5, 0.010).sojourn(policy, 0, 0.0, 100.0);
+    EXPECT_NEAR(busy - idle, 0.5, 1e-9);
+}
+
+TEST(Sojourn, MoreInstancesDrainBacklogFaster)
+{
+    serve::BatchPolicy policy{8, 2000.0};
+    const Backend one = ladderBackend(0.0, 0.010);
+    Backend two = one;
+    two.add(0.0);
+    double est1 = one.sojourn(policy, 32, 0.0, 100.0);
+    double est2 = two.sojourn(policy, 32, 0.0, 100.0);
+    EXPECT_LT(est2, est1);
+}
+
+// An instance swapped onto version 1 is scored with version 1's table
+// for its own slot, not the version-0 table it was placed with.
+TEST(Sojourn, SwappedInstanceUsesItsVersionTable)
+{
+    Backend b = ladderBackend(0.0, 0.010);
+    b.versions[0][0].sets.push_back(scaledLadder(0.010)); // slot 1
+    b.versions[0].emplace_back();
+    b.versions[0][1].sets = {scaledLadder(0.040), scaledLadder(0.020)};
+    b.instances[0].version = 1;
+    b.instances[0].slot = 1;
+    // No arrival rate: the fill wait is the whole timeout and the
+    // request's own batch is 1. Eight queued ahead are one full
+    // batch-8 dispatch before it on the only instance.
+    serve::BatchPolicy policy{8, 2000.0};
+    const std::vector<double> &svc = b.versions[0][1].sets[1].service_s;
+    EXPECT_NEAR(b.sojourn(policy, 0, 0.0, 0.0), svc[0] + 0.002, 1e-12);
+    EXPECT_NEAR(b.sojourn(policy, 8, 0.0, 0.0),
+                svc[3] + svc[0] + 0.002, 1e-12);
 }
 
 // foldReplay copies each plan's measured stage times onto the requests
