@@ -86,6 +86,12 @@ struct HistogramCell
 
     static double upperBound(int bucket);
 
+    /** Bucket a finite @p v lands in: the first bucket whose upper
+     *  bound is >= v (kBuckets for overflow), exactly what
+     *  std::lower_bound over the bounds returns, found from log10(v)
+     *  and corrected against the bounds. */
+    static int bucketIndex(double v);
+
     /** Record each finite value of @p values in order, under one
      *  lock: the cell ends as after one record() call per value. */
     void record(std::span<const double> values);

@@ -41,8 +41,9 @@ class ExecutionContext
   public:
     /**
      * @param engine Built engine. Launches borrow its kernel
-     *        descriptors (GpuSim::launchKernel), so it must outlive
-     *        the context and the run() of everything it enqueued.
+     *        descriptors (GpuSim::launchKernel), and the simulator
+     *        keeps their timing by address, so the engine must
+     *        outlive the context and the simulator, unchanged.
      * @param sim    Device simulator (outlives the context).
      * @param stream Stream this context enqueues on.
      */

@@ -788,6 +788,126 @@ TEST(GpuSimGolden, FeedingOnePlanLateTripsTheIdleGuard)
     EXPECT_FALSE(sameTrace(up.trace, late.trace));
 }
 
+/** Every pinned value of the solo-run golden scenario. */
+struct SoloOutcome
+{
+    double mid_now = 0.0;           //!< after runUntilEvent(mid)
+    std::uint64_t mid_events = 0;
+    double pause_now = 0.0;         //!< after runBefore(horizon)
+    std::uint64_t pause_events = 0;
+    std::vector<double> events;     //!< every recorded event's time
+    double now = 0.0;
+    std::uint64_t sim_events = 0;
+    UtilStats util;
+    std::uint64_t kernels = 0;
+    double stall_sum = 0.0;
+    double waste_sum = 0.0;
+    std::uint64_t solo_kernels = 0; //!< retired by the solo loop
+};
+
+/**
+ * Stream 0 runs a chain of eleven kernels with a memcpy and a marker
+ * mid-chain. Stream s1's delayUntil ends inside the chain's third
+ * kernel and its kernel then contends with the chain. The run pauses
+ * at the mid-chain marker (runUntilEvent) and at a horizon inside a
+ * later solo stretch, where a kernel is fed to the idle stream s3.
+ * Stream s2 (weight 0.7) then runs descriptors the chain ran at
+ * weight 1: 6 * 0.7 / 0.7 rounds below 6, so its solo SM share
+ * differs from theirs in the last bit.
+ */
+SoloOutcome
+soloScenario()
+{
+    const DeviceSpec nx = DeviceSpec::xavierNX();
+    static const KernelDesc a =
+        goldenKernel("solo_a", 24, 2, 150'000'000, 3 << 20);
+    static const KernelDesc b =
+        goldenKernel("solo_b", 12, 2, 40'000'000, 9 << 20);
+    static const KernelDesc c =
+        goldenKernel("solo_c", 40, 2, 220'000'000, 1 << 20);
+    obs::MetricRegistry reg;
+    GpuSim sim(nx, &reg);
+    const int s1 = sim.createStream(1.0);
+    const int s2 = sim.createStream(0.7);
+    const int s3 = sim.createStream(1.0);
+    std::vector<EventId> ev;
+    for (const KernelDesc *k : {&a, &b, &a, &c})
+        sim.launchKernel(0, *k);
+    sim.memcpyH2D(0, 1 << 20, 1, "mid");
+    sim.launchKernel(0, b);
+    const EventId mid = sim.recordEvent(0);
+    ev.push_back(mid);
+    for (const KernelDesc *k : {&a, &c, &b, &a, &c})
+        sim.launchKernel(0, *k);
+    ev.push_back(sim.recordEvent(0));
+    sim.delayUntil(s1, 0.41e-3);
+    sim.launchKernel(s1, c);
+    ev.push_back(sim.recordEvent(s1));
+    sim.delayUntil(s2, 2.5e-3);
+    for (const KernelDesc *k : {&a, &c, &b, &c})
+        sim.launchKernel(s2, *k);
+    ev.push_back(sim.recordEvent(s2));
+
+    SoloOutcome out;
+    sim.runUntilEvent(mid);
+    out.mid_now = sim.nowSeconds();
+    out.mid_events = sim.simStats().events;
+    sim.runBefore(1.6e-3);
+    out.pause_now = sim.nowSeconds();
+    out.pause_events = sim.simStats().events;
+    sim.launchKernel(s3, a);
+    ev.push_back(sim.recordEvent(s3));
+    sim.run();
+
+    for (EventId e : ev)
+        out.events.push_back(sim.eventSeconds(e));
+    out.now = sim.nowSeconds();
+    out.sim_events = sim.simStats().events;
+    out.solo_kernels = sim.simStats().solo_kernels;
+    out.util = sim.stats();
+    const obs::Labels dev = {{"device", nx.name}};
+    const obs::Histogram stall =
+        reg.histogram("gpusim.kernel.stall_us", dev);
+    const obs::Histogram waste =
+        reg.histogram("gpusim.kernel.wave_waste_pct", dev);
+    out.kernels = stall.count();
+    out.stall_sum = stall.sum();
+    out.waste_sum = waste.sum();
+    return out;
+}
+
+TEST(GpuSimGolden, SoloRunsEnterAndLeaveExactly)
+{
+    // A stream running alone retires its kernels in the solo loop;
+    // these doubles were pinned before the loop existed, so entering
+    // and leaving it (at the calendar, at a non-kernel head, at a
+    // runBefore horizon, under runUntilEvent) and the weight-keyed
+    // solo share must all reproduce the generic step bit for bit.
+    const SoloOutcome o = soloScenario();
+    EXPECT_EQ(o.mid_now, 0x1.69cce4eecaf72p-10);
+    EXPECT_EQ(o.mid_events, 14u);
+    EXPECT_EQ(o.pause_now, 0x1.845f896af37e1p-10);
+    EXPECT_EQ(o.pause_events, 17u);
+    const std::vector<double> events = {
+        0x1.69cce4eecaf72p-10, 0x1.222ae4873f3cdp-9,
+        0x1.5b60925ae991ep-11, 0x1.a39a38d3bd85bp-9,
+        0x1.b0af176ae2c9p-10};
+    EXPECT_EQ(o.events, events);
+    EXPECT_EQ(o.now, 0x1.a39a38d3bd85bp-9);
+    EXPECT_EQ(o.sim_events, 35u);
+    EXPECT_EQ(o.util.window_s, 0x1.a39a38d3bd85bp-9);
+    EXPECT_EQ(o.util.sm_busy_integral, 0x1.2978b50e6bbd4p-7);
+    EXPECT_EQ(o.util.gpu_busy_s, 0x1.413262d5bf0c7p-9);
+    EXPECT_EQ(o.util.copy_busy_s, 0x1.955b39236c8dep-12);
+    EXPECT_EQ(o.util.dram_bytes, 0x1.ep+25);
+    EXPECT_EQ(o.kernels, 16u);
+    EXPECT_EQ(o.stall_sum, 0x1.eda2eaec7a543p+9);
+    EXPECT_EQ(o.waste_sum, 0x1.56db6db6db6d9p+7);
+    // Not a parent value (the loop is new): 9 of the 16 kernels
+    // retire in the solo loop.
+    EXPECT_EQ(o.solo_kernels, 9u);
+}
+
 /** Property sweep: makespan of N identical kernels across N streams
  *  is bounded below by work conservation and above by serial
  *  execution. */

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,6 +101,44 @@ TEST(Histogram, IgnoresNonFiniteSamples)
     h.record(std::nan(""));
     h.record(HUGE_VAL);
     EXPECT_EQ(h.count(), 0u);
+}
+
+TEST(Histogram, ClosedFormBucketMatchesLowerBound)
+{
+    // The closed-form bucket index must agree with a binary search
+    // over the bucket bounds for every finite value, including each
+    // edge and its neighbours one ulp away.
+    using Cell = metrics_detail::HistogramCell;
+    std::vector<double> bounds;
+    for (int i = 0; i < Cell::kBuckets; i++)
+        bounds.push_back(Cell::upperBound(i));
+    auto searched = [&](double v) {
+        return static_cast<int>(
+            std::lower_bound(bounds.begin(), bounds.end(), v) -
+            bounds.begin());
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> values = {
+        0.0, -0.0, -1.0, -1e300, std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(), 1e-300, 1e300,
+        std::numeric_limits<double>::max()};
+    for (double b : bounds)
+        for (double v : {std::nextafter(b, -inf), b, std::nextafter(b, inf)})
+            values.push_back(v);
+    for (double v : values)
+        EXPECT_EQ(Cell::bucketIndex(v), searched(v)) << v;
+
+    // A million seeded samples spread log-uniformly over the bucket
+    // range and a decade beyond each end.
+    std::mt19937_64 rng(20);
+    std::uniform_real_distribution<double> exponent(-4.0, 10.0);
+    int mismatches = 0;
+    for (int i = 0; i < 1'000'000; i++) {
+        const double v = std::pow(10.0, exponent(rng));
+        if (Cell::bucketIndex(v) != searched(v))
+            mismatches++;
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST(MetricRegistry, ResetZeroesButKeepsHandles)
