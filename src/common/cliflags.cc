@@ -2,6 +2,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <limits>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -87,6 +88,9 @@ FlagParser::positiveValue()
     if (n < 1)
         fatal("invalid value '", n, "' for ", arg_,
               ": must be at least 1");
+    if (n > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
+        fatal("invalid value '", n, "' for ", arg_, ": must be at most ",
+              std::numeric_limits<int>::max());
     return static_cast<int>(n);
 }
 
@@ -100,10 +104,24 @@ optionNumber(const std::string &key, const std::string &value)
     return *r;
 }
 
-std::int64_t
+int
 optionInt(const std::string &key, const std::string &value)
 {
     auto r = parseInt64(value);
+    if (!r.ok())
+        fatal("bad option '", key, "=", value,
+              "': ", r.status().message());
+    if (*r < std::numeric_limits<int>::min() ||
+        *r > std::numeric_limits<int>::max())
+        fatal("bad option '", key, "=", value,
+              "': out of range for an int");
+    return static_cast<int>(*r);
+}
+
+std::uint64_t
+optionUnsigned(const std::string &key, const std::string &value)
+{
+    auto r = parseUint64(value);
     if (!r.ok())
         fatal("bad option '", key, "=", value,
               "': ", r.status().message());

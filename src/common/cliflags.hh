@@ -69,8 +69,9 @@ class FlagParser
     /** value() parsed as a strict unsigned integer. */
     std::uint64_t unsignedValue();
 
-    /** unsignedValue() that must be at least 1 (thread counts,
-     *  sample rates, ring depths); fatal()s naming the flag. */
+    /** unsignedValue() that must be at least 1 and fit an int
+     *  (thread counts, sample rates, ring depths); fatal()s naming
+     *  the flag. */
     int positiveValue();
 
   private:
@@ -85,9 +86,14 @@ class FlagParser
  *  strict double; fatal()s naming the pair on a malformed number. */
 double optionNumber(const std::string &key, const std::string &value);
 
-/** optionNumber() for strict signed integers. */
-std::int64_t optionInt(const std::string &key,
-                       const std::string &value);
+/** optionNumber() for strict signed integers that fit an int;
+ *  fatal()s on a value out of that range. */
+int optionInt(const std::string &key, const std::string &value);
+
+/** optionNumber() for strict unsigned 64-bit integers (seeds, build
+ *  ids). */
+std::uint64_t optionUnsigned(const std::string &key,
+                             const std::string &value);
 
 /** printf-style progress chatter on stdout; silent once the log
  *  level is above info (the drivers' --quiet). */

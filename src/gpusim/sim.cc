@@ -173,25 +173,35 @@ GpuSim::markReady(std::int32_t stream)
     }
 }
 
-void
-GpuSim::launchKernel(int stream, const KernelDesc &kernel)
+KernelList
+GpuSim::resolveKernels(int stream,
+                       std::span<const KernelDesc *const> kernels) const
 {
-    std::int32_t idx = acquireOp(OpKind::kKernel);
-    ops_[idx].kernel = &kernel;
-    pushOp(stream, idx);
-    m_kernel_launches_.add();
+    const double w = streams_.at(static_cast<std::size_t>(stream)).weight;
+    KernelList list;
+    list.sim_ = this;
+    list.stream_ = stream;
+    list.kernels_.reserve(kernels.size());
+    for (const KernelDesc *k : kernels) {
+        ResolvedKernel &r = list.kernels_.emplace_back();
+        r.desc = k;
+        r.timing = timingOf(*k);
+        r.solo = soloShareOf(r.timing, w);
+    }
+    return list;
 }
 
 void
-GpuSim::launchKernel(int stream, KernelDesc &&kernel)
+GpuSim::launchKernels(const KernelList &list)
 {
-    std::int32_t idx = acquireOp(OpKind::kKernel);
-    std::int32_t slot = owned_kernels_.acquire();
-    owned_kernels_[slot] = std::move(kernel);
-    ops_[idx].kernel = &owned_kernels_[slot];
-    ops_[idx].owned = slot;
-    pushOp(stream, idx);
-    m_kernel_launches_.add();
+    if (list.sim_ != this)
+        fatal("launchKernels: list resolved by another simulator");
+    for (const ResolvedKernel &k : list.kernels_) {
+        std::int32_t idx = acquireOp(OpKind::kKernel);
+        ops_[idx].kernel = &k;
+        pushOp(list.stream_, idx);
+    }
+    m_kernel_launches_.add(static_cast<std::int64_t>(list.kernels_.size()));
 }
 
 void
@@ -310,24 +320,16 @@ GpuSim::simStats() const
     s.solo_kernels = solo_kernels_;
     s.simulated_s = now_;
     // Interned tags count their table entries, map nodes and
-    // heap-held characters; owned descriptors count their pool slots;
-    // the timing table counts its entries and index nodes.
+    // heap-held characters.
     std::size_t tag_bytes =
         tags_.capacity() * sizeof(const std::string *) +
         tag_ids_.bucket_count() * sizeof(void *);
     for (const std::string *t : tags_)
         tag_bytes += sizeof(decltype(tag_ids_)::value_type) +
                      sizeof(void *) + t->capacity();
-    const std::size_t timing_bytes =
-        timing_entries_.capacity() * sizeof(TimingEntry) +
-        timing_index_.bucket_count() * sizeof(void *) +
-        timing_index_.size() *
-            (sizeof(decltype(timing_index_)::value_type) + sizeof(void *));
     s.arena_bytes =
         ops_.bytesReserved() +
-        owned_kernels_.bytesReserved() +
         tag_bytes +
-        timing_bytes +
         trace_.capacity() * sizeof(OpRecord) +
         delay_heap_.capacity() * sizeof(DelayEntry) +
         copy_ring_.bytesReserved() +
@@ -510,7 +512,7 @@ GpuSim::admitReady()
     startCopyIfIdle();
 }
 
-GpuSim::KernelTiming
+KernelTiming
 GpuSim::timingOf(const KernelDesc &k) const
 {
     KernelTiming t;
@@ -532,7 +534,6 @@ GpuSim::timingOf(const KernelDesc &k) const
 void
 GpuSim::admitKernel(std::int32_t op_idx, std::int32_t stream)
 {
-    const Op &op = ops_[op_idx];
     ActiveKernel ak;
     ak.op_idx = op_idx;
     ak.stream = stream;
@@ -540,42 +541,8 @@ GpuSim::admitKernel(std::int32_t op_idx, std::int32_t stream)
     ak.launch_remaining_s =
         (spec_.kernel_launch_us + profiling_us_) * 1e-6;
     ak.jitter = jitterFactor();
-    // A borrowed descriptor's timing is computed at its first
-    // admission; an owned one's slot recycles, so it is not cached.
-    if (op.owned >= 0) {
-        ak.timing = timingOf(*op.kernel);
-    } else {
-        ak.entry = timingEntryOf(op.kernel);
-        ak.timing =
-            timing_entries_[static_cast<std::size_t>(ak.entry)].timing;
-    }
+    ak.kernel = ops_[op_idx].kernel;
     active_.push_back(ak);
-}
-
-std::int32_t
-GpuSim::timingEntryOf(const KernelDesc *k)
-{
-    auto [it, fresh] = timing_index_.try_emplace(
-        k, static_cast<std::int32_t>(timing_entries_.size()));
-    if (fresh) {
-        TimingEntry &e = timing_entries_.emplace_back();
-        e.timing = timingOf(*k);
-        e.efficiency = k->efficiency;
-        return it->second;
-    }
-    // A hit must be the descriptor the entry was computed from: one
-    // changed in place, or a new one built at a freed one's address,
-    // would otherwise inherit stale timing without a trace.
-    const TimingEntry &e =
-        timing_entries_[static_cast<std::size_t>(it->second)];
-    if (e.timing.grid_blocks != k->grid_blocks ||
-        e.timing.flops_d != static_cast<double>(k->flops) ||
-        e.timing.dram_d != static_cast<double>(k->dram_bytes) ||
-        e.efficiency != k->efficiency)
-        panic("GpuSim: kernel '", k->name, "' launched from the address "
-              "of a different descriptor; a borrowed descriptor must "
-              "outlive the simulator, unchanged");
-    return it->second;
 }
 
 void
@@ -590,17 +557,6 @@ GpuSim::waterFillInto(std::size_t n, const double *caps,
     // open consumer has been granted nothing (a grant is written only
     // when its consumer leaves the open set), so its headroom is
     // exactly its cap and its final grant exactly its share.
-    if (n == 1) {
-        // Scalar unroll of the first (and only) fill round; the
-        // w/w non-cancellation is kept so the grant is the exact
-        // double the loop below would produce.
-        grant[0] = 0.0;
-        if (caps[0] > 0.0 && capacity > 1e-15) {
-            double share = capacity * weights[0] / weights[0];
-            grant[0] = caps[0] <= share ? caps[0] : share;
-        }
-        return;
-    }
     std::size_t *open = fill_.open.data();
     std::size_t *still = fill_.still.data();
     double *share = fill_.share.data();
@@ -671,7 +627,7 @@ GpuSim::bandwidthDemand(const KernelTiming &t, double sm_grant,
     return t.dram_d / std::max(unconstrained, 1e-12);
 }
 
-inline GpuSim::Share
+inline Share
 GpuSim::shareOf(const KernelTiming &t, double sm_grant, double wave,
                 double t_comp, double bw_grant)
 {
@@ -701,32 +657,23 @@ GpuSim::applyShare(ActiveKernel &ak, const Share &s)
     ak.issue_act = s.issue_act;
 }
 
-GpuSim::Share
-GpuSim::soloShare(const ActiveKernel &ak)
+Share
+GpuSim::soloShareOf(const KernelTiming &t, double weight) const
 {
-    // The n = 1 water-fill depends on the stream weight (capacity *
-    // w / w need not round back to capacity), so a table entry keeps
-    // the share of the last weight it was filled at.
-    const double w = streams_[static_cast<std::size_t>(ak.stream)].weight;
-    TimingEntry *e =
-        ak.entry < 0
-            ? nullptr
-            : &timing_entries_[static_cast<std::size_t>(ak.entry)];
-    if (e != nullptr && e->solo_weight == w)
-        return e->solo;
-    double sm_grant = 0.0;
-    waterFillInto(1, &ak.timing.sm_cap, sm_count_d_, &w, &sm_grant);
+    // The n = 1 water-fill is one round: each grant is min(cap,
+    // capacity * w / w), the exact double waterFillInto's loop gives.
+    // The w / w is kept, since it need not round back to 1.
+    auto fill = [weight](double cap, double capacity) {
+        if (!(cap > 0.0 && capacity > 1e-15))
+            return 0.0;
+        const double share = capacity * weight / weight;
+        return cap <= share ? cap : share;
+    };
+    const double sm_grant = fill(t.sm_cap, sm_count_d_);
     double wave = 1.0;
     double t_comp = 0.0;
-    double bw_cap = bandwidthDemand(ak.timing, sm_grant, &wave, &t_comp);
-    double bw_grant = 0.0;
-    waterFillInto(1, &bw_cap, eff_dram_bps_, &w, &bw_grant);
-    Share s = shareOf(ak.timing, sm_grant, wave, t_comp, bw_grant);
-    if (e != nullptr) {
-        e->solo = s;
-        e->solo_weight = w;
-    }
-    return s;
+    const double bw_cap = bandwidthDemand(t, sm_grant, &wave, &t_comp);
+    return shareOf(t, sm_grant, wave, t_comp, fill(bw_cap, eff_dram_bps_));
 }
 
 void
@@ -743,7 +690,7 @@ GpuSim::recomputeShares()
         if (!ak.in_exec)
             continue;
         f.exec[n] = i;
-        f.sm_caps[n] = ak.timing.sm_cap;
+        f.sm_caps[n] = ak.kernel->timing.sm_cap;
         f.prio[n] =
             streams_[static_cast<std::size_t>(ak.stream)].weight;
         n++;
@@ -752,21 +699,21 @@ GpuSim::recomputeShares()
         return;
     if (n == 1) {
         ActiveKernel &ak = active_[f.exec[0]];
-        applyShare(ak, soloShare(ak));
+        applyShare(ak, ak.kernel->solo);
         return;
     }
     waterFillInto(n, f.sm_caps.data(), sm_count_d_, f.prio.data(),
                   f.sm_grant.data());
     for (std::size_t j = 0; j < n; j++)
-        f.bw_caps[j] = bandwidthDemand(active_[f.exec[j]].timing,
-                                       f.sm_grant[j], &f.wave[j],
-                                       &f.tcomp[j]);
+        f.bw_caps[j] =
+            bandwidthDemand(active_[f.exec[j]].kernel->timing,
+                            f.sm_grant[j], &f.wave[j], &f.tcomp[j]);
     waterFillInto(n, f.bw_caps.data(), eff_dram_bps_, f.prio.data(),
                   f.bw_grant.data());
     for (std::size_t j = 0; j < n; j++) {
         ActiveKernel &ak = active_[f.exec[j]];
-        applyShare(ak, shareOf(ak.timing, f.sm_grant[j], f.wave[j],
-                               f.tcomp[j], f.bw_grant[j]));
+        applyShare(ak, shareOf(ak.kernel->timing, f.sm_grant[j],
+                               f.wave[j], f.tcomp[j], f.bw_grant[j]));
     }
 }
 
@@ -797,7 +744,7 @@ GpuSim::advance(double dt)
             ak.frac_done += dfrac;
             sm_alloc += ak.alloc_sms * ak.wave_util *
                         (0.25 + 0.75 * ak.issue_act);
-            dram_bytes_win_ += dfrac * ak.timing.dram_d;
+            dram_bytes_win_ += dfrac * ak.kernel->timing.dram_d;
             any_exec = true;
         } else {
             ak.launch_remaining_s =
@@ -834,8 +781,8 @@ GpuSim::finishOp(std::int32_t op_idx, std::int32_t stream,
         rec.end_s = now_;
         rec.bytes = op.bytes;
         if (op.kind == OpKind::kKernel) {
-            rec.name = op.kernel->name;
-            rec.kernel = *op.kernel;
+            rec.name = op.kernel->desc->name;
+            rec.kernel = *op.kernel->desc;
         } else if (op.tag >= 0) {
             rec.name = tagName(op.tag);
         }
@@ -854,8 +801,6 @@ GpuSim::finishOp(std::int32_t op_idx, std::int32_t stream,
     st.busy = false;
     if (st.head != -1)
         markReady(stream);
-    if (op.owned >= 0)
-        owned_kernels_.release(op.owned);
     ops_.release(op_idx);
 }
 
@@ -960,7 +905,7 @@ GpuSim::runSolo(double horizon)
             // recompute it, over this one kernel, at the next step.
             if (ak.launch_remaining_s <= kTimeEps) {
                 ak.in_exec = true;
-                applyShare(ak, soloShare(ak));
+                applyShare(ak, ak.kernel->solo);
             }
         } else if (ak.frac_done >= 1.0 - kFracEps) {
             // finishOp queues the stream on ready_, where admitReady

@@ -26,9 +26,9 @@
  * share recomputation is skipped while the executing-kernel set is
  * unchanged (the water-fill is a pure function of that set, so the
  * skip is bit-exact); when it does rerun, it works on scratch arrays
- * sized once per stream. A per-simulator timing table keyed by the
- * borrowed descriptor's address holds each kernel's admission
- * invariants and its solo (n = 1) share, computed once. While one
+ * sized once per stream. Kernels arrive as a KernelList resolved
+ * once for one stream, so admission reads each kernel's invariants
+ * and its solo (n = 1) share instead of computing them. While one
  * stream runs alone (one active kernel, copy engine idle), step()
  * retires that stream's consecutive kernels in one tight loop, each
  * iteration exactly one generic step, until a non-kernel head, a due
@@ -44,6 +44,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -120,6 +121,72 @@ struct SimStats
 };
 
 /**
+ * Alloc-independent timing inputs of one descriptor on one device;
+ * every value is the exact double the old per-step recomputation
+ * produced.
+ */
+struct KernelTiming
+{
+    bool has_flops = false;
+    bool has_dram = false;
+    std::int64_t grid_blocks = 0;
+    double grid_d = 0.0;        //!< (double)grid_blocks
+    double maxb_d = 0.0;        //!< (double)max_blocks_per_sm
+    double flops_d = 0.0;
+    double per_sm_flops = 0.0;  //!< effective per-SM FLOP rate
+    double sm_cap = 0.0;        //!< min(sm_count, grid_blocks)
+    double dram_d = 0.0;
+    double mem_s = 0.0;         //!< kernelMemSeconds, solo
+};
+
+/** One executing kernel's outcome of a share fill. */
+struct Share
+{
+    double alloc_sms = 0.0;
+    double wave_util = 1.0;
+    double issue_act = 1.0;
+    double raw_dur = 0.0; //!< max(t_comp, t_mem), before jitter
+};
+
+/** One kernel of a KernelList: its borrowed descriptor and what
+ *  admission reads of it. */
+struct ResolvedKernel
+{
+    const KernelDesc *desc = nullptr;
+    KernelTiming timing;
+    Share solo; //!< the n = 1 water-fill at the list's stream weight
+};
+
+class GpuSim;
+
+/**
+ * A kernel program resolved for one stream of one simulator
+ * (GpuSim::resolveKernels), in launch order. An engine's kernels
+ * are fixed, so an ExecutionContext resolves its list once and
+ * launches it per inference. Launched ops point into the list's heap
+ * storage, which a move keeps in place: the list and its descriptors
+ * must outlive the launches that use them. Copying is disabled, so a
+ * growing container of lists (or of contexts) moves them rather than
+ * copying and destroying the originals under queued launches.
+ */
+class KernelList
+{
+  public:
+    KernelList() = default;
+    KernelList(KernelList &&) = default;
+    KernelList &operator=(KernelList &&) = default;
+    KernelList(const KernelList &) = delete;
+    KernelList &operator=(const KernelList &) = delete;
+
+  private:
+    friend class GpuSim;
+
+    const GpuSim *sim_ = nullptr;
+    int stream_ = 0;
+    std::vector<ResolvedKernel> kernels_;
+};
+
+/**
  * The GPU discrete-event simulator.
  */
 class GpuSim
@@ -156,21 +223,21 @@ class GpuSim
     int createStream(double priority_weight = 1.0);
 
     /**
-     * Enqueue a kernel launch on a stream, borrowing the descriptor:
-     * the op keeps only a pointer, and the timing table caches the
-     * descriptor's timing under its address. So `kernel` must outlive
-     * the simulator, unchanged: a launch whose descriptor no longer
-     * matches the entry at its address (geometry, FLOPs, DRAM bytes,
-     * efficiency) panics rather than reuse stale timing.
-     * Engine-owned descriptors satisfy this for any simulator built
-     * inside the engine's lifetime.
+     * Resolve `kernels`, in launch order, for `stream`: each entry
+     * borrows its descriptor and holds its timing on this device and
+     * its solo share at the stream's weight, which createStream fixes.
+     * Nothing else enters, so one list serves every later launch.
      */
-    void launchKernel(int stream, const KernelDesc &kernel);
+    KernelList resolveKernels(
+        int stream, std::span<const KernelDesc *const> kernels) const;
 
-    /** Enqueue a launch of a temporary descriptor: the simulator
-     *  moves it into a store it owns until the launch retires. Owned
-     *  slots recycle, so these launches bypass the timing table. */
-    void launchKernel(int stream, KernelDesc &&kernel);
+    /**
+     * Enqueue every kernel of `list` on its stream, one op each, in
+     * list order. The ops borrow the list's entries: the list and its
+     * descriptors must outlive these launches. Fatal if the list was
+     * resolved by another simulator.
+     */
+    void launchKernels(const KernelList &list);
 
     /**
      * Enqueue a host-to-device copy.
@@ -309,19 +376,18 @@ class GpuSim
   private:
     /**
      * One enqueued op, kept compact (no owned heap memory): a kernel
-     * points at its descriptor and a copy or delay names its trace
+     * points at its KernelList entry and a copy or delay names its trace
      * tag by index into the interned tag table.
      */
     struct Op
     {
         OpKind kind = OpKind::kKernel;
         std::int32_t tag = -1;      //!< trace tag id (non-kernel ops)
-        const KernelDesc *kernel = nullptr;
+        const ResolvedKernel *kernel = nullptr;
         std::uint64_t bytes = 0;
         EventId event = -1;
         double delay_s = 0.0;
         int transfers = 0;
-        std::int32_t owned = -1;    //!< owned_kernels_ slot, if any
         std::int32_t next = -1;     //!< intrusive stream-FIFO link
         bool pinned = false;
         bool delay_until = false;   //!< delay_s is an absolute time
@@ -335,44 +401,6 @@ class GpuSim
         bool busy = false;  //!< head op dispatched and in flight
         bool in_ready = false; //!< queued in ready_
         double weight = 1.0; //!< arbitration priority weight
-    };
-
-    /**
-     * Alloc-independent timing inputs of one descriptor on this
-     * device; every value is the exact double the old per-step
-     * recomputation produced.
-     */
-    struct KernelTiming
-    {
-        bool has_flops = false;
-        bool has_dram = false;
-        std::int64_t grid_blocks = 0;
-        double grid_d = 0.0;        //!< (double)grid_blocks
-        double maxb_d = 0.0;        //!< (double)max_blocks_per_sm
-        double flops_d = 0.0;
-        double per_sm_flops = 0.0;  //!< effective per-SM FLOP rate
-        double sm_cap = 0.0;        //!< min(sm_count, grid_blocks)
-        double dram_d = 0.0;
-        double mem_s = 0.0;         //!< kernelMemSeconds, solo
-    };
-
-    /** One executing kernel's outcome of a share fill. */
-    struct Share
-    {
-        double alloc_sms = 0.0;
-        double wave_util = 1.0;
-        double issue_act = 1.0;
-        double raw_dur = 0.0; //!< max(t_comp, t_mem), before jitter
-    };
-
-    /** Timing-table entry of one borrowed descriptor. */
-    struct TimingEntry
-    {
-        KernelTiming timing;
-        double efficiency = 0.0;  //!< descriptor's, for the hit check
-        double solo_weight = 0.0; //!< weight `solo` was filled at
-                                  //!< (0: none; weights are > 0)
-        Share solo;               //!< the n = 1 water-fill result
     };
 
     struct ActiveKernel
@@ -390,9 +418,7 @@ class GpuSim
                                          //!< (memory stalls excluded)
         double jitter = 1.0;             //!< system-noise multiplier
         bool in_exec = false;
-        KernelTiming timing;             //!< copied at admission
-        std::int32_t entry = -1;         //!< timing_entries_ index;
-                                         //!< -1 for owned launches
+        const ResolvedKernel *kernel = nullptr; //!< the op's entry
 
         /** Time to the end of the current phase at current rates. */
         double remainingSeconds() const
@@ -489,7 +515,7 @@ class GpuSim
     void admitReady();
     void admitKernel(std::int32_t op_idx, std::int32_t stream);
     KernelTiming timingOf(const KernelDesc &k) const;
-    std::int32_t timingEntryOf(const KernelDesc *k);
+    Share soloShareOf(const KernelTiming &t, double weight) const;
     void wakeWaiters(EventId id);
     void recomputeShares();
     void waterFillInto(std::size_t n, const double *caps,
@@ -501,7 +527,6 @@ class GpuSim
     static Share shareOf(const KernelTiming &t, double sm_grant,
                          double wave, double t_comp, double bw_grant);
     static void applyShare(ActiveKernel &ak, const Share &s);
-    Share soloShare(const ActiveKernel &ak);
     double jitterFactor();
     double nextEventDt() const;
     void advance(double dt);
@@ -519,11 +544,6 @@ class GpuSim
     double now_ = 0.0;
     std::vector<Stream> streams_;
     IndexPool<Op> ops_;
-    IndexPool<KernelDesc> owned_kernels_; //!< rvalue launches in flight
-    // Timing table of borrowed descriptors: entries in first-launch
-    // order, indexed by descriptor address.
-    std::vector<TimingEntry> timing_entries_;
-    std::unordered_map<const KernelDesc *, std::int32_t> timing_index_;
     // Interned trace tags: each distinct string is stored once, as a
     // map key (node-stable); ops hold its id (see tagName).
     std::unordered_map<std::string, std::int32_t> tag_ids_;

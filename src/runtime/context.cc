@@ -63,9 +63,18 @@ ExecutionContext::enqueueInputs(int stream, bool pinned)
 void
 ExecutionContext::enqueueKernels()
 {
-    for (const auto &step : engine_->steps())
-        for (const auto &k : step.kernels)
-            sim_->launchKernel(stream_, k);
+    // Resolved at the first enqueue, not at construction: a harness
+    // may build many more contexts than it enqueues through
+    // (bench_sim_speed's fleet shape builds 2048 and uses about 260),
+    // and lists for idle contexts would only take heap.
+    if (!kernels_) {
+        std::vector<const gpusim::KernelDesc *> kernels;
+        for (const auto &step : engine_->steps())
+            for (const auto &k : step.kernels)
+                kernels.push_back(&k);
+        kernels_ = sim_->resolveKernels(stream_, kernels);
+    }
+    sim_->launchKernels(*kernels_);
 }
 
 void

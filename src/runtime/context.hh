@@ -40,11 +40,15 @@ class ExecutionContext
 {
   public:
     /**
-     * @param engine Built engine. Launches borrow its kernel
-     *        descriptors (GpuSim::launchKernel), and the simulator
-     *        keeps their timing by address, so the engine must
-     *        outlive the context and the simulator, unchanged.
-     * @param sim    Device simulator (outlives the context).
+     * The first enqueue resolves the engine's kernels for `stream`
+     * (GpuSim::resolveKernels); every inference launches that list.
+     * Launched kernels borrow the list and the engine's descriptors,
+     * so the engine and the context must outlive, unchanged, every
+     * inference enqueued through the context until the simulator has
+     * retired it. Moving the context keeps them valid: the list's
+     * storage moves with it, in place.
+     * @param engine Built engine.
+     * @param sim    Device simulator; `stream` must exist on it.
      * @param stream Stream this context enqueues on.
      */
     ExecutionContext(const core::Engine &engine, gpusim::GpuSim &sim,
@@ -119,6 +123,7 @@ class ExecutionContext
     int copy_stream_ = -1; //!< lazily created for pipelined mode
     std::vector<std::string> input_tags_;  //!< "input_h2d:<name>"
     std::vector<std::string> output_tags_; //!< "output_d2h:<name>"
+    std::optional<gpusim::KernelList> kernels_; //!< set on first use
     std::optional<obs::Counter> enqueued_; //!< set on first enqueue
 };
 

@@ -43,14 +43,13 @@ applyEngineKey(const std::string &k, const std::string &v,
                std::uint64_t &calibration_seed)
 {
     if (k == "max_batch")
-        batching.max_batch = static_cast<int>(optionInt(k, v));
+        batching.max_batch = optionInt(k, v);
     else if (k == "timeout_us")
         batching.timeout_us = optionNumber(k, v);
     else if (k == "instances")
-        instances = static_cast<int>(optionInt(k, v));
+        instances = optionInt(k, v);
     else if (k == "calib_seed")
-        calibration_seed = static_cast<std::uint64_t>(
-            static_cast<int>(optionInt(k, v)));
+        calibration_seed = optionUnsigned(k, v);
     else
         return false;
     return true;

@@ -624,13 +624,13 @@ parseModelSpec(const std::string &spec,
                                       mc.calibration_seed))
                 return true;
             if (k == "streams")
-                mc.streams = static_cast<int>(optionInt(k, v));
+                mc.streams = optionInt(k, v);
             else if (k == "fps")
                 mc.fps = optionNumber(k, v);
             else if (k == "policy")
                 mc.policy = parseBackpressurePolicy(v);
             else if (k == "budget")
-                mc.frame_budget = static_cast<int>(optionInt(k, v));
+                mc.frame_budget = optionInt(k, v);
             else if (k == "stale_ms")
                 mc.stale_ms = optionNumber(k, v);
             else if (k == "arrival")

@@ -14,6 +14,7 @@
 #include "common/logging.hh"
 #include "core/builder.hh"
 #include "gpusim/device.hh"
+#include "kernel_launcher.hh"
 #include "nn/dot.hh"
 #include "nn/model_zoo.hh"
 #include "obs/trace.hh"
@@ -87,6 +88,7 @@ TEST(ChromeTrace, ValidJsonShape)
 
 TEST(ChromeTrace, NamesStreamTracksViaMetadata)
 {
+    test::KernelLauncher launch;
     gpusim::DeviceSpec nx = gpusim::DeviceSpec::xavierNX();
     gpusim::GpuSim sim(nx);
     gpusim::KernelDesc k;
@@ -95,8 +97,8 @@ TEST(ChromeTrace, NamesStreamTracksViaMetadata)
     k.flops = 1'000'000;
     k.efficiency = 0.5;
     int s2 = sim.createStream();
-    sim.launchKernel(0, k);
-    sim.launchKernel(s2, k);
+    launch(sim, 0, k);
+    launch(sim, s2, k);
     sim.run();
 
     std::ostringstream oss;
@@ -115,13 +117,14 @@ TEST(ChromeTrace, NamesStreamTracksViaMetadata)
 
 TEST(ChromeTrace, MergedTraceIsValidJsonWithBothClocks)
 {
+    test::KernelLauncher launch;
     gpusim::GpuSim sim(gpusim::DeviceSpec::xavierNX());
     gpusim::KernelDesc k;
     k.name = "dev_op";
     k.grid_blocks = 6;
     k.flops = 1'000'000;
     k.efficiency = 0.5;
-    sim.launchKernel(0, k);
+    launch(sim, 0, k);
     sim.run();
 
     // Hand-built host spans: a hostile name must not break the
@@ -154,13 +157,14 @@ TEST(ChromeTrace, MergedTraceIsValidJsonWithBothClocks)
 
 TEST(ChromeTrace, SavesToFile)
 {
+    test::KernelLauncher launch;
     gpusim::GpuSim sim(gpusim::DeviceSpec::xavierNX());
     gpusim::KernelDesc k;
     k.name = "probe";
     k.grid_blocks = 6;
     k.flops = 1'000'000;
     k.efficiency = 0.5;
-    sim.launchKernel(0, k);
+    launch(sim, 0, k);
     sim.run();
 
     std::string path = ::testing::TempDir() + "/trace.json";

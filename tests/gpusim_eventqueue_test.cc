@@ -2,8 +2,8 @@
  * @file
  * SimCore hot-path tests: the flat event calendar (delay min-heap
  * ordering with FIFO tie-break), the arena containers the simulator
- * allocates from, compact op storage (per-op footprint, owned
- * descriptors of temporary launches), trace-mode thinning, the
+ * allocates from, compact op storage (per-op footprint, launches
+ * backed by moved kernel lists), trace-mode thinning, the
  * sampled-trace profiler footer, and the serial-vs-parallel
  * byte-identity contract of the serve and fleet replays (sim_threads
  * must never change an observable byte of the report, metric
@@ -14,7 +14,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "fleet/spec.hh"
 #include "gpusim/device.hh"
 #include "gpusim/sim.hh"
+#include "kernel_launcher.hh"
 #include "nn/model_zoo.hh"
 #include "obs/clock.hh"
 #include "obs/metrics.hh"
@@ -82,15 +82,16 @@ TEST(EventCalendar, EqualTimestampsBreakTiesFifo)
     // Three delays expiring at the same instant complete in
     // admission order (stream 0 first) — the seq tie-break that
     // keeps the heap's pop order equal to the old linear scan's.
+    test::KernelLauncher launch;
     GpuSim sim(gpusim::DeviceSpec::xavierNX());
     int s1 = sim.createStream();
     int s2 = sim.createStream();
     sim.delayUntil(0, 0.005);
     sim.delayUntil(s1, 0.005);
     sim.delayUntil(s2, 0.005);
-    sim.launchKernel(0, kernel(6, 50'000'000));
-    sim.launchKernel(s1, kernel(6, 50'000'000));
-    sim.launchKernel(s2, kernel(6, 50'000'000));
+    launch(sim, 0, kernel(6, 50'000'000));
+    launch(sim, s1, kernel(6, 50'000'000));
+    launch(sim, s2, kernel(6, 50'000'000));
     sim.run();
 
     std::vector<int> delay_order;
@@ -165,7 +166,7 @@ TEST(RingBuffer, FifoAcrossGrowth)
 
 TEST(OpStorage, StagedInferencesStayCompact)
 {
-    // Ops borrow the engine's kernel descriptors and intern their
+    // Ops borrow the context's resolved kernel list and intern their
     // copy tags, so a backlog of enqueued inferences costs a compact
     // slot per op rather than a descriptor and a name copy per launch.
     const gpusim::DeviceSpec nx = gpusim::DeviceSpec::xavierNX();
@@ -196,121 +197,53 @@ TEST(OpStorage, ArenaBytesCountPerSimulatorBuffers)
     const std::size_t grown = sim.simStats().arena_bytes;
     ASSERT_GT(grown, base);
     EXPECT_GE(grown - base, streams * 8 * sizeof(double));
-
-    // The timing table holds one entry per borrowed descriptor: the
-    // same ops and trace over n distinct descriptors cost at least the
-    // extra entries' timing doubles more than over one descriptor.
-    const int n = 32;
-    std::vector<KernelDesc> distinct;
-    for (int i = 0; i < n; i++)
-        distinct.push_back(kernel(6 + i, 1'000'000));
-    GpuSim one(gpusim::DeviceSpec::xavierNX());
-    GpuSim many(gpusim::DeviceSpec::xavierNX());
-    for (int i = 0; i < n; i++) {
-        one.launchKernel(0, distinct[0]);
-        many.launchKernel(0, distinct[static_cast<std::size_t>(i)]);
-    }
-    one.run();
-    many.run();
-    EXPECT_GE(many.simStats().arena_bytes,
-              one.simStats().arena_bytes + (n - 1) * 8 * sizeof(double));
 }
 
-TEST(OpStorage, OwnedLaunchesBypassTheTimingTable)
+TEST(OpStorage, MovedListsBackTheirLaunches)
 {
-    // Two different temporaries launched one after the other recycle
-    // one owned slot, so they share an address; the timing table is
-    // keyed by address, so owned launches must not use it. They time
-    // exactly like borrowed launches of equal descriptors.
-    const gpusim::DeviceSpec nx = gpusim::DeviceSpec::xavierNX();
-    const KernelDesc small = kernel(6, 10'000'000);
-    const KernelDesc large = [] {
-        KernelDesc k = kernel(48, 400'000'000);
-        k.dram_bytes = 24 << 20;
-        return k;
-    }();
-    GpuSim owned(nx);
-    GpuSim borrowed(nx);
-    for (const KernelDesc *k : {&small, &large, &small}) {
-        owned.launchKernel(0, KernelDesc(*k));
-        owned.run();
-        borrowed.launchKernel(0, *k);
-        borrowed.run();
-    }
-    ASSERT_EQ(owned.trace().size(), 3u);
-    ASSERT_EQ(borrowed.trace().size(), 3u);
-    for (std::size_t i = 0; i < 3; i++) {
-        EXPECT_EQ(owned.trace()[i].start_s, borrowed.trace()[i].start_s);
-        EXPECT_EQ(owned.trace()[i].end_s, borrowed.trace()[i].end_s);
-    }
-    EXPECT_EQ(owned.nowSeconds(), borrowed.nowSeconds());
-    EXPECT_NE(owned.trace()[0].durationSeconds(),
-              owned.trace()[1].durationSeconds());
-}
-
-TEST(OpStorageDeathTest, ChangedDescriptorAtATableAddressPanics)
-{
-    // The timing table is keyed by descriptor address. A launch from
-    // an address whose descriptor changed since its first launch,
-    // whether assigned in place or rebuilt in the dead one's storage,
-    // must panic instead of reusing the stale entry.
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    using Slot = std::optional<KernelDesc>;
-    auto relaunch = [](void (*rebuild)(Slot &)) {
-        GpuSim sim(gpusim::DeviceSpec::xavierNX());
-        Slot slot(kernel(6, 10'000'000));
-        sim.launchKernel(0, *slot);
-        sim.run();
-        rebuild(slot);
-        sim.launchKernel(0, *slot);
-        sim.run();
-    };
-    const char *msg = "launched from the address of a different descriptor";
-    EXPECT_DEATH(relaunch([](Slot &s) { s->grid_blocks = 12; }), msg);
-    EXPECT_DEATH(relaunch([](Slot &s) { s->flops *= 2; }), msg);
-    EXPECT_DEATH(relaunch([](Slot &s) { s->dram_bytes = 3 << 20; }), msg);
-    EXPECT_DEATH(relaunch([](Slot &s) { s->efficiency = 0.8; }), msg);
-    EXPECT_DEATH(relaunch([](Slot &s) {
-                     s.reset();
-                     s.emplace(kernel(48, 400'000'000));
-                 }),
-                 msg);
-    // Relaunching the unchanged descriptor is the table's purpose.
-    relaunch([](Slot &) {});
-}
-
-TEST(OpStorage, TemporaryLaunchesKeepTheirDescriptors)
-{
-    // Launches of temporaries are owned by the simulator until they
-    // retire: every record keeps its own name and fields even though
-    // each descriptor died at the end of its launch statement. Names
-    // are longer than the small-string buffer, so a dangling borrow
-    // would read freed heap.
+    // Launches point into a list's heap storage, which a move keeps in
+    // place: lists moved while their launches are queued (here by a
+    // vector growing past them) still back those launches. Names are
+    // longer than the small-string buffer, so a dangling entry would
+    // read freed heap.
     GpuSim sim(gpusim::DeviceSpec::xavierNX());
-    int s1 = sim.createStream();
+    const int s1 = sim.createStream();
     const int n = 24;
+    std::vector<KernelDesc> descs;
     for (int i = 0; i < n; i++) {
-        KernelDesc k = kernel(6 + i, 1'000'000 * (i + 1));
-        k.name = "temporary_kernel_with_a_long_name_" + std::to_string(i);
-        sim.launchKernel(i % 2 == 0 ? 0 : s1, std::move(k));
+        descs.push_back(kernel(6 + i, 1'000'000 * (i + 1)));
+        descs.back().name =
+            "listed_kernel_with_a_long_name_" + std::to_string(i);
+    }
+    std::vector<gpusim::KernelList> lists;
+    for (int i = 0; i < n; i++) {
+        const KernelDesc *d = &descs[static_cast<std::size_t>(i)];
+        lists.push_back(sim.resolveKernels(i % 2 == 0 ? 0 : s1, {&d, 1}));
+        sim.launchKernels(lists.back());
     }
     sim.run();
     ASSERT_EQ(sim.trace().size(), static_cast<std::size_t>(n));
-    std::vector<bool> seen(n, false);
     for (const auto &rec : sim.trace()) {
         const int i = static_cast<int>(rec.kernel.grid_blocks) - 6;
         ASSERT_GE(i, 0);
         ASSERT_LT(i, n);
-        seen[static_cast<std::size_t>(i)] = true;
         EXPECT_EQ(rec.name,
-                  "temporary_kernel_with_a_long_name_" +
-                      std::to_string(i));
-        EXPECT_EQ(rec.kernel.name, rec.name);
+                  "listed_kernel_with_a_long_name_" + std::to_string(i));
+        EXPECT_EQ(rec.stream, i % 2 == 0 ? 0 : s1);
         EXPECT_EQ(rec.kernel.flops, 1'000'000 * (i + 1));
-        EXPECT_EQ(rec.kernel.dram_bytes, 1 << 20);
     }
-    for (int i = 0; i < n; i++)
-        EXPECT_TRUE(seen[static_cast<std::size_t>(i)]) << i;
+}
+
+TEST(OpStorage, ListsLaunchOnlyOnTheirSimulator)
+{
+    // A list holds timing for one device: another simulator refuses it.
+    const KernelDesc k = kernel(6, 1'000'000);
+    const KernelDesc *d = &k;
+    GpuSim nx(gpusim::DeviceSpec::xavierNX());
+    GpuSim agx(gpusim::DeviceSpec::xavierAGX());
+    const gpusim::KernelList list = nx.resolveKernels(0, {&d, 1});
+    EXPECT_THROW(agx.launchKernels(list), FatalError);
+    EXPECT_EQ(agx.simStats().ops_enqueued, 0u);
 }
 
 // ---------------------------------------------------------------
@@ -319,23 +252,24 @@ TEST(OpStorage, TemporaryLaunchesKeepTheirDescriptors)
 
 /** One saturated stream: N kernels back to back. */
 void
-enqueueBurst(GpuSim &sim, int n)
+enqueueBurst(test::KernelLauncher &launch, GpuSim &sim, int n)
 {
     for (int i = 0; i < n; i++)
-        sim.launchKernel(0, kernel(12, 80'000'000));
+        launch(sim, 0, kernel(12, 80'000'000));
 }
 
 TEST(TraceMode, SampledAndOffThinTheTraceOnly)
 {
     const int n = 64;
+    test::KernelLauncher launch;
     GpuSim full(gpusim::DeviceSpec::xavierNX());
     GpuSim sampled(gpusim::DeviceSpec::xavierNX());
     sampled.setTraceMode(TraceMode::kSampled, 4);
     GpuSim off(gpusim::DeviceSpec::xavierNX());
     off.setTraceMode(TraceMode::kOff);
-    enqueueBurst(full, n);
-    enqueueBurst(sampled, n);
-    enqueueBurst(off, n);
+    enqueueBurst(launch, full, n);
+    enqueueBurst(launch, sampled, n);
+    enqueueBurst(launch, off, n);
     full.run();
     sampled.run();
     off.run();
@@ -367,9 +301,10 @@ TEST(TraceMode, SampledAndOffThinTheTraceOnly)
 
 TEST(TraceMode, GpuTraceFooterStatesSampling)
 {
+    test::KernelLauncher launch;
     GpuSim sim(gpusim::DeviceSpec::xavierNX());
     sim.setTraceMode(TraceMode::kSampled, 4);
-    enqueueBurst(sim, 16);
+    enqueueBurst(launch, sim, 16);
     sim.run();
     std::ostringstream os;
     profile::printGpuTrace(os, sim, 64);
@@ -378,7 +313,7 @@ TEST(TraceMode, GpuTraceFooterStatesSampling)
               std::string::npos);
 
     GpuSim bare(gpusim::DeviceSpec::xavierNX());
-    enqueueBurst(bare, 16);
+    enqueueBurst(launch, bare, 16);
     bare.run();
     std::ostringstream os2;
     profile::printGpuTrace(os2, bare, 64);

@@ -17,6 +17,7 @@
 #include "gpusim/device.hh"
 #include "gpusim/sim.hh"
 #include "gpusim/timing.hh"
+#include "kernel_launcher.hh"
 #include "obs/metrics.hh"
 
 namespace edgert::gpusim {
@@ -40,10 +41,11 @@ kernel(std::int64_t grid, std::int64_t flops,
 
 TEST(GpuSim, SingleKernelMatchesAnalyticTime)
 {
+    test::KernelLauncher launch;
     DeviceSpec nx = DeviceSpec::xavierNX();
     GpuSim sim(nx);
     KernelDesc k = kernel(60, 1'000'000'000);
-    sim.launchKernel(0, k);
+    launch(sim, 0, k);
     sim.run();
     ASSERT_EQ(sim.trace().size(), 1u);
     double expect = soloKernelSeconds(nx, k) +
@@ -53,9 +55,10 @@ TEST(GpuSim, SingleKernelMatchesAnalyticTime)
 
 TEST(GpuSim, StreamIsFifo)
 {
+    test::KernelLauncher launch;
     GpuSim sim(DeviceSpec::xavierNX());
-    sim.launchKernel(0, kernel(6, 100'000'000));
-    sim.launchKernel(0, kernel(6, 200'000'000));
+    launch(sim, 0, kernel(6, 100'000'000));
+    launch(sim, 0, kernel(6, 200'000'000));
     sim.run();
     ASSERT_EQ(sim.trace().size(), 2u);
     EXPECT_LE(sim.trace()[0].end_s, sim.trace()[1].start_s + 1e-12);
@@ -65,16 +68,17 @@ TEST(GpuSim, SmallKernelsOverlapAcrossStreams)
 {
     // Two 3-block kernels fit side by side on 6 SMs: the makespan
     // is ~one kernel, not two.
+    test::KernelLauncher launch;
     DeviceSpec nx = DeviceSpec::xavierNX();
     GpuSim solo(nx);
-    solo.launchKernel(0, kernel(3, 300'000'000));
+    launch(solo, 0, kernel(3, 300'000'000));
     solo.run();
     double t_one = solo.nowSeconds();
 
     GpuSim sim(nx);
     int s2 = sim.createStream();
-    sim.launchKernel(0, kernel(3, 300'000'000));
-    sim.launchKernel(s2, kernel(3, 300'000'000));
+    launch(sim, 0, kernel(3, 300'000'000));
+    launch(sim, s2, kernel(3, 300'000'000));
     sim.run();
     EXPECT_LT(sim.nowSeconds(), 1.5 * t_one);
 }
@@ -83,17 +87,18 @@ TEST(GpuSim, BigKernelsShareFairly)
 {
     // Two machine-filling kernels from different streams finish in
     // about the serial time (work conservation), not faster.
+    test::KernelLauncher launch;
     DeviceSpec nx = DeviceSpec::xavierNX();
     KernelDesc k = kernel(600, 600'000'000);
     GpuSim solo(nx);
-    solo.launchKernel(0, k);
+    launch(solo, 0, k);
     solo.run();
     double t_one = solo.nowSeconds();
 
     GpuSim sim(nx);
     int s2 = sim.createStream();
-    sim.launchKernel(0, k);
-    sim.launchKernel(s2, k);
+    launch(sim, 0, k);
+    launch(sim, s2, k);
     sim.run();
     EXPECT_NEAR(sim.nowSeconds(), 2.0 * t_one, 0.15 * t_one);
 }
@@ -102,13 +107,14 @@ TEST(GpuSim, BandwidthIsConserved)
 {
     // N memory-bound kernels across streams cannot move bytes
     // faster than the DRAM bandwidth.
+    test::KernelLauncher launch;
     DeviceSpec nx = DeviceSpec::xavierNX();
     GpuSim sim(nx);
     const int n = 5;
     const std::int64_t bytes = 20'000'000;
     for (int i = 0; i < n; i++) {
         int s = i == 0 ? 0 : sim.createStream();
-        sim.launchKernel(s, kernel(600, 1000, bytes));
+        launch(sim, s, kernel(600, 1000, bytes));
     }
     sim.run();
     double min_time = static_cast<double>(n) * bytes /
@@ -130,11 +136,12 @@ TEST(GpuSim, CopyEngineSerializesAcrossStreams)
 
 TEST(GpuSim, CopyOverlapsKernels)
 {
+    test::KernelLauncher launch;
     DeviceSpec nx = DeviceSpec::xavierNX();
     GpuSim sim(nx);
     int s2 = sim.createStream();
     KernelDesc k = kernel(60, 2'000'000'000); // ~10ms
-    sim.launchKernel(0, k);
+    launch(sim, 0, k);
     sim.memcpyH2D(s2, 29'000'000, 1, "w"); // ~10ms
     sim.run();
     double t_k = soloKernelSeconds(nx, k) + nx.kernel_launch_us * 1e-6;
@@ -144,9 +151,10 @@ TEST(GpuSim, CopyOverlapsKernels)
 
 TEST(GpuSim, EventsRecordCompletionTimes)
 {
+    test::KernelLauncher launch;
     GpuSim sim(DeviceSpec::xavierNX());
     EventId e0 = sim.recordEvent(0);
-    sim.launchKernel(0, kernel(6, 500'000'000));
+    launch(sim, 0, kernel(6, 500'000'000));
     EventId e1 = sim.recordEvent(0);
     sim.run();
     EXPECT_DOUBLE_EQ(sim.eventSeconds(e0), 0.0);
@@ -155,11 +163,12 @@ TEST(GpuSim, EventsRecordCompletionTimes)
 
 TEST(GpuSim, PendingEventFatal)
 {
+    test::KernelLauncher launch;
     GpuSim sim(DeviceSpec::xavierNX());
     EventId e = sim.recordEvent(0);
     // Not run yet -> event pending... but markers complete on
     // admission, so use a kernel ahead of it.
-    sim.launchKernel(0, kernel(6, 1'000'000));
+    launch(sim, 0, kernel(6, 1'000'000));
     EventId e2 = sim.recordEvent(0);
     (void)e;
     EXPECT_THROW(sim.eventSeconds(e2), FatalError);
@@ -169,19 +178,21 @@ TEST(GpuSim, PendingEventFatal)
 
 TEST(GpuSim, HostDelayAdvancesTime)
 {
+    test::KernelLauncher launch;
     GpuSim sim(DeviceSpec::xavierNX());
     sim.hostDelay(0, 0.005);
-    sim.launchKernel(0, kernel(6, 1'000'000));
+    launch(sim, 0, kernel(6, 1'000'000));
     sim.run();
     EXPECT_GT(sim.nowSeconds(), 0.005);
 }
 
 TEST(GpuSim, RunUntilEventStopsEarly)
 {
+    test::KernelLauncher launch;
     GpuSim sim(DeviceSpec::xavierNX());
-    sim.launchKernel(0, kernel(6, 500'000'000));
+    launch(sim, 0, kernel(6, 500'000'000));
     EventId mid = sim.recordEvent(0);
-    sim.launchKernel(0, kernel(6, 500'000'000));
+    launch(sim, 0, kernel(6, 500'000'000));
     EventId end = sim.recordEvent(0);
     sim.runUntilEvent(mid);
     double t_mid = sim.nowSeconds();
@@ -191,23 +202,25 @@ TEST(GpuSim, RunUntilEventStopsEarly)
 
 TEST(GpuSim, ProfilingOverheadSlowsOps)
 {
+    test::KernelLauncher launch;
     DeviceSpec nx = DeviceSpec::xavierNX();
     GpuSim bare(nx);
-    bare.launchKernel(0, kernel(6, 100'000'000));
+    launch(bare, 0, kernel(6, 100'000'000));
     bare.run();
 
     GpuSim prof(nx);
     prof.setProfilingOverheadUs(50.0);
-    prof.launchKernel(0, kernel(6, 100'000'000));
+    launch(prof, 0, kernel(6, 100'000'000));
     prof.run();
     EXPECT_NEAR(prof.nowSeconds() - bare.nowSeconds(), 50e-6, 1e-9);
 }
 
 TEST(GpuSim, UtilizationWithinBounds)
 {
+    test::KernelLauncher launch;
     GpuSim sim(DeviceSpec::xavierNX());
     for (int i = 0; i < 4; i++)
-        sim.launchKernel(0, kernel(60, 200'000'000, 1'000'000));
+        launch(sim, 0, kernel(60, 200'000'000, 1'000'000));
     sim.run();
     auto st = sim.stats();
     double util = st.smUtilizationPct(sim.spec().sm_count);
@@ -219,8 +232,9 @@ TEST(GpuSim, UtilizationWithinBounds)
 
 TEST(GpuSim, ResetStatsOpensNewWindow)
 {
+    test::KernelLauncher launch;
     GpuSim sim(DeviceSpec::xavierNX());
-    sim.launchKernel(0, kernel(60, 500'000'000));
+    launch(sim, 0, kernel(60, 500'000'000));
     sim.run();
     sim.resetStats();
     auto st = sim.stats();
@@ -230,12 +244,13 @@ TEST(GpuSim, ResetStatsOpensNewWindow)
 
 TEST(GpuSim, JitterIsDeterministicPerSeed)
 {
+    test::KernelLauncher launch;
     DeviceSpec nx = DeviceSpec::xavierNX();
     auto run_once = [&](std::uint64_t seed) {
         GpuSim sim(nx);
         sim.setTimingJitter(0.05, seed);
         for (int i = 0; i < 5; i++)
-            sim.launchKernel(0, kernel(60, 100'000'000));
+            launch(sim, 0, kernel(60, 100'000'000));
         sim.run();
         return sim.nowSeconds();
     };
@@ -245,9 +260,10 @@ TEST(GpuSim, JitterIsDeterministicPerSeed)
 
 TEST(GpuSim, TraceRecordsAllOps)
 {
+    test::KernelLauncher launch;
     GpuSim sim(DeviceSpec::xavierNX());
     sim.memcpyH2D(0, 1000, 1, "in");
-    sim.launchKernel(0, kernel(6, 1'000'000));
+    launch(sim, 0, kernel(6, 1'000'000));
     sim.memcpyD2H(0, 1000, 1, "out");
     sim.run();
     ASSERT_EQ(sim.trace().size(), 3u);
@@ -262,14 +278,15 @@ TEST(GpuSim, StreamPrioritiesSkewSharing)
 {
     // Two machine-filling kernels; the high-priority stream's kernel
     // finishes first and far earlier than fair sharing would allow.
+    test::KernelLauncher launch;
     DeviceSpec nx = DeviceSpec::xavierNX();
     KernelDesc k = kernel(600, 600'000'000);
 
     GpuSim sim(nx);
     int hi = sim.createStream(8.0);
     int lo = sim.createStream(1.0);
-    sim.launchKernel(hi, k);
-    sim.launchKernel(lo, k);
+    launch(sim, hi, k);
+    launch(sim, lo, k);
     EventId e_hi = sim.recordEvent(hi);
     EventId e_lo = sim.recordEvent(lo);
     sim.run();
@@ -279,7 +296,7 @@ TEST(GpuSim, StreamPrioritiesSkewSharing)
     EXPECT_LT(t_hi, t_lo);
     // With an 8:1 weight the favored kernel runs near solo speed.
     GpuSim solo(nx);
-    solo.launchKernel(0, k);
+    launch(solo, 0, k);
     solo.run();
     EXPECT_LT(t_hi, 1.35 * solo.nowSeconds());
     // Work conservation still holds overall.
@@ -299,12 +316,13 @@ TEST(GpuSim, WaitEventBlocksUntilProducerRetires)
     // Consumer stream waits on an event the producer stream records
     // after a long kernel: the consumer's kernel must start no
     // earlier than the producer finishes.
+    test::KernelLauncher launch;
     GpuSim sim(DeviceSpec::xavierNX());
     int cons = sim.createStream();
-    sim.launchKernel(0, kernel(600, 600'000'000));
+    launch(sim, 0, kernel(600, 600'000'000));
     EventId produced = sim.recordEvent(0);
     sim.waitEvent(cons, produced);
-    sim.launchKernel(cons, kernel(6, 1'000'000));
+    launch(sim, cons, kernel(6, 1'000'000));
     EventId done = sim.recordEvent(cons);
     sim.run();
     // Without the wait the tiny consumer kernel would finish far
@@ -317,15 +335,16 @@ TEST(GpuSim, WaitEventAlreadySatisfiedCostsNothing)
 {
     // Waiting on an event that already completed must not stall the
     // waiting stream: same makespan as not waiting at all.
+    test::KernelLauncher launch;
     GpuSim bare(DeviceSpec::xavierNX());
-    bare.launchKernel(0, kernel(6, 100'000'000));
+    launch(bare, 0, kernel(6, 100'000'000));
     bare.run();
 
     GpuSim sim(DeviceSpec::xavierNX());
     int s2 = sim.createStream();
     EventId early = sim.recordEvent(0);
     sim.waitEvent(s2, early);
-    sim.launchKernel(s2, kernel(6, 100'000'000));
+    launch(sim, s2, kernel(6, 100'000'000));
     sim.run();
     EXPECT_NEAR(sim.nowSeconds(), bare.nowSeconds(), 1e-12);
 }
@@ -345,6 +364,7 @@ TEST(GpuSim, DelayUntilInterleavedStreamsOverlapStages)
     // (start before it ends), and every cross-stage dependency must
     // still be respected.
     auto build = [](GpuSim &sim) {
+        test::KernelLauncher launch;
         int up = 0;
         int comp = sim.createStream();
         int down = sim.createStream();
@@ -355,7 +375,7 @@ TEST(GpuSim, DelayUntilInterleavedStreamsOverlapStages)
             sim.memcpyH2D(up, 500'000, 1, "in", true);
             EventId u = sim.recordEvent(up);
             sim.waitEvent(comp, u);
-            sim.launchKernel(comp, kernel(600, 600'000'000));
+            launch(sim, comp, kernel(600, 600'000'000));
             EventId c = sim.recordEvent(comp);
             sim.waitEvent(down, c);
             sim.memcpyD2H(down, 200'000, 1, "out", true);
@@ -432,6 +452,7 @@ TEST(GpuSimGolden, StepReproducesPinnedDoubles)
     // water-fill whose saturate pass reuses the round's first share
     // instead of re-deriving it, so a smaller scenario would not pin
     // that rule.
+    test::KernelLauncher launch;
     const DeviceSpec nx = DeviceSpec::xavierNX();
     obs::MetricRegistry reg;
     GpuSim sim(nx, &reg);
@@ -451,28 +472,28 @@ TEST(GpuSimGolden, StepReproducesPinnedDoubles)
         goldenKernel("dram2", 8, 2, 25'000'000, 42 << 20);
 
     sim.memcpyH2D(hi, 8 << 20, 1, "in");
-    sim.launchKernel(hi, small);
+    launch(sim, hi, small);
     const EventId small_done = sim.recordEvent(hi);
-    sim.launchKernel(hi, big2);
+    launch(sim, hi, big2);
     const EventId hi_done = sim.recordEvent(hi);
-    sim.launchKernel(0, big);
+    launch(sim, 0, big);
     const EventId big_done = sim.recordEvent(0);
     sim.waitEvent(0, small_done);
-    sim.launchKernel(0, dram2);
+    launch(sim, 0, dram2);
     sim.memcpyD2H(0, 4 << 20, 2, "out");
     const EventId out_done = sim.recordEvent(0);
     sim.delayUntil(lo, 160e-6);
-    sim.launchKernel(lo, dram);
+    launch(sim, lo, dram);
     const EventId dram_done = sim.recordEvent(lo);
     sim.hostDelay(lo, 12e-6);
-    sim.launchKernel(lo, small);
-    sim.launchKernel(lo, dram2);
+    launch(sim, lo, small);
+    launch(sim, lo, dram2);
     const EventId lo_done = sim.recordEvent(lo);
-    sim.launchKernel(x1, big);
-    sim.launchKernel(x1, big2);
+    launch(sim, x1, big);
+    launch(sim, x1, big2);
     const EventId x1_done = sim.recordEvent(x1);
-    sim.launchKernel(x2, small);
-    sim.launchKernel(x2, dram);
+    launch(sim, x2, small);
+    launch(sim, x2, dram);
     const EventId x2_done = sim.recordEvent(x2);
     sim.run();
 
@@ -511,16 +532,17 @@ TEST(GpuSimGolden, HistogramsCountKernelsRetiredByRunUntilEvent)
     // is flushed before runUntilEvent() returns, so a histogram read
     // right after it counts every kernel retired so far, including
     // the ones past the last full batch.
+    test::KernelLauncher launch;
     const DeviceSpec nx = DeviceSpec::xavierNX();
     obs::MetricRegistry reg;
     GpuSim sim(nx, &reg);
     const KernelDesc k = kernel(12, 10'000'000, 1 << 16);
     const int first = static_cast<int>(GpuSim::kKernelSampleBatch) + 6;
     for (int i = 0; i < first; i++)
-        sim.launchKernel(0, k);
+        launch(sim, 0, k);
     const EventId mid = sim.recordEvent(0);
     for (int i = 0; i < 10; i++)
-        sim.launchKernel(0, k);
+        launch(sim, 0, k);
 
     const obs::Labels dev = {{"device", nx.name}};
     const obs::Histogram stall =
@@ -549,6 +571,7 @@ struct FeedInstance
     int release = 0;
     int compute = 0;
     int download = 0;
+    KernelList list; //!< `kernels`, resolved for `compute`
 };
 
 /** The four stage events of one enqueued dispatch. */
@@ -572,8 +595,7 @@ enqueueDispatch(GpuSim &sim, const FeedInstance &in, std::size_t k)
     e.upload = sim.recordEvent(in.release);
     if (in.pipelined)
         sim.waitEvent(in.compute, e.upload);
-    for (const KernelDesc *kd : in.kernels)
-        sim.launchKernel(in.compute, *kd);
+    sim.launchKernels(in.list);
     e.compute = sim.recordEvent(in.compute);
     if (in.pipelined)
         sim.waitEvent(in.download, e.compute);
@@ -640,6 +662,7 @@ replayFeedScenario(TraceMode mode, Feed feed)
                                         : in[i].release;
         in[i].download = in[i].pipelined ? sim.createStream()
                                          : in[i].release;
+        in[i].list = sim.resolveKernels(in[i].compute, in[i].kernels);
     }
 
     FeedOutcome out;
@@ -825,6 +848,7 @@ soloScenario()
         goldenKernel("solo_b", 12, 2, 40'000'000, 9 << 20);
     static const KernelDesc c =
         goldenKernel("solo_c", 40, 2, 220'000'000, 1 << 20);
+    test::KernelLauncher launch;
     obs::MetricRegistry reg;
     GpuSim sim(nx, &reg);
     const int s1 = sim.createStream(1.0);
@@ -832,20 +856,20 @@ soloScenario()
     const int s3 = sim.createStream(1.0);
     std::vector<EventId> ev;
     for (const KernelDesc *k : {&a, &b, &a, &c})
-        sim.launchKernel(0, *k);
+        launch(sim, 0, *k);
     sim.memcpyH2D(0, 1 << 20, 1, "mid");
-    sim.launchKernel(0, b);
+    launch(sim, 0, b);
     const EventId mid = sim.recordEvent(0);
     ev.push_back(mid);
     for (const KernelDesc *k : {&a, &c, &b, &a, &c})
-        sim.launchKernel(0, *k);
+        launch(sim, 0, *k);
     ev.push_back(sim.recordEvent(0));
     sim.delayUntil(s1, 0.41e-3);
-    sim.launchKernel(s1, c);
+    launch(sim, s1, c);
     ev.push_back(sim.recordEvent(s1));
     sim.delayUntil(s2, 2.5e-3);
     for (const KernelDesc *k : {&a, &c, &b, &c})
-        sim.launchKernel(s2, *k);
+        launch(sim, s2, *k);
     ev.push_back(sim.recordEvent(s2));
 
     SoloOutcome out;
@@ -855,7 +879,7 @@ soloScenario()
     sim.runBefore(1.6e-3);
     out.pause_now = sim.nowSeconds();
     out.pause_events = sim.simStats().events;
-    sim.launchKernel(s3, a);
+    launch(sim, s3, a);
     ev.push_back(sim.recordEvent(s3));
     sim.run();
 
@@ -916,18 +940,19 @@ class ConcurrencyProperty : public ::testing::TestWithParam<int>
 
 TEST_P(ConcurrencyProperty, MakespanBounds)
 {
+    test::KernelLauncher launch;
     int n = GetParam();
     DeviceSpec nx = DeviceSpec::xavierNX();
     KernelDesc k = kernel(12, 400'000'000);
     GpuSim solo(nx);
-    solo.launchKernel(0, k);
+    launch(solo, 0, k);
     solo.run();
     double t_one = solo.nowSeconds();
 
     GpuSim sim(nx);
     for (int i = 0; i < n; i++) {
         int s = i == 0 ? 0 : sim.createStream();
-        sim.launchKernel(s, k);
+        launch(sim, s, k);
     }
     sim.run();
     EXPECT_GE(sim.nowSeconds(), t_one * (1.0 - 1e-9));

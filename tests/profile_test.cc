@@ -10,6 +10,7 @@
 
 #include "gpusim/device.hh"
 #include "gpusim/sim.hh"
+#include "kernel_launcher.hh"
 #include "profile/nvprof.hh"
 #include "profile/tegrastats.hh"
 
@@ -30,10 +31,11 @@ kernel(const std::string &name, std::int64_t flops)
 
 TEST(Nvprof, SummaryAggregatesByName)
 {
+    test::KernelLauncher launch;
     gpusim::GpuSim sim(gpusim::DeviceSpec::xavierNX());
-    sim.launchKernel(0, kernel("a", 100'000'000));
-    sim.launchKernel(0, kernel("a", 100'000'000));
-    sim.launchKernel(0, kernel("b", 400'000'000));
+    launch(sim, 0, kernel("a", 100'000'000));
+    launch(sim, 0, kernel("a", 100'000'000));
+    launch(sim, 0, kernel("b", 400'000'000));
     sim.memcpyH2D(0, 1'000'000, 1, "w");
     sim.run();
 
@@ -56,10 +58,11 @@ TEST(Nvprof, SummaryAggregatesByName)
 
 TEST(Nvprof, SummaryIgnoresMarkersAndDelays)
 {
+    test::KernelLauncher launch;
     gpusim::GpuSim sim(gpusim::DeviceSpec::xavierNX());
     sim.recordEvent(0);
     sim.hostDelay(0, 0.001);
-    sim.launchKernel(0, kernel("k", 1'000'000));
+    launch(sim, 0, kernel("k", 1'000'000));
     sim.run();
     auto rows = summarize(sim.trace());
     ASSERT_EQ(rows.size(), 1u);
@@ -85,9 +88,10 @@ TEST(Nvprof, MemcpyRowsNamedLikeNvprof)
 
 TEST(Nvprof, GpuTraceTruncates)
 {
+    test::KernelLauncher launch;
     gpusim::GpuSim sim(gpusim::DeviceSpec::xavierNX());
     for (int i = 0; i < 10; i++)
-        sim.launchKernel(0, kernel("k", 1'000'000));
+        launch(sim, 0, kernel("k", 1'000'000));
     sim.run();
     std::ostringstream oss;
     std::size_t truncated = printGpuTrace(oss, sim.trace(), 3);
@@ -101,10 +105,11 @@ TEST(Nvprof, GpuTraceTruncates)
 
 TEST(Nvprof, InvocationTimesInOrder)
 {
+    test::KernelLauncher launch;
     gpusim::GpuSim sim(gpusim::DeviceSpec::xavierNX());
-    sim.launchKernel(0, kernel("x", 100'000'000));
-    sim.launchKernel(0, kernel("y", 1'000'000));
-    sim.launchKernel(0, kernel("x", 100'000'000));
+    launch(sim, 0, kernel("x", 100'000'000));
+    launch(sim, 0, kernel("y", 1'000'000));
+    launch(sim, 0, kernel("x", 100'000'000));
     sim.run();
     auto times = invocationTimesMs(sim.trace(), "x");
     ASSERT_EQ(times.size(), 2u);
@@ -114,10 +119,11 @@ TEST(Nvprof, InvocationTimesInOrder)
 
 TEST(Tegrastats, WindowsAreDisjoint)
 {
+    test::KernelLauncher launch;
     gpusim::GpuSim sim(gpusim::DeviceSpec::xavierNX());
     Tegrastats stats(sim, 1024.0);
 
-    sim.launchKernel(0, kernel("k", 500'000'000));
+    launch(sim, 0, kernel("k", 500'000'000));
     sim.run();
     auto s1 = stats.sample();
     EXPECT_GT(s1.gr3d_pct, 0.0);
@@ -133,9 +139,10 @@ TEST(Tegrastats, WindowsAreDisjoint)
 
 TEST(Tegrastats, PrintsFormat)
 {
+    test::KernelLauncher launch;
     gpusim::GpuSim sim(gpusim::DeviceSpec::xavierAGX());
     Tegrastats stats(sim, 4096.0);
-    sim.launchKernel(0, kernel("k", 100'000'000));
+    launch(sim, 0, kernel("k", 100'000'000));
     sim.run();
     stats.sample();
     std::ostringstream oss;

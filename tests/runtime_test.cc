@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "core/builder.hh"
 #include "gpusim/device.hh"
 #include "nn/model_zoo.hh"
@@ -286,6 +289,130 @@ TEST(Context, PipelinedInferenceOverlapsCopies)
     double f_serial = measureThroughput(e, nx, serial).aggregate_fps;
     double f_piped = measureThroughput(e, nx, piped).aggregate_fps;
     EXPECT_GT(f_piped, f_serial);
+}
+
+TEST(Context, ResolvedListsReproducePinnedTimes)
+{
+    // Each context resolves its engine's kernels once, for its own
+    // stream. Contexts a and b run one engine's descriptors on streams
+    // of weight 1 and 4: a runs alone, then b alone, so the same
+    // descriptors take their solo share at both weights; b's last
+    // kernels share the device with c, which launches its one list
+    // three times and finishes alone. c's weight is 0.7 because
+    // 6 * 0.7 / 0.7 rounds below 6 (4 is a power of two, so
+    // 6 * 4 / 4 is exact): a solo share taken at the wrong weight
+    // changes its times. Every kernel
+    // record's (start, end), in trace order, and the final time are
+    // pinned as hexfloats from the simulator before the lists existed,
+    // when timing was cached per descriptor address.
+    gpusim::DeviceSpec nx = gpusim::DeviceSpec::xavierNX();
+    core::Engine e = buildEngine("alexnet", nx);
+    gpusim::GpuSim sim(nx);
+    const int light = sim.createStream(1.0);
+    const int heavy = sim.createStream(4.0);
+    const int odd = sim.createStream(0.7);
+    ExecutionContext a(e, sim, light);
+    ExecutionContext b(e, sim, heavy);
+    ExecutionContext c(e, sim, odd);
+    a.enqueueInference();
+    b.enqueueHostGap(8e-3);
+    b.enqueueInference();
+    c.enqueueHostGap(12e-3);
+    for (int i = 0; i < 3; i++) {
+        c.enqueueInference();
+        c.enqueueHostGap(0.2e-3);
+    }
+    sim.run();
+
+    const std::vector<std::array<double, 2>> pinned = {
+        {0x1.f3973d6c6c2c8p-13, 0x1.8374ebb10274cp-12},
+        {0x1.8374ebb10274cp-12, 0x1.c11cecec6bd75p-12},
+        {0x1.c11cecec6bd75p-12, 0x1.dce01ec74ab1bp-12},
+        {0x1.dce01ec74ab1bp-12, 0x1.5aa8edf393593p-11},
+        {0x1.5aa8edf393593p-11, 0x1.6f9875f1a02e4p-11},
+        {0x1.6f9875f1a02e4p-11, 0x1.7996e50786804p-11},
+        {0x1.7996e50786804p-11, 0x1.d0332ccc6dea1p-11},
+        {0x1.d0332ccc6dea1p-11, 0x1.08f96f774f68fp-10},
+        {0x1.08f96f774f68fp-10, 0x1.1e8d78210a37cp-10},
+        {0x1.1e8d78210a37cp-10, 0x1.20e83a9728677p-10},
+        {0x1.20e83a9728677p-10, 0x1.d672523b832dp-9},
+        {0x1.d672523b832dp-9, 0x1.33e79b02d1a23p-8},
+        {0x1.33e79b02d1a23p-8, 0x1.4392d691155adp-8},
+        {0x1.4392d691155adp-8, 0x1.43fc13b9a85bap-8},
+        {0x1.43fc13b9a85bap-8, 0x1.44685dc96fdaap-8},
+        {0x1.44685dc96fdaap-8, 0x1.44d4a7d93759ap-8},
+        {0x1.0df33a24cc507p-7, 0x1.1240848ca2b37p-7},
+        {0x1.1240848ca2b37p-7, 0x1.142dc4967dfe9p-7},
+        {0x1.142dc4967dfe9p-7, 0x1.150bde2554f57p-7},
+        {0x1.150bde2554f57p-7, 0x1.1bcf6c0e53d58p-7},
+        {0x1.1bcf6c0e53d58p-7, 0x1.1d1e648e34a2dp-7},
+        {0x1.1d1e648e34a2dp-7, 0x1.1dbe4b7f9307fp-7},
+        {0x1.1dbe4b7f9307fp-7, 0x1.23280ffbe17e9p-7},
+        {0x1.23280ffbe17e9p-7, 0x1.27440b1e048d1p-7},
+        {0x1.27440b1e048d1p-7, 0x1.29f68c333be6fp-7},
+        {0x1.29f68c333be6fp-7, 0x1.2a41e481ffacfp-7},
+        {0x1.2a41e481ffacfp-7, 0x1.7bc171bdfb6b5p-7},
+        {0x1.7bc171bdfb6b5p-7, 0x1.a018aab083713p-7},
+        {0x1.9105a8bc59a05p-7, 0x1.a58655a5f8624p-7},
+        {0x1.a018aab083713p-7, 0x1.a8d35269c14e8p-7},
+        {0x1.a8d35269c14e8p-7, 0x1.a908577c634c5p-7},
+        {0x1.a908577c634c5p-7, 0x1.a93f2756da877p-7},
+        {0x1.a93f2756da877p-7, 0x1.a975f73151c29p-7},
+        {0x1.a58655a5f8624p-7, 0x1.aa21cd1f54663p-7},
+        {0x1.aa21cd1f54663p-7, 0x1.aaffe6ae2b5d1p-7},
+        {0x1.aaffe6ae2b5d1p-7, 0x1.b854ad9946fb6p-7},
+        {0x1.b854ad9946fb6p-7, 0x1.b9a3a61927c8bp-7},
+        {0x1.b9a3a61927c8bp-7, 0x1.ba438d0a862ddp-7},
+        {0x1.ba438d0a862ddp-7, 0x1.bfad5186d4a47p-7},
+        {0x1.bfad5186d4a47p-7, 0x1.c3c94ca8f7b2fp-7},
+        {0x1.c3c94ca8f7b2fp-7, 0x1.c8fbf9ec8444ep-7},
+        {0x1.c8fbf9ec8444ep-7, 0x1.c947523b480aep-7},
+        {0x1.c947523b480aep-7, 0x1.0d636fbba1e4ap-6},
+        {0x1.0d636fbba1e4ap-6, 0x1.1f8f0c34e5e78p-6},
+        {0x1.1f8f0c34e5e78p-6, 0x1.2379db1876d5ap-6},
+        {0x1.2379db1876d5ap-6, 0x1.23942a629b95dp-6},
+        {0x1.23942a629b95dp-6, 0x1.23af3ce68d759p-6},
+        {0x1.23af3ce68d759p-6, 0x1.23ca4f6a7f555p-6},
+        {0x1.2b66fed458f31p-6, 0x1.2e1102b862acbp-6},
+        {0x1.2e1102b862acbp-6, 0x1.2f07a2bd50523p-6},
+        {0x1.2f07a2bd50523p-6, 0x1.2f76af84bbcd9p-6},
+        {0x1.2f76af84bbcd9p-6, 0x1.362112fa499cbp-6},
+        {0x1.362112fa499cbp-6, 0x1.36c88f3a3a035p-6},
+        {0x1.36c88f3a3a035p-6, 0x1.371882b2e935ep-6},
+        {0x1.371882b2e935ep-6, 0x1.39cd64f110713p-6},
+        {0x1.39cd64f110713p-6, 0x1.3bdb628221f87p-6},
+        {0x1.3bdb628221f87p-6, 0x1.3e74b923e8416p-6},
+        {0x1.3e74b923e8416p-6, 0x1.3e9a654b4a245p-6},
+        {0x1.3e9a654b4a245p-6, 0x1.675a2be948037p-6},
+        {0x1.675a2be948037p-6, 0x1.7985c8628c066p-6},
+        {0x1.7985c8628c066p-6, 0x1.7d7097461cf48p-6},
+        {0x1.7d7097461cf48p-6, 0x1.7d8ae69041b4bp-6},
+        {0x1.7d8ae69041b4bp-6, 0x1.7da5f91433947p-6},
+        {0x1.7da5f91433947p-6, 0x1.7dc10b9825743p-6},
+        {0x1.855dbb01ff11fp-6, 0x1.8807bee608cb9p-6},
+        {0x1.8807bee608cb9p-6, 0x1.88fe5eeaf6711p-6},
+        {0x1.88fe5eeaf6711p-6, 0x1.896d6bb261ec7p-6},
+        {0x1.896d6bb261ec7p-6, 0x1.9017cf27efbb9p-6},
+        {0x1.9017cf27efbb9p-6, 0x1.90bf4b67e0223p-6},
+        {0x1.90bf4b67e0223p-6, 0x1.910f3ee08f54cp-6},
+        {0x1.910f3ee08f54cp-6, 0x1.93c4211eb6901p-6},
+        {0x1.93c4211eb6901p-6, 0x1.95d21eafc8175p-6},
+        {0x1.95d21eafc8175p-6, 0x1.986b75518e604p-6},
+        {0x1.986b75518e604p-6, 0x1.98912178f0433p-6},
+        {0x1.98912178f0433p-6, 0x1.c150e816ee225p-6},
+        {0x1.c150e816ee225p-6, 0x1.d37c849032254p-6},
+        {0x1.d37c849032254p-6, 0x1.d7675373c3136p-6},
+        {0x1.d7675373c3136p-6, 0x1.d781a2bde7d39p-6},
+        {0x1.d781a2bde7d39p-6, 0x1.d79cb541d9b35p-6},
+        {0x1.d79cb541d9b35p-6, 0x1.d7b7c7c5cb931p-6},
+    };
+    std::vector<std::array<double, 2>> times;
+    for (const auto &rec : sim.trace())
+        if (rec.kind == gpusim::OpKind::kKernel)
+            times.push_back({rec.start_s, rec.end_s});
+    ASSERT_EQ(e.kernelCount(), 16);
+    EXPECT_EQ(times, pinned);
+    EXPECT_EQ(sim.nowSeconds(), 0x1.db6d48b4cc587p-6);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/cliflags.hh"
 #include "common/logging.hh"
 #include "fleet/fleet.hh"
 #include "obs/metrics.hh"
@@ -110,6 +111,31 @@ TEST_P(ModelSpecTable, MalformedSpecsAreFatal)
     EXPECT_NE(msg.find("timeout_us"), std::string::npos) << msg;
 }
 
+TEST_P(ModelSpecTable, IntegerKeysRejectWhatAnIntCannotHold)
+{
+    // A count above INT_MAX must not wrap (max_batch=4294967297 was
+    // once a batch of 1), and a seed is a uint64: no aliasing through
+    // int.
+    const std::string tool = GetParam();
+    for (const char *spec :
+         {"alexnet:max_batch=4294967297", "alexnet:instances=2147483648",
+          "alexnet:max_batch=-2147483649"}) {
+        const std::string msg = fatalMessage(tool, spec);
+        EXPECT_NE(msg.find("out of range for an int"), std::string::npos)
+            << tool << " " << spec << ": " << msg;
+    }
+    EXPECT_EQ(engineFields(tool, "alexnet:max_batch=2147483647")
+                  .batching.max_batch,
+              2147483647);
+    EXPECT_EQ(engineFields(tool, "alexnet:calib_seed=4294967297")
+                  .calibration_seed,
+              4294967297u);
+    EXPECT_EQ(engineFields(tool, "alexnet:calib_seed=18446744073709551615")
+                  .calibration_seed,
+              18446744073709551615u);
+    EXPECT_NE(fatalMessage(tool, "alexnet:calib_seed=-1"), "");
+}
+
 INSTANTIATE_TEST_SUITE_P(Tools, ModelSpecTable,
                          ::testing::Values("serve", "fleet", "stream"));
 
@@ -160,6 +186,59 @@ TEST(ModelSpec, ToolKeysStayWithTheirTool)
 
 // Every engine of a ladder is calibrated on its own: svc[i] is what a
 // fresh LatencyPredictor calibrated on engine i alone predicts.
+TEST(ModelSpec, StreamCountsRejectWhatAnIntCannotHold)
+{
+    for (const char *spec : {"tiny-yolov3:streams=4294967297",
+                             "tiny-yolov3:budget=4294967298"}) {
+        const std::string msg = fatalMessage("stream", spec);
+        EXPECT_NE(msg.find("out of range for an int"), std::string::npos)
+            << spec << ": " << msg;
+    }
+}
+
+/** What FlagParser::positiveValue() makes of `flag value` (-1 when
+ *  it fatal()s, with the message in `*msg`). */
+int
+positiveFlag(const char *flag, const char *value, std::string *msg)
+{
+    std::string argv0 = "tool", name = flag, arg = value;
+    char *argv[] = {argv0.data(), name.data(), arg.data()};
+    FlagParser flags(3, argv);
+    flags.next();
+    try {
+        return flags.positiveValue();
+    } catch (const FatalError &e) {
+        *msg = e.what();
+    }
+    return -1;
+}
+
+TEST(CliFlags, IntegersOutOfRangeAreFatal)
+{
+    // Parsing only: no pool or tool ever sees these values.
+    setLogLevel(LogLevel::kError);
+    std::string msg;
+    EXPECT_EQ(positiveFlag("--sim-threads", "4294967297", &msg), -1);
+    EXPECT_NE(msg.find("must be at most 2147483647"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("--sim-threads"), std::string::npos) << msg;
+    EXPECT_EQ(positiveFlag("--sim-threads", "2147483648", &msg), -1);
+    EXPECT_EQ(positiveFlag("--sim-threads", "0", &msg), -1);
+    EXPECT_EQ(positiveFlag("--sim-threads", "2147483647", &msg),
+              2147483647);
+
+    // The fleet tool's --fail node and --rollout build= parse with
+    // these.
+    EXPECT_THROW(optionInt("fail node", "4294967297"), FatalError);
+    EXPECT_THROW(optionInt("fail node", "-2147483649"), FatalError);
+    EXPECT_EQ(optionInt("fail node", "-2147483648"), -2147483647 - 1);
+    EXPECT_EQ(optionUnsigned("build", "4294967297"), 4294967297u);
+    EXPECT_THROW(optionUnsigned("build", "-1"), FatalError);
+    EXPECT_THROW(optionUnsigned("build", "18446744073709551616"),
+                 FatalError);
+    setLogLevel(LogLevel::kInfo);
+}
+
 TEST(BuildLadder, PerEngineCalibration)
 {
     const gpusim::DeviceSpec nx = gpusim::DeviceSpec::xavierNX();

@@ -40,7 +40,7 @@ parseFailure(const std::string &spec)
         fatal("bad --fail spec '", spec,
               "' (expected node:t[:rejoin=t])");
     fleet::FailureSpec f;
-    f.node = static_cast<int>(optionInt("fail node", parts[0]));
+    f.node = optionInt("fail node", parts[0]);
     f.fail_s = optionNumber("fail time", parts[1]);
     for (std::size_t i = 2; i < parts.size(); i++) {
         auto eq = parts[i].find('=');
@@ -73,8 +73,7 @@ parseRollout(const std::string &spec)
         std::string k = parts[i].substr(0, eq);
         std::string v = parts[i].substr(eq + 1);
         if (k == "build")
-            ro.candidate_build_id = static_cast<std::uint64_t>(
-                static_cast<int>(optionInt(k, v)));
+            ro.candidate_build_id = optionUnsigned(k, v);
         else if (k == "gate_pct")
             ro.gate.max_disagreement_pct = optionNumber(k, v);
         else if (k == "stages") {
