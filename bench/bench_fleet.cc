@@ -3,7 +3,7 @@
  * EdgeFleet benchmark: cluster-scale serving on a simulated
  * heterogeneous Jetson fleet.
  *
- * Five studies, all pure functions of (config, seed):
+ * Six studies, all pure functions of (config, seed):
  *
  *  - scale: a 500-node NX/AGX fleet (plus throttled stragglers)
  *    serving resnet-18 at a six-figure aggregate request rate under
@@ -14,6 +14,11 @@
  *    must still complete — zero dropped in-flight work — with the
  *    consistent-hash ring remapping only the failed node's share of
  *    the key space.
+ *  - loaded failover: the same drain with admission off and the
+ *    fleet past capacity, so the failing node is mid-batch and its
+ *    queue is non-empty when it drains. Its queued requests must
+ *    reroute (rerouted > 0) and offered == completed + shed must
+ *    hold exactly.
  *  - placement: calibrated (measured per-(device,engine) service
  *    time) vs capability-order (nominal spec-sheet FLOPS) placement
  *    for mobilenetv1 on half the fleet. The paper's F4/F5 findings
@@ -173,6 +178,40 @@ runFigures()
     }
 
     // ------------------------------------------------------------
+    // Study 2b: the same drain under load. Admission is off and
+    // 6000 qps is past the 12 nodes' capacity, so node 3 is busy
+    // with a batch and holds a backlog when it fails: the backlog
+    // reroutes and its in-flight batches still complete.
+    // ------------------------------------------------------------
+    fleet::FleetConfig loaded = failover;
+    loaded.models[0].arrivals.qps = 6000.0;
+    loaded.admission_control = false;
+    loaded.quarantine_on_page = false;
+    fleet::FleetReport loaded_rep = fleet::runFleet(loaded);
+    const std::int64_t loaded_rerouted =
+        loaded_rep.events.empty() ? 0
+                                  : loaded_rep.events.front().rerouted;
+    bool loaded_ok =
+        loaded_rep.events.size() == 2 && loaded_rerouted > 0 &&
+        loaded_rep.unaccounted == 0 &&
+        loaded_rep.completed + loaded_rep.shed == loaded_rep.offered;
+    std::printf("loaded failover: offered %lld | completed %lld | "
+                "shed %lld | rerouted %lld at the drain | p99 %.2f "
+                "ms -> %s\n",
+                static_cast<long long>(loaded_rep.offered),
+                static_cast<long long>(loaded_rep.completed),
+                static_cast<long long>(loaded_rep.shed),
+                static_cast<long long>(loaded_rerouted),
+                loaded_rep.p99_ms,
+                loaded_ok ? "rerouted and conserved"
+                          : "NOT REROUTED OR NOT CONSERVED");
+    if (!loaded_ok) {
+        std::fprintf(stderr, "FAIL: loaded failover rerouted no "
+                             "queued request or lost one\n");
+        rc = 1;
+    }
+
+    // ------------------------------------------------------------
     // Study 3: F4/F5-aware placement vs capability order.
     // ------------------------------------------------------------
     std::vector<fleet::NodeGroup> half = {
@@ -315,6 +354,14 @@ runFigures()
                 w.endObject();
             }
             w.endArray();
+            w.endObject();
+
+            w.key("loaded_failover").beginObject();
+            w.field("qps", loaded.models[0].arrivals.qps);
+            writeTotals(w, loaded_rep);
+            writeLatency(w, loaded_rep);
+            w.field("rerouted", loaded_rerouted);
+            w.field("conserved", loaded_ok);
             w.endObject();
 
             w.key("placement").beginObject();

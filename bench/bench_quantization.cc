@@ -499,8 +499,7 @@ renderReport()
     w.beginObject();
     w.field("bench", "bench_quantization");
     fillReport(w, frontier, seeds, swap);
-    w.key("metrics").raw(
-        obs::MetricRegistry::global().toJson({"deploy.", "serve."}));
+    w.key("metrics").raw(obs::MetricRegistry::global().toJson());
     w.endObject();
     return w.str();
 }

@@ -2,24 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <memory>
 
 namespace edgert {
-
-double
-PoolStats::utilizationPct() const
-{
-    if (tasks_run == 0 || per_worker_tasks.empty())
-        return 0.0;
-    std::uint64_t busiest = *std::max_element(
-        per_worker_tasks.begin(), per_worker_tasks.end());
-    if (busiest == 0)
-        return 0.0;
-    return 100.0 * static_cast<double>(tasks_run) /
-           (static_cast<double>(per_worker_tasks.size()) *
-            static_cast<double>(busiest));
-}
 
 int
 ThreadPool::defaultThreads()
@@ -33,11 +18,8 @@ ThreadPool::ThreadPool(int threads)
     if (threads <= 0)
         threads = defaultThreads();
     workers_.reserve(static_cast<std::size_t>(threads));
-    per_worker_tasks_.assign(static_cast<std::size_t>(threads), 0);
-    per_worker_wait_ns_.assign(static_cast<std::size_t>(threads), 0);
     for (int i = 0; i < threads; i++)
-        workers_.emplace_back(
-            [this, i] { workerLoop(static_cast<std::size_t>(i)); });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -58,8 +40,6 @@ ThreadPool::submit(std::function<void()> task)
         std::unique_lock<std::mutex> lock(mu_);
         queue_.push_back(std::move(task));
         in_flight_++;
-        max_queue_depth_ = std::max(max_queue_depth_,
-                                    queue_.size());
     }
     work_cv_.notify_one();
 }
@@ -102,35 +82,20 @@ ThreadPool::stats() const
     std::unique_lock<std::mutex> lock(mu_);
     PoolStats s;
     s.tasks_run = tasks_run_;
-    s.max_queue_depth = max_queue_depth_;
-    s.wait_ns = wait_ns_;
-    s.per_worker_tasks = per_worker_tasks_;
-    s.per_worker_wait_ns = per_worker_wait_ns_;
     return s;
 }
 
 void
-ThreadPool::workerLoop(std::size_t worker)
+ThreadPool::workerLoop()
 {
     for (;;) {
         std::function<void()> task;
         {
-            auto wait_start = std::chrono::steady_clock::now();
             std::unique_lock<std::mutex> lock(mu_);
             work_cv_.wait(
                 lock, [this] { return stop_ || !queue_.empty(); });
             if (queue_.empty())
                 return; // stop_ set and nothing left to run
-            // Count idle time only when the wakeup yields work, so
-            // the shutdown wakeup doesn't inflate the numbers.
-            auto waited = std::chrono::steady_clock::now() -
-                          wait_start;
-            std::uint64_t ns = static_cast<std::uint64_t>(
-                std::chrono::duration_cast<
-                    std::chrono::nanoseconds>(waited)
-                    .count());
-            wait_ns_ += ns;
-            per_worker_wait_ns_[worker] += ns;
             task = std::move(queue_.front());
             queue_.pop_front();
         }
@@ -145,7 +110,6 @@ ThreadPool::workerLoop(std::size_t worker)
             std::unique_lock<std::mutex> lock(mu_);
             in_flight_--;
             tasks_run_++;
-            per_worker_tasks_[worker]++;
         }
         idle_cv_.notify_all();
     }

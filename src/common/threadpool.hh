@@ -29,27 +29,16 @@
 namespace edgert {
 
 /**
- * Utilization snapshot of a ThreadPool. The pool lives in the
+ * Work counters of a ThreadPool. The pool lives in the
  * dependency-free common layer, so rather than publishing metrics
- * itself it exposes this struct; instrumented users (the builder)
- * copy it into their MetricRegistry.
+ * itself it exposes this struct. Only deterministic counts belong
+ * here: host timings and schedule-dependent figures (which worker ran
+ * what, how deep the queue got) would make a user's metric snapshot
+ * vary from run to run.
  */
 struct PoolStats
 {
-    std::uint64_t tasks_run = 0;      //!< tasks completed so far
-    std::size_t max_queue_depth = 0;  //!< high-water queued tasks
-    std::uint64_t wait_ns = 0;        //!< total time workers sat
-                                      //!< idle before grabbing work
-    std::vector<std::uint64_t> per_worker_tasks; //!< by worker index
-    std::vector<std::uint64_t> per_worker_wait_ns;
-
-    /**
-     * Fraction of work done off the busiest worker's share, in
-     * percent: 100 * tasks_run / (workers * max(per_worker_tasks)).
-     * 100 means perfectly even; low values mean one worker did
-     * nearly everything.
-     */
-    double utilizationPct() const;
+    std::uint64_t tasks_run = 0; //!< tasks completed so far
 };
 
 /**
@@ -93,11 +82,11 @@ class ThreadPool
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
 
-    /** Cumulative utilization counters since construction. */
+    /** Cumulative counters since construction. */
     PoolStats stats() const;
 
   private:
-    void workerLoop(std::size_t worker);
+    void workerLoop();
 
     std::vector<std::thread> workers_;
     std::deque<std::function<void()>> queue_;
@@ -105,11 +94,7 @@ class ThreadPool
     std::condition_variable work_cv_; //!< queue became non-empty
     std::condition_variable idle_cv_; //!< a task finished
     std::size_t in_flight_ = 0;       //!< queued + running tasks
-    std::size_t max_queue_depth_ = 0;
     std::uint64_t tasks_run_ = 0;
-    std::uint64_t wait_ns_ = 0;
-    std::vector<std::uint64_t> per_worker_tasks_;
-    std::vector<std::uint64_t> per_worker_wait_ns_;
     std::exception_ptr first_error_;
     bool stop_ = false;
 };

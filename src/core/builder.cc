@@ -441,15 +441,10 @@ Builder::publishMetrics(const BuildReport &report,
     }
 
     if (pool) {
-        PoolStats ps = pool->stats();
         reg.gauge("builder.pool.workers", device_label)
             .set(static_cast<double>(pool->size()));
         reg.gauge("builder.pool.tasks", device_label)
-            .set(static_cast<double>(ps.tasks_run));
-        reg.gauge("builder.pool.max_queue_depth", device_label)
-            .set(static_cast<double>(ps.max_queue_depth));
-        reg.gauge("builder.pool.utilization_pct", device_label)
-            .set(ps.utilizationPct());
+            .set(static_cast<double>(pool->stats().tasks_run));
     }
 }
 

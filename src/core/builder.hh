@@ -225,8 +225,9 @@ class Builder
     /**
      * Record this build's outcome into the global MetricRegistry:
      * sweep workload counters and histograms, timing-cache hit/miss
-     * gauges, and thread-pool utilization. Runs serially at the end
-     * of build(), in deterministic (topological) order.
+     * gauges, and thread-pool worker and task counts. Runs
+     * serially at the end of build(), in deterministic
+     * (topological) order.
      */
     void publishMetrics(const BuildReport &report,
                         const TimingCache *cache,

@@ -103,25 +103,21 @@ optimize(const Network &net, nn::Precision precision,
     net.validate();
     OptimizerStats stats;
 
-    // Per-pass observability: one histogram sample and (when the
-    // tracer is on) one `pass:<name>` span per compression pass.
-    // The pass structure is fixed, so the clock-read count per
-    // optimize() call is constant — what keeps FakeClock-driven
-    // metric snapshots byte-reproducible.
-    std::uint64_t pass_start = obs::clock().nowNanos();
+    // Per-pass host time: one `pass:<name>` span per compression
+    // pass while the tracer is on, and no clock read while it is off.
+    // Host time never enters the MetricRegistry.
+    obs::Tracer &tracer = obs::Tracer::global();
+    const bool traced = tracer.enabled();
+    std::uint64_t pass_start = traced ? obs::clock().nowNanos() : 0;
     auto passDone = [&](const char *pass) {
+        if (!traced)
+            return;
         std::uint64_t now = obs::clock().nowNanos();
-        obs::MetricRegistry::global()
-            .histogram("builder.pass.duration_us",
-                       {{"pass", pass}})
-            .record(static_cast<double>(now - pass_start) * 1e-3);
-        if (obs::Tracer::global().enabled()) {
-            obs::SpanRecord rec;
-            rec.name = std::string("pass:") + pass;
-            rec.start_ns = pass_start;
-            rec.end_ns = now;
-            obs::Tracer::global().record(std::move(rec));
-        }
+        obs::SpanRecord rec;
+        rec.name = std::string("pass:") + pass;
+        rec.start_ns = pass_start;
+        rec.end_ns = now;
+        tracer.record(std::move(rec));
         pass_start = now;
     };
 

@@ -233,8 +233,13 @@ runFleet(const FleetConfig &cfg)
     std::vector<serve::TrafficSpec> traffic;
     for (const auto &mc : cfg.models)
         traffic.push_back({mc.arrivals, mc.slo_ms});
-    std::vector<serve::Request> requests =
-        serve::generateRequests(traffic, cfg.duration_s, cfg.seed);
+    std::vector<serve::Request> requests;
+    {
+        EDGERT_SPAN("fleet_workload",
+                    {{"models", std::to_string(n_models)}});
+        requests =
+            serve::generateRequests(traffic, cfg.duration_s, cfg.seed);
+    }
 
     // ------------------------------------------------------------
     // Phase 1 — fleet control loop. Per-(node, model) queues and

@@ -343,8 +343,7 @@ GpuSim::simStats() const
 }
 
 void
-publishSimMetrics(const SimStats &stats, const obs::Labels &labels,
-                  double wall_seconds)
+publishSimMetrics(const SimStats &stats, const obs::Labels &labels)
 {
     obs::MetricRegistry &reg = obs::MetricRegistry::global();
     reg.gauge("sim.events", labels)
@@ -354,7 +353,6 @@ publishSimMetrics(const SimStats &stats, const obs::Labels &labels,
     reg.gauge("sim.arena.bytes", labels)
         .set(static_cast<double>(stats.arena_bytes));
     reg.gauge("sim.simulated_seconds", labels).set(stats.simulated_s);
-    reg.gauge("sim.wall_seconds", labels).set(wall_seconds);
 }
 
 void

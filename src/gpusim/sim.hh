@@ -605,13 +605,11 @@ class GpuSim
  * Publish one simulator's self-measurement @p stats (a
  * GpuSim::simStats() snapshot, which outlives the simulator) as gauges
  * under @p labels: `sim.events`, `sim.solo_kernels`,
- * `sim.arena.bytes`, `sim.simulated_seconds` and `sim.wall_seconds`
- * (the host time @p wall_seconds the caller measured around run()).
- * Callers gate this — the gauges carry wall-clock and so are
- * excluded from byte-reproducible reports.
+ * `sim.arena.bytes` and `sim.simulated_seconds`. Every value is fixed
+ * by the simulation, so the gauges are as reproducible as the report;
+ * the host time of a replay lives in its span.
  */
-void publishSimMetrics(const SimStats &stats, const obs::Labels &labels,
-                       double wall_seconds);
+void publishSimMetrics(const SimStats &stats, const obs::Labels &labels);
 
 } // namespace edgert::gpusim
 

@@ -5,13 +5,13 @@
  * @file
  * Host-side time source for the observability layer.
  *
- * Span timestamps and pass durations come from this Clock interface
- * rather than from std::chrono directly, so the repo's
- * no-wall-clock-in-simulation rule extends to tests of the
- * observability layer itself: tools and benches run on SteadyClock,
- * tests install a FakeClock and get byte-identical traces and
- * metric snapshots across runs. Simulated (device) time never flows
- * through here — GpuSim keeps its own virtual clock.
+ * Span timestamps come from this Clock interface rather than from
+ * std::chrono directly, so the repo's no-wall-clock-in-simulation
+ * rule extends to tests of the observability layer itself: tools and
+ * benches run on SteadyClock, tests install a FakeClock and get
+ * byte-identical traces across runs. No reading of it reaches the
+ * MetricRegistry, and simulated (device) time never flows through
+ * here — GpuSim keeps its own virtual clock.
  */
 
 #include <atomic>

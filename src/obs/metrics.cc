@@ -395,32 +395,13 @@ MetricRegistry::mergeFrom(const MetricRegistry &src,
     }
 }
 
-namespace {
-
-bool
-keptBy(const std::string &key,
-       const std::vector<std::string> &prefixes)
-{
-    if (prefixes.empty())
-        return true;
-    for (const std::string &p : prefixes)
-        if (key.compare(0, p.size(), p) == 0)
-            return true;
-    return false;
-}
-
-} // namespace
-
 void
-MetricRegistry::writeJson(
-    std::ostream &os, const std::vector<std::string> &prefixes) const
+MetricRegistry::writeJson(std::ostream &os) const
 {
     std::lock_guard<std::mutex> lock(mu_);
     os << "{\n  \"counters\": {";
     bool first = true;
     for (const auto &[k, cell] : counters_) {
-        if (!keptBy(k, prefixes))
-            continue;
         os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(k)
            << "\": "
            << cell->value.load(std::memory_order_relaxed);
@@ -431,8 +412,6 @@ MetricRegistry::writeJson(
     os << "  \"gauges\": {";
     first = true;
     for (const auto &[k, cell] : gauges_) {
-        if (!keptBy(k, prefixes))
-            continue;
         os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(k)
            << "\": "
            << jsonNumber(
@@ -444,8 +423,6 @@ MetricRegistry::writeJson(
     os << "  \"histograms\": {";
     first = true;
     for (const auto &[k, cell] : histograms_) {
-        if (!keptBy(k, prefixes))
-            continue;
         std::lock_guard<std::mutex> hlock(cell->mu);
         os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(k)
            << "\": {\"count\": " << cell->count << ", \"exact\": "
@@ -465,11 +442,10 @@ MetricRegistry::writeJson(
 }
 
 std::string
-MetricRegistry::toJson(
-    const std::vector<std::string> &prefixes) const
+MetricRegistry::toJson() const
 {
     std::ostringstream oss;
-    writeJson(oss, prefixes);
+    writeJson(oss);
     return oss.str();
 }
 
@@ -596,15 +572,12 @@ emitFamilies(std::ostream &os, const FamilyLines &families,
 } // namespace
 
 void
-MetricRegistry::writePromText(
-    std::ostream &os, const std::vector<std::string> &prefixes) const
+MetricRegistry::writePromText(std::ostream &os) const
 {
     std::lock_guard<std::mutex> lock(mu_);
 
     FamilyLines counter_fams;
     for (const auto &[k, cell] : counters_) {
-        if (!keptBy(k, prefixes))
-            continue;
         ParsedKey pk = parseKey(k);
         std::string fam = promName(pk.name);
         counter_fams[fam].push_back(
@@ -616,8 +589,6 @@ MetricRegistry::writePromText(
 
     FamilyLines gauge_fams;
     for (const auto &[k, cell] : gauges_) {
-        if (!keptBy(k, prefixes))
-            continue;
         ParsedKey pk = parseKey(k);
         std::string fam = promName(pk.name);
         gauge_fams[fam].push_back(
@@ -632,8 +603,6 @@ MetricRegistry::writePromText(
     // _sum and _count translate directly.
     FamilyLines summary_fams;
     for (const auto &[k, cell] : histograms_) {
-        if (!keptBy(k, prefixes))
-            continue;
         ParsedKey pk = parseKey(k);
         std::string fam = promName(pk.name);
         auto &lines = summary_fams[fam];
@@ -660,11 +629,10 @@ MetricRegistry::writePromText(
 }
 
 std::string
-MetricRegistry::toPromText(
-    const std::vector<std::string> &prefixes) const
+MetricRegistry::toPromText() const
 {
     std::ostringstream oss;
-    writePromText(oss, prefixes);
+    writePromText(oss);
     return oss.str();
 }
 

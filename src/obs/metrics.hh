@@ -9,9 +9,15 @@
  * Naming scheme: `subsystem.object.property[_unit]`, labels in
  * `{key=value}` form appended to the name to build the canonical
  * metric key (labels sorted by key, e.g.
- * `builder.pass.duration_us{device=Xavier NX,pass=fusion}`).
+ * `gpusim.memcpy.bytes{device=xavier-nx,dir=h2d}`).
  * Duration metrics are recorded in microseconds (`_us`), byte
  * counts in bytes, ratios in percent (`_pct`).
+ *
+ * The registry holds only values the simulation determines: counts,
+ * simulated times and model outputs, fixed by (config, seed). Host
+ * time (wall clock, worker scheduling) lives only in obs spans
+ * (obs/trace.hh), so two processes given the same inputs write
+ * byte-identical snapshots.
  *
  * Handles (Counter/Gauge/Histogram) are cheap value types pointing
  * into registry-owned cells; creating the same (name, labels) twice
@@ -256,18 +262,9 @@ class MetricRegistry
      * whether the percentiles are nearest-rank statistics over the
      * retained raw samples (count <= HistogramCell::kExactCap)
      * rather than bucket-midpoint estimates.
-     *
-     * A non-empty `prefixes` list keeps only metrics whose key
-     * starts with one of the prefixes — benches use this to embed
-     * simulation-deterministic families (`deploy.`, `serve.`) while
-     * excluding wall-clock instrumentation such as
-     * `builder.pass.duration_us`.
      */
-    void writeJson(std::ostream &os,
-                   const std::vector<std::string> &prefixes = {})
-        const;
-    std::string
-    toJson(const std::vector<std::string> &prefixes = {}) const;
+    void writeJson(std::ostream &os) const;
+    std::string toJson() const;
 
     /** Write toJson() to a file; fatal() on I/O error. */
     void save(const std::string &path) const;
@@ -280,14 +277,9 @@ class MetricRegistry
      * label values are escaped per the exposition spec, and each
      * family gets exactly one `# TYPE` line even when label sets
      * interleave with other families in canonical key order.
-     * `prefixes` filters on the canonical (pre-sanitization) key,
-     * as in writeJson().
      */
-    void writePromText(std::ostream &os,
-                       const std::vector<std::string> &prefixes =
-                           {}) const;
-    std::string
-    toPromText(const std::vector<std::string> &prefixes = {}) const;
+    void writePromText(std::ostream &os) const;
+    std::string toPromText() const;
 
     /** Write toPromText() to a file; fatal() on I/O error. */
     void savePromText(const std::string &path) const;

@@ -12,7 +12,6 @@
 #include "common/stats.hh"
 #include "core/builder.hh"
 #include "nn/model_zoo.hh"
-#include "obs/clock.hh"
 #include "obs/trace.hh"
 #include "runtime/context.hh"
 #include "runtime/measure.hh"
@@ -293,7 +292,6 @@ replayDevice(const gpusim::DeviceSpec &spec,
     };
 
     DeviceReplay out;
-    const std::uint64_t t0 = obs::clock().nowNanos();
     for (InstanceFeed &f : feeds)
         if (!f.fedAll())
             enqueueNext(f);
@@ -324,8 +322,6 @@ replayDevice(const gpusim::DeviceSpec &spec,
         }
     }
     sim.run();
-    out.wall_s =
-        static_cast<double>(obs::clock().nowNanos() - t0) * 1e-9;
     for (const Pending &p : pending) {
         p.pd->begin_s = sim.eventSeconds(p.h.begin);
         p.pd->upload_done_s = sim.eventSeconds(p.h.upload_done);
@@ -517,6 +513,7 @@ deviceStats(const std::vector<gpusim::DeviceSpec> &devices,
             .set(s.copy_busy_pct);
         reg.gauge(prefix + ".device.instances", labels)
             .set(static_cast<double>(s.instances));
+        gpusim::publishSimMetrics(dr.sim, labels);
         out.push_back(std::move(s));
     }
     return out;

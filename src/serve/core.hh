@@ -347,7 +347,6 @@ struct DeviceReplay
 {
     gpusim::UtilStats util;  //!< utilization over the whole run
     gpusim::SimStats sim;    //!< self-measurement; makespan = simulated_s
-    double wall_s = 0.0;     //!< host seconds of the fed run
     std::vector<gpusim::OpRecord> trace; //!< moved out of the sim
     gpusim::TraceMode trace_mode = gpusim::TraceMode::kFull;
     int trace_sample_every = 16;
@@ -358,7 +357,7 @@ struct Replay
 {
     std::vector<DeviceReplay> devices;
     int threads = 1; //!< workers actually used
-    PoolStats pool;  //!< worker stats when threads > 1
+    PoolStats pool;  //!< worker task count when threads > 1
 };
 
 /**
@@ -541,8 +540,9 @@ struct DeviceStats
 
 /**
  * Stats of every device from a replay's per-device results, with
- * `<prefix>.device.{sm_util_pct,copy_busy_pct,instances}` gauges
- * labeled {device, index}.
+ * `<prefix>.device.{sm_util_pct,copy_busy_pct,instances}` gauges and
+ * the simulator's own `sim.*` gauges (gpusim::publishSimMetrics),
+ * all labeled {device, index}.
  */
 std::vector<DeviceStats>
 deviceStats(const std::vector<gpusim::DeviceSpec> &devices,

@@ -188,8 +188,12 @@ runServer(const ServeConfig &cfg)
     std::vector<TrafficSpec> traffic;
     for (const auto &mc : cfg.models)
         traffic.push_back({mc.arrivals, mc.slo_ms});
-    std::vector<Request> requests =
-        generateRequests(traffic, cfg.duration_s, cfg.seed);
+    std::vector<Request> requests;
+    {
+        EDGERT_SPAN("serve_workload",
+                    {{"models", std::to_string(n_models)}});
+        requests = generateRequests(traffic, cfg.duration_s, cfg.seed);
+    }
 
     // ------------------------------------------------------------
     // Phase 1 — control loop over (arrival, timeout, predicted-
@@ -516,30 +520,6 @@ runServer(const ServeConfig &cfg)
     ro.trace_sample_every = cfg.trace_sample_every;
     Replay replay =
         replayPlans(cfg.devices, pool.instances(), versions, ro);
-    if (cfg.sim_metrics) {
-        if (replay.threads > 1) {
-            const PoolStats &ps = replay.pool;
-            const obs::Labels pl = {{"scope", "serve_replay"}};
-            reg.gauge("serve.pool.workers", pl)
-                .set(static_cast<double>(replay.threads));
-            reg.gauge("serve.pool.tasks_run", pl)
-                .set(static_cast<double>(ps.tasks_run));
-            reg.gauge("serve.pool.max_queue_depth", pl)
-                .set(static_cast<double>(ps.max_queue_depth));
-            reg.gauge("serve.pool.wait_seconds", pl)
-                .set(static_cast<double>(ps.wait_ns) * 1e-9);
-            reg.gauge("serve.pool.utilization_pct", pl)
-                .set(ps.utilizationPct());
-        }
-        for (int d = 0; d < n_devices; d++) {
-            auto di = static_cast<std::size_t>(d);
-            gpusim::publishSimMetrics(
-                replay.devices[di].sim,
-                {{"device", cfg.devices[di].name},
-                 {"index", std::to_string(d)}},
-                replay.devices[di].wall_s);
-        }
-    }
 
     // Fold measured completions back into the request table and the
     // predictor-error and batch-size metrics (instance order, then

@@ -156,14 +156,6 @@ struct ServeConfig
      */
     int sim_threads = 1;
 
-    /**
-     * Publish simulator self-measurement (`sim.*`) and — when the
-     * replay is parallel — `serve.pool.*` gauges. Off by default:
-     * they carry wall-clock readings, and canonical benchmark
-     * reports embed the whole registry.
-     */
-    bool sim_metrics = false;
-
     /** Per-device kernel-trace policy for the replay. kFull keeps
      *  every record (byte-compatible default); kSampled keeps one
      *  in trace_sample_every; kOff records nothing. */

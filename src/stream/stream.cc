@@ -165,6 +165,8 @@ runStreams(const StreamConfig &cfg)
     // ------------------------------------------------------------
     std::vector<FrameRec> frames;
     {
+        EDGERT_SPAN("stream_workload",
+                    {{"models", std::to_string(n_models)}});
         Rng root(cfg.seed);
         Rng frames_rng = root.fork("frames");
         Rng stages_rng = root.fork("stages");

@@ -16,7 +16,6 @@
 #include "fleet/fleet.hh"
 #include "fleet/placement.hh"
 #include "fleet/spec.hh"
-#include "obs/clock.hh"
 #include "obs/metrics.hh"
 #include "serve/core.hh"
 #include "serve/server.hh"
@@ -50,12 +49,10 @@ TEST(Fleet, SameSeedByteIdenticalSerialAndParallel)
     fs.rejoin_s = 0.7;
     cfg.failures.push_back(fs);
 
-    // Report and registry snapshot of one run from a fresh registry;
-    // the FakeClock pins the wall-clock builder histograms.
+    // Report and registry snapshot of one run from a fresh registry.
+    // No clock is pinned: the registry holds no host time.
     auto run = [&cfg](int threads) {
         obs::MetricRegistry::global().reset();
-        obs::FakeClock fake(1'000'000, 500);
-        obs::ScopedClock scoped(&fake);
         cfg.sim_threads = threads;
         std::string report = fleet::runFleet(cfg).toJson();
         return std::make_pair(report,

@@ -389,8 +389,6 @@ TEST(ParallelReplay, FleetWiderThanTheWindowMatchesSerial)
     // enqueueing caller waits on retiring tasks mid-replay.
     auto run = [](int threads) {
         obs::MetricRegistry::global().reset();
-        obs::FakeClock fake(1'000'000, 500);
-        obs::ScopedClock scoped(&fake);
         fleet::FleetConfig cfg;
         cfg.groups.push_back(fleet::parseNodeGroup("nx:12"));
         cfg.groups.push_back(fleet::parseNodeGroup("agx:4"));

@@ -2,7 +2,7 @@
  * @file
  * End-to-end observability tests: a real build instruments itself
  * into the global MetricRegistry and Tracer, the resulting snapshot
- * is byte-reproducible under a FakeClock, and the merged
+ * does not depend on the host clock at all, and the merged
  * chrome-trace document (host spans above device tracks) is valid
  * JSON. These are the acceptance tests for the obs subsystem: they
  * exercise the registry through the builder/optimizer/gpusim/runtime
@@ -28,6 +28,7 @@
 #include "profile/trace_export.hh"
 #include "runtime/context.hh"
 #include "serve/server.hh"
+#include "stream/stream.hh"
 
 namespace edgert {
 namespace {
@@ -39,14 +40,15 @@ using obs::Tracer;
 
 /**
  * One cold + one warm build of the same model against a shared
- * timing cache, jobs=1 so no schedule-dependent pool gauges exist
- * and the FakeClock reading sequence is identical across runs.
+ * timing cache, with the host clock replaced by a FakeClock that
+ * starts at @p start_ns and steps @p step_ns per reading.
  */
 std::string
-coldWarmSnapshot()
+coldWarmSnapshot(std::uint64_t start_ns = 1'000'000,
+                 std::uint64_t step_ns = 500)
 {
     MetricRegistry::global().reset();
-    FakeClock fake(1'000'000, 500);
+    FakeClock fake(start_ns, step_ns);
     ScopedClock scoped(&fake);
 
     nn::Network net = nn::buildZooModel("resnet-18");
@@ -72,9 +74,12 @@ TEST(ObsE2E, SnapshotIsValidJson)
     EXPECT_TRUE(jsonValid(snapshot, &error)) << error;
 }
 
-TEST(ObsE2E, BuildRecordsCacheTrafficAndPassHistograms)
+TEST(ObsE2E, BuildRecordsCacheTrafficAndPassSpans)
 {
+    Tracer::global().clear();
+    Tracer::global().setEnabled(true);
     std::string snapshot = coldWarmSnapshot();
+    Tracer::global().setEnabled(false);
 
     MetricRegistry &reg = MetricRegistry::global();
     obs::Labels dev = {{"device", "xavier-nx"}};
@@ -90,18 +95,26 @@ TEST(ObsE2E, BuildRecordsCacheTrafficAndPassHistograms)
     EXPECT_GT(
         reg.counter("builder.tactic.cache_served", dev).value(), 0);
 
-    // Per-pass optimizer histograms made it into the snapshot with
-    // real samples (two builds -> two optimize() calls each).
+    // Per-pass host time lives in `pass:<name>` spans, one per
+    // optimize() call (two builds -> two each), and never in the
+    // snapshot.
+    const std::vector<obs::SpanRecord> spans = Tracer::global().spans();
     for (const char *pass :
          {"dead_layer_removal", "fusion", "horizontal_merge",
           "precision_assignment"}) {
-        obs::Histogram h = reg.histogram("builder.pass.duration_us",
-                                         {{"pass", pass}});
-        EXPECT_EQ(h.count(), 2u) << pass;
-        EXPECT_GT(h.sum(), 0.0) << pass;
-        EXPECT_NE(snapshot.find(std::string("pass=") + pass),
+        const std::string name = std::string("pass:") + pass;
+        int seen = 0;
+        for (const obs::SpanRecord &s : spans) {
+            if (s.name != name)
+                continue;
+            seen++;
+            EXPECT_GT(s.end_ns, s.start_ns) << name;
+        }
+        EXPECT_EQ(seen, 2) << name;
+        EXPECT_EQ(snapshot.find(std::string("pass=") + pass),
                   std::string::npos);
     }
+    Tracer::global().clear();
 }
 
 TEST(ObsE2E, SnapshotBytesReproducibleUnderFakeClock)
@@ -113,6 +126,59 @@ TEST(ObsE2E, SnapshotBytesReproducibleUnderFakeClock)
     std::string second = coldWarmSnapshot();
     EXPECT_EQ(first, second);
     EXPECT_FALSE(first.empty());
+
+    // The snapshot holds no host time: a clock that starts
+    // elsewhere and runs at another rate changes nothing.
+    EXPECT_EQ(first, coldWarmSnapshot(7'000'000'000, 7919));
+}
+
+/** Snapshot of @p run's replay on nx + agx at @p threads. */
+template <class Cfg, class Run>
+std::string
+twoDeviceSnapshot(Cfg cfg, Run run, int threads)
+{
+    MetricRegistry::global().reset();
+    cfg.devices = {serve::parseDevice("nx"), serve::parseDevice("agx")};
+    cfg.duration_s = 0.5;
+    cfg.sim_threads = threads;
+    run(cfg);
+    std::string snapshot = MetricRegistry::global().toJson();
+    // Every device's simulator published its self-measurement.
+    for (std::size_t d = 0; d < cfg.devices.size(); d++) {
+        const obs::Labels labels = {{"device", cfg.devices[d].name},
+                                    {"index", std::to_string(d)}};
+        EXPECT_NE(snapshot.find(MetricRegistry::key("sim.events",
+                                                    labels)),
+                  std::string::npos)
+            << snapshot;
+        EXPECT_GT(
+            MetricRegistry::global().gauge("sim.events", labels).value(),
+            0.0);
+    }
+    return snapshot;
+}
+
+TEST(ObsE2E, ServeAndStreamPublishSimGaugesPerDevice)
+{
+    // No flag turns these on: every sim.* value is fixed by the
+    // simulation, so the snapshot is the same at any thread count.
+    serve::ServeConfig serve_cfg;
+    serve::ModelConfig mc;
+    mc.model = "alexnet";
+    mc.slo_ms = 40.0;
+    mc.arrivals.qps = 200.0;
+    serve_cfg.models.push_back(mc);
+    EXPECT_EQ(twoDeviceSnapshot(serve_cfg, serve::runServer, 1),
+              twoDeviceSnapshot(serve_cfg, serve::runServer, 2));
+
+    stream::StreamConfig stream_cfg;
+    stream::StreamModelConfig sm;
+    sm.model = "tiny-yolov3";
+    sm.streams = 4;
+    sm.fps = 30.0;
+    stream_cfg.models.push_back(sm);
+    EXPECT_EQ(twoDeviceSnapshot(stream_cfg, stream::runStreams, 1),
+              twoDeviceSnapshot(stream_cfg, stream::runStreams, 2));
 }
 
 TEST(ObsE2E, MergedTraceHasHostSpansAndDeviceOps)

@@ -20,9 +20,9 @@ TEST(MetricKey, CanonicalizesLabels)
     EXPECT_EQ(MetricRegistry::key("builder.builds", {}),
               "builder.builds");
     EXPECT_EQ(MetricRegistry::key(
-                  "builder.pass.duration_us",
-                  {{"pass", "fusion"}, {"device", "NX"}}),
-              "builder.pass.duration_us{device=NX,pass=fusion}");
+                  "gpusim.memcpy.bytes",
+                  {{"dir", "h2d"}, {"device", "NX"}}),
+              "gpusim.memcpy.bytes{device=NX,dir=h2d}");
 }
 
 TEST(MetricRegistry, CounterAccumulates)
@@ -165,27 +165,6 @@ TEST(MetricRegistry, SnapshotIsValidJson)
         .record(4.2);
     std::string err;
     EXPECT_TRUE(jsonValid(reg.toJson(), &err)) << err;
-}
-
-TEST(MetricRegistry, SnapshotPrefixFilterKeepsMatchingFamilies)
-{
-    MetricRegistry reg;
-    reg.counter("deploy.repo.puts").add(1);
-    reg.gauge("serve.device.util_pct").set(50.0);
-    reg.histogram("builder.pass.duration_us").record(9.0);
-
-    std::string filtered = reg.toJson({"deploy.", "serve."});
-    EXPECT_NE(filtered.find("deploy.repo.puts"), std::string::npos);
-    EXPECT_NE(filtered.find("serve.device.util_pct"),
-              std::string::npos);
-    EXPECT_EQ(filtered.find("builder.pass.duration_us"),
-              std::string::npos);
-    std::string err;
-    EXPECT_TRUE(jsonValid(filtered, &err)) << err;
-
-    // An empty prefix list keeps everything.
-    EXPECT_NE(reg.toJson().find("builder.pass.duration_us"),
-              std::string::npos);
 }
 
 TEST(MetricRegistry, SnapshotIsByteIdenticalForEqualState)
@@ -386,16 +365,6 @@ TEST(PromText, EscapesLabelValuesAndSanitizesNames)
     EXPECT_NE(text.find("serve_engine_load_failures{model="
                         "\"res\\\"net\\\\v2\\nx\"} 1"),
               std::string::npos);
-}
-
-TEST(PromText, PrefixFilterUsesCanonicalKeys)
-{
-    MetricRegistry reg;
-    reg.counter("deploy.repo.puts").add(1);
-    reg.counter("builder.builds").add(1);
-    std::string text = reg.toPromText({"deploy."});
-    EXPECT_NE(text.find("deploy_repo_puts 1"), std::string::npos);
-    EXPECT_EQ(text.find("builder_builds"), std::string::npos);
 }
 
 // ---------------------------------------------------------------

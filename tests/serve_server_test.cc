@@ -2,24 +2,21 @@
  * @file
  * End-to-end tests for the EdgeServe server: request conservation,
  * batching and admission behavior, multi-device placement, and the
- * determinism contract — two same-seed runs under a FakeClock must
- * produce byte-identical reports and metric snapshots.
+ * determinism contract — two same-seed runs must produce
+ * byte-identical reports and metric snapshots.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "obs/clock.hh"
 #include "obs/metrics.hh"
 #include "serve/server.hh"
 
 namespace edgert::serve {
 namespace {
 
-using obs::FakeClock;
 using obs::MetricRegistry;
-using obs::ScopedClock;
 
 ServeConfig
 smallConfig(double qps, double slo_ms, bool batching)
@@ -100,14 +97,12 @@ TEST(Server, MultiDevicePlacementUsesEveryDevice)
     }
 }
 
-/** One full serve run under a FakeClock; returns report JSON and
+/** One full serve run on the host clock; returns report JSON and
  *  the global metric snapshot. */
 std::pair<std::string, std::string>
 seededRun()
 {
     MetricRegistry::global().reset();
-    FakeClock fake(1'000'000, 500);
-    ScopedClock scoped(&fake);
     ServeReport rep = runServer(smallConfig(250, 25, true));
     return {rep.toJson(), MetricRegistry::global().toJson()};
 }

@@ -15,7 +15,6 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "obs/clock.hh"
 #include "obs/metrics.hh"
 #include "serve/server.hh"
 #include "stream/freshness.hh"
@@ -295,12 +294,10 @@ TEST(RunStreams, SerialAndThreadedReplayAreByteIdentical)
     mc.fps = 30.0;
     cfg.models.push_back(mc);
 
-    // Report and registry snapshot of one run from a fresh registry;
-    // the FakeClock pins the wall-clock builder histograms.
+    // Report and registry snapshot of one run from a fresh registry.
+    // No clock is pinned: the registry holds no host time.
     auto run = [&cfg](int threads) {
         obs::MetricRegistry::global().reset();
-        obs::FakeClock fake(1'000'000, 500);
-        obs::ScopedClock scoped(&fake);
         cfg.sim_threads = threads;
         std::string report = runStreams(cfg).toJson();
         return std::make_pair(report,

@@ -114,8 +114,6 @@ usage()
         "  --drift-gate-pct <x>  max tolerated canary top-1\n"
         "                        disagreement, percent "
         "(default 0.4)\n"
-        "  --sim-metrics         publish sim.* / serve.pool.* "
-        "gauges\n"
         "  --watch-out <f>       enable EdgeWatch; write the watch\n"
         "                        report here (incidents land next "
         "to\n"
@@ -171,8 +169,6 @@ parse(int argc, char **argv)
             a.rebuild_calib_seed = flags.unsignedValue();
         else if (flags.is("--drift-gate-pct"))
             a.drift_gate_pct = flags.numberValue();
-        else if (flags.is("--sim-metrics"))
-            a.cfg.sim_metrics = true;
         else if (serve::parseRunFlag(flags, a.cfg) ||
                  serve::parseTraceFlag(flags, a.cfg) ||
                  a.out.parse(flags))
