@@ -18,8 +18,10 @@
  *  - overhead: the same scenario with watch off vs on, wall-clock
  *    timed. Request-scoped tracing rides the existing replay event
  *    stream (the server always stages its enqueues), so the
- *    watch-on cost is one in-memory feed replay — the report
- *    records the measured percentage.
+ *    watch-on cost is one in-memory feed replay. The timings are
+ *    host readings, so they go to stdout only; the report keeps
+ *    each scenario's simulated request count and stays
+ *    byte-identical across processes.
  *
  * A same-seed double run of the overload scenario must produce
  * byte-identical serve reports (watch block included); the report
@@ -261,10 +263,6 @@ runFigures()
                 w.field("model", p.model);
                 w.field("target_qps", p.qps);
                 w.field("requests", p.requests);
-                w.field("watch_off_ms", p.off_ms);
-                w.field("watch_on_ms", p.on_ms);
-                w.field("overhead_pct", p.pct());
-                w.field("watch_us_per_request", p.usPerRequest());
                 w.endObject();
             }
             w.endArray();

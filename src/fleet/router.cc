@@ -68,6 +68,39 @@ HashRing::reset(const std::vector<int> &nodes)
         for (int v = 0; v < vnodes_; v++)
             ring_.emplace_back(pointHash(node, v), node);
     std::sort(ring_.begin(), ring_.end());
+    reindex();
+}
+
+void
+HashRing::reindex()
+{
+    constexpr std::size_t buckets = std::size_t{1} << kIndexBits;
+    first_.resize(buckets + 1);
+    std::size_t i = 0;
+    for (std::size_t b = 0; b < buckets; b++) {
+        while (i < ring_.size() &&
+               (ring_[i].first >> (64 - kIndexBits)) < b)
+            i++;
+        first_[b] = static_cast<std::uint32_t>(i);
+    }
+    first_[buckets] = static_cast<std::uint32_t>(ring_.size());
+}
+
+std::size_t
+HashRing::lowerBound(std::uint64_t key) const
+{
+    // Points below the key's bucket hash below the key and points
+    // past it above, so the answer lies in the bucket's run or is
+    // the run's end (the next bucket's first point).
+    const std::uint64_t b = key >> (64 - kIndexBits);
+    const auto lo = ring_.begin() + first_[b];
+    const auto hi = ring_.begin() + first_[b + 1];
+    return static_cast<std::size_t>(
+        std::lower_bound(lo, hi, key,
+                         [](const auto &p, std::uint64_t k) {
+                             return p.first < k;
+                         }) -
+        ring_.begin());
 }
 
 void
@@ -83,6 +116,7 @@ HashRing::add(int node)
         ring_.insert(
             std::lower_bound(ring_.begin(), ring_.end(), p), p);
     }
+    reindex();
 }
 
 void
@@ -98,6 +132,7 @@ HashRing::remove(int node)
                                    return p.second == node;
                                }),
                 ring_.end());
+    reindex();
 }
 
 bool
@@ -112,12 +147,10 @@ HashRing::route(std::uint64_t key) const
 {
     if (ring_.empty())
         return -1;
-    auto it = std::lower_bound(
-        ring_.begin(), ring_.end(), key,
-        [](const auto &p, std::uint64_t k) { return p.first < k; });
-    if (it == ring_.end())
-        it = ring_.begin(); // wrap
-    return it->second;
+    std::size_t i = lowerBound(key);
+    if (i == ring_.size())
+        i = 0; // wrap
+    return ring_[i].second;
 }
 
 std::vector<int>
@@ -126,9 +159,9 @@ HashRing::successors(std::uint64_t key, int n) const
     std::vector<int> out;
     if (ring_.empty() || n <= 0)
         return out;
-    auto it = std::lower_bound(
-        ring_.begin(), ring_.end(), key,
-        [](const auto &p, std::uint64_t k) { return p.first < k; });
+    out.reserve(std::min(static_cast<std::size_t>(n), members_.size()));
+    auto it = ring_.begin() +
+              static_cast<std::ptrdiff_t>(lowerBound(key));
     for (std::size_t walked = 0;
          walked < ring_.size() &&
          out.size() < static_cast<std::size_t>(n);

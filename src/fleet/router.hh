@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace edgert::fleet {
@@ -44,8 +45,12 @@ RoutePolicy parseRoutePolicy(const std::string &s);
 const char *routePolicyName(RoutePolicy policy);
 
 /**
- * Seeded consistent-hash ring with virtual nodes. Membership
- * changes are O(vnodes log n); routing is a binary search.
+ * Seeded consistent-hash ring with virtual nodes. reset() sorts the
+ * whole ring once; add() inserts each of its points into the sorted
+ * ring and remove() filters it, so both are linear in the ring size.
+ * A lookup reads a table over the top kIndexBits key bits for the
+ * run of points that shares them (~16 at 500 members and 128
+ * vnodes) and binary-searches only that run.
  */
 class HashRing
 {
@@ -83,14 +88,30 @@ class HashRing
     /** Hash a request id into ring-key space. */
     std::uint64_t keyFor(std::int64_t request_id) const;
 
+    /** The ring: (hash, node) points in ascending order. */
+    const std::vector<std::pair<std::uint64_t, int>> &points() const
+    {
+        return ring_;
+    }
+
   private:
+    static constexpr int kIndexBits = 12;
+
     std::uint64_t pointHash(int node, int vnode) const;
+    /** Rebuild first_ after the ring changed. */
+    void reindex();
+    /** Index of the first point whose hash is >= key (ring size if
+     *  none): std::lower_bound over the whole ring. */
+    std::size_t lowerBound(std::uint64_t key) const;
 
     std::uint64_t seed_;
     int vnodes_;
     std::vector<int> members_; //!< sorted member ids
     /** Sorted (hash, node); the node breaks hash ties totally. */
     std::vector<std::pair<std::uint64_t, int>> ring_;
+    /** first_[b]: index of the first point whose top kIndexBits
+     *  hash bits are >= b; first_[2^kIndexBits] is the ring size. */
+    std::vector<std::uint32_t> first_;
 };
 
 /**

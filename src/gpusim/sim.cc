@@ -110,13 +110,14 @@ GpuSim::ShareScratch::bytesReserved() const
 }
 
 std::int32_t
-GpuSim::acquireOp(OpKind kind)
+GpuSim::acquireOp(OpKind kind, std::size_t backlog)
 {
     std::int32_t idx = ops_.acquire();
     // Recycled slots hold the previous tenant's fields: reset all.
     ops_[idx] = Op{};
     ops_[idx].kind = kind;
     ops_enqueued_++;
+    backlog_ += backlog;
     return idx;
 }
 
@@ -196,12 +197,15 @@ GpuSim::launchKernels(const KernelList &list)
 {
     if (list.sim_ != this)
         fatal("launchKernels: list resolved by another simulator");
-    for (const ResolvedKernel &k : list.kernels_) {
-        std::int32_t idx = acquireOp(OpKind::kKernel);
-        ops_[idx].kernel = &k;
-        pushOp(list.stream_, idx);
-    }
-    m_kernel_launches_.add(static_cast<std::int64_t>(list.kernels_.size()));
+    const std::size_t n = list.kernels_.size();
+    if (n == 0)
+        return;
+    const std::int32_t idx = acquireOp(OpKind::kKernel, n);
+    Op &op = ops_[idx];
+    op.kernel = list.kernels_.data();
+    op.end = op.kernel + n;
+    pushOp(list.stream_, idx);
+    m_kernel_launches_.add(static_cast<std::int64_t>(n));
 }
 
 void
@@ -457,6 +461,13 @@ GpuSim::admitReady()
             Stream &st = streams_[static_cast<std::size_t>(si)];
             st.in_ready = false;
             while (!st.busy && st.head != -1) {
+                if (ops_[st.head].kind == OpKind::kKernel) {
+                    // A kernel span stays at the head while its
+                    // kernels run: admit the one under its cursor.
+                    admitKernel(st.head, si);
+                    st.busy = true;
+                    break;
+                }
                 const std::int32_t idx = popHead(st);
                 const Op &head = ops_[idx];
                 if (head.kind == OpKind::kMarker) {
@@ -464,6 +475,7 @@ GpuSim::admitReady()
                     event_times_.at(static_cast<std::size_t>(ev)) =
                         now_;
                     ops_.release(idx);
+                    backlog_--;
                     if (!wait_list_.empty())
                         wakeWaiters(ev);
                     continue;
@@ -486,9 +498,7 @@ GpuSim::admitReady()
                     st.busy = true;
                     continue;
                 }
-                if (head.kind == OpKind::kKernel) {
-                    admitKernel(idx, si);
-                } else if (head.kind == OpKind::kDelay) {
+                if (head.kind == OpKind::kDelay) {
                     DelayEntry de;
                     de.op_idx = idx;
                     de.stream = si;
@@ -759,10 +769,8 @@ GpuSim::advance(double dt)
 }
 
 void
-GpuSim::finishOp(std::int32_t op_idx, std::int32_t stream,
-                 double start_s)
+GpuSim::recordOp(const Op &op, std::int32_t stream, double start_s)
 {
-    const Op &op = ops_[op_idx];
     bool record = trace_mode_ == TraceMode::kFull ||
                   (trace_mode_ == TraceMode::kSampled &&
                    ops_completed_ %
@@ -786,6 +794,14 @@ GpuSim::finishOp(std::int32_t op_idx, std::int32_t stream,
         }
         trace_records_++;
     }
+}
+
+void
+GpuSim::finishOp(std::int32_t op_idx, std::int32_t stream,
+                 double start_s)
+{
+    const Op &op = ops_[op_idx];
+    recordOp(op, stream, start_s);
     if (op.kind == OpKind::kMemcpyH2D) {
         m_memcpy_bytes_h2d_.add(
             static_cast<std::int64_t>(op.bytes));
@@ -800,6 +816,7 @@ GpuSim::finishOp(std::int32_t op_idx, std::int32_t stream,
     if (st.head != -1)
         markReady(stream);
     ops_.release(op_idx);
+    backlog_--;
 }
 
 void
@@ -851,9 +868,8 @@ GpuSim::completeFinished()
 }
 
 void
-GpuSim::retireKernel(std::size_t i)
+GpuSim::finishKernel(const ActiveKernel &ak)
 {
-    const ActiveKernel &ak = active_[i];
     // Stall time = exec time spent memory-blocked rather than
     // issuing; waste = idle fraction of allocated SMs in the tail
     // wave.
@@ -862,8 +878,26 @@ GpuSim::retireKernel(std::size_t i)
     batch_waste_pct_.push_back((1.0 - ak.wave_util) * 100.0);
     if (batch_stall_us_.size() == kKernelSampleBatch)
         flushKernelSamples();
-    finishOp(ak.op_idx, ak.stream, ak.start_s);
+    Op &op = ops_[ak.op_idx];
+    recordOp(op, ak.stream, ak.start_s);
+    backlog_--;
+    // The span leaves its stream's head with its last kernel.
+    if (++op.kernel == op.end) {
+        popHead(streams_[static_cast<std::size_t>(ak.stream)]);
+        ops_.release(ak.op_idx);
+    }
+}
+
+void
+GpuSim::retireKernel(std::size_t i)
+{
+    const std::int32_t si = active_[i].stream;
+    finishKernel(active_[i]);
     active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
+    Stream &st = streams_[static_cast<std::size_t>(si)];
+    st.busy = false;
+    if (st.head != -1)
+        markReady(si);
 }
 
 void
@@ -874,16 +908,19 @@ GpuSim::runSolo(double horizon)
     // stream: until a calendar entry comes due, no other stream can
     // become runnable. Each iteration is exactly one generic step —
     // the same dt, advance and retirement — minus the scaffolding
-    // that has nothing to do. Anything else returns to the generic
-    // step: a retirement whose successor is not a kernel (a marker,
-    // copy, delay, wait or nothing), a calendar entry due by the end
-    // of the step, or the horizon.
+    // that has nothing to do. The successor is the next kernel of the
+    // span, or after its last one the first kernel of a span queued
+    // right behind it. Anything else returns to the generic step: a
+    // retirement whose successor is not a kernel (a marker, copy,
+    // delay, wait or nothing), a calendar entry due by the end of the
+    // step, or the horizon.
     for (;;) {
         ActiveKernel &ak = active_.front();
         if (ak.in_exec) {
-            const std::int32_t next =
-                streams_[static_cast<std::size_t>(ak.stream)].head;
-            if (next == -1 || ops_[next].kind != OpKind::kKernel)
+            const Op &span = ops_[ak.op_idx];
+            if (ak.kernel + 1 == span.end &&
+                (span.next == -1 ||
+                 ops_[span.next].kind != OpKind::kKernel))
                 return;
         }
         // nextEventDt for this state: its min over the calendar
@@ -906,18 +943,16 @@ GpuSim::runSolo(double horizon)
                 applyShare(ak, ak.kernel->solo);
             }
         } else if (ak.frac_done >= 1.0 - kFracEps) {
-            // finishOp queues the stream on ready_, where admitReady
-            // would find exactly its head kernel. The fill the generic
-            // step would rerun next covers no executing kernel: the
-            // successor is still launching.
+            // The generic step would retire the kernel, queue the
+            // stream on ready_ and have admitReady admit its head
+            // span's cursor kernel: admit it in place, the stream
+            // staying busy. The fill that step would rerun next covers
+            // no executing kernel: the successor is still launching.
             const std::int32_t si = ak.stream;
-            retireKernel(0);
+            finishKernel(ak);
             solo_kernels_++;
-            Stream &st = streams_[static_cast<std::size_t>(si)];
-            ready_.clear();
-            st.in_ready = false;
-            admitKernel(popHead(st), si);
-            st.busy = true;
+            active_.clear();
+            admitKernel(streams_[static_cast<std::size_t>(si)].head, si);
         }
     }
 }
@@ -966,7 +1001,7 @@ GpuSim::run()
 {
     // Pre-size the trace for the enqueued backlog so long replays
     // stop paying repeated O(n) vector growth mid-run.
-    reserveTraceForOps(ops_.live());
+    reserveTraceForOps(backlog_);
     runBefore(std::numeric_limits<double>::infinity());
 }
 

@@ -28,9 +28,13 @@
  * skip is bit-exact); when it does rerun, it works on scratch arrays
  * sized once per stream. Kernels arrive as a KernelList resolved
  * once for one stream, so admission reads each kernel's invariants
- * and its solo (n = 1) share instead of computing them. While one
- * stream runs alone (one active kernel, copy engine idle), step()
- * retires that stream's consecutive kernels in one tight loop, each
+ * and its solo (n = 1) share instead of computing them. A launch is
+ * one op whatever its kernel count: the op spans the list and stays
+ * at its stream's head while a cursor walks it, one kernel admitted
+ * and retired at a time; the last kernel pops and releases it. While
+ * one stream runs alone (one active kernel, copy engine idle), step()
+ * retires that stream's consecutive kernels — through a span and
+ * into a span queued right behind it — in one tight loop, each
  * iteration exactly one generic step, until a non-kernel head, a due
  * calendar entry or the run horizon sends it back to the generic
  * step. The two per-kernel histogram samples are buffered and
@@ -112,7 +116,9 @@ struct UtilStats
 struct SimStats
 {
     std::uint64_t events = 0;        //!< simulation steps executed
-    std::uint64_t ops_enqueued = 0;  //!< ops accepted (incl. markers)
+    /** Op-pool slots taken: one per copy, delay, wait and marker,
+     *  and one per kernel launch whatever its kernel count. */
+    std::uint64_t ops_enqueued = 0;
     std::uint64_t ops_completed = 0; //!< non-marker ops finished
     std::uint64_t trace_records = 0; //!< records actually retained
     std::uint64_t solo_kernels = 0;  //!< kernels retired by solo runs
@@ -232,10 +238,10 @@ class GpuSim
         int stream, std::span<const KernelDesc *const> kernels) const;
 
     /**
-     * Enqueue every kernel of `list` on its stream, one op each, in
-     * list order. The ops borrow the list's entries: the list and its
-     * descriptors must outlive these launches. Fatal if the list was
-     * resolved by another simulator.
+     * Enqueue `list` on its stream as one op whose kernels run in list
+     * order; an empty list enqueues nothing. The op borrows the list's
+     * entries: the list and its descriptors must outlive the launch.
+     * Fatal if the list was resolved by another simulator.
      */
     void launchKernels(const KernelList &list);
 
@@ -376,14 +382,16 @@ class GpuSim
   private:
     /**
      * One enqueued op, kept compact (no owned heap memory): a kernel
-     * points at its KernelList entry and a copy or delay names its trace
-     * tag by index into the interned tag table.
+     * launch spans its KernelList's entries, [kernel, end), with
+     * `kernel` the cursor on the one to run next, and a copy or delay
+     * names its trace tag by index into the interned tag table.
      */
     struct Op
     {
         OpKind kind = OpKind::kKernel;
         std::int32_t tag = -1;      //!< trace tag id (non-kernel ops)
-        const ResolvedKernel *kernel = nullptr;
+        const ResolvedKernel *kernel = nullptr; //!< span cursor
+        const ResolvedKernel *end = nullptr;    //!< span end
         std::uint64_t bytes = 0;
         EventId event = -1;
         double delay_s = 0.0;
@@ -418,7 +426,7 @@ class GpuSim
                                          //!< (memory stalls excluded)
         double jitter = 1.0;             //!< system-noise multiplier
         bool in_exec = false;
-        const ResolvedKernel *kernel = nullptr; //!< the op's entry
+        const ResolvedKernel *kernel = nullptr; //!< its span's entry
 
         /** Time to the end of the current phase at current rates. */
         double remainingSeconds() const
@@ -503,7 +511,7 @@ class GpuSim
      *  the next event does not fall before `horizon`. */
     bool step(double horizon = std::numeric_limits<double>::infinity());
 
-    std::int32_t acquireOp(OpKind kind);
+    std::int32_t acquireOp(OpKind kind, std::size_t backlog = 1);
     std::int32_t internTag(const std::string &tag);
     const std::string &tagName(std::int32_t tag) const;
     void enqueueCopy(OpKind kind, int stream, std::uint64_t bytes,
@@ -533,6 +541,8 @@ class GpuSim
     void runSolo(double horizon);
     void completeFinished();
     void retireKernel(std::size_t i);
+    void finishKernel(const ActiveKernel &ak);
+    void recordOp(const Op &op, std::int32_t stream, double start_s);
     void finishOp(std::int32_t op_idx, std::int32_t stream,
                   double start_s);
     void flushKernelSamples();
@@ -552,6 +562,9 @@ class GpuSim
     std::vector<ActiveKernel> active_;
     std::vector<DelayEntry> delay_heap_; //!< calendar (see DelayAfter)
     std::uint64_t delay_seq_ = 0;
+    // Ops queued or in flight, markers included and each kernel of a
+    // span counted as one: run() reserves trace for this backlog.
+    std::size_t backlog_ = 0;
     ActiveCopy copy_;
     RingBuffer<CopyEntry> copy_ring_;
     std::vector<OpRecord> trace_;

@@ -29,6 +29,30 @@ bucketBounds()
     return bounds;
 }
 
+// Binary exponents ilogb(v) of values above kFirstUpper that can land
+// below the overflow bucket: 2^-10 < 1e-3, and 2^30 is past the last
+// bound.
+constexpr int kMinExp = -10;
+constexpr int kMaxExp = 30;
+
+/** Per binary exponent k in [kMinExp, kMaxExp): the first bucket
+ *  whose upper bound is >= 2^k. */
+const std::array<int, kMaxExp - kMinExp> &
+octaveStarts()
+{
+    static const auto starts = [] {
+        std::array<int, kMaxExp - kMinExp> a{};
+        const auto &bounds = bucketBounds();
+        for (int k = kMinExp; k < kMaxExp; k++)
+            a[static_cast<std::size_t>(k - kMinExp)] = static_cast<int>(
+                std::lower_bound(bounds.begin(), bounds.end(),
+                                 std::ldexp(1.0, k)) -
+                bounds.begin());
+        return a;
+    }();
+    return starts;
+}
+
 } // namespace
 
 double
@@ -42,17 +66,14 @@ HistogramCell::bucketIndex(double v)
 {
     if (v <= kFirstUpper)
         return 0;
-    // Bound i is kFirstUpper * 10^(i/8), so the index is about
-    // ceil(8 log10(v / kFirstUpper)). The bounds are rounded pow()
-    // results, so the guess can be off by one either way near an
-    // edge: step it until bounds[i-1] < v <= bounds[i].
+    // v lies in [2^k, 2^(k+1)), so its bucket is at or after the first
+    // one whose bound is >= 2^k. An octave holds 8 log10(2) < 3
+    // bounds, so at most three are stepped over from there.
+    const int k = std::ilogb(v);
+    if (k >= kMaxExp)
+        return kBuckets;
     const auto &bounds = bucketBounds();
-    const double guess = std::ceil(8.0 * std::log10(v / kFirstUpper));
-    int i = guess <= 0.0        ? 0
-            : guess >= kBuckets ? kBuckets
-                                : static_cast<int>(guess);
-    while (i > 0 && bounds[static_cast<std::size_t>(i - 1)] >= v)
-        i--;
+    int i = octaveStarts()[static_cast<std::size_t>(k - kMinExp)];
     while (i < kBuckets && bounds[static_cast<std::size_t>(i)] < v)
         i++;
     return i;

@@ -94,8 +94,8 @@ struct HistogramCell
 
     /** Bucket a finite @p v lands in: the first bucket whose upper
      *  bound is >= v (kBuckets for overflow), exactly what
-     *  std::lower_bound over the bounds returns, found from log10(v)
-     *  and corrected against the bounds. */
+     *  std::lower_bound over the bounds returns, found from the
+     *  binary exponent of v and at most three bound compares. */
     static int bucketIndex(double v);
 
     /** Record each finite value of @p values in order, under one

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <map>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -116,6 +117,78 @@ TEST(HashRing, SuccessorsAreDistinctAndStartAtOwner)
     // exactly once.
     auto all = ring.successors(ring.keyFor(0), 64);
     EXPECT_EQ(all.size(), 10u);
+}
+
+// route() and successors() search only the run of points that
+// shares the key's top bits. They must agree with a search over the
+// whole ring for seeded keys, for every point and its neighbours,
+// and for every index bucket's edges, through bulk builds, inserts
+// and removals down to one member.
+TEST(HashRing, IndexedLookupMatchesFullSearch)
+{
+    auto check = [](const HashRing &ring) {
+        const auto &pts = ring.points();
+        ASSERT_FALSE(pts.empty());
+        // Up to n distinct members from the key's owner on, found by
+        // a binary search over every point.
+        auto reference = [&](std::uint64_t key, std::size_t n) {
+            auto it = std::lower_bound(
+                pts.begin(), pts.end(), key,
+                [](const auto &p, std::uint64_t k) {
+                    return p.first < k;
+                });
+            std::vector<int> out;
+            for (std::size_t walked = 0;
+                 walked < pts.size() && out.size() < n; walked++, ++it) {
+                if (it == pts.end())
+                    it = pts.begin();
+                if (std::find(out.begin(), out.end(), it->second) ==
+                    out.end())
+                    out.push_back(it->second);
+            }
+            return out;
+        };
+        std::vector<std::uint64_t> keys = {0, ~std::uint64_t{0}};
+        std::mt19937_64 rng(23);
+        for (int i = 0; i < 100'000; i++)
+            keys.push_back(rng());
+        for (const auto &p : pts)
+            for (std::uint64_t k : {p.first - 1, p.first, p.first + 1})
+                keys.push_back(k);
+        for (std::uint64_t b = 0; b < 4096; b++)
+            for (std::uint64_t k : {(b << 52) - 1, b << 52, (b << 52) + 1})
+                keys.push_back(k);
+        int mismatches = 0;
+        for (std::uint64_t key : keys) {
+            const std::vector<int> want = reference(key, 3);
+            if (ring.route(key) != want.front() ||
+                ring.successors(key, 3) != want)
+                mismatches++;
+        }
+        EXPECT_EQ(mismatches, 0);
+    };
+    const int kNodes = 300;
+    HashRing ring(17, 128);
+    ring.reset(iota(kNodes));
+    {
+        SCOPED_TRACE("reset");
+        check(ring);
+    }
+    ring.add(kNodes + 5);
+    {
+        SCOPED_TRACE("add");
+        check(ring);
+    }
+    for (int node = 0; node < kNodes; node++) {
+        ring.remove(node);
+        if (node == kNodes / 2) {
+            SCOPED_TRACE("remove to half");
+            check(ring);
+        }
+    }
+    ASSERT_EQ(ring.memberCount(), 1u);
+    SCOPED_TRACE("remove to one member");
+    check(ring);
 }
 
 TEST(HashRing, EmptyRingRoutesNowhere)

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/arena.hh"
@@ -166,20 +167,42 @@ TEST(RingBuffer, FifoAcrossGrowth)
 
 TEST(OpStorage, StagedInferencesStayCompact)
 {
-    // Ops borrow the context's resolved kernel list and intern their
-    // copy tags, so a backlog of enqueued inferences costs a compact
-    // slot per op rather than a descriptor and a name copy per launch.
+    // An engine launch is one op spanning the context's resolved
+    // kernel list, and copies intern their tags, so a staged inference
+    // takes the same few compact pool slots whatever the engine's
+    // kernel count: no descriptor, name copy or slot per kernel. The
+    // backlog spans several 64 KiB arena chunks, so chunk rounding
+    // does not dominate the per-op figure.
     const gpusim::DeviceSpec nx = gpusim::DeviceSpec::xavierNX();
-    core::Engine engine = core::Builder(nx, core::BuilderConfig())
-                              .build(nn::buildZooModel("resnet-18"));
-    GpuSim sim(nx);
-    runtime::ExecutionContext ctx(engine, sim, 0);
-    for (int i = 0; i < 100; i++)
-        ctx.enqueueInference(true, true, /*staged=*/true);
-    const gpusim::SimStats st = sim.simStats();
-    ASSERT_GT(st.ops_enqueued, 1000u);
-    EXPECT_LE(st.arena_bytes / st.ops_enqueued, 96u)
-        << st.arena_bytes << " B for " << st.ops_enqueued << " ops";
+    const int inferences = 1000;
+    auto slotsPerInference = [&](const char *model) {
+        core::Engine engine = core::Builder(nx, core::BuilderConfig())
+                                  .build(nn::buildZooModel(model));
+        GpuSim sim(nx);
+        runtime::ExecutionContext ctx(engine, sim, 0);
+        for (int i = 0; i < inferences; i++)
+            ctx.enqueueInference(true, true, /*staged=*/true);
+        const gpusim::SimStats st = sim.simStats();
+        EXPECT_EQ(st.ops_enqueued % inferences, 0u) << model;
+        EXPECT_LE(st.arena_bytes / st.ops_enqueued, 96u)
+            << model << ": " << st.arena_bytes << " B for "
+            << st.ops_enqueued << " ops";
+        sim.run();
+        std::int64_t kernels = 0;
+        for (const gpusim::OpRecord &rec : sim.trace())
+            if (rec.kind == OpKind::kKernel)
+                kernels++;
+        EXPECT_EQ(kernels, engine.kernelCount() * inferences) << model;
+        return std::make_tuple(st.ops_enqueued / inferences,
+                               st.arena_bytes, engine.kernelCount());
+    };
+    const auto [alexnet_slots, alexnet_bytes, alexnet_kernels] =
+        slotsPerInference("alexnet");
+    const auto [resnet_slots, resnet_bytes, resnet_kernels] =
+        slotsPerInference("resnet-18");
+    ASSERT_NE(alexnet_kernels, resnet_kernels);
+    EXPECT_EQ(alexnet_slots, resnet_slots);
+    EXPECT_EQ(alexnet_bytes, resnet_bytes);
 }
 
 TEST(OpStorage, ArenaBytesCountPerSimulatorBuffers)

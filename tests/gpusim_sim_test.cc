@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <array>
+#include <deque>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -930,6 +932,276 @@ TEST(GpuSimGolden, SoloRunsEnterAndLeaveExactly)
     // Not a parent value (the loop is new): 9 of the 16 kernels
     // retire in the solo loop.
     EXPECT_EQ(o.solo_kernels, 9u);
+}
+
+// ---------------------------------------------------------------
+// Kernel spans: one op per launch, walked by a cursor
+// ---------------------------------------------------------------
+
+/** Everything a replay exposes, compared bit for bit. */
+struct SpanOutcome
+{
+    std::vector<OpRecord> trace;
+    std::vector<double> events;
+    UtilStats util;
+    std::uint64_t sim_events = 0;
+    std::uint64_t solo_kernels = 0;
+    std::uint64_t kernels = 0;
+    double stall_sum = 0.0;
+    double waste_sum = 0.0;
+};
+
+SpanOutcome
+spanOutcome(GpuSim &sim, obs::MetricRegistry &reg,
+            const std::vector<EventId> &events)
+{
+    SpanOutcome out;
+    out.trace = sim.trace();
+    for (EventId e : events)
+        out.events.push_back(sim.eventSeconds(e));
+    out.util = sim.stats();
+    out.sim_events = sim.simStats().events;
+    out.solo_kernels = sim.simStats().solo_kernels;
+    const obs::Labels dev = {{"device", sim.spec().name}};
+    const obs::Histogram stall = reg.histogram("gpusim.kernel.stall_us", dev);
+    const obs::Histogram waste =
+        reg.histogram("gpusim.kernel.wave_waste_pct", dev);
+    out.kernels = stall.count();
+    out.stall_sum = stall.sum();
+    out.waste_sum = waste.sum();
+    return out;
+}
+
+void
+expectSameReplay(const SpanOutcome &a, const SpanOutcome &b)
+{
+    ASSERT_EQ(a.trace.size(), b.trace.size());
+    for (std::size_t i = 0; i < a.trace.size(); i++) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(a.trace[i].kind, b.trace[i].kind);
+        EXPECT_EQ(a.trace[i].name, b.trace[i].name);
+        EXPECT_EQ(a.trace[i].stream, b.trace[i].stream);
+        EXPECT_EQ(a.trace[i].start_s, b.trace[i].start_s);
+        EXPECT_EQ(a.trace[i].end_s, b.trace[i].end_s);
+    }
+    EXPECT_EQ(a.events, b.events);
+    EXPECT_EQ(a.util.window_s, b.util.window_s);
+    EXPECT_EQ(a.util.sm_busy_integral, b.util.sm_busy_integral);
+    EXPECT_EQ(a.util.gpu_busy_s, b.util.gpu_busy_s);
+    EXPECT_EQ(a.util.copy_busy_s, b.util.copy_busy_s);
+    EXPECT_EQ(a.util.dram_bytes, b.util.dram_bytes);
+    EXPECT_EQ(a.sim_events, b.sim_events);
+    EXPECT_EQ(a.solo_kernels, b.solo_kernels);
+    EXPECT_EQ(a.kernels, b.kernels);
+    EXPECT_EQ(a.stall_sum, b.stall_sum);
+    EXPECT_EQ(a.waste_sum, b.waste_sum);
+}
+
+const KernelDesc &
+spanKernel(char which)
+{
+    static const KernelDesc a =
+        goldenKernel("span_a", 24, 2, 150'000'000, 3 << 20);
+    static const KernelDesc b =
+        goldenKernel("span_b", 12, 2, 40'000'000, 9 << 20);
+    static const KernelDesc c =
+        goldenKernel("span_c", 40, 2, 220'000'000, 1 << 20);
+    return which == 'a' ? a : which == 'b' ? b : c;
+}
+
+/** How a span scenario hands its kernels to the simulator. */
+enum class Launch {
+    kSpans,    //!< one multi-kernel list per program
+    kPerKernel, //!< one one-kernel list per kernel
+};
+
+/** Launches `program` (kernel letters) on `stream` as `how` says;
+ *  owns the descriptors' lists for the simulator's lifetime. */
+class ProgramLauncher
+{
+  public:
+    explicit ProgramLauncher(Launch how) : how_(how) {}
+
+    void
+    operator()(GpuSim &sim, int stream, const std::string &program)
+    {
+        if (how_ == Launch::kPerKernel) {
+            for (char k : program)
+                single_(sim, stream, spanKernel(k));
+            return;
+        }
+        std::vector<const KernelDesc *> descs;
+        for (char k : program)
+            descs.push_back(&spanKernel(k));
+        sim.launchKernels(
+            lists_.emplace_back(sim.resolveKernels(stream, descs)));
+    }
+
+  private:
+    Launch how_;
+    test::KernelLauncher single_;
+    std::deque<KernelList> lists_;
+};
+
+/**
+ * Stream 0 runs a five-kernel program while stream s1's release ends
+ * inside it and its two kernels contend. When `pause_s` is set, the
+ * run pauses there, inside the first program's third kernel, and a
+ * second program and its marker are fed behind the in-flight span;
+ * otherwise they are enqueued up front.
+ */
+SpanOutcome
+pausedSpanScenario(Launch how, std::optional<double> pause_s)
+{
+    ProgramLauncher launch(how);
+    obs::MetricRegistry reg;
+    GpuSim sim(DeviceSpec::xavierNX(), &reg);
+    const int s1 = sim.createStream(1.0);
+    std::vector<EventId> ev;
+    launch(sim, 0, "abacb");
+    ev.push_back(sim.recordEvent(0));
+    sim.delayUntil(s1, 0.5e-3);
+    launch(sim, s1, "ca");
+    ev.push_back(sim.recordEvent(s1));
+    auto feed = [&] {
+        launch(sim, 0, "bca");
+        ev.push_back(sim.recordEvent(0));
+    };
+    if (pause_s) {
+        sim.runBefore(*pause_s);
+        std::size_t retired = 0;
+        for (const OpRecord &rec : sim.trace())
+            retired += rec.stream == 0;
+        // The pause splits the first program: work fed now lands
+        // behind its in-flight span.
+        EXPECT_EQ(retired, 2u);
+        EXPECT_FALSE(sim.streamIdle(0));
+    }
+    feed();
+    sim.run();
+    return spanOutcome(sim, reg, ev);
+}
+
+TEST(KernelSpan, PausedMidSpanReplaysExactly)
+{
+    // A span paused by runBefore between two of its kernels, with a
+    // program fed behind it during the pause, replays exactly what
+    // enqueueing it all up front does, and both match the same
+    // kernels launched one op each.
+    const SpanOutcome upfront =
+        pausedSpanScenario(Launch::kSpans, std::nullopt);
+    ASSERT_EQ(upfront.kernels, 10u);
+    ASSERT_GT(upfront.solo_kernels, 0u);
+    {
+        SCOPED_TRACE("fed mid-span");
+        expectSameReplay(upfront,
+                         pausedSpanScenario(Launch::kSpans, 0.42e-3));
+    }
+    {
+        SCOPED_TRACE("one op per kernel");
+        expectSameReplay(
+            upfront, pausedSpanScenario(Launch::kPerKernel, 0.42e-3));
+    }
+}
+
+/**
+ * Two programs back to back on stream 0, then a marker. With
+ * `contend`, stream s1's release ends inside the first program's
+ * last kernel and its kernel runs across the boundary, so the solo
+ * loop leaves before the boundary and re-enters after it.
+ */
+SpanOutcome
+backToBackScenario(Launch how, bool contend)
+{
+    // The first program's last kernel, run alone, to place the
+    // contending release inside it.
+    double last_start = 0.0;
+    double last_end = 0.0;
+    {
+        ProgramLauncher probe(Launch::kSpans);
+        GpuSim sim(DeviceSpec::xavierNX());
+        probe(sim, 0, "abc");
+        sim.run();
+        last_start = sim.trace().back().start_s;
+        last_end = sim.trace().back().end_s;
+    }
+    ProgramLauncher launch(how);
+    obs::MetricRegistry reg;
+    GpuSim sim(DeviceSpec::xavierNX(), &reg);
+    const int s1 = sim.createStream(1.0);
+    std::vector<EventId> ev;
+    launch(sim, 0, "abc");
+    launch(sim, 0, "cab");
+    ev.push_back(sim.recordEvent(0));
+    if (contend) {
+        sim.delayUntil(s1, 0.5 * (last_start + last_end));
+        launch(sim, s1, "a");
+        ev.push_back(sim.recordEvent(s1));
+    }
+    sim.run();
+    return spanOutcome(sim, reg, ev);
+}
+
+TEST(KernelSpan, BackToBackListsCrossTheSoloLoopExactly)
+{
+    // Alone, the solo loop runs from the first program's first
+    // retirement through the boundary into the second program and
+    // hands back only at the marker. Contended, it leaves before the
+    // boundary and re-enters behind it. Both replay exactly what one
+    // op per kernel does.
+    const SpanOutcome alone = backToBackScenario(Launch::kSpans, false);
+    ASSERT_EQ(alone.kernels, 6u);
+    EXPECT_EQ(alone.solo_kernels, 5u);
+    {
+        SCOPED_TRACE("alone");
+        expectSameReplay(alone,
+                         backToBackScenario(Launch::kPerKernel, false));
+    }
+    const SpanOutcome contended =
+        backToBackScenario(Launch::kSpans, true);
+    ASSERT_EQ(contended.kernels, 7u);
+    EXPECT_GT(contended.solo_kernels, 0u);
+    EXPECT_LT(contended.solo_kernels, 5u);
+    {
+        SCOPED_TRACE("contended");
+        expectSameReplay(contended,
+                         backToBackScenario(Launch::kPerKernel, true));
+    }
+}
+
+TEST(KernelSpan, EmptyListEnqueuesNothing)
+{
+    // An empty program takes no op and launches no kernel, and
+    // between two programs it changes nothing about their replay.
+    obs::MetricRegistry reg;
+    GpuSim sim(DeviceSpec::xavierNX(), &reg);
+    const KernelList empty = sim.resolveKernels(0, {});
+    sim.launchKernels(empty);
+    EXPECT_EQ(sim.simStats().ops_enqueued, 0u);
+    EXPECT_TRUE(sim.streamIdle(0));
+    sim.run();
+    EXPECT_EQ(sim.nowSeconds(), 0.0);
+    EXPECT_TRUE(sim.trace().empty());
+    EXPECT_EQ(reg.counter("gpusim.kernel.launches",
+                          {{"device", sim.spec().name}})
+                  .value(),
+              0);
+
+    auto withEmpty = [&](bool between) {
+        ProgramLauncher launch(Launch::kSpans);
+        obs::MetricRegistry r;
+        GpuSim s(DeviceSpec::xavierNX(), &r);
+        const KernelList none = s.resolveKernels(0, {});
+        launch(s, 0, "ab");
+        if (between)
+            s.launchKernels(none);
+        launch(s, 0, "ca");
+        const std::vector<EventId> ev = {s.recordEvent(0)};
+        EXPECT_EQ(s.simStats().ops_enqueued, 3u);
+        s.run();
+        return spanOutcome(s, r, ev);
+    };
+    expectSameReplay(withEmpty(false), withEmpty(true));
 }
 
 /** Property sweep: makespan of N identical kernels across N streams

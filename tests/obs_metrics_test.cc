@@ -107,7 +107,7 @@ TEST(Histogram, ClosedFormBucketMatchesLowerBound)
 {
     // The closed-form bucket index must agree with a binary search
     // over the bucket bounds for every finite value, including each
-    // edge and its neighbours one ulp away.
+    // edge and each power of two with their neighbours one ulp away.
     using Cell = metrics_detail::HistogramCell;
     std::vector<double> bounds;
     for (int i = 0; i < Cell::kBuckets; i++)
@@ -125,6 +125,13 @@ TEST(Histogram, ClosedFormBucketMatchesLowerBound)
     for (double b : bounds)
         for (double v : {std::nextafter(b, -inf), b, std::nextafter(b, inf)})
             values.push_back(v);
+    // The index starts from the binary exponent: every power of two
+    // from below the first bound to past the last, and its neighbours.
+    for (int e = -11; e <= 31; e++) {
+        const double p = std::ldexp(1.0, e);
+        for (double v : {std::nextafter(p, -inf), p, std::nextafter(p, inf)})
+            values.push_back(v);
+    }
     for (double v : values)
         EXPECT_EQ(Cell::bucketIndex(v), searched(v)) << v;
 
