@@ -24,12 +24,16 @@
  * event loop and the current one. The report carries speedup_vs_pre
  * per workload (the tentpole's >=10x target, measured on the fleet
  * shape that motivated the overhaul) and, under --check-baseline,
- * the process exits non-zero when any measured speed regresses more
- * than 20% against its committed post number — that is the CI gate.
+ * the process exits non-zero when any workload's speed regresses
+ * more than 20% against its committed post number — that is the CI
+ * gate. Each workload's speed is the median of kTimedRuns timed
+ * runs, so one run slowed by other load on the machine cannot fail
+ * the gate.
  *
  * `--smoke` shrinks the replays for CI; the JSON shape is identical.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -201,6 +205,26 @@ runReplay(const Workload &w,
     return res;
 }
 
+/** Timed full-trace runs per workload; the report and the gate use
+ *  their median. */
+constexpr int kTimedRuns = 3;
+
+/** The median-speed run of kTimedRuns full-trace replays. */
+ReplayResult
+medianReplay(const Workload &w,
+             const std::vector<std::vector<core::Engine>> &ladders)
+{
+    std::vector<ReplayResult> runs;
+    for (int i = 0; i < kTimedRuns; i++)
+        runs.push_back(runReplay(w, ladders, gpusim::TraceMode::kFull,
+                                 /*publish=*/i == 0));
+    std::sort(runs.begin(), runs.end(),
+              [](const ReplayResult &a, const ReplayResult &b) {
+                  return a.speed() < b.speed();
+              });
+    return runs[kTimedRuns / 2];
+}
+
 /** Pull `"key": <number>` out of a flat JSON document (no parser in
  *  common/, and the baseline file is trusted repo content). */
 bool
@@ -300,17 +324,16 @@ main(int argc, char **argv)
                     w.qps_per_stream, w.duration_s, w.reps,
                     g_smoke ? " (smoke)" : "");
         Row row;
-        row.res = runReplay(w, ladders, gpusim::TraceMode::kFull,
-                            /*publish=*/true);
+        row.res = medianReplay(w, ladders);
         std::printf("replayed %lld inferences (%llu trace "
                     "records)\n",
                     static_cast<long long>(row.res.inferences),
                     static_cast<unsigned long long>(
                         row.res.trace_records));
         std::printf("simulated %.3f device-seconds in %.3f wall "
-                    "seconds -> %.1fx realtime\n",
+                    "seconds -> %.1fx realtime (median of %d runs)\n",
                     row.res.simulated_s, row.res.wall_s,
-                    row.res.speed());
+                    row.res.speed(), kTimedRuns);
         row.base = loadBaseline(base_doc, w.name);
         if (row.base.found) {
             row.speedup_vs_pre =
@@ -375,6 +398,7 @@ main(int argc, char **argv)
                 w2.field("qps_per_stream", w.qps_per_stream);
                 w2.field("duration_s", w.duration_s);
                 w2.field("reps", w.reps);
+                w2.field("timed_runs", kTimedRuns);
                 w2.field("inferences", row.res.inferences);
                 w2.field("trace_records", row.res.trace_records);
                 w2.field("simulated_seconds", row.res.simulated_s);

@@ -71,18 +71,6 @@ setLogSink(LogSink sink)
     sinkSlot() = std::move(sink);
 }
 
-void
-setVerbose(bool verbose)
-{
-    setLogLevel(verbose ? LogLevel::kInfo : LogLevel::kWarn);
-}
-
-bool
-verbose()
-{
-    return logLevel() <= LogLevel::kInfo;
-}
-
 namespace log_detail {
 
 void

@@ -80,15 +80,6 @@ void emit(LogLevel level, const std::string &msg);
 
 } // namespace log_detail
 
-/**
- * Legacy verbosity switch, kept for existing callers:
- * setVerbose(true) == setLogLevel(kInfo), setVerbose(false) ==
- * setLogLevel(kWarn). verbose() reports whether inform() output is
- * currently shown.
- */
-void setVerbose(bool verbose);
-bool verbose();
-
 /** Print a diagnostic message (shown only at kDebug). */
 template <typename... Args>
 void

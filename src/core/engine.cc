@@ -54,16 +54,6 @@ Engine::kernelCount() const
     return n;
 }
 
-std::vector<std::string>
-Engine::uniqueKernelNames() const
-{
-    std::set<std::string> names;
-    for (const auto &s : steps_)
-        for (const auto &k : s.kernels)
-            names.insert(k.name);
-    return {names.begin(), names.end()};
-}
-
 std::int64_t
 Engine::weightBytes() const
 {

@@ -89,9 +89,6 @@ class Engine
     /** Total kernels launched per inference. */
     std::int64_t kernelCount() const;
 
-    /** Distinct kernel names in the plan (≈ embedded cubins). */
-    std::vector<std::string> uniqueKernelNames() const;
-
     /** Total plan weight payload in bytes. */
     std::int64_t weightBytes() const;
 

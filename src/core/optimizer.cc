@@ -17,25 +17,6 @@ using nn::Layer;
 using nn::LayerKind;
 using nn::Network;
 
-const char *
-fusedOpKindName(FusedOpKind k)
-{
-    switch (k) {
-      case FusedOpKind::kConv: return "conv";
-      case FusedOpKind::kDeconv: return "deconv";
-      case FusedOpKind::kFullyConnected: return "gemm";
-      case FusedOpKind::kPooling: return "pool";
-      case FusedOpKind::kLrn: return "lrn";
-      case FusedOpKind::kConcat: return "concat";
-      case FusedOpKind::kEltwise: return "eltwise";
-      case FusedOpKind::kSoftmax: return "softmax";
-      case FusedOpKind::kUpsample: return "upsample";
-      case FusedOpKind::kRegion: return "region";
-      case FusedOpKind::kDetection: return "detection";
-    }
-    panic("unknown FusedOpKind");
-}
-
 OptimizedGraph::OptimizedGraph(const Network &net,
                                std::vector<OptNode> nodes,
                                OptimizerStats stats)

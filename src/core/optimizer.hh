@@ -47,9 +47,6 @@ enum class FusedOpKind
     kDetection,
 };
 
-/** Printable fused-op kind. */
-const char *fusedOpKindName(FusedOpKind k);
-
 /**
  * One fused node of the optimized graph.
  */

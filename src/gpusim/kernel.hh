@@ -61,13 +61,6 @@ struct KernelDesc
     std::int64_t sts = 0;      //!< shared stores
     std::int64_t l1_hits = 0;
     std::int64_t l2_hits = 0;
-
-    /** Total SM slots this launch can occupy at once. */
-    std::int64_t
-    maxConcurrentBlocks(int sm_count) const
-    {
-        return static_cast<std::int64_t>(sm_count) * max_blocks_per_sm;
-    }
 };
 
 } // namespace edgert::gpusim

@@ -332,7 +332,6 @@ class GpuSim
      * (0 = profiler detached).
      */
     void setProfilingOverheadUs(double us) { profiling_us_ = us; }
-    double profilingOverheadUs() const { return profiling_us_; }
 
     /**
      * Enable system-noise jitter: every op's duration is scaled by

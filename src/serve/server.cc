@@ -897,12 +897,7 @@ ServeReport::toJson() const
             w.field("observed", m.observed);
             w.field("bad", m.bad);
             w.key("stage_mean_ms").beginObject();
-            w.field("queue", m.stage_mean_ms.queue);
-            w.field("dispatch_wait", m.stage_mean_ms.dispatch_wait);
-            w.field("upload", m.stage_mean_ms.upload);
-            w.field("compute", m.stage_mean_ms.compute);
-            w.field("download", m.stage_mean_ms.download);
-            w.field("total", m.stage_mean_ms.total);
+            m.stage_mean_ms.writeFields(w);
             w.endObject();
             w.endObject();
         }

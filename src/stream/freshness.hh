@@ -68,12 +68,6 @@ class FreshnessTracker
     /** A frame still in the pipeline when the run ended. */
     void onLeftInFlight(int stream);
 
-    double staleMs() const { return stale_ms_; }
-    int streams() const
-    {
-        return static_cast<int>(per_stream_.size());
-    }
-
     /** Stats of one stream (percentiles computed on demand). */
     FreshnessStats streamStats(int stream) const;
 

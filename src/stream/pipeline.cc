@@ -32,8 +32,7 @@ backpressurePolicyName(BackpressurePolicy policy)
 }
 
 StreamQueue::StreamQueue(int n_streams)
-    : per_stream_(static_cast<std::size_t>(n_streams)),
-      live_(static_cast<std::size_t>(n_streams), 0)
+    : cameras_(static_cast<std::size_t>(std::max(n_streams, 0)))
 {
     if (n_streams <= 0)
         fatal("StreamQueue needs at least one stream (got ",
@@ -44,55 +43,39 @@ std::vector<std::int64_t>
 StreamQueue::push(std::int64_t id, int stream, double ready_s,
                   BackpressurePolicy policy, int frame_budget)
 {
-    auto si = static_cast<std::size_t>(stream);
-    std::vector<std::int64_t> evicted;
-    auto &mine = per_stream_[si];
-
-    auto evictOldest = [&]() {
-        while (!mine.empty()) {
-            std::int32_t idx = mine.front();
-            mine.pop_front();
-            Entry &e = entries_[static_cast<std::size_t>(idx)];
-            if (e.gone)
-                continue; // already cut; lazy tombstone
-            e.gone = true;
-            live_[si]--;
-            live_total_--;
-            evicted.push_back(e.id);
-            return true;
-        }
-        return false;
-    };
-
+    auto &cam = cameras_[static_cast<std::size_t>(stream)];
+    std::size_t keep = cam.size();
     switch (policy) {
       case BackpressurePolicy::kDropOldest:
-          while (live_[si] >= std::max(1, frame_budget))
-              if (!evictOldest())
-                  break;
+          keep = static_cast<std::size_t>(std::max(1, frame_budget) - 1);
           break;
-      case BackpressurePolicy::kSkipToLatest:
-          while (live_[si] > 0)
-              if (!evictOldest())
-                  break;
-          break;
+      case BackpressurePolicy::kSkipToLatest: keep = 0; break;
       case BackpressurePolicy::kBlock: break;
     }
-
-    auto idx = static_cast<std::int32_t>(entries_.size());
-    entries_.push_back(Entry{id, stream, ready_s, false});
-    fifo_.push_back(idx);
-    mine.push_back(idx);
-    live_[si]++;
-    live_total_++;
+    std::vector<std::int64_t> evicted;
+    while (cam.size() > keep) {
+        evicted.push_back(cam.front().id);
+        cam.pop_front();
+        size_--;
+    }
+    cam.push_back(Frame{id, ready_s, next_seq_});
+    order_.push_back(Ticket{stream, next_seq_});
+    next_seq_++;
+    size_++;
+    popStale();
     return evicted;
 }
 
 void
-StreamQueue::compactFront()
+StreamQueue::popStale()
 {
-    while (!fifo_.empty() &&
-           entries_[static_cast<std::size_t>(fifo_.front())].gone)
-        fifo_.pop_front();
+    while (!order_.empty()) {
+        const Ticket &t = order_.front();
+        const auto &cam = cameras_[static_cast<std::size_t>(t.camera)];
+        if (!cam.empty() && cam.front().seq <= t.seq)
+            return;
+        order_.pop_front();
+    }
 }
 
 std::vector<std::int64_t>
@@ -100,67 +83,28 @@ StreamQueue::cut(int n)
 {
     std::vector<std::int64_t> out;
     out.reserve(static_cast<std::size_t>(n));
-    while (n > 0) {
-        compactFront();
-        if (fifo_.empty())
+    for (; n > 0; n--) {
+        if (order_.empty())
             fatal("StreamQueue::cut past end (", n,
                   " frames short)");
-        Entry &e =
-            entries_[static_cast<std::size_t>(fifo_.front())];
-        fifo_.pop_front();
-        e.gone = true;
-        live_[static_cast<std::size_t>(e.stream)]--;
-        live_total_--;
-        out.push_back(e.id);
-        n--;
+        auto &cam =
+            cameras_[static_cast<std::size_t>(order_.front().camera)];
+        out.push_back(cam.front().id);
+        cam.pop_front();
+        order_.pop_front();
+        size_--;
+        popStale();
     }
     return out;
 }
 
-double
-StreamQueue::oldestReadySeconds() const
+const StreamQueue::Frame &
+StreamQueue::oldest() const
 {
-    for (std::int32_t idx : fifo_) {
-        const Entry &e = entries_[static_cast<std::size_t>(idx)];
-        if (!e.gone)
-            return e.ready_s;
-    }
-    fatal("StreamQueue::oldestReadySeconds on empty queue");
-}
-
-std::int64_t
-StreamQueue::frontId() const
-{
-    for (std::int32_t idx : fifo_) {
-        const Entry &e = entries_[static_cast<std::size_t>(idx)];
-        if (!e.gone)
-            return e.id;
-    }
-    fatal("StreamQueue::frontId on empty queue");
-}
-
-int
-StreamQueue::queuedOf(int stream) const
-{
-    return live_[static_cast<std::size_t>(stream)];
-}
-
-std::vector<std::int64_t>
-StreamQueue::drain()
-{
-    std::vector<std::int64_t> out;
-    out.reserve(live_total_);
-    for (std::int32_t idx : fifo_) {
-        Entry &e = entries_[static_cast<std::size_t>(idx)];
-        if (e.gone)
-            continue;
-        e.gone = true;
-        live_[static_cast<std::size_t>(e.stream)]--;
-        out.push_back(e.id);
-    }
-    fifo_.clear();
-    live_total_ = 0;
-    return out;
+    if (order_.empty())
+        fatal("StreamQueue: oldest frame of an empty queue");
+    return cameras_[static_cast<std::size_t>(order_.front().camera)]
+        .front();
 }
 
 } // namespace edgert::stream

@@ -61,10 +61,13 @@ struct StageModel
 
 /**
  * Ready-frame queue of one model: frames from all of its camera
- * streams in ready order, with per-stream backpressure applied at
- * admission. Entries live in an append-only arena; drops and cuts
- * are lazy deletions, so push/cut stay amortized O(1) regardless of
- * how deep a blocked queue grows.
+ * streams in push order, with per-stream backpressure applied at
+ * admission. Each camera keeps its queued frames in a FIFO; evictions
+ * and cuts only ever pop a camera's front. A lane-wide push-order
+ * ticket list merges the cameras: a ticket whose frame has left its
+ * camera is stale and is popped once it reaches the front, so the
+ * front ticket always names the oldest queued frame. Memory is the
+ * queued frames plus the tickets pushed since the oldest of them.
  */
 class StreamQueue
 {
@@ -81,41 +84,47 @@ class StreamQueue
                                    BackpressurePolicy policy,
                                    int frame_budget);
 
-    /** Dequeue the oldest `n` live frames (n <= size()). */
+    /** Dequeue the oldest `n` queued frames (n <= size()). */
     std::vector<std::int64_t> cut(int n);
 
-    bool empty() const { return live_total_ == 0; }
-    std::size_t size() const { return live_total_; }
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
 
-    /** Ready time of the oldest live frame (queue non-empty). */
-    double oldestReadySeconds() const;
+    /** Ready time of the oldest queued frame (queue non-empty). */
+    double oldestReadySeconds() const { return oldest().ready_s; }
 
-    /** Id of the oldest live frame (queue non-empty). */
-    std::int64_t frontId() const;
+    /** Id of the oldest queued frame (queue non-empty). */
+    std::int64_t frontId() const { return oldest().id; }
 
-    /** Live queued frames of one stream. */
-    int queuedOf(int stream) const;
-
-    /** Ids of every live frame, oldest first (end-of-run sweep). */
-    std::vector<std::int64_t> drain();
+    /** Queued frames of one stream. */
+    int queuedOf(int stream) const
+    {
+        return static_cast<int>(
+            cameras_[static_cast<std::size_t>(stream)].size());
+    }
 
   private:
-    struct Entry
+    struct Frame
     {
         std::int64_t id = -1;
-        int stream = 0;
         double ready_s = 0.0;
-        bool gone = false; //!< dropped or cut
+        std::uint64_t seq = 0; //!< lane-wide push index
+    };
+    struct Ticket
+    {
+        int camera = 0;
+        std::uint64_t seq = 0;
     };
 
-    /** Skip dropped/cut entries at the FIFO head. */
-    void compactFront();
+    const Frame &oldest() const;
 
-    std::vector<Entry> entries_;
-    std::deque<std::int32_t> fifo_; //!< arena indices, ready order
-    std::vector<std::deque<std::int32_t>> per_stream_;
-    std::vector<int> live_;
-    std::size_t live_total_ = 0;
+    /** Pop front tickets whose frame has left its camera. */
+    void popStale();
+
+    std::vector<std::deque<Frame>> cameras_;
+    std::deque<Ticket> order_; //!< push order; front is never stale
+    std::uint64_t next_seq_ = 0;
+    std::size_t size_ = 0;
 };
 
 } // namespace edgert::stream

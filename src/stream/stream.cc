@@ -31,10 +31,8 @@ struct FrameRec
     std::int64_t seq = 0; //!< per-stream capture index
     double capture_s = 0.0;
 
-    // Per-frame stage durations, drawn at generation time so the
-    // draw order never depends on scheduling.
-    double decode_dur_s = 0.0;
-    double preprocess_dur_s = 0.0;
+    // Drawn at generation time (after the decode and preprocess
+    // durations) so the draw order never depends on scheduling.
     double postprocess_dur_s = 0.0;
 
     double decode_done_s = 0.0;
@@ -56,6 +54,28 @@ struct FrameRec
     }
 };
 
+/** Per-stage sums over one model's completed frames, ms. */
+struct FrameStageSums
+{
+    watch::StageSums infer; //!< RequestTrace's breakdown of infer
+    double decode = 0.0, preprocess = 0.0, postprocess = 0.0;
+
+    void add(const FrameRec &fr)
+    {
+        watch::RequestTrace rt;
+        rt.arrival_s = fr.ready_s;
+        rt.dispatch_s = fr.dispatch_s;
+        rt.begin_s = fr.begin_s;
+        rt.upload_done_s = fr.upload_done_s;
+        rt.compute_done_s = fr.compute_done_s;
+        rt.done_s = fr.done_s;
+        infer.add(rt);
+        decode += (fr.decode_done_s - fr.capture_s) * 1e3;
+        preprocess += (fr.ready_s - fr.decode_done_s) * 1e3;
+        postprocess += (fr.post_done_s - fr.done_s) * 1e3;
+    }
+};
+
 /** Stage-duration jitter: base * max(0.1, 1 + N(0, pct/100)). */
 double
 jitteredSeconds(double base_ms, double jitter_pct, Rng &rng)
@@ -65,7 +85,7 @@ jitteredSeconds(double base_ms, double jitter_pct, Rng &rng)
     return base_ms * 1e-3 * scale;
 }
 
-/** Canonical freshness watch report (cfg.watch.out_path). */
+/** Canonical freshness report (cfg.freshness_out). */
 void
 writeFreshnessFile(const std::string &path,
                    const watch::SloTrackerSet &slo)
@@ -196,10 +216,10 @@ runStreams(const StreamConfig &cfg)
                     fr.stream = s;
                     fr.seq = static_cast<std::int64_t>(i);
                     fr.capture_s = times[i];
-                    fr.decode_dur_s = jitteredSeconds(
+                    const double decode_s = jitteredSeconds(
                         mc.stages.decode_ms,
                         mc.stages.jitter_pct, stage_rng);
-                    fr.preprocess_dur_s = jitteredSeconds(
+                    const double preprocess_s = jitteredSeconds(
                         mc.stages.preprocess_ms,
                         mc.stages.jitter_pct, stage_rng);
                     fr.postprocess_dur_s = jitteredSeconds(
@@ -207,11 +227,11 @@ runStreams(const StreamConfig &cfg)
                         mc.stages.jitter_pct, stage_rng);
                     double dstart =
                         std::max(fr.capture_s, decode_free);
-                    fr.decode_done_s = dstart + fr.decode_dur_s;
+                    fr.decode_done_s = dstart + decode_s;
                     decode_free = fr.decode_done_s;
                     double pstart =
                         std::max(fr.decode_done_s, pre_free);
-                    fr.ready_s = pstart + fr.preprocess_dur_s;
+                    fr.ready_s = pstart + preprocess_s;
                     pre_free = fr.ready_s;
                     frames.push_back(fr);
                 }
@@ -375,18 +395,21 @@ runStreams(const StreamConfig &cfg)
     }
 
     // ------------------------------------------------------------
-    // Freshness: terminal outcomes feed the per-model trackers (and
-    // the frame-age histograms) in frame-id order, and the per-(model,
-    // stream) SloTrackerSet in time order so its sliding windows
-    // see a monotone clock. A dropped frame is bad at its drop
-    // time; a completed frame is bad at postprocess-done when its
-    // age exceeds the stale budget. Lane `first_lane[m] + stream`
-    // is named `<model>/cam<stream>`.
+    // Freshness and stage attribution: one frame-id-order pass over
+    // terminal outcomes feeds the per-model trackers, the frame-age
+    // histograms and the per-stage sums, and collects the feed of
+    // the per-(model, stream) SloTrackerSet, which then observes it
+    // in time order so its sliding windows see a monotone clock. A
+    // dropped frame is bad at its drop time; a completed frame is
+    // bad at postprocess-done when its age exceeds the stale budget.
+    // Lane `first_lane[m] + stream` is named `<model>/cam<stream>`.
     // ------------------------------------------------------------
     std::vector<FreshnessTracker> fresh;
+    std::vector<FrameStageSums> stages(
+        static_cast<std::size_t>(n_models));
     std::vector<obs::Histogram> age_ms =
         serve::modelHistograms("stream.frame.age_ms", cfg.models);
-    watch::SloTrackerSet slo(cfg.watch.slo_objective_pct);
+    watch::SloTrackerSet slo(cfg.freshness_objective_pct);
     std::vector<int> first_lane;
     {
         EDGERT_SPAN("stream_freshness",
@@ -397,60 +420,47 @@ runStreams(const StreamConfig &cfg)
             for (int c = 0; c < mc.streams; c++)
                 slo.addLane(mc.model + "/cam" + std::to_string(c));
         }
-        for (const FrameRec &fr : frames) {
-            auto m = static_cast<std::size_t>(fr.model);
-            fresh[m].onProduced(fr.stream);
-            switch (fr.outcome) {
-              case FrameRec::kDropped:
-                  fresh[m].onDropped(fr.stream);
-                  break;
-              case FrameRec::kCompleted:
-                  fresh[m].onCompleted(fr.stream, fr.ageMs());
-                  age_ms[m].record(fr.ageMs());
-                  break;
-              case FrameRec::kInFlight:
-                  fresh[m].onLeftInFlight(fr.stream);
-                  break;
-            }
-        }
-
         struct Item
         {
             double t;
             int rank; //!< 0 = drop, 1 = completion
             std::int64_t id;
+            int lane;
             bool bad;
         };
         std::vector<Item> feed;
         for (const FrameRec &fr : frames) {
-            if (fr.outcome == FrameRec::kDropped)
-                feed.push_back(Item{fr.drop_s, 0, fr.id, true});
-            else if (fr.outcome == FrameRec::kCompleted)
-                feed.push_back(Item{
-                    fr.post_done_s, 1, fr.id,
-                    fr.ageMs() >
-                        cfg.models[static_cast<std::size_t>(
-                                       fr.model)]
-                            .stale_ms});
+            auto m = static_cast<std::size_t>(fr.model);
+            const int lane = first_lane[m] + fr.stream;
+            fresh[m].onProduced(fr.stream);
+            switch (fr.outcome) {
+              case FrameRec::kDropped:
+                  fresh[m].onDropped(fr.stream);
+                  feed.push_back(Item{fr.drop_s, 0, fr.id, lane, true});
+                  break;
+              case FrameRec::kCompleted: {
+                  const double age = fr.ageMs();
+                  fresh[m].onCompleted(fr.stream, age);
+                  age_ms[m].record(age);
+                  stages[m].add(fr);
+                  feed.push_back(Item{fr.post_done_s, 1, fr.id, lane,
+                                      age > cfg.models[m].stale_ms});
+                  break;
+              }
+              case FrameRec::kInFlight:
+                  fresh[m].onLeftInFlight(fr.stream);
+                  break;
+            }
         }
         std::sort(feed.begin(), feed.end(),
                   [](const Item &a, const Item &b) {
-                      if (a.t != b.t)
-                          return a.t < b.t;
-                      if (a.rank != b.rank)
-                          return a.rank < b.rank;
-                      return a.id < b.id;
+                      return std::tie(a.t, a.rank, a.id) <
+                             std::tie(b.t, b.rank, b.id);
                   });
-        for (const Item &it : feed) {
-            const FrameRec &fr =
-                frames[static_cast<std::size_t>(it.id)];
-            slo.observe(
-                first_lane[static_cast<std::size_t>(fr.model)] +
-                    fr.stream,
-                it.t, it.bad);
-        }
-        if (cfg.watch.enabled && !cfg.watch.out_path.empty())
-            writeFreshnessFile(cfg.watch.out_path, slo);
+        for (const Item &it : feed)
+            slo.observe(it.lane, it.t, it.bad);
+        if (!cfg.freshness_out.empty())
+            writeFreshnessFile(cfg.freshness_out, slo);
     }
 
     // ------------------------------------------------------------
@@ -463,33 +473,6 @@ runStreams(const StreamConfig &cfg)
         EDGERT_SPAN("stream_report",
                     {{"models", std::to_string(n_models)}});
         report.freshness = slo.rollup();
-
-        // Stage attribution over completed frames in one frame-id-order
-        // pass; the infer stages reuse watch::RequestTrace's breakdown.
-        struct FrameStageSums
-        {
-            watch::StageSums infer;
-            double decode = 0.0, preprocess = 0.0, postprocess = 0.0;
-        };
-        std::vector<FrameStageSums> stages(
-            static_cast<std::size_t>(n_models));
-        for (const FrameRec &fr : frames) {
-            if (fr.outcome != FrameRec::kCompleted)
-                continue;
-            FrameStageSums &st = stages[static_cast<std::size_t>(fr.model)];
-            watch::RequestTrace rt;
-            rt.arrival_s = fr.ready_s;
-            rt.dispatch_s = fr.dispatch_s;
-            rt.begin_s = fr.begin_s;
-            rt.upload_done_s = fr.upload_done_s;
-            rt.compute_done_s = fr.compute_done_s;
-            rt.done_s = fr.done_s;
-            st.infer.add(rt);
-            st.decode += (fr.decode_done_s - fr.capture_s) * 1e3;
-            st.preprocess += (fr.ready_s - fr.decode_done_s) * 1e3;
-            st.postprocess += (fr.post_done_s - fr.done_s) * 1e3;
-        }
-
         for (int m = 0; m < n_models; m++) {
             auto mi = static_cast<std::size_t>(m);
             const auto &mc = cfg.models[mi];

@@ -97,13 +97,13 @@ struct StreamConfig
     /** Merged chrome://tracing timeline path ("" = off). */
     std::string trace_out;
 
-    /**
-     * Freshness alerting: the objective comes from here
-     * (watch.enabled additionally writes the freshness report to
-     * watch.out_path). The per-(model, stream) SloTrackerSet always
-     * runs — it is how the report's alert counts are computed.
-     */
-    watch::WatchConfig watch;
+    /** Per-stream freshness burn-rate report path ("" = no file).
+     *  The per-(model, stream) SloTrackerSet always runs — it is how
+     *  the report's alert counts are computed. */
+    std::string freshness_out;
+
+    /** Objective of every freshness SloTracker, percent. */
+    double freshness_objective_pct = 99.0;
 };
 
 /** Freshness outcome of one camera stream. */

@@ -97,6 +97,17 @@ StageSums::mean() const
     return m;
 }
 
+void
+StageSums::writeFields(JsonWriter &w) const
+{
+    w.field("queue", queue);
+    w.field("dispatch_wait", dispatch_wait);
+    w.field("upload", upload);
+    w.field("compute", compute);
+    w.field("download", download);
+    w.field("total", total);
+}
+
 EdgeWatch::EdgeWatch(const WatchConfig &cfg,
                      std::vector<std::string> models,
                      std::vector<double> model_slo_ms,
@@ -108,11 +119,8 @@ EdgeWatch::EdgeWatch(const WatchConfig &cfg,
       device_names_(device_names),
       trackers_(cfg.slo_objective_pct),
       recorder_(cfg.flight_recorder_depth),
-      anomaly_(
-          AnomalyDetector::Config{cfg.anomaly_window,
-                                  cfg.anomaly_min_samples,
-                                  cfg.anomaly_margin_pct},
-          std::move(device_names), std::move(device_scores)),
+      anomaly_(AnomalyDetector::Config{}, std::move(device_names),
+               std::move(device_scores)),
       stages_(models_.size())
 {
     if (models_.size() != slo_ms_.size())
@@ -192,7 +200,7 @@ EdgeWatch::onComplete(const RequestTrace &rt)
 
     stages_[static_cast<std::size_t>(rt.model)].add(rt);
 
-    // Slow-request reservoir: worst slow_trace_count by total
+    // Slow-request reservoir: worst kSlowTraceCount by total
     // latency, slowest first, ties to the lower request id.
     auto &slow = summary_.slow_requests;
     auto slower = [](const RequestTrace &a, const RequestTrace &b) {
@@ -203,9 +211,9 @@ EdgeWatch::onComplete(const RequestTrace &rt)
     auto pos =
         std::lower_bound(slow.begin(), slow.end(), rt, slower);
     if (pos != slow.end() ||
-        static_cast<int>(slow.size()) < cfg_.slow_trace_count)
+        static_cast<int>(slow.size()) < kSlowTraceCount)
         slow.insert(pos, rt);
-    if (static_cast<int>(slow.size()) > cfg_.slow_trace_count)
+    if (static_cast<int>(slow.size()) > kSlowTraceCount)
         slow.pop_back();
 
     handleAlert(trackers_.observe(rt.model, rt.done_s, bad));
@@ -398,12 +406,7 @@ EdgeWatch::reportJson() const
         w.field("observed", m.observed);
         w.field("bad", m.bad);
         w.key("stage_mean_ms").beginObject();
-        w.field("queue", m.stage_mean_ms.queue);
-        w.field("dispatch_wait", m.stage_mean_ms.dispatch_wait);
-        w.field("upload", m.stage_mean_ms.upload);
-        w.field("compute", m.stage_mean_ms.compute);
-        w.field("download", m.stage_mean_ms.download);
-        w.field("total", m.stage_mean_ms.total);
+        m.stage_mean_ms.writeFields(w);
         w.endObject();
         w.endObject();
     }

@@ -56,12 +56,10 @@ struct WatchConfig
 
     int flight_recorder_depth = 256;
     int max_incidents = 8;  //!< later triggers only count
-    int slow_trace_count = 8;
-
-    int anomaly_window = 64;
-    int anomaly_min_samples = 16;
-    double anomaly_margin_pct = 10.0;
 };
+
+/** Slowest completed requests kept in WatchSummary::slow_requests. */
+inline constexpr int kSlowTraceCount = 8;
 
 /** Per-stage attribution of one request (simulated seconds). */
 struct RequestTrace
@@ -115,6 +113,10 @@ struct StageSums
 
     /** Each stage's mean over the n requests; all 0 when n is 0. */
     StageSums mean() const;
+
+    /** Write the six stage fields (queue .. total) into the object
+     *  `w` has open. */
+    void writeFields(JsonWriter &w) const;
 };
 
 /** End-of-run per-model watch outcome. */

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/logging.hh"
 
 namespace edgert {
@@ -31,15 +34,22 @@ TEST(Logging, FatalFormatsMixedTypes)
     }
 }
 
-TEST(Logging, VerboseToggle)
+TEST(Logging, WarnLevelSuppressesInform)
 {
-    bool before = verbose();
-    setVerbose(false);
-    EXPECT_FALSE(verbose());
-    inform("this is suppressed; must not crash");
-    setVerbose(true);
-    EXPECT_TRUE(verbose());
-    setVerbose(before);
+    LogLevel before = logLevel();
+    std::vector<LogLevel> seen;
+    setLogSink([&](LogLevel l, const std::string &) {
+        seen.push_back(l);
+    });
+    setLogLevel(LogLevel::kWarn);
+    inform("this is suppressed");
+    warn("this is shown");
+    setLogLevel(LogLevel::kInfo);
+    inform("this is shown too");
+    setLogSink({});
+    setLogLevel(before);
+    EXPECT_EQ(seen,
+              (std::vector<LogLevel>{LogLevel::kWarn, LogLevel::kInfo}));
 }
 
 TEST(Logging, WarnDoesNotThrow)

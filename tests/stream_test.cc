@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -129,7 +130,7 @@ TEST(StreamQueue, SkipToLatestKeepsExactlyTheNewestFrame)
     EXPECT_EQ(q.cut(2), (std::vector<std::int64_t>{2, 3}));
 }
 
-TEST(StreamQueue, BlockNeverEvictsAndDrainReturnsLeftovers)
+TEST(StreamQueue, BlockNeverEvictsAndCutReturnsLeftovers)
 {
     StreamQueue q(1);
     const auto policy = BackpressurePolicy::kBlock;
@@ -140,11 +141,87 @@ TEST(StreamQueue, BlockNeverEvictsAndDrainReturnsLeftovers)
     EXPECT_EQ(q.cut(10),
               (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8,
                                          9}));
-    auto rest = q.drain();
+    auto rest = q.cut(static_cast<int>(q.size()));
     EXPECT_EQ(rest.size(), 90u);
     EXPECT_EQ(rest.front(), 10);
     EXPECT_EQ(rest.back(), 99);
     EXPECT_TRUE(q.empty());
+}
+
+TEST(StreamQueue, MatchesPushOrderMinusEvictionsUnderRandomOps)
+{
+    // Brute-force reference: every admitted frame in push order;
+    // evictions remove a camera's oldest, cuts take the list head.
+    struct RefFrame
+    {
+        std::int64_t id;
+        int camera;
+        double ready_s;
+    };
+    const int cameras = 9;
+    const int budget = 3;
+    for (auto policy :
+         {BackpressurePolicy::kDropOldest,
+          BackpressurePolicy::kSkipToLatest,
+          BackpressurePolicy::kBlock}) {
+        SCOPED_TRACE(backpressurePolicyName(policy));
+        Rng rng(1234 + static_cast<std::uint64_t>(policy));
+        StreamQueue q(cameras);
+        std::vector<RefFrame> ref;
+        std::int64_t next_id = 0;
+        for (int step = 0; step < 3000; step++) {
+            if (ref.empty() || rng.chance(0.75)) {
+                const int cam = static_cast<int>(rng.below(cameras));
+                // Ready times are not monotone in push order: the
+                // queue must report the oldest pushed frame's.
+                const double ready = rng.uniform(0.0, 10.0);
+                std::size_t keep = ref.size();
+                if (policy == BackpressurePolicy::kDropOldest)
+                    keep = budget - 1;
+                else if (policy == BackpressurePolicy::kSkipToLatest)
+                    keep = 0;
+                std::vector<std::int64_t> want_evicted;
+                std::size_t mine = 0;
+                for (const RefFrame &f : ref)
+                    mine += f.camera == cam ? 1 : 0;
+                for (auto it = ref.begin();
+                     mine > keep && it != ref.end();) {
+                    if (it->camera == cam) {
+                        want_evicted.push_back(it->id);
+                        it = ref.erase(it);
+                        mine--;
+                    } else {
+                        ++it;
+                    }
+                }
+                ref.push_back({next_id, cam, ready});
+                ASSERT_EQ(q.push(next_id, cam, ready, policy, budget),
+                          want_evicted);
+                next_id++;
+            } else {
+                const auto n = static_cast<int>(
+                    1 + rng.below(std::min<std::size_t>(ref.size(), 5)));
+                std::vector<std::int64_t> want;
+                for (int i = 0; i < n; i++)
+                    want.push_back(ref[static_cast<std::size_t>(i)].id);
+                ref.erase(ref.begin(), ref.begin() + n);
+                ASSERT_EQ(q.cut(n), want);
+            }
+            ASSERT_EQ(q.size(), ref.size());
+            ASSERT_EQ(q.empty(), ref.empty());
+            if (!ref.empty()) {
+                ASSERT_EQ(q.frontId(), ref.front().id);
+                ASSERT_EQ(q.oldestReadySeconds(), ref.front().ready_s);
+            }
+            for (int c = 0; c < cameras; c++) {
+                int want = 0;
+                for (const RefFrame &f : ref)
+                    want += f.camera == c ? 1 : 0;
+                ASSERT_EQ(q.queuedOf(c), want) << "camera " << c;
+            }
+        }
+        EXPECT_GT(next_id, 1500);
+    }
 }
 
 TEST(FreshnessTracker, StaleAccountingAndConservation)

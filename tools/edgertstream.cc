@@ -101,16 +101,15 @@ parse(int argc, char **argv)
                  serve::parseTraceFlag(flags, a.cfg) ||
                  a.out.parse(flags))
             continue;
-        else if (flags.is("--watch-out")) {
-            a.cfg.watch.enabled = true;
-            a.cfg.watch.out_path = flags.value();
-        } else if (flags.is("--stale-alert-pct")) {
+        else if (flags.is("--watch-out"))
+            a.cfg.freshness_out = flags.value();
+        else if (flags.is("--stale-alert-pct")) {
             double pct = flags.numberValue();
             if (pct <= 0.0 || pct >= 100.0)
                 fatal("invalid value '", pct,
                       "' for --stale-alert-pct: must be in "
                       "(0, 100)");
-            a.cfg.watch.slo_objective_pct = pct;
+            a.cfg.freshness_objective_pct = pct;
         } else {
             serve::endFlags(flags, usage);
             return std::nullopt;
@@ -180,8 +179,8 @@ run(int argc, char **argv)
         static_cast<long long>(report.freshness.pages),
         static_cast<long long>(report.freshness.warns),
         static_cast<long long>(report.freshness.clears),
-        args.cfg.watch.out_path.empty() ? "" : ", report at ",
-        args.cfg.watch.out_path.c_str());
+        args.cfg.freshness_out.empty() ? "" : ", report at ",
+        args.cfg.freshness_out.c_str());
     if (report.freshness.first_page_s >= 0.0)
         say("[edgertstream] freshness: first page alert at "
             "%.3f s\n",
