@@ -62,13 +62,24 @@ HashRing::reset(const std::vector<int> &nodes)
     std::sort(members_.begin(), members_.end());
     members_.erase(std::unique(members_.begin(), members_.end()),
                    members_.end());
-    ring_.reserve(members_.size() *
-                  static_cast<std::size_t>(vnodes_));
+    // Counting sort on the top kIndexBits hash bits, so first_ is the
+    // bucket prefix sum, then sort each bucket's short run.
+    constexpr std::size_t buckets = std::size_t{1} << kIndexBits;
+    first_.assign(buckets + 1, 0);
     for (int node : members_)
         for (int v = 0; v < vnodes_; v++)
-            ring_.emplace_back(pointHash(node, v), node);
-    std::sort(ring_.begin(), ring_.end());
-    reindex();
+            first_[(pointHash(node, v) >> (64 - kIndexBits)) + 1]++;
+    for (std::size_t b = 0; b < buckets; b++)
+        first_[b + 1] += first_[b];
+    ring_.resize(first_[buckets]);
+    std::vector<std::uint32_t> fill(first_.begin(), first_.end() - 1);
+    for (int node : members_)
+        for (int v = 0; v < vnodes_; v++) {
+            const std::uint64_t h = pointHash(node, v);
+            ring_[fill[h >> (64 - kIndexBits)]++] = {h, node};
+        }
+    for (std::size_t b = 0; b < buckets; b++)
+        std::sort(ring_.begin() + first_[b], ring_.begin() + first_[b + 1]);
 }
 
 void

@@ -45,11 +45,12 @@ RoutePolicy parseRoutePolicy(const std::string &s);
 const char *routePolicyName(RoutePolicy policy);
 
 /**
- * Seeded consistent-hash ring with virtual nodes. reset() sorts the
- * whole ring once; add() inserts each of its points into the sorted
- * ring and remove() filters it, so both are linear in the ring size.
- * A lookup reads a table over the top kIndexBits key bits for the
- * run of points that shares them (~16 at 500 members and 128
+ * Seeded consistent-hash ring with virtual nodes. reset() places
+ * every point by its top kIndexBits hash bits (a counting sort) and
+ * sorts each bucket's run; add() inserts each of its points into the
+ * sorted ring and remove() filters it, so both are linear in the
+ * ring size. A lookup reads the bucket table for the run of points
+ * that shares the key's top bits (~16 at 500 members and 128
  * vnodes) and binary-searches only that run.
  */
 class HashRing
@@ -62,8 +63,8 @@ class HashRing
      */
     HashRing(std::uint64_t seed, int vnodes);
 
-    /** Replace the whole membership (bulk build: one sort instead
-     *  of per-point insertion). Duplicates are dropped. */
+    /** Replace the whole membership (bulk build: a bucketed sort
+     *  instead of per-point insertion). Duplicates are dropped. */
     void reset(const std::vector<int> &nodes);
 
     /** Add a member; adding a present member is a no-op. */

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <fstream>
-#include <tuple>
 #include <utility>
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/sort.hh"
 #include "core/timing_cache.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -28,7 +28,6 @@ struct FrameRec
     std::int64_t id = -1;
     int model = 0;
     int stream = 0;
-    std::int64_t seq = 0; //!< per-stream capture index
     double capture_s = 0.0;
 
     // Drawn at generation time (after the decode and preprocess
@@ -176,46 +175,77 @@ runStreams(const StreamConfig &cfg)
     }
 
     // ------------------------------------------------------------
-    // Frame generation: capture times and per-frame stage durations
-    // from forked Rng lineages (root → frames/stages → model →
-    // stream), then the host decode/preprocess chains — one decoder
-    // per camera stream, so stage k of frame i+1 waits for stage k
-    // of frame i. Host stages never see device feedback, so the
-    // chains fold eagerly. The merged table is capture-ordered.
+    // Frame generation, camera by camera in (model, stream) order:
+    // capture times and per-frame stage durations come from forked
+    // Rng lineages (root → frames/stages → model → stream), and the
+    // host decode/preprocess chains fold eagerly — one decoder per
+    // camera, so stage k of frame i+1 waits for stage k of frame i,
+    // and host stages never see device feedback. Frame ids follow
+    // (capture, model, stream, seq); the camera-major index ranks
+    // like (model, stream, seq), so one sort of (capture, index) keys
+    // numbers every frame and each record is written into its id
+    // slot. Camera c is SLO lane c; its frame `seq` has id
+    // camera_ids[first_frame[c] + seq].
     // ------------------------------------------------------------
+    using TimedId = serve::EventQueue::Arrival; //!< (t, id) order
     std::vector<FrameRec> frames;
+    std::vector<std::int64_t> camera_ids;
+    std::vector<std::size_t> first_frame;
+    std::vector<int> first_lane;
+    watch::SloTrackerSet slo(cfg.freshness_objective_pct);
     {
         EDGERT_SPAN("stream_workload",
                     {{"models", std::to_string(n_models)}});
         Rng root(cfg.seed);
         Rng frames_rng = root.fork("frames");
         Rng stages_rng = root.fork("stages");
+        std::vector<TimedId> keys;
         for (int m = 0; m < n_models; m++) {
             const auto &mc =
                 cfg.models[static_cast<std::size_t>(m)];
             Rng model_frames =
                 frames_rng.fork(static_cast<std::uint64_t>(m));
-            Rng model_stages =
-                stages_rng.fork(static_cast<std::uint64_t>(m));
             FrameSourceConfig sc;
             sc.kind = mc.arrival;
             sc.fps = mc.fps;
             sc.jitter_pct = mc.arrival_jitter_pct;
+            first_lane.push_back(static_cast<int>(slo.lanes()));
             for (int s = 0; s < mc.streams; s++) {
-                Rng cam = model_frames.fork(
-                    static_cast<std::uint64_t>(s));
-                Rng stage_rng = model_stages.fork(
-                    static_cast<std::uint64_t>(s));
-                auto times =
-                    generateFrameTimes(sc, cfg.duration_s, cam);
+                slo.addLane(mc.model + "/cam" + std::to_string(s));
+                Rng cam = model_frames.fork(static_cast<std::uint64_t>(s));
+                first_frame.push_back(keys.size());
+                for (double t : generateFrameTimes(sc, cfg.duration_s, cam))
+                    keys.push_back(
+                        {t, static_cast<std::int64_t>(keys.size())});
+            }
+        }
+        first_frame.push_back(keys.size());
+        std::sort(keys.begin(), keys.end());
+        camera_ids.resize(keys.size());
+        for (std::size_t id = 0; id < keys.size(); id++)
+            camera_ids[static_cast<std::size_t>(keys[id].id)] =
+                static_cast<std::int64_t>(id);
+        frames.resize(keys.size());
+        for (int m = 0; m < n_models; m++) {
+            const auto &mc = cfg.models[static_cast<std::size_t>(m)];
+            Rng model_stages =
+                stages_rng.fork(static_cast<std::uint64_t>(m));
+            for (int s = 0; s < mc.streams; s++) {
+                Rng stage_rng =
+                    model_stages.fork(static_cast<std::uint64_t>(s));
+                const auto c = static_cast<std::size_t>(
+                    first_lane[static_cast<std::size_t>(m)] + s);
                 double decode_free = 0.0;
                 double pre_free = 0.0;
-                for (std::size_t i = 0; i < times.size(); i++) {
-                    FrameRec fr;
+                for (std::size_t k = first_frame[c];
+                     k < first_frame[c + 1]; k++) {
+                    FrameRec &fr = frames[static_cast<std::size_t>(
+                        camera_ids[k])];
+                    fr.id = camera_ids[k];
                     fr.model = m;
                     fr.stream = s;
-                    fr.seq = static_cast<std::int64_t>(i);
-                    fr.capture_s = times[i];
+                    fr.capture_s =
+                        keys[static_cast<std::size_t>(fr.id)].t;
                     const double decode_s = jitteredSeconds(
                         mc.stages.decode_ms,
                         mc.stages.jitter_pct, stage_rng);
@@ -233,21 +263,9 @@ runStreams(const StreamConfig &cfg)
                         std::max(fr.decode_done_s, pre_free);
                     fr.ready_s = pstart + preprocess_s;
                     pre_free = fr.ready_s;
-                    frames.push_back(fr);
                 }
             }
         }
-        // (capture, model, stream, seq) is unique per frame, so the
-        // order is total.
-        std::sort(frames.begin(), frames.end(),
-                  [](const FrameRec &a, const FrameRec &b) {
-                      return std::tie(a.capture_s, a.model, a.stream,
-                                      a.seq) <
-                             std::tie(b.capture_s, b.model, b.stream,
-                                      b.seq);
-                  });
-        for (std::size_t i = 0; i < frames.size(); i++)
-            frames[i].id = static_cast<std::int64_t>(i);
     }
 
     // ------------------------------------------------------------
@@ -269,13 +287,15 @@ runStreams(const StreamConfig &cfg)
         timeouts[static_cast<std::size_t>(m)].target = m;
     }
 
-    // Ready times are not monotone in frame id (decode and preprocess
-    // jitter per stream), so the arrivals sort by (ready, id).
-    std::vector<serve::EventQueue::Arrival> ready;
+    // Arrivals sort by (ready, id). Listed in id (capture) order they
+    // are nearly sorted already: ready trails capture by a few ms of
+    // host stages, unless a camera's decoder falls behind.
+    std::vector<TimedId> ready;
+    ready.reserve(frames.size());
     for (const FrameRec &fr : frames)
         if (fr.ready_s <= cfg.duration_s) // else: still decoding
             ready.push_back({fr.ready_s, fr.id});
-    std::sort(ready.begin(), ready.end());
+    sortNearlySorted(ready.begin(), ready.end());
     serve::EventQueue evq(std::move(ready));
 
     auto tryDispatch = [&](int m, double t) {
@@ -350,9 +370,17 @@ runStreams(const StreamConfig &cfg)
         serve::replayPlans(cfg.devices, pool.instances(), versions, ro);
 
     // Fold measured completions back into the frame table
-    // (instance order, then plan order — deterministic), then run
-    // the host postprocess chains per camera stream over the
-    // completions in (done, seq) order.
+    // (instance order, then plan order — deterministic). Then, per
+    // camera: its completions in (done, id) order are its host
+    // postprocess chain, and its freshness lane observes them merged
+    // with its drops by (t, drop before completion, id). The runs are
+    // sorted already: a camera's frames are evicted oldest first at
+    // event times, and its chain makes postprocess-done monotone. A
+    // dropped frame is bad at its drop time; a completed frame is bad
+    // at postprocess-done when its age exceeds the stale budget.
+    // Lanes are independent trackers and the rollup keeps the
+    // earliest page, so feeding lane by lane equals one time-ordered
+    // feed. Within a camera, id order is seq order.
     serve::FoldCounts folded;
     {
         EDGERT_SPAN("stream_fold",
@@ -366,85 +394,71 @@ runStreams(const StreamConfig &cfg)
                 batch_size[static_cast<std::size_t>(inst.model)].record(
                     pd.batch);
             });
-        // Completed frames by (model, stream, done, seq); each
-        // camera's postprocess chain is one run of that order.
-        std::vector<std::int64_t> done;
-        for (const FrameRec &fr : frames)
-            if (fr.outcome == FrameRec::kCompleted)
-                done.push_back(fr.id);
-        auto key = [&frames](std::int64_t id) {
-            const FrameRec &fr = frames[static_cast<std::size_t>(id)];
-            return std::tie(fr.model, fr.stream, fr.done_s, fr.seq);
-        };
-        std::sort(done.begin(), done.end(),
-                  [&key](std::int64_t a, std::int64_t b) {
-                      return key(a) < key(b);
-                  });
-        const FrameRec *prev = nullptr;
-        double post_free = 0.0;
-        for (std::int64_t id : done) {
-            FrameRec &fr = frames[static_cast<std::size_t>(id)];
-            if (!prev || prev->model != fr.model ||
-                prev->stream != fr.stream)
-                post_free = 0.0;
-            fr.post_done_s =
-                std::max(fr.done_s, post_free) + fr.postprocess_dur_s;
-            post_free = fr.post_done_s;
-            prev = &fr;
+        std::vector<TimedId> done;
+        std::vector<const FrameRec *> drops;
+        for (std::size_t c = 0; c + 1 < first_frame.size(); c++) {
+            const int lane = static_cast<int>(c);
+            done.clear();
+            drops.clear();
+            for (std::size_t k = first_frame[c]; k < first_frame[c + 1];
+                 k++) {
+                const FrameRec &fr =
+                    frames[static_cast<std::size_t>(camera_ids[k])];
+                if (fr.outcome == FrameRec::kCompleted)
+                    done.push_back({fr.done_s, fr.id});
+                else if (fr.outcome == FrameRec::kDropped)
+                    drops.push_back(&fr);
+            }
+            sortNearlySorted(done.begin(), done.end());
+            auto drop = drops.begin();
+            double post_free = 0.0;
+            for (const TimedId &d : done) {
+                FrameRec &fr = frames[static_cast<std::size_t>(d.id)];
+                const auto &mc =
+                    cfg.models[static_cast<std::size_t>(fr.model)];
+                fr.post_done_s =
+                    std::max(fr.done_s, post_free) + fr.postprocess_dur_s;
+                post_free = fr.post_done_s;
+                for (; drop != drops.end() &&
+                       (*drop)->drop_s <= fr.post_done_s;
+                     ++drop)
+                    slo.observe(lane, (*drop)->drop_s, true);
+                slo.observe(lane, fr.post_done_s,
+                            fr.ageMs() > mc.stale_ms);
+            }
+            for (; drop != drops.end(); ++drop)
+                slo.observe(lane, (*drop)->drop_s, true);
         }
     }
 
     // ------------------------------------------------------------
     // Freshness and stage attribution: one frame-id-order pass over
     // terminal outcomes feeds the per-model trackers, the frame-age
-    // histograms and the per-stage sums, and collects the feed of
-    // the per-(model, stream) SloTrackerSet, which then observes it
-    // in time order so its sliding windows see a monotone clock. A
-    // dropped frame is bad at its drop time; a completed frame is
-    // bad at postprocess-done when its age exceeds the stale budget.
-    // Lane `first_lane[m] + stream` is named `<model>/cam<stream>`.
+    // histograms and the per-stage sums (their floating-point sums
+    // follow that order).
     // ------------------------------------------------------------
     std::vector<FreshnessTracker> fresh;
     std::vector<FrameStageSums> stages(
         static_cast<std::size_t>(n_models));
     std::vector<obs::Histogram> age_ms =
         serve::modelHistograms("stream.frame.age_ms", cfg.models);
-    watch::SloTrackerSet slo(cfg.freshness_objective_pct);
-    std::vector<int> first_lane;
     {
         EDGERT_SPAN("stream_freshness",
                     {{"frames", std::to_string(frames.size())}});
-        for (const auto &mc : cfg.models) {
+        for (const auto &mc : cfg.models)
             fresh.emplace_back(mc.streams, mc.stale_ms);
-            first_lane.push_back(static_cast<int>(slo.lanes()));
-            for (int c = 0; c < mc.streams; c++)
-                slo.addLane(mc.model + "/cam" + std::to_string(c));
-        }
-        struct Item
-        {
-            double t;
-            int rank; //!< 0 = drop, 1 = completion
-            std::int64_t id;
-            int lane;
-            bool bad;
-        };
-        std::vector<Item> feed;
         for (const FrameRec &fr : frames) {
             auto m = static_cast<std::size_t>(fr.model);
-            const int lane = first_lane[m] + fr.stream;
             fresh[m].onProduced(fr.stream);
             switch (fr.outcome) {
               case FrameRec::kDropped:
                   fresh[m].onDropped(fr.stream);
-                  feed.push_back(Item{fr.drop_s, 0, fr.id, lane, true});
                   break;
               case FrameRec::kCompleted: {
                   const double age = fr.ageMs();
                   fresh[m].onCompleted(fr.stream, age);
                   age_ms[m].record(age);
                   stages[m].add(fr);
-                  feed.push_back(Item{fr.post_done_s, 1, fr.id, lane,
-                                      age > cfg.models[m].stale_ms});
                   break;
               }
               case FrameRec::kInFlight:
@@ -452,13 +466,6 @@ runStreams(const StreamConfig &cfg)
                   break;
             }
         }
-        std::sort(feed.begin(), feed.end(),
-                  [](const Item &a, const Item &b) {
-                      return std::tie(a.t, a.rank, a.id) <
-                             std::tie(b.t, b.rank, b.id);
-                  });
-        for (const Item &it : feed)
-            slo.observe(it.lane, it.t, it.bad);
         if (!cfg.freshness_out.empty())
             writeFreshnessFile(cfg.freshness_out, slo);
     }

@@ -112,7 +112,7 @@ AlertCounts::add(const Alert &a)
     switch (a.tier) {
       case Alert::kPage:
         pages++;
-        if (first_page_s < 0.0)
+        if (first_page_s < 0.0 || a.t_s < first_page_s)
             first_page_s = a.t_s;
         break;
       case Alert::kWarn: warns++; break;

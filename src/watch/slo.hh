@@ -105,13 +105,14 @@ struct Alert
 const char *alertTierName(Alert::Tier tier);
 
 /** Tally of tier transitions: pages, warns, clears and the time of
- *  the first page. */
+ *  the earliest page. Every field is independent of the order in
+ *  which alerts are added, so a set's lanes may be fed one by one. */
 struct AlertCounts
 {
     std::int64_t pages = 0;
     std::int64_t warns = 0;
     std::int64_t clears = 0;
-    double first_page_s = -1.0; //!< -1 = no page fired
+    double first_page_s = -1.0; //!< earliest page; -1 = none fired
 
     /** Count one transition alert (t_s >= 0). */
     void add(const Alert &a);
@@ -172,7 +173,9 @@ class SloTracker
  * registered once by name and observed by id, so the hot path never
  * builds or looks up a string; names matter only at report time. The
  * rollup tallies every lane's tier transitions so a caller gets
- * totals without walking the lanes itself.
+ * totals without walking the lanes itself. Lanes are independent
+ * and the rollup is order-free, so each lane needs its own
+ * observations in time order, but lanes may be fed one after another.
  */
 class SloTrackerSet
 {

@@ -191,6 +191,39 @@ TEST(HashRing, IndexedLookupMatchesFullSearch)
     check(ring);
 }
 
+// reset() places points by their top hash bits and sorts each
+// bucket; the ring must equal a whole-ring std::sort of the same
+// points and the ring add() builds by sorted insertion, and route
+// through an equal bucket table.
+TEST(HashRing, BucketedBuildMatchesFullSort)
+{
+    const std::vector<std::vector<int>> member_sets = {
+        {}, {5}, iota(50), {900, 3, 41, 3, 7, 12000, 41}};
+    std::mt19937_64 rng(5);
+    std::vector<std::uint64_t> keys(2000);
+    for (std::uint64_t &k : keys)
+        k = rng();
+    for (std::uint64_t seed : {1u, 17u, 99u})
+        for (int vnodes : {1, 7, 128})
+            for (const std::vector<int> &members : member_sets) {
+                SCOPED_TRACE(::testing::Message()
+                             << "seed " << seed << " vnodes " << vnodes
+                             << " members " << members.size());
+                HashRing ring(seed, vnodes);
+                ring.reset(members);
+                HashRing inserted(seed, vnodes);
+                for (int node : members)
+                    inserted.add(node);
+                auto sorted = ring.points();
+                std::sort(sorted.begin(), sorted.end());
+                EXPECT_EQ(ring.points(), sorted);
+                EXPECT_EQ(ring.points(), inserted.points());
+                EXPECT_EQ(ring.memberCount(), inserted.memberCount());
+                for (std::uint64_t k : keys)
+                    ASSERT_EQ(ring.route(k), inserted.route(k));
+            }
+}
+
 TEST(HashRing, EmptyRingRoutesNowhere)
 {
     HashRing ring(1, 128);

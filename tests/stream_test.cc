@@ -4,8 +4,10 @@
  * independence), StreamQueue backpressure semantics, freshness
  * conservation accounting, and the end-to-end runStreams contract —
  * per-policy frame conservation, skip_to_latest beating block on
- * stale-frame rate at overload, and byte-identical reports across
- * same-seed runs and serial vs threaded replay.
+ * stale-frame rate at overload, byte-identical reports across
+ * same-seed runs and serial vs threaded replay, and pinned report
+ * fields that the per-camera frame passes (and sortNearlySorted,
+ * which orders them) must reproduce bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/sort.hh"
 #include "obs/metrics.hh"
 #include "serve/server.hh"
 #include "stream/freshness.hh"
@@ -257,6 +260,50 @@ TEST(FreshnessTracker, StaleAccountingAndConservation)
 }
 
 // ---------------------------------------------------------------
+// sortNearlySorted: the (ready, id) and (done, id) orders.
+// ---------------------------------------------------------------
+
+TEST(SortNearlySorted, MatchesStdSortOnEveryShape)
+{
+    Rng rng(11);
+    std::vector<std::vector<int>> inputs(3);
+    for (int i = 0; i < 5000; i++) {
+        inputs[0].push_back(static_cast<int>(rng.below(1000)));
+        inputs[1].push_back(5000 - i);
+        // Each value a few places from its slot.
+        inputs[2].push_back(i + static_cast<int>(rng.below(8)));
+    }
+    for (std::vector<int> v : inputs) {
+        std::vector<int> want = v;
+        std::sort(want.begin(), want.end());
+        sortNearlySorted(v.begin(), v.end());
+        EXPECT_EQ(v, want);
+    }
+    // The nearly sorted input needs no fallback.
+    EXPECT_TRUE(sortNearlySorted(inputs[2].begin(), inputs[2].end()));
+}
+
+TEST(SortNearlySorted, ReversedInputFallsBackWithinItsShiftBudget)
+{
+    // Fully reversed, the insertion pass would compare n^2/2 times;
+    // it must give up after its shift budget and leave the rest to
+    // std::sort (O(n log n) more comparisons).
+    const std::size_t n = 20000;
+    std::vector<int> v(n);
+    for (std::size_t i = 0; i < n; i++)
+        v[i] = static_cast<int>(n - i);
+    std::size_t compares = 0;
+    EXPECT_FALSE(sortNearlySorted(v.begin(), v.end(),
+                                  [&compares](int a, int b) {
+                                      compares++;
+                                      return a < b;
+                                  }));
+    EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
+    const std::size_t budget = kNearlySortedShiftsPerItem * n;
+    EXPECT_LE(compares, budget + n + 64 * n);
+}
+
+// ---------------------------------------------------------------
 // End-to-end runStreams contract.
 // ---------------------------------------------------------------
 
@@ -384,6 +431,122 @@ TEST(RunStreams, SerialAndThreadedReplayAreByteIdentical)
     auto threaded = run(4);
     EXPECT_EQ(serial.first, threaded.first);
     EXPECT_EQ(serial.second, threaded.second);
+}
+
+// Two runs whose fields are pinned bit for bit. The literals were
+// captured (printf "%a") when the frame table was sorted whole by
+// capture time, by (model, stream, done, seq) for the postprocess
+// chains and by (t, rank, id) for the freshness feed.
+StreamConfig
+pinnedTwoModelOverload()
+{
+    StreamConfig cfg;
+    cfg.devices.push_back(serve::parseDevice("nx"));
+    cfg.devices.push_back(serve::parseDevice("agx"));
+    cfg.duration_s = 1.5;
+    cfg.seed = 7;
+    cfg.sim_threads = 2;
+    StreamModelConfig a;
+    a.model = "tiny-yolov3";
+    a.streams = 32;
+    a.arrival = FrameArrival::kJitteredCamera;
+    a.policy = BackpressurePolicy::kSkipToLatest;
+    StreamModelConfig b = a;
+    b.model = "mobilenetv1";
+    b.streams = 16;
+    b.policy = BackpressurePolicy::kDropOldest;
+    cfg.models = {a, b};
+    return cfg;
+}
+
+/** tiny-yolov3 decodes in 60 ms per 33 ms frame gap, so its
+ *  cameras' decoders fall further behind while mobilenetv1's keep
+ *  up: ready order drifts far from capture order, and the arrival
+ *  sort leaves insertion for std::sort. */
+StreamConfig
+pinnedDecodeBacklog()
+{
+    StreamConfig cfg;
+    cfg.devices.push_back(serve::parseDevice("nx"));
+    cfg.duration_s = 1.5;
+    cfg.seed = 3;
+    StreamModelConfig mc;
+    mc.model = "tiny-yolov3";
+    mc.streams = 8;
+    mc.arrival = FrameArrival::kJitteredCamera;
+    mc.stages.decode_ms = 60.0;
+    StreamModelConfig fast = mc;
+    fast.model = "mobilenetv1";
+    fast.stages.decode_ms = 2.0;
+    cfg.models = {mc, fast};
+    return cfg;
+}
+
+struct PinnedModel
+{
+    std::int64_t completed, dropped;
+    double age_p50, age_p99, age_max;
+    double decode, preprocess, queue, dispatch_wait, upload, compute,
+        download, postprocess;
+};
+
+void
+expectPinned(const StreamReport &rep,
+             const std::vector<PinnedModel> &models,
+             std::int64_t pages, double first_page_s)
+{
+    ASSERT_EQ(rep.models.size(), models.size());
+    for (std::size_t i = 0; i < models.size(); i++) {
+        const StreamModelStats &m = rep.models[i];
+        const PinnedModel &p = models[i];
+        SCOPED_TRACE(m.model);
+        EXPECT_EQ(m.freshness.completed, p.completed);
+        EXPECT_EQ(m.freshness.dropped, p.dropped);
+        EXPECT_EQ(m.freshness.age_p50_ms, p.age_p50);
+        EXPECT_EQ(m.freshness.age_p99_ms, p.age_p99);
+        EXPECT_EQ(m.freshness.age_max_ms, p.age_max);
+        EXPECT_EQ(m.decode_mean_ms, p.decode);
+        EXPECT_EQ(m.preprocess_mean_ms, p.preprocess);
+        EXPECT_EQ(m.infer_mean_ms.queue, p.queue);
+        EXPECT_EQ(m.infer_mean_ms.dispatch_wait, p.dispatch_wait);
+        EXPECT_EQ(m.infer_mean_ms.upload, p.upload);
+        EXPECT_EQ(m.infer_mean_ms.compute, p.compute);
+        EXPECT_EQ(m.infer_mean_ms.download, p.download);
+        EXPECT_EQ(m.postprocess_mean_ms, p.postprocess);
+    }
+    EXPECT_EQ(rep.freshness.pages, pages);
+    EXPECT_EQ(rep.freshness.first_page_s, first_page_s);
+}
+
+TEST(RunStreams, PinnedFieldsSurviveThePerCameraRewrite)
+{
+    expectPinned(
+        runStreams(pinnedTwoModelOverload()),
+        {{786, 624, 0x1.57da0bd231281p+8, 0x1.fdb90117c5e08p+8,
+          0x1.0291d7456013dp+9, 0x1.fd2ad18377564p+0,
+          0x1.009d6ec4620dfp+0, 0x1.b4ad49773ab53p+4, 0x0p+0,
+          0x1.126fcc48d45cdp+2, 0x1.11dcdf968f944p+8,
+          0x1.0d503342b5351p+1, 0x1.00c63ad132968p-1},
+         {723, 0, 0x1.42f4700b25851p+4, 0x1.16bb0b60f7944p+5,
+          0x1.3b0d364912ff6p+5, 0x1.ff67dad698599p+0,
+          0x1.fe32d1eabdee2p-1, 0x1.df471329c0af1p+0,
+          0x1.7e0adaf9dca09p-6, 0x1.2b84a66da227dp+0,
+          0x1.a19cb894b47dep+3, 0x1.01cb9c2695b9fp-1,
+          0x1.00ccdc02b1db9p-1}},
+        32, 0x1.1ff3ba399d227p-4);
+    expectPinned(
+        runStreams(pinnedDecodeBacklog()),
+        {{192, 0, 0x1.8e437d6aeb4b2p+8, 0x1.68e5e217d50edp+9,
+          0x1.71d8e68f3d9fep+9, 0x1.772e97f4835d5p+8,
+          0x1.01316b3ec307cp+0, 0x1.af8c294c95db7p+1, 0x0p+0,
+          0x1.5911d22f8b454p+0, 0x1.b076678a1d781p+3,
+          0x1.6e09676760b99p-1, 0x1.025486e81ec36p-1},
+         {358, 0, 0x1.94a969d61b236p+3, 0x1.6b96a20b5f7fcp+4,
+          0x1.71b61a97a238ep+4, 0x1.fc1faf34b60cep+0,
+          0x1.fec8366dbd789p-1, 0x1.139fbfd0a697cp+1, 0x0p+0,
+          0x1.99c95cbe8c249p-1, 0x1.b9477b62f8132p+2,
+          0x1.54407357c65aap-4, 0x1.fdb421a84ef2cp-2}},
+        8, 0x1.f127c4cd8d3adp-4);
 }
 
 TEST(RunStreams, DuplicateModelNamesAreFatal)

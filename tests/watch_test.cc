@@ -208,6 +208,64 @@ TEST(SloTrackerSet, SharedConfigAppliesToEveryKey)
     EXPECT_TRUE(lanesAtTier(set, Alert::kPage).empty());
 }
 
+TEST(SloTrackerSet, RollupIgnoresLaneInterleaving)
+{
+    // Three lanes over 12 s at 20 Hz. Lanes 0 and 1 burn (every
+    // outcome bad) for one second and recover; lane 1 burns first,
+    // so lane-by-lane feeding meets lane 0's later page first.
+    struct Obs
+    {
+        double t;
+        int lane;
+        bool bad;
+    };
+    const double burn_start[] = {4.0, 2.0, -1.0};
+    std::vector<Obs> merged; // time order, lanes interleaved
+    for (int k = 0; k < 240; k++)
+        for (int lane = 0; lane < 3; lane++) {
+            const double t = k * 0.05;
+            merged.push_back({t, lane,
+                              t >= burn_start[lane] &&
+                                  t < burn_start[lane] + 1.0});
+        }
+    std::vector<Obs> by_lane = merged;
+    std::stable_sort(by_lane.begin(), by_lane.end(),
+                     [](const Obs &a, const Obs &b) {
+                         return a.lane < b.lane;
+                     });
+
+    auto feed = [](const std::vector<Obs> &obs) {
+        SloTrackerSet set(99.0);
+        for (int lane = 0; lane < 3; lane++)
+            set.addLane("cam" + std::to_string(lane));
+        for (const Obs &o : obs)
+            set.observe(o.lane, o.t, o.bad);
+        return set;
+    };
+    const SloTrackerSet a = feed(merged);
+    const SloTrackerSet b = feed(by_lane);
+    for (int lane = 0; lane < 3; lane++) {
+        const SloTracker *ta = a.find(lane);
+        const SloTracker *tb = b.find(lane);
+        ASSERT_NE(ta, nullptr);
+        ASSERT_NE(tb, nullptr);
+        EXPECT_EQ(ta->tier(), tb->tier());
+        EXPECT_EQ(ta->total(), tb->total());
+        EXPECT_EQ(ta->bad(), tb->bad());
+        EXPECT_EQ(ta->burnRates().fast, tb->burnRates().fast);
+        EXPECT_EQ(ta->burnRates().mid, tb->burnRates().mid);
+        EXPECT_EQ(ta->burnRates().slow, tb->burnRates().slow);
+    }
+    EXPECT_EQ(a.rollup().pages, 2);
+    EXPECT_EQ(a.rollup().pages, b.rollup().pages);
+    EXPECT_EQ(a.rollup().warns, b.rollup().warns);
+    EXPECT_EQ(a.rollup().clears, b.rollup().clears);
+    // Lane 1's page, early in its burn second.
+    EXPECT_GE(a.rollup().first_page_s, 2.0);
+    EXPECT_LT(a.rollup().first_page_s, 3.0);
+    EXPECT_EQ(a.rollup().first_page_s, b.rollup().first_page_s);
+}
+
 TEST(FlightRecorder, RingKeepsTheLastDepthEventsOldestFirst)
 {
     FlightRecorder rec(4);
