@@ -1,6 +1,7 @@
 #include "gpusim/sim.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -9,6 +10,10 @@
 #include "gpusim/timing.hh"
 
 namespace edgert::gpusim {
+
+#ifdef EDGERT_GPUSIM_REFERENCE
+inline namespace reference {
+#endif
 
 namespace {
 
@@ -23,6 +28,10 @@ constexpr std::int32_t kTagHostDelay = 0;
 constexpr std::int32_t kTagReleaseAt = 1;
 constexpr std::int32_t kTagWaitEvent = 2;
 constexpr std::int32_t kFixedTags = 3;
+
+// Fill-memo id of a kernel whose content found no free id: its fills
+// are computed, never memoized.
+constexpr std::uint16_t kNoMemoId = 0xFFFF;
 
 } // namespace
 
@@ -76,11 +85,20 @@ GpuSim::GpuSim(const DeviceSpec &spec,
         reg.histogram("gpusim.kernel.wave_waste_pct", dev);
 }
 
+const std::size_t GpuSim::kFillMemoBytes =
+    FillMemo::kSlots * sizeof(FillMemo::Slot) +
+    FillMemo::kEntries * sizeof(std::array<Share, 2>);
+
+// A tree node: three links and a color ahead of the key and id.
+const std::size_t GpuSim::kFillMemoIdBytes =
+    4 * sizeof(void *) + sizeof(decltype(memo_ids_)::value_type);
+
 int
 GpuSim::createStream(double priority_weight)
 {
-    if (priority_weight <= 0.0)
-        fatal("createStream: priority weight must be positive");
+    if (!(std::isfinite(priority_weight) && priority_weight > 0.0))
+        fatal("createStream: priority weight must be positive and "
+              "finite");
     streams_.emplace_back();
     streams_.back().weight = priority_weight;
     fill_.resize(streams_.size());
@@ -322,6 +340,12 @@ GpuSim::simStats() const
     s.ops_completed = ops_completed_;
     s.trace_records = trace_records_;
     s.solo_kernels = solo_kernels_;
+    s.fill_memo_hits = fill_memo_.hits;
+    s.fill_memo_clears = fill_memo_.clears;
+    s.fill_memo_bytes =
+        fill_memo_.slots.capacity() * sizeof(FillMemo::Slot) +
+        fill_memo_.shares.capacity() * sizeof(std::array<Share, 2>) +
+        memo_ids_.size() * kFillMemoIdBytes;
     s.simulated_s = now_;
     // Interned tags count their table entries, map nodes and
     // heap-held characters.
@@ -340,7 +364,7 @@ GpuSim::simStats() const
         active_.capacity() * sizeof(ActiveKernel) +
         event_times_.capacity() * sizeof(double) +
         wait_list_.capacity() * sizeof(EventWaiter) +
-        fill_.bytesReserved() +
+        fill_.bytesReserved() + s.fill_memo_bytes +
         (batch_stall_us_.capacity() + batch_waste_pct_.capacity()) *
             sizeof(double);
     return s;
@@ -684,6 +708,69 @@ GpuSim::soloShareOf(const KernelTiming &t, double weight) const
     return shareOf(t, sm_grant, wave, t_comp, fill(bw_cap, eff_dram_bps_));
 }
 
+std::uint16_t
+GpuSim::memoIdOf(const ResolvedKernel &kernel, double weight)
+{
+    // An id names content, not storage: a list resolved into a freed
+    // list's memory starts with fresh entries (id 0), and equal content
+    // shares one id. Every field and the weight are compared as bits.
+    const KernelTiming &t = kernel.timing;
+    if (t.memo_id != 0)
+        return t.memo_id;
+    const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+    const std::array<std::uint64_t, 10> key = {
+        (t.has_flops ? 1u : 0u) | (t.has_dram ? 2u : 0u),
+        static_cast<std::uint64_t>(t.grid_blocks),
+        bits(t.grid_d),
+        bits(t.maxb_d),
+        bits(t.flops_d),
+        bits(t.per_sm_flops),
+        bits(t.sm_cap),
+        bits(t.dram_d),
+        bits(t.mem_s),
+        bits(weight)};
+    auto it = memo_ids_.find(key);
+    if (it == memo_ids_.end()) {
+        if (memo_ids_.size() == kNoMemoId - 1u)
+            return t.memo_id = kNoMemoId;
+        const auto id = static_cast<std::uint16_t>(memo_ids_.size() + 1);
+        it = memo_ids_.emplace(key, id).first;
+    }
+    return t.memo_id = it->second;
+}
+
+GpuSim::FillMemo::Slot &
+GpuSim::FillMemo::probe(std::uint32_t key)
+{
+    if (slots.empty()) {
+        slots.resize(kSlots);
+        shares.reserve(kEntries);
+    }
+    // Fibonacci hashing: the top kSlotBits bits of key * 2^32 / phi.
+    std::size_t i = (key * 0x9E3779B1u) >> (32 - kSlotBits);
+    while (slots[i].key != 0 && slots[i].key != key)
+        i = (i + 1) & (kSlots - 1);
+    return slots[i];
+}
+
+void
+GpuSim::FillMemo::insert(Slot &slot, std::uint32_t key,
+                         const std::array<Share, 2> &pair)
+{
+    Slot *s = &slot;
+    if (shares.size() == kEntries) {
+        // Start over rather than evict: the table stays at most half
+        // full, so probe chains stay short.
+        std::fill(slots.begin(), slots.end(), Slot{});
+        shares.clear();
+        clears++;
+        s = &probe(key);
+    }
+    s->key = key;
+    s->entry = static_cast<std::uint32_t>(shares.size());
+    shares.push_back(pair);
+}
+
 void
 GpuSim::recomputeShares()
 {
@@ -710,6 +797,33 @@ GpuSim::recomputeShares()
         applyShare(ak, ak.kernel->solo);
         return;
     }
+    // Two executing kernels are what contending streams repeat: their
+    // fill is looked up in the memo, keyed on the ordered pair of ids
+    // (the saturate pass reads the remainder in executing order), and
+    // a miss is computed below and stored. Larger sets rarely repeat,
+    // so they always compute.
+    FillMemo::Slot *slot = nullptr;
+    std::uint32_t key = 0;
+#ifndef EDGERT_GPUSIM_REFERENCE
+    if (n == 2) {
+        const std::uint16_t a =
+            memoIdOf(*active_[f.exec[0]].kernel, f.prio[0]);
+        const std::uint16_t b =
+            memoIdOf(*active_[f.exec[1]].kernel, f.prio[1]);
+        if (a != kNoMemoId && b != kNoMemoId) {
+            key = std::uint32_t{a} << 16 | b;
+            slot = &fill_memo_.probe(key);
+            if (slot->key == key) {
+                const std::array<Share, 2> &pair =
+                    fill_memo_.shares[slot->entry];
+                applyShare(active_[f.exec[0]], pair[0]);
+                applyShare(active_[f.exec[1]], pair[1]);
+                fill_memo_.hits++;
+                return;
+            }
+        }
+    }
+#endif
     waterFillInto(n, f.sm_caps.data(), sm_count_d_, f.prio.data(),
                   f.sm_grant.data());
     for (std::size_t j = 0; j < n; j++)
@@ -718,11 +832,17 @@ GpuSim::recomputeShares()
                             f.sm_grant[j], &f.wave[j], &f.tcomp[j]);
     waterFillInto(n, f.bw_caps.data(), eff_dram_bps_, f.prio.data(),
                   f.bw_grant.data());
+    std::array<Share, 2> pair;
     for (std::size_t j = 0; j < n; j++) {
         ActiveKernel &ak = active_[f.exec[j]];
-        applyShare(ak, shareOf(ak.kernel->timing, f.sm_grant[j],
-                               f.wave[j], f.tcomp[j], f.bw_grant[j]));
+        const Share s = shareOf(ak.kernel->timing, f.sm_grant[j],
+                                f.wave[j], f.tcomp[j], f.bw_grant[j]);
+        applyShare(ak, s);
+        if (slot)
+            pair[j] = s;
     }
+    if (slot)
+        fill_memo_.insert(*slot, key, pair);
 }
 
 double
@@ -1029,8 +1149,13 @@ GpuSim::flushKernelSamples()
 void
 GpuSim::runUntilEvent(EventId id)
 {
-    while (event_times_.at(static_cast<std::size_t>(id)) < 0.0) {
-        if (!step()) {
+    const auto pending = [&] {
+        return event_times_.at(static_cast<std::size_t>(id)) < 0.0;
+    };
+    while (pending()) {
+        // The step that completes a lone marker also drains the
+        // simulator: only a step that leaves the event pending fails.
+        if (!step() && pending()) {
             flushKernelSamples();
             fatal("runUntilEvent: simulation drained before event ",
                   id, " completed");
@@ -1038,5 +1163,9 @@ GpuSim::runUntilEvent(EventId id)
     }
     flushKernelSamples();
 }
+
+#ifdef EDGERT_GPUSIM_REFERENCE
+} // inline namespace reference
+#endif
 
 } // namespace edgert::gpusim

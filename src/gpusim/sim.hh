@@ -26,17 +26,19 @@
  * share recomputation is skipped while the executing-kernel set is
  * unchanged (the water-fill is a pure function of that set, so the
  * skip is bit-exact); when it does rerun, it works on scratch arrays
- * sized once per stream. Kernels arrive as a KernelList resolved
- * once for one stream, so admission reads each kernel's invariants
- * and its solo (n = 1) share instead of computing them. A launch is
- * one op whatever its kernel count: the op spans the list and stays
- * at its stream's head while a cursor walks it, one kernel admitted
- * and retired at a time; the last kernel pops and releases it. While
- * one stream runs alone (one active kernel, copy engine idle), step()
- * retires that stream's consecutive kernels — through a span and
- * into a span queued right behind it — in one tight loop, each
- * iteration exactly one generic step, until a non-kernel head, a due
- * calendar entry or the run horizon sends it back to the generic
+ * sized once per stream, and a fill over exactly two executing
+ * kernels is first looked up in a bounded memo keyed on their
+ * ordered, content-interned ids. Kernels arrive as a KernelList
+ * resolved once for one stream, so admission reads each kernel's
+ * invariants and its solo (n = 1) share instead of computing them. A
+ * launch is one op whatever its kernel count: the op spans the list
+ * and stays at its stream's head while a cursor walks it, one kernel
+ * admitted and retired at a time; the last kernel pops and releases
+ * it. While one stream runs alone (one active kernel, copy engine
+ * idle), step() retires that stream's consecutive kernels — through a
+ * span and into a span queued right behind it — in one tight loop,
+ * each iteration exactly one generic step, until a non-kernel head, a
+ * due calendar entry or the run horizon sends it back to the generic
  * step. The two per-kernel histogram samples are buffered and
  * recorded in batches, flushed before run(), runBefore() and
  * runUntilEvent() return. All of this changes per-event cost only —
@@ -45,9 +47,11 @@
  * simulator.
  */
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -60,6 +64,13 @@
 #include "obs/metrics.hh"
 
 namespace edgert::gpusim {
+
+// The differential test links a second build of sim.cc, compiled with
+// EDGERT_GPUSIM_REFERENCE (no fill memo), next to this one: its types
+// live in an inline namespace of their own.
+#ifdef EDGERT_GPUSIM_REFERENCE
+inline namespace reference {
+#endif
 
 /** Identifier of a recorded stream event (cudaEvent analogue). */
 using EventId = std::int64_t;
@@ -122,6 +133,9 @@ struct SimStats
     std::uint64_t ops_completed = 0; //!< non-marker ops finished
     std::uint64_t trace_records = 0; //!< records actually retained
     std::uint64_t solo_kernels = 0;  //!< kernels retired by solo runs
+    std::uint64_t fill_memo_hits = 0;   //!< n = 2 fills the memo served
+    std::uint64_t fill_memo_clears = 0; //!< times the full memo cleared
+    std::size_t fill_memo_bytes = 0; //!< memo table and ids (in arena)
     std::size_t arena_bytes = 0;     //!< whole simulator footprint
     double simulated_s = 0.0;        //!< simulated time reached
 };
@@ -135,6 +149,11 @@ struct KernelTiming
 {
     bool has_flops = false;
     bool has_dram = false;
+    /** The owning simulator's interned id of (these values, the list's
+     *  stream weight), which keys its contended-fill memo; 0 until the
+     *  kernel's first contended fill interns it. It sits in padding,
+     *  and is mutable because resolveKernels interns nothing. */
+    mutable std::uint16_t memo_id = 0;
     std::int64_t grid_blocks = 0;
     double grid_d = 0.0;        //!< (double)grid_blocks
     double maxb_d = 0.0;        //!< (double)max_blocks_per_sm
@@ -214,6 +233,12 @@ class GpuSim
     /** Retired kernels whose histogram samples are buffered before
      *  one batched record (see flushKernelSamples). */
     static constexpr std::size_t kKernelSampleBatch = 64;
+
+    /** Bytes the contended-fill memo reserves at the simulator's first
+     *  fill over two executing kernels; each distinct kernel it interns
+     *  adds kFillMemoIdBytes. sim.arena.bytes counts both. */
+    static const std::size_t kFillMemoBytes;
+    static const std::size_t kFillMemoIdBytes;
 
     GpuSim(const GpuSim &) = delete;
     GpuSim &operator=(const GpuSim &) = delete;
@@ -469,6 +494,39 @@ class GpuSim
         std::size_t bytesReserved() const;
     };
 
+    /**
+     * Memo of the n = 2 contended fill: the pair's two shares, in
+     * executing order, keyed on the ordered pair of the kernels'
+     * interned ids (memoIdOf) packed as (first << 16 | second). Open
+     * addressing with linear probing over kSlots slots, at most
+     * kEntries entries; allocated at the first contended fill and
+     * cleared when full.
+     */
+    struct FillMemo
+    {
+        static constexpr int kSlotBits = 13;
+        static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+        static constexpr std::size_t kEntries = kSlots / 2;
+
+        struct Slot
+        {
+            std::uint32_t key = 0; //!< 0 = empty (ids start at 1)
+            std::uint32_t entry = 0; //!< index into shares
+        };
+        std::vector<Slot> slots;
+        std::vector<std::array<Share, 2>> shares;
+        std::uint64_t hits = 0;
+        std::uint64_t clears = 0;
+
+        /** The slot holding `key`, else the empty slot that ends its
+         *  probe (allocating the table on first use). */
+        Slot &probe(std::uint32_t key);
+        /** Store `pair` under `key` at `slot`, which probe(key) returned
+         *  empty; a full table is cleared first. */
+        void insert(Slot &slot, std::uint32_t key,
+                    const std::array<Share, 2> &pair);
+    };
+
     struct CopyEntry
     {
         std::int32_t op_idx = -1;
@@ -534,6 +592,7 @@ class GpuSim
     static Share shareOf(const KernelTiming &t, double sm_grant,
                          double wave, double t_comp, double bw_grant);
     static void applyShare(ActiveKernel &ak, const Share &s);
+    std::uint16_t memoIdOf(const ResolvedKernel &kernel, double weight);
     double jitterFactor();
     double nextEventDt() const;
     void advance(double dt);
@@ -585,6 +644,10 @@ class GpuSim
     std::uint64_t solo_kernels_ = 0;
 
     ShareScratch fill_;
+    FillMemo fill_memo_;
+    // Fill-memo ids: each distinct (KernelTiming values, stream weight),
+    // as bit patterns, numbered from 1 in first-contended-fill order.
+    std::map<std::array<std::uint64_t, 10>, std::uint16_t> memo_ids_;
     std::vector<DelayEntry> scratch_expired_;
     std::vector<std::int32_t> scratch_ready_;
 
@@ -622,6 +685,10 @@ class GpuSim
  * the host time of a replay lives in its span.
  */
 void publishSimMetrics(const SimStats &stats, const obs::Labels &labels);
+
+#ifdef EDGERT_GPUSIM_REFERENCE
+} // inline namespace reference
+#endif
 
 } // namespace edgert::gpusim
 

@@ -222,6 +222,86 @@ TEST(OpStorage, ArenaBytesCountPerSimulatorBuffers)
     EXPECT_GE(grown - base, streams * 8 * sizeof(double));
 }
 
+static_assert(sizeof(gpusim::ResolvedKernel) <= 112,
+              "the fill-memo id lives in KernelTiming's padding");
+
+/**
+ * k1 on one stream and k2 on another, under a 1 ms launch phase.
+ * Contended, both leave it together and execute as a pair. Otherwise
+ * k2 is admitted 0.5 ms later, and k1 retires before k2 executes.
+ * Both shapes hold two active kernels and one host delay at a time.
+ */
+gpusim::SimStats
+pairStats(bool contended)
+{
+    test::KernelLauncher launch;
+    GpuSim sim(gpusim::DeviceSpec::xavierNX());
+    sim.setTraceMode(TraceMode::kOff);
+    sim.setProfilingOverheadUs(1000.0);
+    const int s1 = sim.createStream(1.3);
+    const int s2 = sim.createStream(0.7);
+    launch(sim, s1, kernel(6, 1'000'000));
+    sim.hostDelay(s2, contended ? 0.0 : 0.5e-3);
+    launch(sim, s2, kernel(6, 2'000'000));
+    sim.run();
+    return sim.simStats();
+}
+
+TEST(OpStorage, FillMemoIsReservedAtTheFirstContendedFill)
+{
+    // The first fill over two executing kernels reserves the memo table
+    // and interns both kernels; nothing else differs.
+    const gpusim::SimStats solo = pairStats(false);
+    const gpusim::SimStats pair = pairStats(true);
+    EXPECT_EQ(solo.fill_memo_bytes, 0u);
+    EXPECT_EQ(pair.fill_memo_bytes,
+              GpuSim::kFillMemoBytes + 2 * GpuSim::kFillMemoIdBytes);
+    EXPECT_EQ(pair.arena_bytes - solo.arena_bytes, pair.fill_memo_bytes);
+}
+
+TEST(OpStorage, FillMemoStaysBoundedWhenFull)
+{
+    // More distinct ordered pairs than the memo holds: one stream runs
+    // 72 long kernels in turn, the other 72 short ones under each (it
+    // waits for the previous long kernel). The full table clears and
+    // reserves nothing more: the memo stays within 512 KiB.
+    test::KernelLauncher launch;
+    GpuSim sim(gpusim::DeviceSpec::xavierNX());
+    sim.setTraceMode(TraceMode::kOff);
+    const int longs = sim.createStream(1.3);
+    const int shorts = sim.createStream(0.6);
+    const int n = 72;
+    for (int j = 0; j < n; j++) {
+        launch(sim, longs, kernel(96, 20'000'000'000 + 10'000'000 * j));
+        const gpusim::EventId done = sim.recordEvent(longs);
+        for (int i = 0; i < n; i++)
+            launch(sim, shorts, kernel(3, 2'000'000 + 10'000 * i));
+        sim.waitEvent(shorts, done);
+    }
+    sim.run();
+    const gpusim::SimStats st = sim.simStats();
+    EXPECT_GE(st.fill_memo_clears, 1u);
+    EXPECT_EQ(st.fill_memo_bytes,
+              GpuSim::kFillMemoBytes + 2 * n * GpuSim::kFillMemoIdBytes);
+    EXPECT_LE(st.fill_memo_bytes, 512u * 1024);
+}
+
+TEST(OpStorage, SoloProgramsReserveNoFillMemo)
+{
+    // The fleet shape: one context per simulator, so every kernel runs
+    // alone and the footprint is what it was without the memo.
+    const gpusim::DeviceSpec nx = gpusim::DeviceSpec::xavierNX();
+    const core::Engine engine = core::Builder(nx, core::BuilderConfig())
+                                    .build(nn::buildZooModel("resnet-18"));
+    GpuSim sim(nx);
+    runtime::ExecutionContext ctx(engine, sim, 0);
+    for (int i = 0; i < 8; i++)
+        ctx.enqueueInference(true, true);
+    sim.run();
+    EXPECT_EQ(sim.simStats().fill_memo_bytes, 0u);
+    EXPECT_EQ(sim.simStats().fill_memo_hits, 0u);
+}
+
 TEST(OpStorage, MovedListsBackTheirLaunches)
 {
     // Launches point into a list's heap storage, which a move keeps in

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <array>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -202,6 +203,16 @@ TEST(GpuSim, RunUntilEventStopsEarly)
     EXPECT_GT(sim.nowSeconds(), t_mid);
 }
 
+TEST(GpuSim, RunUntilEventCompletesALoneMarker)
+{
+    // The step that resolves a marker on an otherwise idle simulator
+    // also drains it: the event has completed all the same.
+    GpuSim sim(DeviceSpec::xavierNX());
+    const EventId ev = sim.recordEvent(0);
+    sim.runUntilEvent(ev);
+    EXPECT_EQ(sim.eventSeconds(ev), 0.0);
+}
+
 TEST(GpuSim, ProfilingOverheadSlowsOps)
 {
     test::KernelLauncher launch;
@@ -311,6 +322,13 @@ TEST(GpuSim, InvalidPriorityFatal)
     GpuSim sim(DeviceSpec::xavierNX());
     EXPECT_THROW(sim.createStream(0.0), FatalError);
     EXPECT_THROW(sim.createStream(-1.0), FatalError);
+    // A non-finite weight would make every share capacity * w / w NaN.
+    EXPECT_THROW(sim.createStream(std::numeric_limits<double>::quiet_NaN()),
+                 FatalError);
+    EXPECT_THROW(sim.createStream(std::numeric_limits<double>::infinity()),
+                 FatalError);
+    EXPECT_THROW(sim.createStream(-std::numeric_limits<double>::infinity()),
+                 FatalError);
 }
 
 TEST(GpuSim, WaitEventBlocksUntilProducerRetires)
