@@ -1,6 +1,7 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -29,7 +30,7 @@ bucketBounds()
     return bounds;
 }
 
-// Binary exponents ilogb(v) of values above kFirstUpper that can land
+// Binary exponents of values above kFirstUpper that can land
 // below the overflow bucket: 2^-10 < 1e-3, and 2^30 is past the last
 // bound.
 constexpr int kMinExp = -10;
@@ -64,12 +65,18 @@ HistogramCell::upperBound(int bucket)
 int
 HistogramCell::bucketIndex(double v)
 {
-    if (v <= kFirstUpper)
+    // NaN compares false, and so lands in bucket 0 as it does under
+    // std::lower_bound.
+    if (!(v > kFirstUpper))
         return 0;
     // v lies in [2^k, 2^(k+1)), so its bucket is at or after the first
     // one whose bound is >= 2^k. An octave holds 8 log10(2) < 3
-    // bounds, so at most three are stepped over from there.
-    const int k = std::ilogb(v);
+    // bounds, so at most three are stepped over from there. v is
+    // normal here, so k is its biased exponent field less the bias;
+    // +inf reads as 1024 and overflows.
+    const int k =
+        static_cast<int>((std::bit_cast<std::uint64_t>(v) >> 52) & 0x7ff) -
+        1023;
     if (k >= kMaxExp)
         return kBuckets;
     const auto &bounds = bucketBounds();

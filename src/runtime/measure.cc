@@ -134,6 +134,8 @@ measureThroughput(const core::Engine &engine,
     gpusim::DeviceSpec dev =
         opts.at_max_clock ? device.atMaxClock() : device;
     gpusim::GpuSim sim(dev);
+    // The probe reads events and stats(), never the kernel trace.
+    sim.setTraceMode(gpusim::TraceMode::kOff);
 
     const int threads = std::max(1, opts.threads);
     std::vector<ExecutionContext> ctxs;

@@ -181,13 +181,15 @@ const char kTrafficKeysHelp[] =
     "                        [:burst_factor=N][:period_s=N]\n";
 
 const char kTraceFlagsHelp[] =
-    "  --trace-mode <m>      kernel trace: full|sampled|off\n"
+    "  --trace-mode <m>      kernel records in the --dump-trace\n"
+    "                        timeline: full|sampled|off\n"
     "                        (default sampled)\n"
     "  --trace-sample <n>    keep 1 in n trace records when\n"
     "                        sampled (default 16)\n"
     "  --dump-trace <f>      write a merged chrome://tracing\n"
     "                        timeline (host spans + one process\n"
-    "                        per device)\n";
+    "                        per device); without it the replay\n"
+    "                        records no kernel trace\n";
 
 const char kOutputFlagsHelp[] =
     "  --sim-threads <n>     replay worker threads (default 1;\n"

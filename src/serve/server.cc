@@ -516,7 +516,10 @@ runServer(const ServeConfig &cfg)
     ReplayOptions ro;
     ro.span = "serve_replay";
     ro.threads = cfg.sim_threads;
-    ro.trace_mode = cfg.trace_mode;
+    // Only the trace_out timeline reads the device traces, so
+    // without it the replay records none.
+    ro.trace_mode = cfg.trace_out.empty() ? gpusim::TraceMode::kOff
+                                          : cfg.trace_mode;
     ro.trace_sample_every = cfg.trace_sample_every;
     Replay replay =
         replayPlans(cfg.devices, pool.instances(), versions, ro);

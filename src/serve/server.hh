@@ -156,9 +156,10 @@ struct ServeConfig
      */
     int sim_threads = 1;
 
-    /** Per-device kernel-trace policy for the replay. kFull keeps
-     *  every record (byte-compatible default); kSampled keeps one
-     *  in trace_sample_every; kOff records nothing. */
+    /** Per-device kernel-trace policy for the trace_out timeline.
+     *  kFull keeps every record; kSampled keeps one in
+     *  trace_sample_every; kOff records nothing. Without trace_out
+     *  the replay records nothing, whatever the mode. */
     gpusim::TraceMode trace_mode = gpusim::TraceMode::kFull;
     int trace_sample_every = 16;
 

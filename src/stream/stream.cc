@@ -363,7 +363,10 @@ runStreams(const StreamConfig &cfg)
     serve::ReplayOptions ro;
     ro.span = "stream_replay";
     ro.threads = cfg.sim_threads;
-    ro.trace_mode = cfg.trace_mode;
+    // Only the trace_out timeline reads the device traces, so
+    // without it the replay records none.
+    ro.trace_mode = cfg.trace_out.empty() ? gpusim::TraceMode::kOff
+                                          : cfg.trace_mode;
     ro.trace_sample_every = cfg.trace_sample_every;
     ro.pipelined = true;
     serve::Replay replay =

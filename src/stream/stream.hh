@@ -91,6 +91,8 @@ struct StreamConfig
      *  into a private registry merged in device order, as in serve). */
     int sim_threads = 1;
 
+    /** Kernel-trace policy for the trace_out timeline, as in
+     *  serve::ServeConfig; without trace_out nothing is recorded. */
     gpusim::TraceMode trace_mode = gpusim::TraceMode::kFull;
     int trace_sample_every = 16;
 

@@ -106,8 +106,9 @@ TEST(Histogram, IgnoresNonFiniteSamples)
 TEST(Histogram, ClosedFormBucketMatchesLowerBound)
 {
     // The closed-form bucket index must agree with a binary search
-    // over the bucket bounds for every finite value, including each
-    // edge and each power of two with their neighbours one ulp away.
+    // over the bucket bounds for every double, including NaN, the
+    // infinities, each edge and each power of two with their
+    // neighbours one ulp away.
     using Cell = metrics_detail::HistogramCell;
     std::vector<double> bounds;
     for (int i = 0; i < Cell::kBuckets; i++)
@@ -121,7 +122,7 @@ TEST(Histogram, ClosedFormBucketMatchesLowerBound)
     std::vector<double> values = {
         0.0, -0.0, -1.0, -1e300, std::numeric_limits<double>::denorm_min(),
         std::numeric_limits<double>::min(), 1e-300, 1e300,
-        std::numeric_limits<double>::max()};
+        std::numeric_limits<double>::max(), std::nan(""), inf, -inf};
     for (double b : bounds)
         for (double v : {std::nextafter(b, -inf), b, std::nextafter(b, inf)})
             values.push_back(v);

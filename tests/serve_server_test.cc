@@ -1,16 +1,20 @@
 /**
  * @file
  * End-to-end tests for the EdgeServe server: request conservation,
- * batching and admission behavior, multi-device placement, and the
+ * batching and admission behavior, multi-device placement, the
  * determinism contract — two same-seed runs must produce
- * byte-identical reports and metric snapshots.
+ * byte-identical reports and metric snapshots — and the trace
+ * contract: the replay records a device trace only for trace_out.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 
+#include "gpusim/sim.hh"
 #include "obs/metrics.hh"
+#include "replay_trace.hh"
 #include "serve/server.hh"
 
 namespace edgert::serve {
@@ -97,20 +101,21 @@ TEST(Server, MultiDevicePlacementUsesEveryDevice)
     }
 }
 
-/** One full serve run on the host clock; returns report JSON and
- *  the global metric snapshot. */
+/** One full serve run from a fresh registry; returns report JSON
+ *  and the global metric snapshot. */
 std::pair<std::string, std::string>
-seededRun()
+seededRun(const ServeConfig &cfg)
 {
     MetricRegistry::global().reset();
-    ServeReport rep = runServer(smallConfig(250, 25, true));
+    ServeReport rep = runServer(cfg);
     return {rep.toJson(), MetricRegistry::global().toJson()};
 }
 
 TEST(Server, SameSeedRunsAreByteIdentical)
 {
-    auto [report_a, metrics_a] = seededRun();
-    auto [report_b, metrics_b] = seededRun();
+    const ServeConfig cfg = smallConfig(250, 25, true);
+    auto [report_a, metrics_a] = seededRun(cfg);
+    auto [report_b, metrics_b] = seededRun(cfg);
     EXPECT_EQ(report_a, report_b);
     EXPECT_EQ(metrics_a, metrics_b);
     EXPECT_FALSE(report_a.empty());
@@ -139,6 +144,56 @@ TEST(Server, RegistryCountersMatchTheReport)
               m.batches);
     EXPECT_EQ(reg.histogram("serve.batch.size", ml).count(),
               static_cast<std::uint64_t>(m.batches));
+}
+
+/** Two models on both devices for one simulated second. */
+ServeConfig
+twoModelConfig()
+{
+    ServeConfig cfg;
+    ModelConfig resnet;
+    resnet.model = "resnet-18";
+    resnet.slo_ms = 25;
+    resnet.arrivals.qps = 300;
+    cfg.models.push_back(resnet);
+    ModelConfig mobilenet;
+    mobilenet.model = "mobilenetv1";
+    mobilenet.slo_ms = 20;
+    mobilenet.arrivals.qps = 200;
+    cfg.models.push_back(mobilenet);
+    cfg.devices.push_back(parseDevice("nx"));
+    cfg.devices.push_back(parseDevice("agx"));
+    cfg.duration_s = 1.0;
+    cfg.seed = 5;
+    return cfg;
+}
+
+// Only the trace_out timeline reads the replay's device traces, so
+// without it the trace mode reaches neither the report nor the
+// snapshot, whose sim.arena.bytes counts each simulator's trace
+// capacity.
+TEST(Server, TraceModeWithoutADumpChangesNothing)
+{
+    ServeConfig cfg = twoModelConfig();
+    cfg.trace_mode = gpusim::TraceMode::kFull;
+    auto full = seededRun(cfg);
+    cfg.trace_mode = gpusim::TraceMode::kOff;
+    auto off = seededRun(cfg);
+    EXPECT_EQ(full.first, off.first);
+    EXPECT_EQ(full.second, off.second);
+}
+
+// A dumped timeline holds one device process per device, each with
+// records, and dumping it leaves the report as it was.
+TEST(Server, DumpedTraceHoldsEveryDevice)
+{
+    ServeConfig cfg = twoModelConfig();
+    const std::string plain = runServer(cfg).toJson();
+    cfg.trace_out = (std::filesystem::path(::testing::TempDir()) /
+                     "serve_server_trace.json")
+                        .string();
+    EXPECT_EQ(runServer(cfg).toJson(), plain);
+    test::expectOneProcessPerDevice(cfg.trace_out, cfg.devices.size());
 }
 
 TEST(Server, SeedChangesTheWorkload)

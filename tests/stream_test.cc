@@ -5,21 +5,26 @@
  * conservation accounting, and the end-to-end runStreams contract —
  * per-policy frame conservation, skip_to_latest beating block on
  * stale-frame rate at overload, byte-identical reports across
- * same-seed runs and serial vs threaded replay, and pinned report
- * fields that the per-camera frame passes (and sortNearlySorted,
- * which orders them) must reproduce bit for bit.
+ * same-seed runs and serial vs threaded replay, a device trace
+ * recorded only for trace_out, and pinned report fields that the
+ * per-camera frame passes (and sortNearlySorted, which orders them)
+ * must reproduce bit for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/sort.hh"
+#include "gpusim/sim.hh"
 #include "obs/metrics.hh"
+#include "replay_trace.hh"
 #include "serve/server.hh"
 #include "stream/freshness.hh"
 #include "stream/pipeline.hh"
@@ -406,7 +411,9 @@ TEST(RunStreams, SameSeedRunsAreByteIdentical)
     EXPECT_EQ(runStreams(cfg).toJson(), runStreams(cfg).toJson());
 }
 
-TEST(RunStreams, SerialAndThreadedReplayAreByteIdentical)
+/** Eight cameras on both devices. */
+StreamConfig
+twoDeviceCameras()
 {
     StreamConfig cfg;
     cfg.devices.push_back(serve::parseDevice("nx"));
@@ -417,20 +424,56 @@ TEST(RunStreams, SerialAndThreadedReplayAreByteIdentical)
     mc.streams = 8;
     mc.fps = 30.0;
     cfg.models.push_back(mc);
+    return cfg;
+}
 
-    // Report and registry snapshot of one run from a fresh registry.
-    // No clock is pinned: the registry holds no host time.
-    auto run = [&cfg](int threads) {
-        obs::MetricRegistry::global().reset();
-        cfg.sim_threads = threads;
-        std::string report = runStreams(cfg).toJson();
-        return std::make_pair(report,
-                              obs::MetricRegistry::global().toJson());
-    };
-    auto serial = run(1);
-    auto threaded = run(4);
+/** Report and registry snapshot of one run from a fresh registry.
+ *  No clock is pinned: the registry holds no host time. */
+std::pair<std::string, std::string>
+snapshotRun(const StreamConfig &cfg)
+{
+    obs::MetricRegistry::global().reset();
+    std::string report = runStreams(cfg).toJson();
+    return {report, obs::MetricRegistry::global().toJson()};
+}
+
+TEST(RunStreams, SerialAndThreadedReplayAreByteIdentical)
+{
+    StreamConfig cfg = twoDeviceCameras();
+    cfg.sim_threads = 1;
+    auto serial = snapshotRun(cfg);
+    cfg.sim_threads = 4;
+    auto threaded = snapshotRun(cfg);
     EXPECT_EQ(serial.first, threaded.first);
     EXPECT_EQ(serial.second, threaded.second);
+}
+
+// Only the trace_out timeline reads the replay's device traces, so
+// without it the trace mode reaches neither the report nor the
+// snapshot, whose sim.arena.bytes counts each simulator's trace
+// capacity.
+TEST(RunStreams, TraceModeWithoutADumpChangesNothing)
+{
+    StreamConfig cfg = twoDeviceCameras();
+    cfg.trace_mode = gpusim::TraceMode::kFull;
+    auto full = snapshotRun(cfg);
+    cfg.trace_mode = gpusim::TraceMode::kOff;
+    auto off = snapshotRun(cfg);
+    EXPECT_EQ(full.first, off.first);
+    EXPECT_EQ(full.second, off.second);
+}
+
+// A dumped timeline holds one device process per device, each with
+// records, and dumping it leaves the report as it was.
+TEST(RunStreams, DumpedTraceHoldsEveryDevice)
+{
+    StreamConfig cfg = twoDeviceCameras();
+    const std::string plain = runStreams(cfg).toJson();
+    cfg.trace_out = (std::filesystem::path(::testing::TempDir()) /
+                     "stream_trace.json")
+                        .string();
+    EXPECT_EQ(runStreams(cfg).toJson(), plain);
+    test::expectOneProcessPerDevice(cfg.trace_out, cfg.devices.size());
 }
 
 // Two runs whose fields are pinned bit for bit. The literals were

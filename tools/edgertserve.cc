@@ -133,9 +133,8 @@ std::optional<Args>
 parse(int argc, char **argv)
 {
     Args a;
-    // The CLI is interactive tooling, not a byte-reproducibility
-    // fixture: default to the thinned trace (the library default
-    // stays full so canonical reports keep their bytes).
+    // A --dump-trace timeline defaults to the thinned trace (the
+    // library default is full); the mode never reaches a report.
     a.cfg.trace_mode = gpusim::TraceMode::kSampled;
     a.cfg.devices = serve::parseDevices("nx");
     FlagParser flags(argc, argv);

@@ -78,8 +78,8 @@ std::optional<Args>
 parse(int argc, char **argv)
 {
     Args a;
-    // Interactive tooling defaults to the thinned trace (the
-    // library default stays full for canonical reports).
+    // A --dump-trace timeline defaults to the thinned trace (the
+    // library default is full); the mode never reaches a report.
     a.cfg.trace_mode = gpusim::TraceMode::kSampled;
     a.cfg.devices = serve::parseDevices("nx");
     stream::StreamModelConfig defaults;
