@@ -287,13 +287,18 @@ runFleet(const FleetConfig &cfg)
 
     std::vector<FleetEvent> events;
 
+    // Scratch the per-arrival path reuses, so routing and admission
+    // allocate nothing per request.
+    std::vector<double> sojourn_scratch;
+    std::vector<int> candidates;
+
     // Predicted sojourn of a model-m request arriving at `node` now.
     auto sojournAt = [&](int node, int m, double t) {
         const auto &q = queues[nmSlot(node, m)];
         return serve::predictSojournSeconds(
             insts_by_nm[nmSlot(node, m)], instances, versions,
             batchers[static_cast<std::size_t>(m)].policy(),
-            static_cast<int>(q.size()), t, q.rateHz());
+            static_cast<int>(q.size()), t, q.rateHz(), sojourn_scratch);
     };
 
     auto tryDispatch = [&](int node, int m, double t) {
@@ -321,8 +326,9 @@ runFleet(const FleetConfig &cfg)
             queues[slot], &serve::RequestQueue::oldestArrivalSeconds,
             batchers[static_cast<std::size_t>(m)], t, versions,
             instances, evq, timeouts[slot], pick,
-            [&](const serve::PlannedDispatch &pd, int idx) {
-                serve::stampRequests(requests, pd, node, idx);
+            [&](const serve::Instance &inst,
+                const serve::PlannedDispatch &pd, int idx) {
+                serve::stampRequests(requests, inst, pd, idx);
             });
     };
 
@@ -343,7 +349,8 @@ runFleet(const FleetConfig &cfg)
             node = ring.route(key);
         } else {
             double best = 0.0;
-            for (int cand : ring.successors(key, cfg.sojourn_choices)) {
+            ring.successors(key, cfg.sojourn_choices, candidates);
+            for (int cand : candidates) {
                 double est = sojournAt(cand, m, t);
                 if (node < 0 || est < best ||
                     (est == best && cand < node)) {
@@ -383,7 +390,8 @@ runFleet(const FleetConfig &cfg)
             timeouts[nmSlot(node, m)].armed_for = -1;
             if (q.empty())
                 continue;
-            auto ids = q.cut(static_cast<int>(q.size()));
+            std::vector<std::int64_t> ids;
+            q.cut(static_cast<int>(q.size()), ids);
             for (std::int64_t id : ids) {
                 moved++;
                 if (int to = route(m, id, t); to >= 0)
@@ -541,13 +549,18 @@ runFleet(const FleetConfig &cfg)
                   // dispatch: feed each request's predicted SLO
                   // verdict to the node's burn-rate tracker (the
                   // control plane cannot see measured latencies —
-                  // those exist only after the replay).
-                  std::size_t k = next_obs[ii]++;
-                  std::vector<std::int64_t> ids =
-                      inst.plan[k].request_ids;
-                  for (std::int64_t id : ids) {
+                  // those exist only after the replay). A page
+                  // quarantines the node and reroutes its queue,
+                  // which plans only on other instances; the ids are
+                  // read in place, by index, all the same.
+                  const serve::PlannedDispatch &pd =
+                      inst.plan[next_obs[ii]++];
+                  const std::size_t first = pd.first_id;
+                  const auto batch = static_cast<std::size_t>(pd.batch);
+                  for (std::size_t j = first; j < first + batch; j++) {
                       const serve::Request &r =
-                          requests[static_cast<std::size_t>(id)];
+                          requests[static_cast<std::size_t>(
+                              inst.ids[j])];
                       bool bad =
                           (e.t - r.arrival_s) * 1e3 > r.slo_ms;
                       trackerObserve(inst.device, e.t, bad);

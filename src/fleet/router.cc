@@ -164,19 +164,17 @@ HashRing::route(std::uint64_t key) const
     return ring_[i].second;
 }
 
-std::vector<int>
-HashRing::successors(std::uint64_t key, int n) const
+void
+HashRing::successors(std::uint64_t key, int n, std::vector<int> &out) const
 {
-    std::vector<int> out;
+    out.clear();
     if (ring_.empty() || n <= 0)
-        return out;
-    out.reserve(std::min(static_cast<std::size_t>(n), members_.size()));
+        return;
+    const std::size_t want =
+        std::min(static_cast<std::size_t>(n), members_.size());
     auto it = ring_.begin() +
               static_cast<std::ptrdiff_t>(lowerBound(key));
-    for (std::size_t walked = 0;
-         walked < ring_.size() &&
-         out.size() < static_cast<std::size_t>(n);
-         walked++) {
+    while (out.size() < want) {
         if (it == ring_.end())
             it = ring_.begin();
         if (std::find(out.begin(), out.end(), it->second) ==
@@ -184,7 +182,6 @@ HashRing::successors(std::uint64_t key, int n) const
             out.push_back(it->second);
         ++it;
     }
-    return out;
 }
 
 std::uint64_t

@@ -81,10 +81,13 @@ class HashRing
     int route(std::uint64_t key) const;
 
     /**
-     * Up to `n` distinct members in ring order starting at the
-     * key's owner (the hash policy's failover / candidate order).
+     * Replace `out` with the first min(n, memberCount()) distinct
+     * members in ring order starting at the key's owner (the hash
+     * policy's failover / candidate order). The walk stops once it
+     * has them all, so a caller that keeps `out` across lookups
+     * allocates nothing per lookup.
      */
-    std::vector<int> successors(std::uint64_t key, int n) const;
+    void successors(std::uint64_t key, int n, std::vector<int> &out) const;
 
     /** Hash a request id into ring-key space. */
     std::uint64_t keyFor(std::int64_t request_id) const;

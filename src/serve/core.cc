@@ -109,7 +109,8 @@ predictSojournSeconds(const std::vector<int> &members,
                       const std::vector<Instance> &instances,
                       const ModelVersions &versions,
                       const BatchPolicy &policy, int queued_ahead,
-                      double now_s, double rate_hz)
+                      double now_s, double rate_hz,
+                      std::vector<double> &free_s)
 {
     if (members.empty())
         return 1e9; // nothing can serve this model
@@ -138,8 +139,7 @@ predictSojournSeconds(const std::vector<int> &members,
 
     // Greedily assign the backlog's full batches, then the
     // request's own batch, onto earliest-predicted-free instances.
-    std::vector<double> free_s;
-    free_s.reserve(members.size());
+    free_s.clear();
     for (int idx : members)
         free_s.push_back(std::max(
             instances[static_cast<std::size_t>(idx)].predicted_free_s,
@@ -161,14 +161,14 @@ predictSojournSeconds(const std::vector<int> &members,
 }
 
 void
-stampRequests(std::vector<Request> &requests, const PlannedDispatch &pd,
-              int device, int instance)
+stampRequests(std::vector<Request> &requests, const Instance &inst,
+              const PlannedDispatch &pd, int instance)
 {
-    for (std::int64_t id : pd.request_ids) {
+    for (std::int64_t id : inst.idsOf(pd)) {
         Request &r = requests[static_cast<std::size_t>(id)];
         r.dispatch_s = pd.t_s;
         r.batch = pd.batch;
-        r.device = device;
+        r.device = inst.device;
         r.instance = instance;
         r.version = pd.version;
     }

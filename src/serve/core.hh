@@ -30,6 +30,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <limits>
 #include <queue>
 #include <set>
 #include <string>
@@ -247,13 +248,17 @@ ladderOf(const ModelVersions &versions, const Instance &inst)
  * slots-remaining / arrival-rate) is added on top. Each instance is
  * scored with the calibrated service times of its own ladder
  * (ladderOf), whose rungs cover `policy.max_batch`. No members: 1e9.
+ * `free_s` is the caller's scratch, one entry per member; whatever
+ * it holds on entry is overwritten, so one buffer kept across calls
+ * makes a prediction allocation-free.
  */
 double predictSojournSeconds(const std::vector<int> &members,
                              const std::vector<Instance> &instances,
                              const ModelVersions &versions,
                              const BatchPolicy &policy,
                              int queued_ahead, double now_s,
-                             double rate_hz);
+                             double rate_hz,
+                             std::vector<double> &free_s);
 
 /** The batch timeout of one queue: its event target and the front
  *  request it is armed for. */
@@ -266,12 +271,13 @@ struct BatchTimeout
 /**
  * The batch-cut loop of one queue at time `t`. While work is queued
  * and `pick(t)` names a predicted-free instance, the batcher decides
- * a cut; the cut is planned on that instance at the smallest fitting
- * engine of the instance's version and slot, `stamp(pd, instance)`
- * records it in the caller's tables, and the instance's predicted-
- * free event is scheduled. Then the batch timeout is (re)armed when
- * the queue's front changed. `Queue` is a RequestQueue or a
- * stream::StreamQueue; `oldest` is its oldest-entry accessor.
+ * a cut; the cut's ids move onto the end of that instance's id pool,
+ * the cut is planned on the instance at the smallest fitting engine
+ * of its version and slot, `stamp(instance, pd, index)` records it in
+ * the caller's tables, and the instance's predicted-free event is
+ * scheduled. Then the batch timeout is (re)armed when the queue's
+ * front changed. `Queue` is a RequestQueue or a stream::StreamQueue;
+ * `oldest` is its oldest-entry accessor.
  */
 template <class Queue, class Pick, class Stamp>
 void
@@ -290,17 +296,20 @@ cutBatches(Queue &q, double (Queue::*oldest)() const,
             break;
         Instance &inst = instances[static_cast<std::size_t>(idx)];
         const EngineSet &set = ladderOf(versions, inst);
+        if (inst.ids.size() > std::numeric_limits<std::uint32_t>::max())
+            panic("instance ", idx, " id pool outgrew 32-bit offsets");
         PlannedDispatch pd;
         pd.t_s = t;
         pd.engine_idx = set.indexFor(cut);
         pd.version = inst.version;
         pd.batch = cut;
-        pd.request_ids = q.cut(cut);
+        pd.first_id = static_cast<std::uint32_t>(inst.ids.size());
+        q.cut(cut, inst.ids);
         pd.predicted_service_s =
             set.service_s[static_cast<std::size_t>(pd.engine_idx)];
-        stamp(pd, idx);
+        stamp(std::as_const(inst), pd, idx);
         inst.predicted_free_s = t + pd.predicted_service_s;
-        inst.plan.push_back(std::move(pd));
+        inst.plan.push_back(pd);
         events.push(inst.predicted_free_s, Event::kPredFree, idx);
     }
     if (!q.empty() && q.frontId() != timeout.armed_for) {
@@ -310,10 +319,11 @@ cutBatches(Queue &q, double (Queue::*oldest)() const,
     }
 }
 
-/** Record a planned dispatch on each of its requests: cut time,
- *  batch, device, instance and engine version. */
-void stampRequests(std::vector<Request> &requests,
-                   const PlannedDispatch &pd, int device, int instance);
+/** Record a planned dispatch of `inst` (pool index `instance`) on
+ *  each of its requests: cut time, batch, device, instance and
+ *  engine version. */
+void stampRequests(std::vector<Request> &requests, const Instance &inst,
+                   const PlannedDispatch &pd, int instance);
 
 // ----------------------------------------------------------------
 // Replay
@@ -440,7 +450,7 @@ foldReplay(const std::vector<Instance> &instances, int n_models,
             fc.batches[m]++;
             fc.dispatched[m] += pd.batch;
             on_plan(inst, pd);
-            for (std::int64_t id : pd.request_ids) {
+            for (std::int64_t id : inst.idsOf(pd)) {
                 Rec &r = recs[static_cast<std::size_t>(id)];
                 r.outcome = completed;
                 r.begin_s = pd.begin_s;

@@ -25,19 +25,16 @@ RequestQueue::push(std::int64_t id, double arrival_s)
     pending_.push({id, arrival_s});
 }
 
-std::vector<std::int64_t>
-RequestQueue::cut(int n)
+void
+RequestQueue::cut(int n, std::vector<std::int64_t> &out)
 {
     if (n <= 0 || static_cast<std::size_t>(n) > pending_.size())
         panic("RequestQueue::cut(", n, ") with ", pending_.size(),
               " pending");
-    std::vector<std::int64_t> out;
-    out.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; i++) {
         out.push_back(pending_.front().id);
         pending_.pop();
     }
-    return out;
 }
 
 double

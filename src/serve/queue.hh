@@ -46,8 +46,9 @@ class RequestQueue
     /** Enqueue an admitted request. */
     void push(std::int64_t id, double arrival_s);
 
-    /** Dequeue the oldest `n` requests (n <= size()). */
-    std::vector<std::int64_t> cut(int n);
+    /** Dequeue the oldest `n` requests (n <= size()), appending
+     *  their ids to `out` oldest first. */
+    void cut(int n, std::vector<std::int64_t> &out);
 
     bool empty() const { return pending_.empty(); }
     std::size_t size() const { return pending_.size(); }

@@ -16,6 +16,7 @@
  */
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/engine.hh"
@@ -44,14 +45,18 @@ struct EngineSet
     std::int64_t maxFootprintBytes() const;
 };
 
-/** One batch dispatch decided by the control loop. */
+/**
+ * One batch dispatch decided by the control loop. Its request (or
+ * frame) ids are `batch` consecutive entries of its instance's id
+ * pool from `first_id` on (Instance::idsOf).
+ */
 struct PlannedDispatch
 {
     double t_s = 0.0;       //!< release (batch-cut) time
     int engine_idx = 0;     //!< into the instance's EngineSet
     int version = 0;        //!< engine version (hot-swap lineage)
     int batch = 0;          //!< actual request count (<= engine batch)
-    std::vector<std::int64_t> request_ids;
+    std::uint32_t first_id = 0; //!< into Instance::ids
     double predicted_service_s = 0.0;
 
     // Measured by the execution replay (simulated seconds). The
@@ -72,6 +77,16 @@ struct Instance
     int version = 0; //!< engine version new dispatches use
     double predicted_free_s = 0.0; //!< control-plane estimate
     std::vector<PlannedDispatch> plan;
+    /** Ids of every planned dispatch, in plan order: one pool per
+     *  instance, so a dispatch costs no heap block of its own. */
+    std::vector<std::int64_t> ids;
+
+    /** The ids `pd`, one of this instance's plans, carries. */
+    std::span<const std::int64_t> idsOf(const PlannedDispatch &pd) const
+    {
+        return {ids.data() + pd.first_id,
+                static_cast<std::size_t>(pd.batch)};
+    }
 };
 
 /** RAM-bounded instance placement across the device fleet. */

@@ -298,15 +298,11 @@ runServer(const ServeConfig &cfg)
             batchers[mi], t, versions, pool.instances(), evq,
             timeouts[mi],
             [&](double now) { return pool.freeInstance(m, now); },
-            [&](const PlannedDispatch &pd, int idx) {
-                stampRequests(
-                    requests, pd,
-                    pool.instances()[static_cast<std::size_t>(idx)]
-                        .device,
-                    idx);
-            });
+            [&](const Instance &inst, const PlannedDispatch &pd,
+                int idx) { stampRequests(requests, inst, pd, idx); });
     };
 
+    std::vector<double> sojourn_scratch; // reused by every admission
     {
         EDGERT_SPAN("serve_control",
                     {{"requests",
@@ -332,7 +328,7 @@ runServer(const ServeConfig &cfg)
                           versions,
                           policies[static_cast<std::size_t>(m)],
                           static_cast<int>(q.size()), e.t,
-                          q.rateHz());
+                          q.rateHz(), sojourn_scratch);
                       if (est_s * 1e3 > r.slo_ms) {
                           r.outcome = Outcome::kShed;
                           break;
@@ -750,9 +746,9 @@ runServer(const ServeConfig &cfg)
                   const auto &[inst, pd] = dispatches[it.ref];
                   ew.onDispatch(it.t, inst->model, pd->batch,
                                 inst->device,
-                                pd->request_ids.empty()
+                                pd->batch == 0
                                     ? -1
-                                    : pd->request_ids.front());
+                                    : inst->idsOf(*pd).front());
                   break;
               }
               case kSwapEnd: {

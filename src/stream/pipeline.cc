@@ -39,9 +39,10 @@ StreamQueue::StreamQueue(int n_streams)
               n_streams, ")");
 }
 
-std::vector<std::int64_t>
+void
 StreamQueue::push(std::int64_t id, int stream, double ready_s,
-                  BackpressurePolicy policy, int frame_budget)
+                  BackpressurePolicy policy, int frame_budget,
+                  std::vector<std::int64_t> &evicted)
 {
     auto &cam = cameras_[static_cast<std::size_t>(stream)];
     std::size_t keep = cam.size();
@@ -52,7 +53,6 @@ StreamQueue::push(std::int64_t id, int stream, double ready_s,
       case BackpressurePolicy::kSkipToLatest: keep = 0; break;
       case BackpressurePolicy::kBlock: break;
     }
-    std::vector<std::int64_t> evicted;
     while (cam.size() > keep) {
         evicted.push_back(cam.front().id);
         cam.pop_front();
@@ -63,7 +63,6 @@ StreamQueue::push(std::int64_t id, int stream, double ready_s,
     next_seq_++;
     size_++;
     popStale();
-    return evicted;
 }
 
 void
@@ -78,11 +77,9 @@ StreamQueue::popStale()
     }
 }
 
-std::vector<std::int64_t>
-StreamQueue::cut(int n)
+void
+StreamQueue::cut(int n, std::vector<std::int64_t> &out)
 {
-    std::vector<std::int64_t> out;
-    out.reserve(static_cast<std::size_t>(n));
     for (; n > 0; n--) {
         if (order_.empty())
             fatal("StreamQueue::cut past end (", n,
@@ -95,7 +92,6 @@ StreamQueue::cut(int n)
         size_--;
         popStale();
     }
-    return out;
 }
 
 const StreamQueue::Frame &

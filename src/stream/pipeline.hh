@@ -76,16 +76,17 @@ class StreamQueue
 
     /**
      * Admit a ready frame, applying `policy` with `frame_budget` to
-     * its stream's queued frames. Returns the ids the admission
-     * evicted (oldest first); empty for block or when under budget.
+     * its stream's queued frames. Appends the ids the admission
+     * evicted to `evicted`, oldest first: none for block or when
+     * under budget.
      */
-    std::vector<std::int64_t> push(std::int64_t id, int stream,
-                                   double ready_s,
-                                   BackpressurePolicy policy,
-                                   int frame_budget);
+    void push(std::int64_t id, int stream, double ready_s,
+              BackpressurePolicy policy, int frame_budget,
+              std::vector<std::int64_t> &evicted);
 
-    /** Dequeue the oldest `n` queued frames (n <= size()). */
-    std::vector<std::int64_t> cut(int n);
+    /** Dequeue the oldest `n` queued frames (n <= size()), appending
+     *  their ids to `out` oldest first. */
+    void cut(int n, std::vector<std::int64_t> &out);
 
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }

@@ -304,13 +304,15 @@ runStreams(const StreamConfig &cfg)
             queues[mi], &StreamQueue::oldestReadySeconds, batchers[mi],
             t, versions, pool.instances(), evq, timeouts[mi],
             [&](double now) { return pool.freeInstance(m, now); },
-            [&](const serve::PlannedDispatch &pd, int) {
-                for (std::int64_t id : pd.request_ids)
+            [&](const serve::Instance &inst,
+                const serve::PlannedDispatch &pd, int) {
+                for (std::int64_t id : inst.idsOf(pd))
                     frames[static_cast<std::size_t>(id)].dispatch_s =
                         pd.t_s;
             });
     };
 
+    std::vector<std::int64_t> evicted; // one push's, reused
     {
         EDGERT_SPAN("stream_control",
                     {{"frames", std::to_string(frames.size())}});
@@ -325,10 +327,10 @@ runStreams(const StreamConfig &cfg)
                   const int m = fr.model;
                   const auto &mc =
                       cfg.models[static_cast<std::size_t>(m)];
-                  auto evicted =
-                      queues[static_cast<std::size_t>(m)].push(
-                          fr.id, fr.stream, e.t, mc.policy,
-                          mc.frame_budget);
+                  evicted.clear();
+                  queues[static_cast<std::size_t>(m)].push(
+                      fr.id, fr.stream, e.t, mc.policy,
+                      mc.frame_budget, evicted);
                   for (std::int64_t id : evicted) {
                       FrameRec &old =
                           frames[static_cast<std::size_t>(id)];

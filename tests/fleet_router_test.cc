@@ -29,6 +29,14 @@ iota(int n)
     return v;
 }
 
+std::vector<int>
+successorsOf(const HashRing &ring, std::uint64_t key, int n)
+{
+    std::vector<int> out;
+    ring.successors(key, n, out);
+    return out;
+}
+
 // At >= 100 vnodes the arc-length spread per member is ~1/sqrt(v)
 // relative, so over 50 members every node's share of 100k probe
 // keys must stay within [0.5x, 1.5x] of the fair share.
@@ -107,7 +115,7 @@ TEST(HashRing, SuccessorsAreDistinctAndStartAtOwner)
     ring.reset(iota(10));
     for (int i = 0; i < 1000; i++) {
         std::uint64_t key = ring.keyFor(i);
-        auto succ = ring.successors(key, 4);
+        auto succ = successorsOf(ring, key, 4);
         ASSERT_EQ(succ.size(), 4u);
         EXPECT_EQ(succ.front(), ring.route(key));
         std::set<int> uniq(succ.begin(), succ.end());
@@ -115,8 +123,64 @@ TEST(HashRing, SuccessorsAreDistinctAndStartAtOwner)
     }
     // Asking for more successors than members returns each member
     // exactly once.
-    auto all = ring.successors(ring.keyFor(0), 64);
+    auto all = successorsOf(ring, ring.keyFor(0), 64);
     EXPECT_EQ(all.size(), 10u);
+}
+
+// successors() stops once every member is listed, however large n
+// is, and replaces whatever the caller's buffer held. Both must
+// agree with a walk over every point of the ring, near and past the
+// member count, on full rings and on rings with members removed.
+TEST(HashRing, SuccessorsMatchWholeRingWalkAtAnyCount)
+{
+    auto walk = [](const HashRing &ring, std::uint64_t key,
+                   std::size_t n) {
+        const auto &pts = ring.points();
+        std::size_t i = static_cast<std::size_t>(
+            std::lower_bound(pts.begin(), pts.end(), key,
+                             [](const auto &p, std::uint64_t k) {
+                                 return p.first < k;
+                             }) -
+            pts.begin());
+        std::vector<int> out;
+        for (std::size_t walked = 0; walked < pts.size(); walked++) {
+            const int node = pts[(i + walked) % pts.size()].second;
+            if (std::find(out.begin(), out.end(), node) == out.end())
+                out.push_back(node);
+        }
+        if (out.size() > n)
+            out.resize(n);
+        return out;
+    };
+    std::mt19937_64 rng(41);
+    for (int kMembers : {1, 2, 7, 40}) {
+        for (bool removed : {false, true}) {
+            HashRing ring(3, 16);
+            ring.reset(iota(kMembers + (removed ? 3 : 0)));
+            if (removed)
+                for (int node : {0, kMembers / 2 + 1, kMembers + 2})
+                    ring.remove(node);
+            const int members = static_cast<int>(ring.memberCount());
+            ASSERT_EQ(members, kMembers);
+            for (int n : {members - 1, members, members + 1,
+                          10 * members}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "members " << members << " removed "
+                             << removed << " n " << n);
+                std::vector<int> prefilled(
+                    static_cast<std::size_t>(members + 5), -1);
+                for (int i = 0; i < 200; i++) {
+                    const std::uint64_t key = rng();
+                    const std::vector<int> want = walk(
+                        ring, key,
+                        static_cast<std::size_t>(std::max(n, 0)));
+                    ASSERT_EQ(successorsOf(ring, key, n), want);
+                    ring.successors(key, n, prefilled);
+                    ASSERT_EQ(prefilled, want);
+                }
+            }
+        }
+    }
 }
 
 // route() and successors() search only the run of points that
@@ -162,7 +226,7 @@ TEST(HashRing, IndexedLookupMatchesFullSearch)
         for (std::uint64_t key : keys) {
             const std::vector<int> want = reference(key, 3);
             if (ring.route(key) != want.front() ||
-                ring.successors(key, 3) != want)
+                successorsOf(ring, key, 3) != want)
                 mismatches++;
         }
         EXPECT_EQ(mismatches, 0);
@@ -228,7 +292,9 @@ TEST(HashRing, EmptyRingRoutesNowhere)
 {
     HashRing ring(1, 128);
     EXPECT_EQ(ring.route(12345), -1);
-    EXPECT_TRUE(ring.successors(12345, 4).empty());
+    std::vector<int> out = {3};
+    ring.successors(12345, 4, out);
+    EXPECT_TRUE(out.empty());
 }
 
 // Least-sojourn tie-break: on a fleet of identical idle nodes every

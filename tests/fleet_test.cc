@@ -211,6 +211,13 @@ TEST(Fleet, NodePagesRollUpByGroupInNameOrder)
         if (e.kind == "quarantine" && e.reason == "slo_page")
             page_quarantines++;
     EXPECT_EQ(page_quarantines, rep.alerts.pages);
+
+    // The pages quarantined their nodes from inside the predicted-free
+    // feed, rerouting queued requests mid-loop: every request is still
+    // completed or shed exactly once.
+    EXPECT_GT(rep.completed, 0);
+    EXPECT_EQ(rep.unaccounted, 0);
+    EXPECT_EQ(rep.completed + rep.shed, rep.offered);
 }
 
 TEST(Fleet, ValidatesConfig)

@@ -342,9 +342,13 @@ struct Backend
     double sojourn(const serve::BatchPolicy &policy, int queued_ahead,
                    double now_s, double rate_hz) const
     {
+        // Scratch left over from an earlier call: the predictor must
+        // overwrite it, or the stale -1 s entries would win every
+        // earliest-free pick.
+        std::vector<double> scratch(members.size() + 3, -1.0);
         return serve::predictSojournSeconds(members, instances, versions,
                                             policy, queued_ahead, now_s,
-                                            rate_hz);
+                                            rate_hz, scratch);
     }
 };
 
@@ -445,23 +449,27 @@ TEST(FoldReplay, CopiesPlanTimesAndCountsPerModel)
         requests[i].model = i < 4 ? 0 : 1;
         requests[i].arrival_s = 0.01 * static_cast<double>(i);
     }
-    auto plan = [](std::vector<std::int64_t> ids, double t0) {
+    // A dispatch's ids go onto the end of its instance's id pool.
+    auto plan = [](serve::Instance &inst,
+                   const std::vector<std::int64_t> &ids, double t0) {
         serve::PlannedDispatch pd;
         pd.batch = static_cast<int>(ids.size());
-        pd.request_ids = std::move(ids);
+        pd.first_id = static_cast<std::uint32_t>(inst.ids.size());
+        inst.ids.insert(inst.ids.end(), ids.begin(), ids.end());
         pd.begin_s = t0;
         pd.upload_done_s = t0 + 0.001;
         pd.compute_done_s = t0 + 0.003;
         pd.end_s = t0 + 0.004;
-        return pd;
+        inst.plan.push_back(pd);
     };
     // Model 0 on instance 0; model 1 on instances 1 (planless) and 2.
     // Request 3 is never dispatched.
     std::vector<serve::Instance> instances(3);
-    instances[0].plan = {plan({0, 2}, 0.1), plan({1}, 0.2)};
+    plan(instances[0], {0, 2}, 0.1);
+    plan(instances[0], {1}, 0.2);
     instances[1].model = 1;
     instances[2].model = 1;
-    instances[2].plan = {plan({5, 4}, 0.3)};
+    plan(instances[2], {5, 4}, 0.3);
     const serve::Request before = requests[3];
 
     std::vector<int> hook_batches;
@@ -473,7 +481,7 @@ TEST(FoldReplay, CopiesPlanTimesAndCountsPerModel)
 
     for (const serve::Instance &inst : instances)
         for (const serve::PlannedDispatch &pd : inst.plan)
-            for (std::int64_t id : pd.request_ids) {
+            for (std::int64_t id : inst.idsOf(pd)) {
                 SCOPED_TRACE(id);
                 const serve::Request &r =
                     requests[static_cast<std::size_t>(id)];
@@ -483,6 +491,12 @@ TEST(FoldReplay, CopiesPlanTimesAndCountsPerModel)
                 EXPECT_EQ(r.compute_done_s, pd.compute_done_s);
                 EXPECT_EQ(r.done_s, pd.end_s);
             }
+    // Each id reads its own dispatch's slice of its instance's pool.
+    EXPECT_EQ(requests[0].begin_s, 0.1);
+    EXPECT_EQ(requests[2].begin_s, 0.1);
+    EXPECT_EQ(requests[1].begin_s, 0.2);
+    EXPECT_EQ(requests[4].begin_s, 0.3);
+    EXPECT_EQ(requests[5].begin_s, 0.3);
     const serve::Request &idle = requests[3];
     EXPECT_EQ(idle.outcome, serve::Outcome::kPending);
     EXPECT_EQ(idle.begin_s, before.begin_s);

@@ -22,12 +22,15 @@ TEST(RequestQueue, FifoCutOrder)
     EXPECT_EQ(q.size(), 3u);
     EXPECT_EQ(q.frontId(), 10);
     EXPECT_DOUBLE_EQ(q.oldestArrivalSeconds(), 0.1);
-    auto ids = q.cut(2);
-    ASSERT_EQ(ids.size(), 2u);
-    EXPECT_EQ(ids[0], 10);
-    EXPECT_EQ(ids[1], 11);
+    // A cut appends to the caller's pool; what the pool held stays.
+    std::vector<std::int64_t> ids = {7};
+    q.cut(2, ids);
+    EXPECT_EQ(ids, (std::vector<std::int64_t>{7, 10, 11}));
     EXPECT_EQ(q.frontId(), 12);
     EXPECT_FALSE(q.empty());
+    q.cut(1, ids);
+    EXPECT_EQ(ids, (std::vector<std::int64_t>{7, 10, 11, 12}));
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(RequestQueue, EwmaRateConvergesToArrivalRate)

@@ -100,17 +100,40 @@ TEST(BackpressurePolicy, ParseAndNameRoundTrip)
     EXPECT_THROW(parseBackpressurePolicy("shed"), FatalError);
 }
 
+/** The ids one push() evicts. push appends them to the caller's
+ *  buffer, so the buffer starts with an entry it must leave alone. */
+std::vector<std::int64_t>
+pushEvicts(StreamQueue &q, std::int64_t id, int stream, double ready_s,
+           BackpressurePolicy policy, int budget)
+{
+    std::vector<std::int64_t> buf = {-7};
+    q.push(id, stream, ready_s, policy, budget, buf);
+    EXPECT_EQ(buf.front(), -7);
+    return {buf.begin() + 1, buf.end()};
+}
+
+/** The ids one cut() dequeues, appended to a pool that already holds
+ *  an entry. */
+std::vector<std::int64_t>
+cutIds(StreamQueue &q, int n)
+{
+    std::vector<std::int64_t> pool = {-7};
+    q.cut(n, pool);
+    EXPECT_EQ(pool.front(), -7);
+    return {pool.begin() + 1, pool.end()};
+}
+
 TEST(StreamQueue, DropOldestEvictsBeyondTheBudgetPerStream)
 {
     StreamQueue q(2);
     const auto policy = BackpressurePolicy::kDropOldest;
     // Stream 0 fills its budget of 2...
-    EXPECT_TRUE(q.push(0, 0, 0.00, policy, 2).empty());
-    EXPECT_TRUE(q.push(1, 0, 0.01, policy, 2).empty());
+    EXPECT_TRUE(pushEvicts(q, 0, 0, 0.00, policy, 2).empty());
+    EXPECT_TRUE(pushEvicts(q, 1, 0, 0.01, policy, 2).empty());
     // ...stream 1's frames never count against stream 0's budget...
-    EXPECT_TRUE(q.push(2, 1, 0.02, policy, 2).empty());
+    EXPECT_TRUE(pushEvicts(q, 2, 1, 0.02, policy, 2).empty());
     // ...and the next stream-0 frame evicts stream 0's oldest.
-    auto evicted = q.push(3, 0, 0.03, policy, 2);
+    auto evicted = pushEvicts(q, 3, 0, 0.03, policy, 2);
     ASSERT_EQ(evicted.size(), 1u);
     EXPECT_EQ(evicted[0], 0);
     EXPECT_EQ(q.size(), 3u);
@@ -118,7 +141,7 @@ TEST(StreamQueue, DropOldestEvictsBeyondTheBudgetPerStream)
     EXPECT_EQ(q.queuedOf(1), 1);
     // FIFO across streams, tombstones skipped: 1, 2, 3.
     EXPECT_EQ(q.frontId(), 1);
-    EXPECT_EQ(q.cut(3), (std::vector<std::int64_t>{1, 2, 3}));
+    EXPECT_EQ(cutIds(q, 3), (std::vector<std::int64_t>{1, 2, 3}));
     EXPECT_TRUE(q.empty());
 }
 
@@ -126,16 +149,16 @@ TEST(StreamQueue, SkipToLatestKeepsExactlyTheNewestFrame)
 {
     StreamQueue q(2);
     const auto policy = BackpressurePolicy::kSkipToLatest;
-    EXPECT_TRUE(q.push(0, 0, 0.00, policy, 4).empty());
-    EXPECT_EQ(q.push(1, 0, 0.01, policy, 4),
+    EXPECT_TRUE(pushEvicts(q, 0, 0, 0.00, policy, 4).empty());
+    EXPECT_EQ(pushEvicts(q, 1, 0, 0.01, policy, 4),
               (std::vector<std::int64_t>{0}));
-    EXPECT_EQ(q.push(2, 0, 0.02, policy, 4),
+    EXPECT_EQ(pushEvicts(q, 2, 0, 0.02, policy, 4),
               (std::vector<std::int64_t>{1}));
-    EXPECT_TRUE(q.push(3, 1, 0.03, policy, 4).empty());
+    EXPECT_TRUE(pushEvicts(q, 3, 1, 0.03, policy, 4).empty());
     EXPECT_EQ(q.queuedOf(0), 1);
     EXPECT_EQ(q.queuedOf(1), 1);
     EXPECT_EQ(q.oldestReadySeconds(), 0.02);
-    EXPECT_EQ(q.cut(2), (std::vector<std::int64_t>{2, 3}));
+    EXPECT_EQ(cutIds(q, 2), (std::vector<std::int64_t>{2, 3}));
 }
 
 TEST(StreamQueue, BlockNeverEvictsAndCutReturnsLeftovers)
@@ -144,12 +167,12 @@ TEST(StreamQueue, BlockNeverEvictsAndCutReturnsLeftovers)
     const auto policy = BackpressurePolicy::kBlock;
     for (int i = 0; i < 100; i++)
         EXPECT_TRUE(
-            q.push(i, 0, i * 0.01, policy, 1).empty());
+            pushEvicts(q, i, 0, i * 0.01, policy, 1).empty());
     EXPECT_EQ(q.size(), 100u);
-    EXPECT_EQ(q.cut(10),
+    EXPECT_EQ(cutIds(q, 10),
               (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8,
                                          9}));
-    auto rest = q.cut(static_cast<int>(q.size()));
+    auto rest = cutIds(q, static_cast<int>(q.size()));
     EXPECT_EQ(rest.size(), 90u);
     EXPECT_EQ(rest.front(), 10);
     EXPECT_EQ(rest.back(), 99);
@@ -176,6 +199,10 @@ TEST(StreamQueue, MatchesPushOrderMinusEvictionsUnderRandomOps)
         Rng rng(1234 + static_cast<std::uint64_t>(policy));
         StreamQueue q(cameras);
         std::vector<RefFrame> ref;
+        // One eviction buffer and one id pool for the whole run, as
+        // the control plane keeps them; each call appends to them.
+        std::vector<std::int64_t> evicted;
+        std::vector<std::int64_t> pool;
         std::int64_t next_id = 0;
         for (int step = 0; step < 3000; step++) {
             if (ref.empty() || rng.chance(0.75)) {
@@ -203,7 +230,12 @@ TEST(StreamQueue, MatchesPushOrderMinusEvictionsUnderRandomOps)
                     }
                 }
                 ref.push_back({next_id, cam, ready});
-                ASSERT_EQ(q.push(next_id, cam, ready, policy, budget),
+                const std::size_t had = evicted.size();
+                q.push(next_id, cam, ready, policy, budget, evicted);
+                ASSERT_EQ(std::vector<std::int64_t>(
+                              evicted.begin() +
+                                  static_cast<std::ptrdiff_t>(had),
+                              evicted.end()),
                           want_evicted);
                 next_id++;
             } else {
@@ -213,7 +245,13 @@ TEST(StreamQueue, MatchesPushOrderMinusEvictionsUnderRandomOps)
                 for (int i = 0; i < n; i++)
                     want.push_back(ref[static_cast<std::size_t>(i)].id);
                 ref.erase(ref.begin(), ref.begin() + n);
-                ASSERT_EQ(q.cut(n), want);
+                const std::size_t had = pool.size();
+                q.cut(n, pool);
+                ASSERT_EQ(std::vector<std::int64_t>(
+                              pool.begin() +
+                                  static_cast<std::ptrdiff_t>(had),
+                              pool.end()),
+                          want);
             }
             ASSERT_EQ(q.size(), ref.size());
             ASSERT_EQ(q.empty(), ref.empty());
