@@ -1,6 +1,7 @@
 #include "common/strutil.hh"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -127,12 +128,17 @@ parseUint64(const std::string &s)
 Result<double>
 parseDouble(const std::string &s)
 {
-    return parseWith<double>(
+    Result<double> r = parseWith<double>(
         s,
         [](const char *p, char **end) {
             return std::strtod(p, end);
         },
         "number");
+    // strtod also reads nan, inf and infinity; no setting means those.
+    if (r.ok() && !std::isfinite(*r))
+        return errorStatus(ErrorCode::kInvalidArgument, "'", s,
+                           "' is not a finite number");
+    return r;
 }
 
 } // namespace edgert

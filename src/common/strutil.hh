@@ -37,7 +37,8 @@ bool startsWith(const std::string &s, const std::string &prefix);
  * Unlike std::stoi and friends they never throw: the whole string
  * must parse (no trailing junk, no empty input) and the value must
  * fit the type, otherwise an ErrorCode::kInvalidArgument Status
- * explains what was wrong with the input.
+ * explains what was wrong with the input. parseDouble also rejects
+ * nan and ±inf.
  */
 Result<std::int64_t> parseInt64(const std::string &s);
 Result<std::uint64_t> parseUint64(const std::string &s);

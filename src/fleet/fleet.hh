@@ -29,6 +29,7 @@
  */
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -252,6 +253,12 @@ struct FleetReport : serve::LatencySummary
     /** Canonical JSON (deterministic field order and numbers). */
     std::string toJson() const;
 };
+
+/** One EdgeFleet run, built, placed and loaded with its workload,
+ *  failures and rollouts, ready for controlUntil(); `cfg` must outlive
+ *  it. */
+std::unique_ptr<serve::FrontEnd<FleetReport>>
+startFleet(const FleetConfig &cfg);
 
 /** Run the fleet; deterministic for a fixed config. */
 FleetReport runFleet(const FleetConfig &cfg);

@@ -44,10 +44,9 @@ buildLadder(const gpusim::DeviceSpec &device, const LadderSpec &spec,
 }
 
 std::vector<int>
-placeOnDevices(InstancePool &pool, int m, const ModelVersion &ver,
-               const std::vector<gpusim::DeviceSpec> &devices,
-               int want)
+placeOnDevices(InstancePool &pool, int m, const ModelVersion &ver, int want)
 {
+    const std::vector<gpusim::DeviceSpec> &devices = pool.devices();
     std::vector<int> eq1(devices.size(), -1);
     for (std::size_t d = 0; d < devices.size(); d++) {
         if (!ver.availableOn(static_cast<int>(d)))
@@ -81,8 +80,7 @@ EventQueue::pop()
     // An arrival wins a tie: a calendar holding every arrival from the
     // start would have given each one a lower push order than any
     // event scheduled during the loop.
-    if (next_ < arrivals_.size() &&
-        (q_.empty() || arrivals_[next_].t <= q_.top().t)) {
+    if (arrivalNext()) {
         const Arrival &a = arrivals_[next_++];
         Event e;
         e.t = a.t;
@@ -92,16 +90,6 @@ EventQueue::pop()
     Event e = q_.top();
     q_.pop();
     return e;
-}
-
-std::vector<EventQueue::Arrival>
-requestArrivals(const std::vector<Request> &requests)
-{
-    std::vector<EventQueue::Arrival> out;
-    out.reserve(requests.size());
-    for (const Request &r : requests)
-        out.push_back({r.arrival_s, r.id});
-    return out;
 }
 
 double
@@ -482,10 +470,10 @@ LatencySummary::writeJson(JsonWriter &w, const char *key) const
 }
 
 std::vector<DeviceStats>
-deviceStats(const std::vector<gpusim::DeviceSpec> &devices,
-            const InstancePool &pool, const Replay &replay,
+deviceStats(const InstancePool &pool, const Replay &replay,
             const std::string &prefix)
 {
+    const std::vector<gpusim::DeviceSpec> &devices = pool.devices();
     obs::MetricRegistry &reg = obs::MetricRegistry::global();
     std::vector<DeviceStats> out;
     for (std::size_t d = 0; d < devices.size(); d++) {

@@ -21,13 +21,16 @@
  *    or frames they carried, in one walk;
  *  - report pieces: request tables, the per-key tally of a request
  *    table, latency summaries, device stats and the merged
- *    chrome-trace export.
+ *    chrome-trace export;
+ *  - the phase skeleton (FrontEnd): one front-end run as an object
+ *    whose control plane stops at any horizon and resumes.
  *
  * Versions index the same way in every front-end:
  * `versions[model][version].sets[slot]`, where a slot is a device
  * (serve, stream) or a device class shared by many nodes (fleet).
  */
 
+#include <cmath>
 #include <compare>
 #include <cstdint>
 #include <limits>
@@ -44,6 +47,7 @@
 #include "gpusim/sim.hh"
 #include "nn/executor.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "profile/trace_export.hh"
 #include "serve/batcher.hh"
 #include "serve/request.hh"
@@ -58,8 +62,9 @@ namespace edgert::serve {
 
 /**
  * fatal() unless a run of `who` (e.g. "EdgeServe") has a model, a
- * positive duration and unique model names (per-model metric labels
- * would collide). `models` holds any config type with a `model` name.
+ * positive finite duration and unique model names (per-model metric
+ * labels would collide). `models` holds any config type with a `model`
+ * name.
  */
 template <class ModelConfigs>
 void
@@ -68,8 +73,9 @@ validateModels(const char *who, const ModelConfigs &models,
 {
     if (models.empty())
         fatal(who, " needs at least one --model");
-    if (duration_s <= 0.0)
-        fatal(who, " duration must be positive (got ", duration_s, ")");
+    if (!(duration_s > 0.0) || !std::isfinite(duration_s))
+        fatal(who, " duration must be positive and finite (got ",
+              duration_s, ")");
     std::set<std::string> names;
     for (const auto &m : models)
         if (!names.insert(m.model).second)
@@ -135,16 +141,35 @@ struct ModelVersion
 using ModelVersions = std::vector<std::vector<ModelVersion>>;
 
 /**
+ * One version of a model: `spec`'s ladder on every slot of `slots`
+ * that `mask` selects (null = every slot), in slot order; the other
+ * slots stay empty, so the version is unavailable there. `cache(slot)`
+ * is the timing cache of that slot's build (null = none).
+ */
+template <class CacheOf>
+ModelVersion
+buildVersion(const LadderSpec &spec,
+             const std::vector<gpusim::DeviceSpec> &slots,
+             const std::vector<bool> *mask, CacheOf cache)
+{
+    ModelVersion ver;
+    ver.build_id = spec.build_id;
+    for (std::size_t s = 0; s < slots.size(); s++)
+        ver.sets.push_back(!mask || (*mask)[s]
+                               ? buildLadder(slots[s], spec, cache(s))
+                               : EngineSet{});
+    return ver;
+}
+
+/**
  * Place model `m` on every device where `ver` holds its ladder: up
  * to `want` RAM-bounded instances per device, capped by the paper's
  * Eq. 1 concurrency bound (estimated with the shared
  * ThroughputOptions::probe() knob set). Returns that bound per
  * device, -1 where the model has no ladder.
  */
-std::vector<int>
-placeOnDevices(InstancePool &pool, int m, const ModelVersion &ver,
-               const std::vector<gpusim::DeviceSpec> &devices,
-               int want);
+std::vector<int> placeOnDevices(InstancePool &pool, int m,
+                                const ModelVersion &ver, int want);
 
 // ----------------------------------------------------------------
 // Control plane
@@ -203,9 +228,25 @@ class EventQueue
         return next_ == arrivals_.size() && q_.empty();
     }
 
+    /** The time of the event pop() returns next; +inf when empty. */
+    double nextTime() const
+    {
+        if (arrivalNext())
+            return arrivals_[next_].t;
+        return q_.empty() ? std::numeric_limits<double>::infinity()
+                          : q_.top().t;
+    }
+
     Event pop();
 
   private:
+    /** Whether the next pop is an arrival: an arrival wins a tie. */
+    bool arrivalNext() const
+    {
+        return next_ < arrivals_.size() &&
+               (q_.empty() || arrivals_[next_].t <= q_.top().t);
+    }
+
     struct After
     {
         bool operator()(const Event &a, const Event &b) const
@@ -221,11 +262,6 @@ class EventQueue
     std::priority_queue<Event, std::vector<Event>, After> q_;
     std::int64_t seq_ = 0;
 };
-
-/** The arrivals of a request table in id order, which
- *  generateRequests makes time order. */
-std::vector<EventQueue::Arrival>
-requestArrivals(const std::vector<Request> &requests);
 
 /** The engine ladder new dispatches of `inst` run on: its version's
  *  set for its slot. */
@@ -259,65 +295,6 @@ double predictSojournSeconds(const std::vector<int> &members,
                              int queued_ahead, double now_s,
                              double rate_hz,
                              std::vector<double> &free_s);
-
-/** The batch timeout of one queue: its event target and the front
- *  request it is armed for. */
-struct BatchTimeout
-{
-    int target = 0;
-    std::int64_t armed_for = -1;
-};
-
-/**
- * The batch-cut loop of one queue at time `t`. While work is queued
- * and `pick(t)` names a predicted-free instance, the batcher decides
- * a cut; the cut's ids move onto the end of that instance's id pool,
- * the cut is planned on the instance at the smallest fitting engine
- * of its version and slot, `stamp(instance, pd, index)` records it in
- * the caller's tables, and the instance's predicted-free event is
- * scheduled. Then the batch timeout is (re)armed when the queue's
- * front changed. `Queue` is a RequestQueue or a stream::StreamQueue;
- * `oldest` is its oldest-entry accessor.
- */
-template <class Queue, class Pick, class Stamp>
-void
-cutBatches(Queue &q, double (Queue::*oldest)() const,
-           const DynamicBatcher &batcher, double t,
-           const ModelVersions &versions,
-           std::vector<Instance> &instances, EventQueue &events,
-           BatchTimeout &timeout, Pick pick, Stamp stamp)
-{
-    while (!q.empty()) {
-        const int idx = pick(t);
-        if (idx < 0)
-            break;
-        const int cut = batcher.decide(q.size(), (q.*oldest)(), t);
-        if (cut == 0)
-            break;
-        Instance &inst = instances[static_cast<std::size_t>(idx)];
-        const EngineSet &set = ladderOf(versions, inst);
-        if (inst.ids.size() > std::numeric_limits<std::uint32_t>::max())
-            panic("instance ", idx, " id pool outgrew 32-bit offsets");
-        PlannedDispatch pd;
-        pd.t_s = t;
-        pd.engine_idx = set.indexFor(cut);
-        pd.version = inst.version;
-        pd.batch = cut;
-        pd.first_id = static_cast<std::uint32_t>(inst.ids.size());
-        q.cut(cut, inst.ids);
-        pd.predicted_service_s =
-            set.service_s[static_cast<std::size_t>(pd.engine_idx)];
-        stamp(std::as_const(inst), pd, idx);
-        inst.predicted_free_s = t + pd.predicted_service_s;
-        inst.plan.push_back(pd);
-        events.push(inst.predicted_free_s, Event::kPredFree, idx);
-    }
-    if (!q.empty() && q.frontId() != timeout.armed_for) {
-        timeout.armed_for = q.frontId();
-        events.push(batcher.deadlineFor((q.*oldest)()),
-                    Event::kTimeout, timeout.target);
-    }
-}
 
 /** Record a planned dispatch of `inst` (pool index `instance`) on
  *  each of its requests: cut time, batch, device, instance and
@@ -549,15 +526,14 @@ struct DeviceStats
 };
 
 /**
- * Stats of every device from a replay's per-device results, with
- * `<prefix>.device.{sm_util_pct,copy_busy_pct,instances}` gauges and
- * the simulator's own `sim.*` gauges (gpusim::publishSimMetrics),
+ * Stats of every device of `pool` from a replay's per-device results,
+ * with `<prefix>.device.{sm_util_pct,copy_busy_pct,instances}` gauges
+ * and the simulator's own `sim.*` gauges (gpusim::publishSimMetrics),
  * all labeled {device, index}.
  */
-std::vector<DeviceStats>
-deviceStats(const std::vector<gpusim::DeviceSpec> &devices,
-            const InstancePool &pool, const Replay &replay,
-            const std::string &prefix);
+std::vector<DeviceStats> deviceStats(const InstancePool &pool,
+                                     const Replay &replay,
+                                     const std::string &prefix);
 
 /** Member `"devices": [...]`, one object per device. */
 void writeDevicesJson(JsonWriter &w,
@@ -573,6 +549,231 @@ void saveReplayTrace(const std::string &path,
                      const Replay &replay,
                      const std::vector<profile::SimSpan> &overlay,
                      const std::string &overlay_name);
+
+// ----------------------------------------------------------------
+// Phase skeleton
+// ----------------------------------------------------------------
+
+/**
+ * One run of a front-end (EdgeServe, EdgeFleet, EdgeStream) as an
+ * object whose control plane can stop at a horizon and resume. The
+ * front-end's constructor validates, builds, places and generates the
+ * workload; controlUntil() advances the control plane; finish()
+ * replays, folds and reports. Phase spans are named `<front>_<phase>`.
+ * This holds the engine versions, the instance pool, the calendar, one
+ * batcher per model and the batch timeout of every queue; the
+ * front-end holds its queues and its request or frame table.
+ */
+template <class Report>
+class FrontEnd
+{
+  public:
+    FrontEnd(const FrontEnd &) = delete;
+    FrontEnd &operator=(const FrontEnd &) = delete;
+    virtual ~FrontEnd() = default;
+
+    /**
+     * Handle every calendar event before `t`, in calendar order, then
+     * return; t = +inf drains the calendar. A window boundary only
+     * pauses between two pops, so the events handled and their order
+     * do not depend on how the control plane is cut into windows.
+     */
+    void controlUntil(double t)
+    {
+        const obs::ScopedSpan s = span("control");
+        const bool drain = t == std::numeric_limits<double>::infinity();
+        while (!events_.empty() && (drain || events_.nextTime() < t))
+            onEvent(events_.pop());
+    }
+
+    /** Every instance with its plan and id pool so far. */
+    const std::vector<Instance> &instances() const
+    {
+        return pool_.instances();
+    }
+
+    /** Replay, fold and report; call once, after controlUntil(+inf). */
+    virtual Report finish() = 0;
+
+  protected:
+    /** `unit` ("requests", "frames") counts the table in the control
+     *  and fold spans. */
+    FrontEnd(const char *front, const char *unit, int n_models,
+             const std::vector<gpusim::DeviceSpec> &devices,
+             double ram_fraction)
+        : front_(front), unit_(unit), n_models_(n_models),
+          versions_(static_cast<std::size_t>(n_models)),
+          pool_(devices, ram_fraction)
+    {}
+
+    virtual void onEvent(const Event &e) = 0;
+
+    /** Size of the request or frame table. */
+    virtual std::size_t units() const = 0;
+
+    obs::ScopedSpan span(const char *phase) const
+    {
+        return obs::ScopedSpan(std::string(front_) + "_" + phase,
+                               {{unit_, std::to_string(units())}});
+    }
+
+    obs::ScopedSpan modelSpan(const char *phase) const
+    {
+        return obs::ScopedSpan(std::string(front_) + "_" + phase,
+                               {{"models", std::to_string(n_models_)}});
+    }
+
+    /** One batcher per model from its batch policy (FIFO single
+     *  dispatch when `batching` is off) and `n_queues` disarmed batch
+     *  timeouts. */
+    template <class ModelConfigs>
+    void setQueues(const ModelConfigs &models, std::size_t n_queues,
+                   bool batching = true)
+    {
+        for (const auto &mc : models) {
+            BatchPolicy p = mc.batching;
+            if (!batching) {
+                p.max_batch = 1;
+                p.timeout_us = 0.0;
+            }
+            batchers_.emplace_back(p);
+        }
+        armed_for_.assign(n_queues, -1);
+    }
+
+    /** The workload of serve and fleet: one id-ordered request table
+     *  over `models`' traffic, whose arrivals, in id order, become the
+     *  calendar's (generateRequests makes id order time order). */
+    template <class ModelConfigs>
+    std::vector<Request> loadRequests(const ModelConfigs &models,
+                                      double duration_s,
+                                      std::uint64_t seed)
+    {
+        std::vector<TrafficSpec> traffic;
+        for (const auto &mc : models)
+            traffic.push_back({mc.arrivals, mc.slo_ms});
+        std::vector<Request> requests;
+        {
+            const obs::ScopedSpan s = modelSpan("workload");
+            requests = generateRequests(traffic, duration_s, seed);
+        }
+        std::vector<EventQueue::Arrival> arrivals;
+        arrivals.reserve(requests.size());
+        for (const Request &r : requests)
+            arrivals.push_back({r.arrival_s, r.id});
+        events_ = EventQueue(std::move(arrivals));
+        return requests;
+    }
+
+    /**
+     * The batch-cut loop of queue `slot`, batched by model `m`'s
+     * batcher, at time `t`. While work is queued and `pick(t)` names a
+     * predicted-free instance, the batcher decides a cut; the cut's ids
+     * move onto the end of that instance's id pool, the cut is planned
+     * on the instance at the smallest fitting engine of its version and
+     * slot, `stamp(instance, pd, index)` records it in the caller's
+     * tables, and the instance's predicted-free event is scheduled.
+     * Then the queue's batch timeout (event target `slot`) is re-armed
+     * when its front changed. `Queue` is a RequestQueue or a
+     * stream::StreamQueue; `oldest` is its oldest-entry accessor.
+     */
+    template <class Queue, class Pick, class Stamp>
+    void cut(Queue &q, double (Queue::*oldest)() const, int m,
+             std::size_t slot, double t, Pick pick, Stamp stamp)
+    {
+        const DynamicBatcher &batcher =
+            batchers_[static_cast<std::size_t>(m)];
+        std::vector<Instance> &instances = pool_.instances();
+        while (!q.empty()) {
+            const int idx = pick(t);
+            if (idx < 0)
+                break;
+            const int n = batcher.decide(q.size(), (q.*oldest)(), t);
+            if (n == 0)
+                break;
+            Instance &inst = instances[static_cast<std::size_t>(idx)];
+            const EngineSet &set = ladderOf(versions_, inst);
+            if (inst.ids.size() >
+                std::numeric_limits<std::uint32_t>::max())
+                panic("instance ", idx,
+                      " id pool outgrew 32-bit offsets");
+            PlannedDispatch pd;
+            pd.t_s = t;
+            pd.engine_idx = set.indexFor(n);
+            pd.version = inst.version;
+            pd.batch = n;
+            pd.first_id = static_cast<std::uint32_t>(inst.ids.size());
+            q.cut(n, inst.ids);
+            pd.predicted_service_s =
+                set.service_s[static_cast<std::size_t>(pd.engine_idx)];
+            stamp(std::as_const(inst), pd, idx);
+            inst.predicted_free_s = t + pd.predicted_service_s;
+            inst.plan.push_back(pd);
+            events_.push(inst.predicted_free_s, Event::kPredFree, idx);
+        }
+        if (!q.empty() && q.frontId() != armed_for_[slot]) {
+            armed_for_[slot] = q.frontId();
+            events_.push(batcher.deadlineFor((q.*oldest)()),
+                         Event::kTimeout, static_cast<int>(slot));
+        }
+    }
+
+    /** The model whose queue a kTimeout or kPredFree event wakes when
+     *  every model has one queue (serve, stream). */
+    int eventModel(const Event &e) const
+    {
+        return e.kind == Event::kTimeout
+                   ? e.target
+                   : pool_.instances()[static_cast<std::size_t>(e.target)]
+                         .model;
+    }
+
+    /** Replay options from a config's threads and trace policy (serve,
+     *  stream): only its trace_out timeline reads device traces, so
+     *  without one the replay records none. */
+    template <class Config>
+    static ReplayOptions tracedReplay(const Config &cfg)
+    {
+        ReplayOptions ro;
+        ro.threads = cfg.sim_threads;
+        ro.trace_mode = cfg.trace_out.empty() ? gpusim::TraceMode::kOff
+                                              : cfg.trace_mode;
+        ro.trace_sample_every = cfg.trace_sample_every;
+        return ro;
+    }
+
+    /** replayPlans over the pool in span `<front>_replay`, once the
+     *  calendar is drained. */
+    Replay replay(ReplayOptions options)
+    {
+        if (!events_.empty())
+            panic(front_, ": replay before the control plane drained");
+        const std::string name = std::string(front_) + "_replay";
+        options.span = name.c_str();
+        return replayPlans(pool_.devices(), pool_.instances(), versions_,
+                           options);
+    }
+
+    /** foldReplay of the pool into `recs` in span `<front>_fold`. */
+    template <class Rec, class Done, class OnPlan = NoPlanHook>
+    FoldCounts fold(std::vector<Rec> &recs, Done completed,
+                    OnPlan on_plan = {}) const
+    {
+        const obs::ScopedSpan s = span("fold");
+        return foldReplay(pool_.instances(), n_models_, recs, completed,
+                          on_plan);
+    }
+
+    const char *front_;
+    const char *unit_;
+    int n_models_;
+    ModelVersions versions_;
+    InstancePool pool_;
+    EventQueue events_;
+    std::vector<DynamicBatcher> batchers_; //!< per model
+    /** Per queue: the front id its batch timeout is armed for. */
+    std::vector<std::int64_t> armed_for_;
+};
 
 } // namespace edgert::serve
 

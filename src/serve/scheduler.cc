@@ -47,6 +47,8 @@ InstancePool::InstancePool(
       ram_fraction_(ram_fraction),
       ram_used_(devices.size(), 0)
 {
+    if (!(ram_fraction > 0.0 && ram_fraction <= 1.0))
+        fatal("RAM fraction must be in (0, 1] (got ", ram_fraction, ")");
 }
 
 int

@@ -97,7 +97,7 @@ class InstancePool
      * @param devices      The simulated fleet.
      * @param ram_fraction Share of each device's RAM available for
      *        execution contexts (the rest models the OS, CUDA and
-     *        the framework itself).
+     *        the framework itself); fatal() outside (0, 1].
      */
     InstancePool(const std::vector<gpusim::DeviceSpec> &devices,
                  double ram_fraction);
@@ -110,6 +110,11 @@ class InstancePool
      */
     int place(int model, int device, std::int64_t footprint_bytes,
               int want, int slot = -1);
+
+    const std::vector<gpusim::DeviceSpec> &devices() const
+    {
+        return devices_;
+    }
 
     std::vector<Instance> &instances() { return instances_; }
     const std::vector<Instance> &instances() const

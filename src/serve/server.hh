@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -252,6 +253,11 @@ struct ServeReport
 
 /** Parse a device list entry: "nx" | "agx". */
 gpusim::DeviceSpec parseDevice(const std::string &name);
+
+/** One EdgeServe run, built, placed and loaded with its workload and
+ *  hot-swaps, ready for controlUntil(); `cfg` must outlive it. */
+std::unique_ptr<FrontEnd<ServeReport>>
+startServer(const ServeConfig &cfg);
 
 /** Run the server; deterministic for a fixed config. */
 ServeReport runServer(const ServeConfig &cfg);

@@ -15,7 +15,7 @@ FreshnessTracker::FreshnessTracker(int n_streams, double stale_ms)
     if (n_streams <= 0)
         fatal("FreshnessTracker needs at least one stream (got ",
               n_streams, ")");
-    if (stale_ms <= 0.0)
+    if (!(stale_ms > 0.0))
         fatal("stale budget must be positive (got ", stale_ms,
               " ms)");
 }

@@ -1,6 +1,7 @@
 #include "stream/source.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hh"
 
@@ -30,9 +31,9 @@ std::vector<double>
 generateFrameTimes(const FrameSourceConfig &cfg, double duration_s,
                    Rng &rng)
 {
-    if (cfg.fps <= 0.0)
-        fatal("frame source fps must be positive (got ", cfg.fps,
-              ")");
+    if (!(cfg.fps > 0.0) || !std::isfinite(cfg.fps))
+        fatal("frame source fps must be positive and finite (got ",
+              cfg.fps, ")");
     const double gap = 1.0 / cfg.fps;
     std::vector<double> times;
     times.reserve(static_cast<std::size_t>(

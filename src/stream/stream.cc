@@ -1,7 +1,9 @@
 #include "stream/stream.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "common/json.hh"
@@ -116,151 +118,226 @@ writeFreshnessFile(const std::string &path,
     f << w.str() << "\n";
 }
 
-} // namespace
-
-StreamReport
-runStreams(const StreamConfig &cfg)
+/** One EdgeStream run (startStreams). */
+class Streams final : public serve::FrontEnd<StreamReport>
 {
-    serve::validateModels("EdgeStream", cfg.models, cfg.duration_s);
-    if (cfg.devices.empty())
-        fatal("EdgeStream needs at least one device");
-    for (const auto &m : cfg.models)
-        if (m.streams < 1)
-            fatal("model '", m.model, "' needs at least one stream");
-
-    const int n_models = static_cast<int>(cfg.models.size());
-    const int n_devices = static_cast<int>(cfg.devices.size());
-
-    // ------------------------------------------------------------
-    // Build: one calibrated engine ladder per (model, device) with a
-    // shared timing cache. No fault injection here — stream serving
-    // reuses serve's engine machinery, not its resilience
-    // experiments.
-    // ------------------------------------------------------------
-    core::TimingCache timing_cache;
-    serve::ModelVersions versions(static_cast<std::size_t>(n_models));
+  public:
+    explicit Streams(const StreamConfig &cfg)
+        : FrontEnd("stream", "frames", static_cast<int>(cfg.models.size()),
+                   cfg.devices, cfg.ram_fraction),
+          cfg_(cfg), slo_(cfg.freshness_objective_pct),
+          stage_sums_(cfg.models.size())
     {
-        EDGERT_SPAN("stream_build",
-                    {{"models", std::to_string(n_models)},
-                     {"devices", std::to_string(n_devices)}});
-        for (int m = 0; m < n_models; m++) {
+        serve::validateModels("EdgeStream", cfg.models, cfg.duration_s);
+        if (cfg.devices.empty())
+            fatal("EdgeStream needs at least one device");
+        for (const auto &m : cfg.models) {
+            if (m.streams < 1)
+                fatal("model '", m.model, "' needs at least one stream");
+            for (double ms : {m.stages.decode_ms, m.stages.preprocess_ms,
+                              m.stages.postprocess_ms})
+                if (!(ms >= 0.0) || !std::isfinite(ms))
+                    fatal("model '", m.model, "' stage times must be "
+                          "non-negative and finite (got ", ms, " ms)");
+        }
+
+        // ------------------------------------------------------------
+        // Build: one calibrated engine ladder per (model, device) with a
+        // shared timing cache. No fault injection here — stream serving
+        // reuses serve's engine machinery, not its resilience
+        // experiments.
+        // ------------------------------------------------------------
+        {
+            EDGERT_SPAN("stream_build",
+                        {{"models", std::to_string(n_models_)},
+                         {"devices", std::to_string(cfg.devices.size())}});
+            core::TimingCache timing_cache;
+            for (int m = 0; m < n_models_; m++) {
+                const auto &mc = cfg.models[static_cast<std::size_t>(m)];
+                versions_[static_cast<std::size_t>(m)].push_back(
+                    serve::buildVersion(
+                        {mc.model, mc.precision, mc.calibration_seed,
+                         cfg.build_id, mc.batching.max_batch},
+                        cfg.devices, nullptr,
+                        [&](std::size_t) { return &timing_cache; }));
+            }
+        }
+
+        // ------------------------------------------------------------
+        // Placement: RAM-bounded instances per device, capped by the
+        // paper's Eq. 1 concurrency bound.
+        // ------------------------------------------------------------
+        for (int m = 0; m < n_models_; m++) {
             const auto &mc = cfg.models[static_cast<std::size_t>(m)];
-            serve::ModelVersion ver;
-            ver.build_id = cfg.build_id;
-            for (const auto &spec : cfg.devices)
-                ver.sets.push_back(serve::buildLadder(
-                    spec,
-                    {mc.model, mc.precision, mc.calibration_seed,
-                     cfg.build_id, mc.batching.max_batch},
-                    &timing_cache));
-            versions[static_cast<std::size_t>(m)].push_back(
-                std::move(ver));
+            serve::placeOnDevices(pool_, m,
+                                  versions_[static_cast<std::size_t>(m)][0],
+                                  mc.instances_per_device);
+            if (pool_.instancesOf(m).empty())
+                warn("EdgeStream: model '", mc.model,
+                     "' has no usable instances (no RAM budget fits); "
+                     "its frames will only age out");
+        }
+
+        generateFrames();
+
+        // ------------------------------------------------------------
+        // Phase 1 setup: ready frames enter the per-model StreamQueue
+        // under the backpressure policy; the batcher cuts across streams
+        // onto predicted-free instances. Work stops at duration_s:
+        // later-ready frames and queue leftovers are in_flight.
+        // ------------------------------------------------------------
+        for (const auto &mc : cfg.models)
+            queues_.emplace_back(mc.streams);
+        setQueues(cfg.models, queues_.size());
+
+        // Arrivals sort by (ready, id). Listed in id (capture) order they
+        // are nearly sorted already: ready trails capture by a few ms of
+        // host stages, unless a camera's decoder falls behind.
+        std::vector<serve::EventQueue::Arrival> ready;
+        ready.reserve(frames_.size());
+        for (const FrameRec &fr : frames_)
+            if (fr.ready_s <= cfg.duration_s) // else: still decoding
+                ready.push_back({fr.ready_s, fr.id});
+        sortNearlySorted(ready.begin(), ready.end());
+        events_ = serve::EventQueue(std::move(ready));
+    }
+
+    StreamReport finish() override
+    {
+        // ------------------------------------------------------------
+        // Phase 2 — execution replay: each dispatch releases on its
+        // instance's *upload* stream at the planned time; waitEvent
+        // chains upload → compute → download so consecutive frames
+        // overlap stage-wise. One run() per device.
+        // ------------------------------------------------------------
+        serve::ReplayOptions ro = tracedReplay(cfg_);
+        ro.pipelined = true;
+        const serve::Replay replayed = replay(ro);
+
+        // Fold measured completions back into the frame table (instance
+        // order, then plan order — deterministic).
+        std::vector<obs::Histogram> batch_size =
+            serve::modelHistograms("stream.batch.size", cfg_.models);
+        const serve::FoldCounts folded = fold(
+            frames_, FrameRec::kCompleted,
+            [&](const serve::Instance &inst, const serve::PlannedDispatch &pd) {
+                batch_size[static_cast<std::size_t>(inst.model)].record(
+                    pd.batch);
+            });
+        feedFreshness();
+        StreamReport out = report(replayed, folded);
+        if (!cfg_.trace_out.empty())
+            serve::saveReplayTrace(cfg_.trace_out, cfg_.devices, replayed, {},
+                                   "stream");
+        return out;
+    }
+
+  private:
+    // Phase 1 — the control loop over (frame-ready, batch-timeout,
+    // predicted-free) events.
+    void onEvent(const Event &e) override
+    {
+        if (e.t > cfg_.duration_s)
+            return; // the camera window is over
+        switch (e.kind) {
+          case Event::kArrival: {
+              FrameRec &fr = frames_[static_cast<std::size_t>(e.req)];
+              const int m = fr.model;
+              const auto &mc = cfg_.models[static_cast<std::size_t>(m)];
+              evicted_.clear();
+              queues_[static_cast<std::size_t>(m)].push(
+                  fr.id, fr.stream, e.t, mc.policy, mc.frame_budget, evicted_);
+              for (std::int64_t id : evicted_) {
+                  FrameRec &old = frames_[static_cast<std::size_t>(id)];
+                  old.outcome = FrameRec::kDropped;
+                  old.drop_s = e.t;
+              }
+              tryDispatch(m, e.t);
+              return;
+          }
+          case Event::kTimeout:
+          case Event::kPredFree:
+              tryDispatch(eventModel(e), e.t);
+              return;
+          default: // serve / fleet kinds: never pushed here
+              return;
         }
     }
 
-    // ------------------------------------------------------------
-    // Placement: RAM-bounded instances per device, capped by the
-    // paper's Eq. 1 concurrency bound.
-    // ------------------------------------------------------------
-    serve::InstancePool pool(cfg.devices, cfg.ram_fraction);
-    for (int m = 0; m < n_models; m++) {
-        const auto &mc = cfg.models[static_cast<std::size_t>(m)];
-        serve::placeOnDevices(pool, m,
-                              versions[static_cast<std::size_t>(m)][0],
-                              cfg.devices, mc.instances_per_device);
-        if (pool.instancesOf(m).empty())
-            warn("EdgeStream: model '", mc.model,
-                 "' has no usable instances (no RAM budget fits); "
-                 "its frames will only age out");
-    }
+    std::size_t units() const override { return frames_.size(); }
 
     // ------------------------------------------------------------
     // Frame generation, camera by camera in (model, stream) order:
-    // capture times and per-frame stage durations come from forked
-    // Rng lineages (root → frames/stages → model → stream), and the
-    // host decode/preprocess chains fold eagerly — one decoder per
-    // camera, so stage k of frame i+1 waits for stage k of frame i,
-    // and host stages never see device feedback. Frame ids follow
-    // (capture, model, stream, seq); the camera-major index ranks
-    // like (model, stream, seq), so one sort of (capture, index) keys
-    // numbers every frame and each record is written into its id
-    // slot. Camera c is SLO lane c; its frame `seq` has id
-    // camera_ids[first_frame[c] + seq].
+    // capture times and per-frame stage durations come from forked Rng
+    // lineages (root → frames/stages → model → stream), and the host
+    // decode/preprocess chains fold eagerly — one decoder per camera, so
+    // stage k of frame i+1 waits for stage k of frame i, and host stages
+    // never see device feedback. Frame ids follow (capture, model,
+    // stream, seq); the camera-major index ranks like (model, stream,
+    // seq), so one sort of (capture, index) keys numbers every frame and
+    // each record is written into its id slot.
     // ------------------------------------------------------------
-    using TimedId = serve::EventQueue::Arrival; //!< (t, id) order
-    std::vector<FrameRec> frames;
-    std::vector<std::int64_t> camera_ids;
-    std::vector<std::size_t> first_frame;
-    std::vector<int> first_lane;
-    watch::SloTrackerSet slo(cfg.freshness_objective_pct);
+    void generateFrames()
     {
-        EDGERT_SPAN("stream_workload",
-                    {{"models", std::to_string(n_models)}});
-        Rng root(cfg.seed);
+        using TimedId = serve::EventQueue::Arrival; //!< (t, id) order
+        const obs::ScopedSpan phase = modelSpan("workload");
+        Rng root(cfg_.seed);
         Rng frames_rng = root.fork("frames");
         Rng stages_rng = root.fork("stages");
         std::vector<TimedId> keys;
-        for (int m = 0; m < n_models; m++) {
-            const auto &mc =
-                cfg.models[static_cast<std::size_t>(m)];
-            Rng model_frames =
-                frames_rng.fork(static_cast<std::uint64_t>(m));
+        for (int m = 0; m < n_models_; m++) {
+            const auto &mc = cfg_.models[static_cast<std::size_t>(m)];
+            Rng model_frames = frames_rng.fork(static_cast<std::uint64_t>(m));
             FrameSourceConfig sc;
             sc.kind = mc.arrival;
             sc.fps = mc.fps;
             sc.jitter_pct = mc.arrival_jitter_pct;
-            first_lane.push_back(static_cast<int>(slo.lanes()));
+            first_lane_.push_back(static_cast<int>(slo_.lanes()));
             for (int s = 0; s < mc.streams; s++) {
-                slo.addLane(mc.model + "/cam" + std::to_string(s));
+                slo_.addLane(mc.model + "/cam" + std::to_string(s));
                 Rng cam = model_frames.fork(static_cast<std::uint64_t>(s));
-                first_frame.push_back(keys.size());
-                for (double t : generateFrameTimes(sc, cfg.duration_s, cam))
-                    keys.push_back(
-                        {t, static_cast<std::int64_t>(keys.size())});
+                first_frame_.push_back(keys.size());
+                for (double t : generateFrameTimes(sc, cfg_.duration_s, cam))
+                    keys.push_back({t, static_cast<std::int64_t>(keys.size())});
             }
         }
-        first_frame.push_back(keys.size());
+        first_frame_.push_back(keys.size());
         std::sort(keys.begin(), keys.end());
-        camera_ids.resize(keys.size());
+        camera_ids_.resize(keys.size());
         for (std::size_t id = 0; id < keys.size(); id++)
-            camera_ids[static_cast<std::size_t>(keys[id].id)] =
+            camera_ids_[static_cast<std::size_t>(keys[id].id)] =
                 static_cast<std::int64_t>(id);
-        frames.resize(keys.size());
-        for (int m = 0; m < n_models; m++) {
-            const auto &mc = cfg.models[static_cast<std::size_t>(m)];
-            Rng model_stages =
-                stages_rng.fork(static_cast<std::uint64_t>(m));
+        frames_.resize(keys.size());
+        for (int m = 0; m < n_models_; m++) {
+            const auto &mc = cfg_.models[static_cast<std::size_t>(m)];
+            Rng model_stages = stages_rng.fork(static_cast<std::uint64_t>(m));
             for (int s = 0; s < mc.streams; s++) {
                 Rng stage_rng =
                     model_stages.fork(static_cast<std::uint64_t>(s));
                 const auto c = static_cast<std::size_t>(
-                    first_lane[static_cast<std::size_t>(m)] + s);
+                    first_lane_[static_cast<std::size_t>(m)] + s);
                 double decode_free = 0.0;
                 double pre_free = 0.0;
-                for (std::size_t k = first_frame[c];
-                     k < first_frame[c + 1]; k++) {
-                    FrameRec &fr = frames[static_cast<std::size_t>(
-                        camera_ids[k])];
-                    fr.id = camera_ids[k];
+                for (std::size_t k = first_frame_[c]; k < first_frame_[c + 1];
+                     k++) {
+                    FrameRec &fr =
+                        frames_[static_cast<std::size_t>(camera_ids_[k])];
+                    fr.id = camera_ids_[k];
                     fr.model = m;
                     fr.stream = s;
-                    fr.capture_s =
-                        keys[static_cast<std::size_t>(fr.id)].t;
+                    fr.capture_s = keys[static_cast<std::size_t>(fr.id)].t;
                     const double decode_s = jitteredSeconds(
-                        mc.stages.decode_ms,
-                        mc.stages.jitter_pct, stage_rng);
-                    const double preprocess_s = jitteredSeconds(
-                        mc.stages.preprocess_ms,
-                        mc.stages.jitter_pct, stage_rng);
-                    fr.postprocess_dur_s = jitteredSeconds(
-                        mc.stages.postprocess_ms,
-                        mc.stages.jitter_pct, stage_rng);
-                    double dstart =
-                        std::max(fr.capture_s, decode_free);
+                        mc.stages.decode_ms, mc.stages.jitter_pct, stage_rng);
+                    const double preprocess_s =
+                        jitteredSeconds(mc.stages.preprocess_ms,
+                                        mc.stages.jitter_pct, stage_rng);
+                    fr.postprocess_dur_s =
+                        jitteredSeconds(mc.stages.postprocess_ms,
+                                        mc.stages.jitter_pct, stage_rng);
+                    double dstart = std::max(fr.capture_s, decode_free);
                     fr.decode_done_s = dstart + decode_s;
                     decode_free = fr.decode_done_s;
-                    double pstart =
-                        std::max(fr.decode_done_s, pre_free);
+                    double pstart = std::max(fr.decode_done_s, pre_free);
                     fr.ready_s = pstart + preprocess_s;
                     pre_free = fr.ready_s;
                 }
@@ -268,226 +345,116 @@ runStreams(const StreamConfig &cfg)
         }
     }
 
-    // ------------------------------------------------------------
-    // Phase 1 — control loop over (frame-ready, batch-timeout,
-    // predicted-free) events. Ready frames enter the per-model
-    // StreamQueue under the backpressure policy; the batcher cuts
-    // across streams onto predicted-free instances. Work stops at
-    // duration_s: later-ready frames and queue leftovers are
-    // in_flight.
-    // ------------------------------------------------------------
-    std::vector<StreamQueue> queues;
-    std::vector<serve::DynamicBatcher> batchers;
-    std::vector<serve::BatchTimeout> timeouts(
-        static_cast<std::size_t>(n_models));
-    for (int m = 0; m < n_models; m++) {
-        const auto &mc = cfg.models[static_cast<std::size_t>(m)];
-        queues.emplace_back(mc.streams);
-        batchers.emplace_back(mc.batching);
-        timeouts[static_cast<std::size_t>(m)].target = m;
-    }
-
-    // Arrivals sort by (ready, id). Listed in id (capture) order they
-    // are nearly sorted already: ready trails capture by a few ms of
-    // host stages, unless a camera's decoder falls behind.
-    std::vector<TimedId> ready;
-    ready.reserve(frames.size());
-    for (const FrameRec &fr : frames)
-        if (fr.ready_s <= cfg.duration_s) // else: still decoding
-            ready.push_back({fr.ready_s, fr.id});
-    sortNearlySorted(ready.begin(), ready.end());
-    serve::EventQueue evq(std::move(ready));
-
-    auto tryDispatch = [&](int m, double t) {
+    void tryDispatch(int m, double t)
+    {
         const auto mi = static_cast<std::size_t>(m);
-        serve::cutBatches(
-            queues[mi], &StreamQueue::oldestReadySeconds, batchers[mi],
-            t, versions, pool.instances(), evq, timeouts[mi],
-            [&](double now) { return pool.freeInstance(m, now); },
+        cut(queues_[mi], &StreamQueue::oldestReadySeconds, m, mi, t,
+            [&](double now) { return pool_.freeInstance(m, now); },
             [&](const serve::Instance &inst,
                 const serve::PlannedDispatch &pd, int) {
                 for (std::int64_t id : inst.idsOf(pd))
-                    frames[static_cast<std::size_t>(id)].dispatch_s =
+                    frames_[static_cast<std::size_t>(id)].dispatch_s =
                         pd.t_s;
             });
-    };
-
-    std::vector<std::int64_t> evicted; // one push's, reused
-    {
-        EDGERT_SPAN("stream_control",
-                    {{"frames", std::to_string(frames.size())}});
-        while (!evq.empty()) {
-            Event e = evq.pop();
-            if (e.t > cfg.duration_s)
-                continue; // the camera window is over
-            switch (e.kind) {
-              case Event::kArrival: {
-                  FrameRec &fr =
-                      frames[static_cast<std::size_t>(e.req)];
-                  const int m = fr.model;
-                  const auto &mc =
-                      cfg.models[static_cast<std::size_t>(m)];
-                  evicted.clear();
-                  queues[static_cast<std::size_t>(m)].push(
-                      fr.id, fr.stream, e.t, mc.policy,
-                      mc.frame_budget, evicted);
-                  for (std::int64_t id : evicted) {
-                      FrameRec &old =
-                          frames[static_cast<std::size_t>(id)];
-                      old.outcome = FrameRec::kDropped;
-                      old.drop_s = e.t;
-                  }
-                  tryDispatch(m, e.t);
-                  break;
-              }
-              case Event::kTimeout:
-                  tryDispatch(e.target, e.t);
-                  break;
-              case Event::kPredFree:
-                  tryDispatch(
-                      pool.instances()[static_cast<std::size_t>(
-                                           e.target)]
-                          .model,
-                      e.t);
-                  break;
-              default: // serve / fleet kinds: never pushed here
-                  break;
-            }
-        }
     }
 
     // ------------------------------------------------------------
-    // Phase 2 — execution replay: each dispatch releases on its
-    // instance's *upload* stream at the planned time; waitEvent
-    // chains upload → compute → download so consecutive frames
-    // overlap stage-wise. One run() per device.
-    // ------------------------------------------------------------
-    serve::ReplayOptions ro;
-    ro.span = "stream_replay";
-    ro.threads = cfg.sim_threads;
-    // Only the trace_out timeline reads the device traces, so
-    // without it the replay records none.
-    ro.trace_mode = cfg.trace_out.empty() ? gpusim::TraceMode::kOff
-                                          : cfg.trace_mode;
-    ro.trace_sample_every = cfg.trace_sample_every;
-    ro.pipelined = true;
-    serve::Replay replay =
-        serve::replayPlans(cfg.devices, pool.instances(), versions, ro);
-
-    // Fold measured completions back into the frame table
-    // (instance order, then plan order — deterministic). Then, per
-    // camera: its completions in (done, id) order are its host
-    // postprocess chain, and its freshness lane observes them merged
-    // with its drops by (t, drop before completion, id). The runs are
-    // sorted already: a camera's frames are evicted oldest first at
-    // event times, and its chain makes postprocess-done monotone. A
-    // dropped frame is bad at its drop time; a completed frame is bad
-    // at postprocess-done when its age exceeds the stale budget.
-    // Lanes are independent trackers and the rollup keeps the
+    // Postprocess and freshness. Per camera: its completions in (done,
+    // id) order are its host postprocess chain, and its freshness lane
+    // observes them merged with its drops by (t, drop before completion,
+    // id). The runs are sorted already: a camera's frames are evicted
+    // oldest first at event times, and its chain makes postprocess-done
+    // monotone. A dropped frame is bad at its drop time; a completed
+    // frame is bad at postprocess-done when its age exceeds the stale
+    // budget. Lanes are independent trackers and the rollup keeps the
     // earliest page, so feeding lane by lane equals one time-ordered
     // feed. Within a camera, id order is seq order.
-    serve::FoldCounts folded;
+    //
+    // Then one frame-id-order pass over terminal outcomes feeds the
+    // per-model trackers, the frame-age histograms and the per-stage sums
+    // (their floating-point sums follow that order).
+    // ------------------------------------------------------------
+    void feedFreshness()
     {
-        EDGERT_SPAN("stream_fold",
-                    {{"frames", std::to_string(frames.size())}});
-        std::vector<obs::Histogram> batch_size =
-            serve::modelHistograms("stream.batch.size", cfg.models);
-        folded = serve::foldReplay(
-            pool.instances(), n_models, frames, FrameRec::kCompleted,
-            [&](const serve::Instance &inst,
-                const serve::PlannedDispatch &pd) {
-                batch_size[static_cast<std::size_t>(inst.model)].record(
-                    pd.batch);
-            });
-        std::vector<TimedId> done;
-        std::vector<const FrameRec *> drops;
-        for (std::size_t c = 0; c + 1 < first_frame.size(); c++) {
-            const int lane = static_cast<int>(c);
-            done.clear();
-            drops.clear();
-            for (std::size_t k = first_frame[c]; k < first_frame[c + 1];
-                 k++) {
-                const FrameRec &fr =
-                    frames[static_cast<std::size_t>(camera_ids[k])];
-                if (fr.outcome == FrameRec::kCompleted)
-                    done.push_back({fr.done_s, fr.id});
-                else if (fr.outcome == FrameRec::kDropped)
-                    drops.push_back(&fr);
+        using TimedId = serve::EventQueue::Arrival; //!< (t, id) order
+        const obs::ScopedSpan phase = span("freshness");
+        {
+            std::vector<TimedId> done;
+            std::vector<const FrameRec *> drops;
+            for (std::size_t c = 0; c + 1 < first_frame_.size(); c++) {
+                const int lane = static_cast<int>(c);
+                done.clear();
+                drops.clear();
+                for (std::size_t k = first_frame_[c]; k < first_frame_[c + 1];
+                     k++) {
+                    const FrameRec &fr =
+                        frames_[static_cast<std::size_t>(camera_ids_[k])];
+                    if (fr.outcome == FrameRec::kCompleted)
+                        done.push_back({fr.done_s, fr.id});
+                    else if (fr.outcome == FrameRec::kDropped)
+                        drops.push_back(&fr);
+                }
+                sortNearlySorted(done.begin(), done.end());
+                auto drop = drops.begin();
+                double post_free = 0.0;
+                for (const TimedId &d : done) {
+                    FrameRec &fr = frames_[static_cast<std::size_t>(d.id)];
+                    const auto &mc =
+                        cfg_.models[static_cast<std::size_t>(fr.model)];
+                    fr.post_done_s =
+                        std::max(fr.done_s, post_free) + fr.postprocess_dur_s;
+                    post_free = fr.post_done_s;
+                    for (; drop != drops.end() &&
+                           (*drop)->drop_s <= fr.post_done_s;
+                         ++drop)
+                        slo_.observe(lane, (*drop)->drop_s, true);
+                    slo_.observe(lane, fr.post_done_s,
+                                 fr.ageMs() > mc.stale_ms);
+                }
+                for (; drop != drops.end(); ++drop)
+                    slo_.observe(lane, (*drop)->drop_s, true);
             }
-            sortNearlySorted(done.begin(), done.end());
-            auto drop = drops.begin();
-            double post_free = 0.0;
-            for (const TimedId &d : done) {
-                FrameRec &fr = frames[static_cast<std::size_t>(d.id)];
-                const auto &mc =
-                    cfg.models[static_cast<std::size_t>(fr.model)];
-                fr.post_done_s =
-                    std::max(fr.done_s, post_free) + fr.postprocess_dur_s;
-                post_free = fr.post_done_s;
-                for (; drop != drops.end() &&
-                       (*drop)->drop_s <= fr.post_done_s;
-                     ++drop)
-                    slo.observe(lane, (*drop)->drop_s, true);
-                slo.observe(lane, fr.post_done_s,
-                            fr.ageMs() > mc.stale_ms);
-            }
-            for (; drop != drops.end(); ++drop)
-                slo.observe(lane, (*drop)->drop_s, true);
         }
-    }
 
-    // ------------------------------------------------------------
-    // Freshness and stage attribution: one frame-id-order pass over
-    // terminal outcomes feeds the per-model trackers, the frame-age
-    // histograms and the per-stage sums (their floating-point sums
-    // follow that order).
-    // ------------------------------------------------------------
-    std::vector<FreshnessTracker> fresh;
-    std::vector<FrameStageSums> stages(
-        static_cast<std::size_t>(n_models));
-    std::vector<obs::Histogram> age_ms =
-        serve::modelHistograms("stream.frame.age_ms", cfg.models);
-    {
-        EDGERT_SPAN("stream_freshness",
-                    {{"frames", std::to_string(frames.size())}});
-        for (const auto &mc : cfg.models)
-            fresh.emplace_back(mc.streams, mc.stale_ms);
-        for (const FrameRec &fr : frames) {
+        std::vector<obs::Histogram> age_ms =
+            serve::modelHistograms("stream.frame.age_ms", cfg_.models);
+        for (const auto &mc : cfg_.models)
+            fresh_.emplace_back(mc.streams, mc.stale_ms);
+        for (const FrameRec &fr : frames_) {
             auto m = static_cast<std::size_t>(fr.model);
-            fresh[m].onProduced(fr.stream);
+            fresh_[m].onProduced(fr.stream);
             switch (fr.outcome) {
               case FrameRec::kDropped:
-                  fresh[m].onDropped(fr.stream);
+                  fresh_[m].onDropped(fr.stream);
                   break;
               case FrameRec::kCompleted: {
                   const double age = fr.ageMs();
-                  fresh[m].onCompleted(fr.stream, age);
+                  fresh_[m].onCompleted(fr.stream, age);
                   age_ms[m].record(age);
-                  stages[m].add(fr);
+                  stage_sums_[m].add(fr);
                   break;
               }
               case FrameRec::kInFlight:
-                  fresh[m].onLeftInFlight(fr.stream);
+                  fresh_[m].onLeftInFlight(fr.stream);
                   break;
             }
         }
-        if (!cfg.freshness_out.empty())
-            writeFreshnessFile(cfg.freshness_out, slo);
+        if (!cfg_.freshness_out.empty())
+            writeFreshnessFile(cfg_.freshness_out, slo_);
     }
 
-    // ------------------------------------------------------------
     // Report assembly (model order, then stream order).
-    // ------------------------------------------------------------
-    StreamReport report;
-    report.seed = cfg.seed;
-    report.duration_s = cfg.duration_s;
+    StreamReport report(const serve::Replay &replayed,
+                        const serve::FoldCounts &folded)
     {
-        EDGERT_SPAN("stream_report",
-                    {{"models", std::to_string(n_models)}});
-        report.freshness = slo.rollup();
-        for (int m = 0; m < n_models; m++) {
+        const obs::ScopedSpan phase = modelSpan("report");
+        StreamReport out;
+        out.seed = cfg_.seed;
+        out.duration_s = cfg_.duration_s;
+        out.freshness = slo_.rollup();
+        for (int m = 0; m < n_models_; m++) {
             auto mi = static_cast<std::size_t>(m);
-            const auto &mc = cfg.models[mi];
+            const auto &mc = cfg_.models[mi];
             StreamModelStats s;
             s.model = mc.model;
             s.precision = nn::precisionName(mc.precision);
@@ -496,9 +463,9 @@ runStreams(const StreamConfig &cfg)
             s.streams = mc.streams;
             s.fps = mc.fps;
             s.stale_ms = mc.stale_ms;
-            s.instances = static_cast<int>(pool.instancesOf(m).size());
-            s.freshness = fresh[mi].totalStats();
-            s.conserved = fresh[mi].conserved();
+            s.instances = static_cast<int>(pool_.instancesOf(m).size());
+            s.freshness = fresh_[mi].totalStats();
+            s.conserved = fresh_[mi].conserved();
             s.batches = folded.batches[mi];
             s.mean_batch = folded.meanBatch(mi);
             const obs::Labels ml = {{"model", mc.model}};
@@ -509,7 +476,7 @@ runStreams(const StreamConfig &cfg)
                   {"stream.frame.stale", s.freshness.stale_completed},
                   {"stream.batch.dispatched", s.batches}})
                 obs::MetricRegistry::global().counter(name, ml).add(n);
-            const FrameStageSums &st = stages[mi];
+            const FrameStageSums &st = stage_sums_[mi];
             s.infer_mean_ms = st.infer.mean();
             if (st.infer.n > 0) {
                 auto dn = static_cast<double>(st.infer.n);
@@ -520,23 +487,45 @@ runStreams(const StreamConfig &cfg)
             for (int c = 0; c < mc.streams; c++) {
                 StreamLaneStats lane;
                 lane.stream = c;
-                lane.freshness = fresh[mi].streamStats(c);
-                if (const watch::SloTracker *t =
-                        slo.find(first_lane[mi] + c))
+                lane.freshness = fresh_[mi].streamStats(c);
+                if (const watch::SloTracker *t = slo_.find(first_lane_[mi] + c))
                     lane.tier = t->tier();
                 s.lanes.push_back(std::move(lane));
             }
-            report.models.push_back(std::move(s));
+            out.models.push_back(std::move(s));
         }
-
-        report.devices =
-            serve::deviceStats(cfg.devices, pool, replay, "stream");
+        out.devices = serve::deviceStats(pool_, replayed, "stream");
+        return out;
     }
-    if (!cfg.trace_out.empty())
-        serve::saveReplayTrace(cfg.trace_out, cfg.devices, replay, {},
-                               "stream");
 
-    return report;
+    const StreamConfig &cfg_;
+    std::vector<FrameRec> frames_; //!< by frame id
+    /** Camera c is SLO lane c; its frame `seq` has id
+     *  camera_ids_[first_frame_[c] + seq]. */
+    std::vector<std::int64_t> camera_ids_;
+    std::vector<std::size_t> first_frame_;
+    std::vector<int> first_lane_; //!< per model
+    watch::SloTrackerSet slo_;
+    std::vector<StreamQueue> queues_;
+    std::vector<std::int64_t> evicted_; //!< one push's, reused
+    std::vector<FreshnessTracker> fresh_;
+    std::vector<FrameStageSums> stage_sums_;
+};
+
+} // namespace
+
+std::unique_ptr<serve::FrontEnd<StreamReport>>
+startStreams(const StreamConfig &cfg)
+{
+    return std::make_unique<Streams>(cfg);
+}
+
+StreamReport
+runStreams(const StreamConfig &cfg)
+{
+    const auto streams = startStreams(cfg);
+    streams->controlUntil(std::numeric_limits<double>::infinity());
+    return streams->finish();
 }
 
 std::string

@@ -33,6 +33,7 @@
  */
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -159,6 +160,11 @@ struct StreamReport
     /** Canonical JSON (deterministic field order and numbers). */
     std::string toJson() const;
 };
+
+/** One EdgeStream run, built, placed and loaded with every camera's
+ *  frames, ready for controlUntil(); `cfg` must outlive it. */
+std::unique_ptr<serve::FrontEnd<StreamReport>>
+startStreams(const StreamConfig &cfg);
 
 /** Run the streaming pipeline; deterministic for a fixed config. */
 StreamReport runStreams(const StreamConfig &cfg);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "common/cliflags.hh"
 #include "common/logging.hh"
 #include "fleet/fleet.hh"
+#include "fleet/spec.hh"
 #include "obs/metrics.hh"
 #include "serve/cli.hh"
 #include "serve/core.hh"
@@ -109,6 +111,12 @@ TEST_P(ModelSpecTable, MalformedSpecsAreFatal)
     EXPECT_NE(msg.find("max_batch"), std::string::npos) << msg;
     msg = fatalMessage(tool, "alexnet:timeout_us=1ms");
     EXPECT_NE(msg.find("timeout_us"), std::string::npos) << msg;
+    // strtod reads these; no knob means them.
+    for (const char *v : {"nan", "inf", "-inf"}) {
+        msg = fatalMessage(tool, std::string("alexnet:timeout_us=") + v);
+        EXPECT_NE(msg.find("not a finite number"), std::string::npos)
+            << tool << " " << v << ": " << msg;
+    }
 }
 
 TEST_P(ModelSpecTable, IntegerKeysRejectWhatAnIntCannotHold)
@@ -236,6 +244,83 @@ TEST(CliFlags, IntegersOutOfRangeAreFatal)
     EXPECT_THROW(optionUnsigned("build", "-1"), FatalError);
     EXPECT_THROW(optionUnsigned("build", "18446744073709551616"),
                  FatalError);
+
+    // Numbers parse through the same strict path and must be finite:
+    // --duration-s inf would never end and nan would run an empty
+    // window.
+    for (const char *v : {"nan", "inf", "-inf", "NAN", "infinity"}) {
+        std::string argv0 = "tool", name = "--duration-s", arg = v;
+        char *argv[] = {argv0.data(), name.data(), arg.data()};
+        FlagParser flags(3, argv);
+        flags.next();
+        EXPECT_THROW(flags.numberValue(), FatalError) << v;
+        EXPECT_THROW(optionNumber("fps", v), FatalError) << v;
+    }
+    EXPECT_EQ(optionNumber("fps", "1e-3"), 1e-3);
+    setLogLevel(LogLevel::kInfo);
+}
+
+// Configs built in code bypass the CLI's parsers; each entrypoint
+// still refuses values it cannot run.
+TEST(ConfigGuards, NonFiniteAndOutOfRangeValuesAreFatal)
+{
+    setLogLevel(LogLevel::kError);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    auto serveWith = [](double duration_s, double ram_fraction) {
+        serve::ServeConfig cfg;
+        cfg.models.push_back(serve::parseModelSpec("alexnet:qps=50"));
+        cfg.devices = serve::parseDevices("nx");
+        cfg.duration_s = duration_s;
+        cfg.ram_fraction = ram_fraction;
+        return serve::runServer(cfg);
+    };
+    for (double d : {nan, inf, -1.0})
+        EXPECT_THROW(serveWith(d, 0.5), FatalError) << d;
+    for (double f : {nan, inf, 7.0, 0.0})
+        EXPECT_THROW(serveWith(0.1, f), FatalError) << f;
+
+    auto fleetWith = [](double duration_s, double ram_fraction) {
+        fleet::FleetConfig cfg;
+        cfg.groups.push_back(fleet::parseNodeGroup("nx:2"));
+        cfg.models.push_back(fleet::parseModelSpec("alexnet:qps=50"));
+        cfg.duration_s = duration_s;
+        cfg.ram_fraction = ram_fraction;
+        return fleet::runFleet(cfg);
+    };
+    for (double d : {nan, inf})
+        EXPECT_THROW(fleetWith(d, 0.5), FatalError) << d;
+    for (double f : {nan, inf, 7.0})
+        EXPECT_THROW(fleetWith(0.1, f), FatalError) << f;
+
+    auto streamWith = [](auto tweak) {
+        stream::StreamConfig cfg;
+        cfg.models.push_back(
+            stream::parseModelSpec("mobilenetv1:streams=1", {}));
+        tweak(cfg.models[0]);
+        cfg.devices = serve::parseDevices("nx");
+        cfg.duration_s = 0.1;
+        return stream::runStreams(cfg);
+    };
+    using Model = stream::StreamModelConfig;
+    for (double v : {nan, inf})
+        EXPECT_THROW(streamWith([&](Model &m) { m.fps = v; }), FatalError)
+            << v;
+    EXPECT_THROW(streamWith([&](Model &m) { m.stale_ms = nan; }),
+                 FatalError);
+    for (double v : {-5.0, nan, inf}) {
+        EXPECT_THROW(streamWith([&](Model &m) { m.stages.decode_ms = v; }),
+                     FatalError)
+            << v;
+        EXPECT_THROW(
+            streamWith([&](Model &m) { m.stages.preprocess_ms = v; }),
+            FatalError)
+            << v;
+        EXPECT_THROW(
+            streamWith([&](Model &m) { m.stages.postprocess_ms = v; }),
+            FatalError)
+            << v;
+    }
     setLogLevel(LogLevel::kInfo);
 }
 
@@ -262,7 +347,8 @@ TEST(BuildLadder, PerEngineCalibration)
 // The calendar merges the given arrivals with the scheduled events:
 // arrivals pop in the given order, scheduled events by (t, push order),
 // an arrival before a scheduled event at the same t, and the calendar
-// is empty only once both are drained.
+// is empty only once both are drained. nextTime() is always the t of
+// the next pop, and +inf on an empty calendar.
 TEST(EventQueue, ArrivalsMergeWithScheduledEvents)
 {
     using serve::Event;
@@ -276,7 +362,9 @@ TEST(EventQueue, ArrivalsMergeWithScheduledEvents)
                               std::int64_t>;
     std::vector<Popped> got;
     while (!q.empty()) {
+        const double next = q.nextTime();
         const Event e = q.pop();
+        EXPECT_EQ(next, e.t) << "pop " << got.size();
         got.emplace_back(e.t, e.kind,
                          e.kind == Event::kArrival ? e.req : e.target,
                          e.req);
@@ -301,10 +389,22 @@ TEST(EventQueue, ArrivalsMergeWithScheduledEvents)
     serve::EventQueue mid({{0.1, 0}, {0.3, 1}});
     EXPECT_EQ(mid.pop().req, 0);
     mid.push(0.3, Event::kPredFree, 6);
+    EXPECT_EQ(mid.nextTime(), 0.3);
     EXPECT_EQ(mid.pop().kind, Event::kArrival);
+    EXPECT_EQ(mid.nextTime(), 0.3);
     EXPECT_EQ(mid.pop().kind, Event::kPredFree);
     EXPECT_TRUE(mid.empty());
+    EXPECT_EQ(mid.nextTime(), std::numeric_limits<double>::infinity());
     EXPECT_TRUE(serve::EventQueue().empty());
+    EXPECT_EQ(serve::EventQueue().nextTime(),
+              std::numeric_limits<double>::infinity());
+
+    // A scheduled event earlier than the next arrival is next.
+    serve::EventQueue early({{0.5, 0}});
+    early.push(0.25, Event::kTimeout, 3);
+    EXPECT_EQ(early.nextTime(), 0.25);
+    EXPECT_EQ(early.pop().kind, Event::kTimeout);
+    EXPECT_EQ(early.nextTime(), 0.5);
 }
 
 /** A {1,2,4,8} ladder whose batch-1 service is `base_s`; each step
