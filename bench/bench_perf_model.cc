@@ -36,7 +36,7 @@ traceInference(const core::Engine &engine,
     sim.setTimingJitter(0.02, seed);
     runtime::ExecutionContext ctx(engine, sim, 0);
     ctx.enqueueWeightUpload();
-    ctx.enqueueInference(true, true);
+    ctx.enqueueInference();
     sim.run();
     return sim.trace();
 }

@@ -179,7 +179,7 @@ runReplay(const Workload &w,
                 for (double t : arrivals) {
                     sim->delayUntil(stream, t);
                     ctxs.back()[i % ladders[d].size()]
-                        ->enqueueInference(true, true);
+                        ->enqueueInference();
                     res.inferences++;
                     i++;
                 }

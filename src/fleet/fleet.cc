@@ -136,14 +136,17 @@ class Fleet final : public serve::FrontEnd<FleetReport>
         serve::Tally all;
         std::vector<serve::Tally> by_model(static_cast<std::size_t>(n_models_));
         std::vector<serve::Tally> by_group(fleet_.groups.size());
+        const std::vector<serve::Instance> &instances = pool_.instances();
         for (const serve::Request &r : requests_) {
             all.add(r);
             by_model[static_cast<std::size_t>(r.model)].add(r);
-            if (r.outcome == serve::Outcome::kCompleted)
-                by_group[static_cast<std::size_t>(
-                             fleet_.nodes[static_cast<std::size_t>(r.device)]
-                                 .group)]
-                    .add(r);
+            if (r.outcome != serve::Outcome::kCompleted)
+                continue;
+            const int node =
+                instances[static_cast<std::size_t>(r.instance)].device;
+            by_group[static_cast<std::size_t>(
+                         fleet_.nodes[static_cast<std::size_t>(node)].group)]
+                .add(r);
         }
         report.offered = all.offered;
         report.completed = all.completed;
@@ -485,9 +488,7 @@ class Fleet final : public serve::FrontEnd<FleetReport>
             return best;
         };
         cut(queues_[slot], &serve::RequestQueue::oldestArrivalSeconds, m,
-            slot, t, pick,
-            [&](const serve::Instance &inst, const serve::PlannedDispatch &pd,
-                int idx) { serve::stampRequests(requests_, inst, pd, idx); });
+            slot, t, pick);
     }
 
     // Route request `id` of model m: the ring's owner of its key, or the

@@ -88,21 +88,18 @@ ExecutionContext::enqueueOutputs(int stream, bool pinned)
 }
 
 InferenceHandle
-ExecutionContext::enqueueInference(bool copy_input, bool copy_output,
-                                   bool staged)
+ExecutionContext::enqueueInference(bool staged)
 {
     countInference();
     InferenceHandle h;
     h.begin = sim_->recordEvent(stream_);
-    if (copy_input)
-        enqueueInputs(stream_, /*pinned=*/false);
+    enqueueInputs(stream_, /*pinned=*/false);
     if (staged)
         h.upload_done = sim_->recordEvent(stream_);
     enqueueKernels();
     if (staged)
         h.compute_done = sim_->recordEvent(stream_);
-    if (copy_output)
-        enqueueOutputs(stream_, /*pinned=*/false);
+    enqueueOutputs(stream_, /*pinned=*/false);
     h.end = sim_->recordEvent(stream_);
     return h;
 }

@@ -65,19 +65,16 @@ class ExecutionContext
     void enqueueWeightUpload();
 
     /**
-     * Enqueue one complete inference.
-     * @param copy_input  Copy network inputs host-to-device first.
-     * @param copy_output Copy network outputs back afterwards.
-     * @param staged      Also record the upload_done/compute_done
-     *        stage events so a request-scoped watcher can attribute
+     * Enqueue one complete inference: input host-to-device copies,
+     * kernels, output device-to-host copies.
+     * @param staged Also record the upload_done/compute_done stage
+     *        events so a request-scoped watcher can attribute
      *        latency to upload vs compute vs download. Off by
      *        default: the extra markers leave simulated timing
      *        untouched but shift later event ids, and existing
      *        byte-reproducibility fixtures pin those.
      */
-    InferenceHandle enqueueInference(bool copy_input = true,
-                                     bool copy_output = true,
-                                     bool staged = false);
+    InferenceHandle enqueueInference(bool staged = false);
 
     /**
      * Enqueue one pipelined (double-buffered) inference: I/O copies

@@ -41,7 +41,7 @@ runLatencyProtocol(const core::Engine &engine,
         m.begin = sim.recordEvent(0);
         if (opts.upload_weights_per_run || r == 0)
             ctx.enqueueWeightUpload();
-        auto h = ctx.enqueueInference(true, true);
+        auto h = ctx.enqueueInference();
         m.end = h.end;
         marks.push_back(m);
     }
@@ -156,7 +156,7 @@ measureThroughput(const core::Engine &engine,
     auto enqueue_frame = [&](int t) {
         auto &ctx = ctxs[static_cast<std::size_t>(t)];
         auto h = opts.pipelined ? ctx.enqueuePipelinedInference()
-                                : ctx.enqueueInference(true, true);
+                                : ctx.enqueueInference();
         ctx.enqueueHostGap(gap_s);
         return h;
     };

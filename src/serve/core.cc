@@ -148,20 +148,6 @@ predictSojournSeconds(const std::vector<int> &members,
     return std::max(0.0, assign(own_batch) - now_s) + fill_s;
 }
 
-void
-stampRequests(std::vector<Request> &requests, const Instance &inst,
-              const PlannedDispatch &pd, int instance)
-{
-    for (std::int64_t id : inst.idsOf(pd)) {
-        Request &r = requests[static_cast<std::size_t>(id)];
-        r.dispatch_s = pd.t_s;
-        r.batch = pd.batch;
-        r.device = inst.device;
-        r.instance = instance;
-        r.version = pd.version;
-    }
-}
-
 namespace {
 
 /** One enqueued dispatch, folded back once its device has run out. */
@@ -273,10 +259,9 @@ replayDevice(const gpusim::DeviceSpec &spec,
         // timing-neutral, so the replay's event stream never
         // depends on whether anything reads them.
         pending.push_back(
-            {&pd, pipelined ? ctx.enqueueStagedPipelined(f.release,
-                                                         f.download)
-                            : ctx.enqueueInference(true, true,
-                                                   /*staged=*/true)});
+            {&pd, pipelined
+                      ? ctx.enqueueStagedPipelined(f.release, f.download)
+                      : ctx.enqueueInference(/*staged=*/true)});
     };
 
     DeviceReplay out;

@@ -17,8 +17,8 @@
  *    dispatch ahead of its release, fold the stage events back into
  *    the plans as seconds, keep a small per-device result and destroy
  *    the simulator;
- *  - completion fold: the plans' stage times back onto the requests
- *    or frames they carried, in one walk;
+ *  - completion fold: each request or frame a plan carried gets its
+ *    outcome, completion time and a handle to that plan, in one walk;
  *  - report pieces: request tables, the per-key tally of a request
  *    table, latency summaries, device stats and the merged
  *    chrome-trace export;
@@ -53,6 +53,7 @@
 #include "serve/request.hh"
 #include "serve/scheduler.hh"
 #include "serve/workload.hh"
+#include "watch/watch.hh"
 
 namespace edgert::core {
 class TimingCache;
@@ -296,12 +297,6 @@ double predictSojournSeconds(const std::vector<int> &members,
                              double rate_hz,
                              std::vector<double> &free_s);
 
-/** Record a planned dispatch of `inst` (pool index `instance`) on
- *  each of its requests: cut time, batch, device, instance and
- *  engine version. */
-void stampRequests(std::vector<Request> &requests, const Instance &inst,
-                   const PlannedDispatch &pd, int instance);
-
 // ----------------------------------------------------------------
 // Replay
 // ----------------------------------------------------------------
@@ -407,11 +402,12 @@ struct NoPlanHook
  * Fold a replay's measured completions into `recs`, a table indexed by
  * request id (serve::Request or a stream frame): one walk over the
  * instances, then their plans. Every record a plan carries gets
- * outcome `completed` and the plan's begin_s, upload_done_s,
- * compute_done_s and end_s (as done_s); records no plan carries stay
+ * outcome `completed`, the plan's end_s as done_s and the handle
+ * (instance, plan) of that plan; records no plan carries stay
  * untouched. `on_plan(instance, plan)` sees every plan in walk order.
- * Plans are only ever appended by cutBatches, so the returned counts
- * over `n_models` models are the dispatches the control plane made.
+ * Plans are only ever appended by FrontEnd::cut, so the returned
+ * counts over `n_models` models are the dispatches the control plane
+ * made.
  */
 template <class Rec, class Done, class OnPlan = NoPlanHook>
 FoldCounts
@@ -421,23 +417,59 @@ foldReplay(const std::vector<Instance> &instances, int n_models,
     FoldCounts fc;
     fc.batches.assign(static_cast<std::size_t>(n_models), 0);
     fc.dispatched.assign(static_cast<std::size_t>(n_models), 0);
-    for (const Instance &inst : instances) {
+    for (std::size_t i = 0; i < instances.size(); i++) {
+        const Instance &inst = instances[i];
         const auto m = static_cast<std::size_t>(inst.model);
-        for (const PlannedDispatch &pd : inst.plan) {
+        for (std::size_t p = 0; p < inst.plan.size(); p++) {
+            const PlannedDispatch &pd = inst.plan[p];
             fc.batches[m]++;
             fc.dispatched[m] += pd.batch;
             on_plan(inst, pd);
             for (std::int64_t id : inst.idsOf(pd)) {
                 Rec &r = recs[static_cast<std::size_t>(id)];
                 r.outcome = completed;
-                r.begin_s = pd.begin_s;
-                r.upload_done_s = pd.upload_done_s;
-                r.compute_done_s = pd.compute_done_s;
                 r.done_s = pd.end_s;
+                r.instance = static_cast<int>(i);
+                r.plan = static_cast<std::uint32_t>(p);
             }
         }
     }
     return fc;
+}
+
+/** The plan that carried `r`, a record foldReplay completed. */
+template <class Rec>
+const PlannedDispatch &
+planOf(const std::vector<Instance> &instances, const Rec &r)
+{
+    return instances[static_cast<std::size_t>(r.instance)].plan[r.plan];
+}
+
+/**
+ * The stage attribution of `r`, a record foldReplay completed, that
+ * entered its queue at `arrival_s`: the cut time, stage times, batch
+ * and version of the plan that carried it and its instance's device.
+ */
+template <class Rec>
+watch::RequestTrace
+requestTrace(const std::vector<Instance> &instances, const Rec &r,
+             double arrival_s)
+{
+    const PlannedDispatch &pd = planOf(instances, r);
+    watch::RequestTrace rt;
+    rt.id = r.id;
+    rt.model = r.model;
+    rt.device = instances[static_cast<std::size_t>(r.instance)].device;
+    rt.instance = r.instance;
+    rt.batch = pd.batch;
+    rt.version = pd.version;
+    rt.arrival_s = arrival_s;
+    rt.dispatch_s = pd.t_s;
+    rt.begin_s = pd.begin_s;
+    rt.upload_done_s = pd.upload_done_s;
+    rt.compute_done_s = pd.compute_done_s;
+    rt.done_s = r.done_s;
+    return rt;
 }
 
 // ----------------------------------------------------------------
@@ -671,15 +703,16 @@ class FrontEnd
      * predicted-free instance, the batcher decides a cut; the cut's ids
      * move onto the end of that instance's id pool, the cut is planned
      * on the instance at the smallest fitting engine of its version and
-     * slot, `stamp(instance, pd, index)` records it in the caller's
-     * tables, and the instance's predicted-free event is scheduled.
+     * slot, and the instance's predicted-free event is scheduled. No
+     * request or frame record is written: the fold names each one's
+     * plan after the replay.
      * Then the queue's batch timeout (event target `slot`) is re-armed
      * when its front changed. `Queue` is a RequestQueue or a
      * stream::StreamQueue; `oldest` is its oldest-entry accessor.
      */
-    template <class Queue, class Pick, class Stamp>
+    template <class Queue, class Pick>
     void cut(Queue &q, double (Queue::*oldest)() const, int m,
-             std::size_t slot, double t, Pick pick, Stamp stamp)
+             std::size_t slot, double t, Pick pick)
     {
         const DynamicBatcher &batcher =
             batchers_[static_cast<std::size_t>(m)];
@@ -706,7 +739,6 @@ class FrontEnd
             q.cut(n, inst.ids);
             pd.predicted_service_s =
                 set.service_s[static_cast<std::size_t>(pd.engine_idx)];
-            stamp(std::as_const(inst), pd, idx);
             inst.predicted_free_s = t + pd.predicted_service_s;
             inst.plan.push_back(pd);
             events_.push(inst.predicted_free_s, Event::kPredFree, idx);

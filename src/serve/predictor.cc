@@ -23,7 +23,7 @@ LatencyPredictor::calibrate(const core::Engine &engine)
     // here either — lambdas describe steady-state kernel time.
     gpusim::GpuSim sim(device_);
     runtime::ExecutionContext ctx(engine, sim, /*stream=*/0);
-    ctx.enqueueInference(true, true);
+    ctx.enqueueInference();
     sim.run();
     bsp_.calibrate(sim.trace());
 }

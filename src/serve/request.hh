@@ -9,7 +9,6 @@
  */
 
 #include <cstdint>
-#include <string>
 
 namespace edgert::serve {
 
@@ -21,25 +20,24 @@ enum class Outcome
     kShed,      //!< rejected by admission control on arrival
 };
 
-/** One inference request through its whole lifetime. */
+/**
+ * One inference request through its whole lifetime. Its dispatch's
+ * facts (cut time, batch, engine version, stage times) live in the
+ * PlannedDispatch that carried it, named by (instance, plan); the
+ * completion fold writes only the outcome, done_s and that handle.
+ */
 struct Request
 {
     std::int64_t id = 0;   //!< global arrival-order index
-    int model = 0;         //!< index into the server's model table
     double arrival_s = 0.0;
     double slo_ms = 0.0;   //!< deadline relative to arrival
-
+    double done_s = 0.0;   //!< execution completion time (kCompleted only)
+    int model = 0;         //!< index into the server's model table
     Outcome outcome = Outcome::kPending;
-    double dispatch_s = 0.0; //!< batch cut time (kCompleted only)
-    // Replay stage boundaries of its batch (kCompleted only).
-    double begin_s = 0.0;        //!< device starts the batch
-    double upload_done_s = 0.0;  //!< input H2D copies finished
-    double compute_done_s = 0.0; //!< kernels finished
-    double done_s = 0.0;     //!< execution completion time
-    int batch = 0;           //!< size of the batch it rode in
-    int device = -1;         //!< device the batch ran on
-    int instance = -1;       //!< engine instance the batch ran on
-    int version = 0;         //!< engine version the batch ran on
+    /** Its dispatch is instances[instance].plan[plan]; -1 = never
+     *  dispatched. */
+    int instance = -1;
+    std::uint32_t plan = 0;
 
     /** End-to-end latency in milliseconds (kCompleted only). */
     double latencyMs() const { return (done_s - arrival_s) * 1e3; }
@@ -50,6 +48,8 @@ struct Request
         return outcome == Outcome::kCompleted && latencyMs() <= slo_ms;
     }
 };
+static_assert(sizeof(Request) <= 48,
+              "a request holds no copy of its dispatch");
 
 } // namespace edgert::serve
 

@@ -309,10 +309,7 @@ class Server final : public FrontEnd<ServeReport>
         if (swap_paused_[mi])
             return;
         cut(queues_[mi], &RequestQueue::oldestArrivalSeconds, m, mi, t,
-            [&](double now) { return pool_.freeInstance(m, now); },
-            [&](const Instance &inst, const PlannedDispatch &pd, int idx) {
-                stampRequests(requests_, inst, pd, idx);
-            });
+            [&](double now) { return pool_.freeInstance(m, now); });
     }
 
     void beginSwap(const Event &e)
@@ -461,8 +458,8 @@ class Server final : public FrontEnd<ServeReport>
 
         const obs::ScopedSpan phase = modelSpan("report");
         // One pass over the request table tallies it by model, by
-        // (model, engine version) and by (model, arrival inside a swap
-        // window).
+        // (model, engine version of its dispatch; version 0 when it had
+        // none) and by (model, arrival inside a swap window).
         std::vector<Tally> by_model(static_cast<std::size_t>(n_models_));
         std::vector<std::vector<Tally>> by_version, by_window;
         for (const auto &mv : versions_) {
@@ -477,7 +474,9 @@ class Server final : public FrontEnd<ServeReport>
                             r.arrival_s >= st.begin_s &&
                             r.arrival_s <= st.ready_s + 0.25);
             by_model[mi].add(r);
-            by_version[mi][static_cast<std::size_t>(r.version)].add(r);
+            const int version =
+                r.instance < 0 ? 0 : planOf(pool_.instances(), r).version;
+            by_version[mi][static_cast<std::size_t>(version)].add(r);
             by_window[mi][in ? 1 : 0].add(r);
         }
 
@@ -654,20 +653,8 @@ class Server final : public FrontEnd<ServeReport>
               }
               case kDone: {
                   const Request &r = requests_[it.ref];
-                  watch::RequestTrace rt;
-                  rt.id = r.id;
-                  rt.model = r.model;
-                  rt.device = r.device;
-                  rt.instance = r.instance;
-                  rt.batch = r.batch;
-                  rt.version = r.version;
-                  rt.arrival_s = r.arrival_s;
-                  rt.dispatch_s = r.dispatch_s;
-                  rt.begin_s = r.begin_s;
-                  rt.upload_done_s = r.upload_done_s;
-                  rt.compute_done_s = r.compute_done_s;
-                  rt.done_s = r.done_s;
-                  ew.onComplete(rt);
+                  ew.onComplete(
+                      requestTrace(pool_.instances(), r, r.arrival_s));
                   break;
               }
             }

@@ -22,7 +22,8 @@ namespace {
 
 using serve::Event;
 
-/** One frame's whole lifecycle (the stream analogue of Request). */
+/** One frame's whole lifecycle (the stream analogue of Request). Its
+ *  dispatch's facts live in the plan (instance, plan) names. */
 struct FrameRec
 {
     enum Outcome { kInFlight, kDropped, kCompleted };
@@ -38,22 +39,21 @@ struct FrameRec
 
     double decode_done_s = 0.0;
     double ready_s = 0.0; //!< preprocess done; queue admission time
-
-    Outcome outcome = kInFlight;
     double drop_s = 0.0;
-
-    double dispatch_s = 0.0;
-    double begin_s = 0.0;
-    double upload_done_s = 0.0;
-    double compute_done_s = 0.0;
     double done_s = 0.0;      //!< device output download finished
     double post_done_s = 0.0; //!< host postprocess finished
+
+    Outcome outcome = kInFlight;
+    int instance = -1; //!< -1 = never dispatched
+    std::uint32_t plan = 0;
 
     double ageMs() const
     {
         return (post_done_s - capture_s) * 1e3;
     }
 };
+static_assert(sizeof(FrameRec) <= 88,
+              "a frame holds no copy of its dispatch");
 
 /** Per-stage sums over one model's completed frames, ms. */
 struct FrameStageSums
@@ -61,16 +61,10 @@ struct FrameStageSums
     watch::StageSums infer; //!< RequestTrace's breakdown of infer
     double decode = 0.0, preprocess = 0.0, postprocess = 0.0;
 
-    void add(const FrameRec &fr)
+    void add(const FrameRec &fr,
+             const std::vector<serve::Instance> &instances)
     {
-        watch::RequestTrace rt;
-        rt.arrival_s = fr.ready_s;
-        rt.dispatch_s = fr.dispatch_s;
-        rt.begin_s = fr.begin_s;
-        rt.upload_done_s = fr.upload_done_s;
-        rt.compute_done_s = fr.compute_done_s;
-        rt.done_s = fr.done_s;
-        infer.add(rt);
+        infer.add(serve::requestTrace(instances, fr, fr.ready_s));
         decode += (fr.decode_done_s - fr.capture_s) * 1e3;
         preprocess += (fr.ready_s - fr.decode_done_s) * 1e3;
         postprocess += (fr.post_done_s - fr.done_s) * 1e3;
@@ -134,6 +128,12 @@ class Streams final : public serve::FrontEnd<StreamReport>
         for (const auto &m : cfg.models) {
             if (m.streams < 1)
                 fatal("model '", m.model, "' needs at least one stream");
+            if (!(m.fps > 0.0) || !std::isfinite(m.fps))
+                fatal("model '", m.model, "' fps must be positive and "
+                      "finite (got ", m.fps, ")");
+            if (!(m.stale_ms > 0.0))
+                fatal("model '", m.model, "' stale_ms must be positive "
+                      "(got ", m.stale_ms, ")");
             for (double ms : {m.stages.decode_ms, m.stages.preprocess_ms,
                               m.stages.postprocess_ms})
                 if (!(ms >= 0.0) || !std::isfinite(ms))
@@ -349,13 +349,7 @@ class Streams final : public serve::FrontEnd<StreamReport>
     {
         const auto mi = static_cast<std::size_t>(m);
         cut(queues_[mi], &StreamQueue::oldestReadySeconds, m, mi, t,
-            [&](double now) { return pool_.freeInstance(m, now); },
-            [&](const serve::Instance &inst,
-                const serve::PlannedDispatch &pd, int) {
-                for (std::int64_t id : inst.idsOf(pd))
-                    frames_[static_cast<std::size_t>(id)].dispatch_s =
-                        pd.t_s;
-            });
+            [&](double now) { return pool_.freeInstance(m, now); });
     }
 
     // ------------------------------------------------------------
@@ -431,7 +425,7 @@ class Streams final : public serve::FrontEnd<StreamReport>
                   const double age = fr.ageMs();
                   fresh_[m].onCompleted(fr.stream, age);
                   age_ms[m].record(age);
-                  stage_sums_[m].add(fr);
+                  stage_sums_[m].add(fr, pool_.instances());
                   break;
               }
               case FrameRec::kInFlight:

@@ -61,7 +61,7 @@ TEST(ChromeTrace, ValidJsonShape)
     gpusim::GpuSim sim(nx);
     runtime::ExecutionContext ctx(e, sim, 0);
     ctx.enqueueWeightUpload();
-    ctx.enqueueInference(true, true);
+    ctx.enqueueInference();
     sim.run();
 
     std::ostringstream oss;

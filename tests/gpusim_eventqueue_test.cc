@@ -181,7 +181,7 @@ TEST(OpStorage, StagedInferencesStayCompact)
         GpuSim sim(nx);
         runtime::ExecutionContext ctx(engine, sim, 0);
         for (int i = 0; i < inferences; i++)
-            ctx.enqueueInference(true, true, /*staged=*/true);
+            ctx.enqueueInference(/*staged=*/true);
         const gpusim::SimStats st = sim.simStats();
         EXPECT_EQ(st.ops_enqueued % inferences, 0u) << model;
         EXPECT_LE(st.arena_bytes / st.ops_enqueued, 96u)
@@ -296,7 +296,7 @@ TEST(OpStorage, SoloProgramsReserveNoFillMemo)
     GpuSim sim(nx);
     runtime::ExecutionContext ctx(engine, sim, 0);
     for (int i = 0; i < 8; i++)
-        ctx.enqueueInference(true, true);
+        ctx.enqueueInference();
     sim.run();
     EXPECT_EQ(sim.simStats().fill_memo_bytes, 0u);
     EXPECT_EQ(sim.simStats().fill_memo_hits, 0u);

@@ -134,7 +134,7 @@ TEST(Integration, NvprofSummaryCoversInference)
     sim.setProfilingOverheadUs(50.0);
     runtime::ExecutionContext ctx(e, sim, 0);
     ctx.enqueueWeightUpload();
-    ctx.enqueueInference(true, true);
+    ctx.enqueueInference();
     sim.run();
 
     auto rows = profile::summarize(sim.trace());
@@ -168,7 +168,7 @@ TEST(Integration, TegrastatsSamplesUtilization)
     gpusim::GpuSim sim(nx);
     runtime::ExecutionContext ctx(e, sim, 0);
     profile::Tegrastats stats(sim, 2048.0);
-    ctx.enqueueInference(true, true);
+    ctx.enqueueInference();
     sim.run();
     auto s = stats.sample();
     EXPECT_GT(s.gr3d_pct, 0.0);

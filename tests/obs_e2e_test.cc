@@ -198,7 +198,7 @@ TEST(ObsE2E, MergedTraceHasHostSpansAndDeviceOps)
     gpusim::GpuSim sim(nx);
     runtime::ExecutionContext ctx(engine, sim, 0);
     ctx.enqueueWeightUpload();
-    ctx.enqueueInference(true, true);
+    ctx.enqueueInference();
     sim.run();
 
     std::ostringstream os;
@@ -245,7 +245,7 @@ TEST(ObsE2E, MergedTraceBytesReproducibleUnderFakeClock)
         gpusim::GpuSim sim(nx);
         runtime::ExecutionContext ctx(engine, sim, 0);
         ctx.enqueueWeightUpload();
-        ctx.enqueueInference(true, true);
+        ctx.enqueueInference();
         sim.run();
 
         std::ostringstream os;
@@ -273,8 +273,8 @@ TEST(ObsE2E, RuntimeCountsInferencesAndUploadBytes)
     gpusim::GpuSim sim(nx);
     runtime::ExecutionContext ctx(engine, sim, 0);
     ctx.enqueueWeightUpload();
-    ctx.enqueueInference(true, true);
-    ctx.enqueueInference(true, true);
+    ctx.enqueueInference();
+    ctx.enqueueInference();
     sim.run();
 
     MetricRegistry &reg = MetricRegistry::global();

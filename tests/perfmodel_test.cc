@@ -26,7 +26,7 @@ traceOnce(const core::Engine &e, const gpusim::DeviceSpec &dev,
     if (noise > 0.0)
         sim.setTimingJitter(noise, 7);
     runtime::ExecutionContext ctx(e, sim, 0);
-    ctx.enqueueInference(true, true);
+    ctx.enqueueInference();
     sim.run();
     return sim.trace();
 }

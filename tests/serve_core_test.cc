@@ -293,14 +293,17 @@ TEST(ConfigGuards, NonFiniteAndOutOfRangeValuesAreFatal)
     for (double f : {nan, inf, 7.0})
         EXPECT_THROW(fleetWith(0.1, f), FatalError) << f;
 
-    auto streamWith = [](auto tweak) {
+    auto streamConfig = [](auto tweak) {
         stream::StreamConfig cfg;
         cfg.models.push_back(
             stream::parseModelSpec("mobilenetv1:streams=1", {}));
         tweak(cfg.models[0]);
         cfg.devices = serve::parseDevices("nx");
         cfg.duration_s = 0.1;
-        return stream::runStreams(cfg);
+        return cfg;
+    };
+    auto streamWith = [&](auto tweak) {
+        return stream::runStreams(streamConfig(tweak));
     };
     using Model = stream::StreamModelConfig;
     for (double v : {nan, inf})
@@ -308,6 +311,18 @@ TEST(ConfigGuards, NonFiniteAndOutOfRangeValuesAreFatal)
             << v;
     EXPECT_THROW(streamWith([&](Model &m) { m.stale_ms = nan; }),
                  FatalError);
+    // Both fail fast, at construction: before any ladder build, control
+    // plane or replay.
+    for (double v : {nan, inf, 0.0, -30.0}) {
+        const stream::StreamConfig cfg =
+            streamConfig([&](Model &m) { m.fps = v; });
+        EXPECT_THROW(stream::startStreams(cfg), FatalError) << v;
+    }
+    for (double v : {nan, 0.0, -1.0}) {
+        const stream::StreamConfig cfg =
+            streamConfig([&](Model &m) { m.stale_ms = v; });
+        EXPECT_THROW(stream::startStreams(cfg), FatalError) << v;
+    }
     for (double v : {-5.0, nan, inf}) {
         EXPECT_THROW(streamWith([&](Model &m) { m.stages.decode_ms = v; }),
                      FatalError)
@@ -538,21 +553,26 @@ TEST(Sojourn, SwappedInstanceUsesItsVersionTable)
                 svc[3] + svc[0] + 0.002, 1e-12);
 }
 
-// foldReplay copies each plan's measured stage times onto the requests
-// it carried, leaves a request no plan carries untouched, shows the
-// hook every plan in walk order and counts the plans per model.
-TEST(FoldReplay, CopiesPlanTimesAndCountsPerModel)
+// foldReplay writes each carried request's outcome, completion time and
+// handle to the plan that carried it, leaves a request no plan carries
+// untouched, shows the hook every plan in walk order and counts the
+// plans per model. requestTrace reads the dispatch through the handle.
+TEST(FoldReplay, NamesEachCarriedRequestsPlanAndCountsPerModel)
 {
     std::vector<serve::Request> requests(6);
     for (std::size_t i = 0; i < requests.size(); i++) {
         requests[i].id = static_cast<std::int64_t>(i);
         requests[i].model = i < 4 ? 0 : 1;
         requests[i].arrival_s = 0.01 * static_cast<double>(i);
+        requests[i].slo_ms = 20.0;
     }
     // A dispatch's ids go onto the end of its instance's id pool.
     auto plan = [](serve::Instance &inst,
-                   const std::vector<std::int64_t> &ids, double t0) {
+                   const std::vector<std::int64_t> &ids, double t0,
+                   int version) {
         serve::PlannedDispatch pd;
+        pd.t_s = t0 - 0.05;
+        pd.version = version;
         pd.batch = static_cast<int>(ids.size());
         pd.first_id = static_cast<std::uint32_t>(inst.ids.size());
         inst.ids.insert(inst.ids.end(), ids.begin(), ids.end());
@@ -562,14 +582,15 @@ TEST(FoldReplay, CopiesPlanTimesAndCountsPerModel)
         pd.end_s = t0 + 0.004;
         inst.plan.push_back(pd);
     };
-    // Model 0 on instance 0; model 1 on instances 1 (planless) and 2.
-    // Request 3 is never dispatched.
+    // Model 0 on instance 0 (device 0); model 1 on instances 1
+    // (planless) and 2 (device 1). Request 3 is never dispatched.
     std::vector<serve::Instance> instances(3);
-    plan(instances[0], {0, 2}, 0.1);
-    plan(instances[0], {1}, 0.2);
+    plan(instances[0], {0, 2}, 0.1, 0);
+    plan(instances[0], {1}, 0.2, 1);
     instances[1].model = 1;
     instances[2].model = 1;
-    plan(instances[2], {5, 4}, 0.3);
+    instances[2].device = 1;
+    plan(instances[2], {5, 4}, 0.3, 2);
     const serve::Request before = requests[3];
 
     std::vector<int> hook_batches;
@@ -579,30 +600,56 @@ TEST(FoldReplay, CopiesPlanTimesAndCountsPerModel)
             hook_batches.push_back(pd.batch);
         });
 
-    for (const serve::Instance &inst : instances)
-        for (const serve::PlannedDispatch &pd : inst.plan)
+    for (std::size_t i = 0; i < instances.size(); i++) {
+        const serve::Instance &inst = instances[i];
+        for (std::size_t p = 0; p < inst.plan.size(); p++) {
+            const serve::PlannedDispatch &pd = inst.plan[p];
             for (std::int64_t id : inst.idsOf(pd)) {
                 SCOPED_TRACE(id);
                 const serve::Request &r =
                     requests[static_cast<std::size_t>(id)];
                 EXPECT_EQ(r.outcome, serve::Outcome::kCompleted);
-                EXPECT_EQ(r.begin_s, pd.begin_s);
-                EXPECT_EQ(r.upload_done_s, pd.upload_done_s);
-                EXPECT_EQ(r.compute_done_s, pd.compute_done_s);
+                EXPECT_EQ(r.instance, static_cast<int>(i));
+                EXPECT_EQ(r.plan, p);
+                EXPECT_EQ(&serve::planOf(instances, r), &pd);
                 EXPECT_EQ(r.done_s, pd.end_s);
+
+                const watch::RequestTrace rt =
+                    serve::requestTrace(instances, r, r.arrival_s);
+                EXPECT_EQ(rt.id, r.id);
+                EXPECT_EQ(rt.model, r.model);
+                EXPECT_EQ(rt.device, inst.device);
+                EXPECT_EQ(rt.instance, r.instance);
+                EXPECT_EQ(rt.batch, pd.batch);
+                EXPECT_EQ(rt.version, pd.version);
+                EXPECT_EQ(rt.arrival_s, r.arrival_s);
+                EXPECT_EQ(rt.dispatch_s, pd.t_s);
+                EXPECT_EQ(rt.begin_s, pd.begin_s);
+                EXPECT_EQ(rt.upload_done_s, pd.upload_done_s);
+                EXPECT_EQ(rt.compute_done_s, pd.compute_done_s);
+                EXPECT_EQ(rt.done_s, pd.end_s);
             }
-    // Each id reads its own dispatch's slice of its instance's pool.
-    EXPECT_EQ(requests[0].begin_s, 0.1);
-    EXPECT_EQ(requests[2].begin_s, 0.1);
-    EXPECT_EQ(requests[1].begin_s, 0.2);
-    EXPECT_EQ(requests[4].begin_s, 0.3);
-    EXPECT_EQ(requests[5].begin_s, 0.3);
+        }
+    }
+    // Each id names its own dispatch's slice of its instance's pool.
+    EXPECT_EQ(requests[0].plan, 0u);
+    EXPECT_EQ(requests[2].plan, 0u);
+    EXPECT_EQ(requests[1].plan, 1u);
+    EXPECT_EQ(requests[1].done_s, 0.2 + 0.004);
+    EXPECT_EQ(requests[4].instance, 2);
+    EXPECT_EQ(requests[5].instance, 2);
+    EXPECT_EQ(serve::requestTrace(instances, requests[1], 0.0).version, 1);
+    EXPECT_EQ(serve::requestTrace(instances, requests[4], 0.0).device, 1);
+
     const serve::Request &idle = requests[3];
+    EXPECT_EQ(idle.instance, -1);
     EXPECT_EQ(idle.outcome, serve::Outcome::kPending);
-    EXPECT_EQ(idle.begin_s, before.begin_s);
-    EXPECT_EQ(idle.upload_done_s, before.upload_done_s);
-    EXPECT_EQ(idle.compute_done_s, before.compute_done_s);
+    EXPECT_EQ(idle.id, before.id);
+    EXPECT_EQ(idle.model, before.model);
+    EXPECT_EQ(idle.arrival_s, before.arrival_s);
+    EXPECT_EQ(idle.slo_ms, before.slo_ms);
     EXPECT_EQ(idle.done_s, before.done_s);
+    EXPECT_EQ(idle.plan, before.plan);
 
     EXPECT_EQ(hook_batches, (std::vector<int>{2, 1, 2}));
     EXPECT_EQ(fc.batches, (std::vector<std::int64_t>{2, 1}));

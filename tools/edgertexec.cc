@@ -363,7 +363,7 @@ run(int argc, char **argv)
         gpusim::GpuSim sim(dev);
         runtime::ExecutionContext ctx(engine, sim, 0);
         ctx.enqueueWeightUpload();
-        ctx.enqueueInference(true, true);
+        ctx.enqueueInference();
         sim.run();
         if (args.trace_build) {
             profile::saveMergedChromeTrace(
